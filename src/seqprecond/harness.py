@@ -444,7 +444,12 @@ def ingest_csv(path: str, standardize: bool = False) -> dynsys.Trajectory:
             expected_t = t + 1
             vals = []
             for j, cell in enumerate(row[1:], start=1):
-                v = float(cell)
+                try:
+                    v = float(cell)
+                except ValueError:
+                    raise ValueError(
+                        f"row {lineno}, column {header[j]}: not a number {cell!r}"
+                    ) from None
                 if not math.isfinite(v):
                     raise ValueError(
                         f"row {lineno}, column {header[j]}: non-finite value"

@@ -1,24 +1,28 @@
-"""Online learners driven by projected subgradient descent on the ℓ1 loss.
+"""Online learners: one projected subgradient recursion over feature blocks.
 
-Two predictors share the same affine skeleton: a fixed (or learned) lagged
-combination of past targets plus learned linear maps of recent inputs.
-The spectral variant adds projections of the deep input past onto a
-filter bank, capturing what the truncated input window misses.  All
-updates are OGD steps at rate D/(G sqrt(t)) followed by norm projections,
-with sign(0) = 0 in every ℓ1 subgradient.
+Preconditioned regression, preconditioned spectral filtering and learned
+lag coefficients are one algorithm.  The inputs are exogenous, so every
+feature is fixed before learning starts: lagged targets -y_{t-i} against
+the lag coefficients c_1..c_n, an input window u_{t-j} against matrices
+Q_j and, for spectral filtering, the deep input past filtered by a bank
+against matrices M_j.  `ogd` steps every block along the ℓ1 subgradient at
+rate lr0/sqrt(t), with sign(0) = 0, and projects each tap of a bounded
+block onto its norm ball.  The learner classes only size radii and rates
+and assemble blocks; `.run(inputs, outputs)` processes a whole stream
+(there is no per-sample `.step`).
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, replace
 from math import ceil, log, log2, sqrt
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
+from scipy.signal import lfilter
 
 from seqprecond.dynsys import LinearSystem
 from seqprecond.poly import CoefficientVector, Family, sup_on_sector
-from seqprecond.spectral import FilterBank, filter_project
+from seqprecond.spectral import FilterBank
 
 # Upper bound for ||C|| ||B|| kappa used in domain radii when the true
 # system is unknown; generous on purpose, the learning rate grid matters
@@ -54,102 +58,116 @@ def project_to_ball(M: np.ndarray, radius: float, norm: str = "spectral") -> np.
     return (U * np.minimum(s, radius)) @ Vt
 
 
-def _project_stack(Q: np.ndarray, radius: float, norm: str) -> np.ndarray:
-    return np.stack([project_to_ball(Qj, radius, norm) for Qj in Q])
+# ---------------------------------------------------------------------------
+# feature blocks
 
 
-def _sign(residual: np.ndarray) -> np.ndarray:
-    return np.sign(np.asarray(residual, dtype=float))
+def lagged(x: np.ndarray, taps: int, lag: int = 0) -> np.ndarray:
+    """Newest-first windows of a time-major stream, as a read-only view.
+
+    Row t holds x_{t-lag}, x_{t-lag-1}, ..., x_{t-lag-taps+1}, shape
+    (T, taps, d); entries before the start of the stream are zero.
+    """
+    x = np.asarray(x, dtype=float)
+    T, d = x.shape
+    if taps == 0:
+        return np.zeros((T, 0, d))
+    padded = np.concatenate([np.zeros((taps - 1 + lag, d)), x])
+    windows = sliding_window_view(padded, taps, axis=0)[:T]  # (T, d, taps), oldest first
+    return windows[:, :, ::-1].transpose(0, 2, 1)
 
 
-def _affine_predict(Q, coeffs, u_window, y_window):
-    """-sum_{i>=1} c_i y_{t-i} + sum_j Q_j u_{t-j}, windows newest first."""
-    m = Q.shape[0]
-    n = coeffs.size - 1
-    pred = np.einsum("joi,ji->o", Q, u_window[:m]) if m else np.zeros(Q.shape[1])
-    if n:
-        pred = pred - coeffs[1:] @ y_window[:n]
-    return pred
+def deep_past(bank: FilterBank, u: np.ndarray, n: int, T: int) -> np.ndarray:
+    """Filter projections of the inputs older than the window u_t..u_{t-n}.
 
-
-def _check_window(window, rows, cols, name):
-    w = np.asarray(window, dtype=float)
-    if w.ndim == 1:
-        w = w[:, None]
-    if w.size == 0:
-        w = w.reshape(0, cols)
-    if w.shape[0] < rows or w.shape[1] != cols:
-        raise ValueError(
-            f"{name} must be at least ({rows}, {cols}), got {w.shape}"
-        )
-    return w
+    Row t equals `filter_project(bank, padded, T)` for the block whose row
+    s holds u_{t-n-1-s}, zero-padded to the bank horizon: one causal
+    convolution of u with each filter, shape (len(u), k, d_in).
+    """
+    u = np.asarray(u, dtype=float)
+    depth = u.shape[0] - n - 1  # history depth at the last step
+    if depth > bank.horizon:
+        raise ValueError(f"history depth {depth} exceeds bank horizon {bank.horizon}")
+    out = np.zeros((u.shape[0], bank.k, u.shape[1]))
+    if depth > 0:
+        for j, f in enumerate(bank.filters):
+            out[n + 1 :, j] = lfilter(f, [1.0], u[:depth], axis=0)
+        out /= np.sqrt(T)
+    return out
 
 
 # ---------------------------------------------------------------------------
-# preconditioned regression
+# the recursion
 
 
-@dataclass(frozen=True)
-class RegressionState:
-    Q: np.ndarray  # (num_taps, d_out, d_in)
-    radius: float
-    step: int = 0
-    lr0: float = 0.0  # eta_t = lr0 / sqrt(t)
-    norm: str = "spectral"
+def ogd(blocks, targets: np.ndarray, frozen: bool = False, norm: str = "spectral"):
+    """Projected online gradient descent on the ℓ1 loss over feature blocks.
 
-    @property
-    def num_taps(self) -> int:
-        return self.Q.shape[0]
+    Each block is (X, W0, lr0, radius): features X of shape (T, taps, d_in)
+    against weights (taps, d_out, d_in), or lag features (T, taps, d_out)
+    against one scalar weight per tap.  Step t predicts the sum over blocks
+    of sum_j W_j x_{t,j}; then, with s = sign(prediction - target), every
+    block moves by -lr0/sqrt(t) times its subgradient and each tap of a
+    block with a radius is projected onto that `norm` ball.  A zero s or
+    rate leaves the weights as they are, frozen=True skips every update,
+    and the schedule advances on every step.
+
+    Returns the (T, d_out) predictions and the final weights; raises
+    ValueError naming the first step whose prediction is not finite.
+    """
+    y = np.asarray(targets, dtype=float)
+    T, d_out = y.shape
+    Xs = [X for X, _, _, _ in blocks]
+    if any(X.shape[0] != T for X in Xs):
+        raise ValueError(f"every feature block needs {T} rows, one per target")
+    Ws = [np.array(W0, dtype=float) for _, W0, _, _ in blocks]
+    steps = [(b, lr0, radius) for b, (_, _, lr0, radius) in enumerate(blocks) if lr0 != 0]
+    preds = np.empty((T, d_out))
+    try:
+        for t in range(T):
+            xs = [X[t] for X in Xs]
+            pred = np.zeros(d_out)
+            for W, x in zip(Ws, xs):
+                pred = pred + (W @ x if W.ndim == 1 else np.einsum("joi,ji->o", W, x))
+            preds[t] = pred
+            if frozen:
+                continue
+            s = np.sign(pred - y[t])
+            if not s.any():
+                continue
+            root = sqrt(t + 1)
+            for b, lr0, radius in steps:
+                W, x = Ws[b], xs[b]
+                grad = x @ s if W.ndim == 1 else s[None, :, None] * x[:, None, :]
+                W = W - (lr0 / root) * grad
+                if radius is not None:
+                    for j in range(W.shape[0]):
+                        W[j] = project_to_ball(W[j], radius, norm)
+                Ws[b] = W
+    except np.linalg.LinAlgError:
+        # an SVD met weights that a non-finite prediction left behind
+        if np.isfinite(preds[: t + 1]).all():
+            raise
+        preds = preds[: t + 1]
+    finite = np.isfinite(preds).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"non-finite prediction at step {int(np.argmin(finite))} of {T}")
+    return preds, Ws
 
 
-def regression_state(
-    c: CoefficientVector,
-    d_in: int,
-    d_out: int,
-    num_taps: int | None = None,
-    domain_bound: float = DEFAULT_DOMAIN_BOUND,
-    lr0: float | None = None,
-    norm: str = "spectral",
-) -> RegressionState:
-    """Fresh zero state; default rate from D = 2 radius m, G = m sqrt(d_out)."""
-    m = max(c.degree, 1) if num_taps is None else num_taps
-    if m < 0:
-        raise ValueError("num_taps must be nonnegative")
-    radius = domain_bound * c.l1
-    if lr0 is None:
-        lr0 = 2.0 * radius / sqrt(d_out)  # D/G with the tap count cancelled
-    return RegressionState(
-        Q=np.zeros((m, d_out, d_in)), radius=radius, step=0, lr0=lr0, norm=norm
-    )
+def _rows(a, d: int) -> np.ndarray:
+    a = np.asarray(a, dtype=float)
+    return a.reshape(a.shape[0], d)
 
 
-def regression_predict(
-    state: RegressionState, u_window, y_window, c: CoefficientVector
-) -> np.ndarray:
-    m = state.num_taps
-    d_out, d_in = state.Q.shape[1:]
-    u = _check_window(u_window, m, d_in, "u_window")
-    y = _check_window(y_window, c.degree, d_out, "y_window")
-    return _affine_predict(state.Q, c.coeffs, u, y)
-
-
-def regression_update(
-    state: RegressionState, residual, u_window
-) -> RegressionState:
-    s = _sign(residual)
-    t = state.step + 1
-    if not np.any(s):
-        return replace(state, step=t)
-    m = state.num_taps
-    u = _check_window(u_window, m, state.Q.shape[2], "u_window")
-    eta = state.lr0 / sqrt(t)
-    grad = s[None, :, None] * u[:m, None, :]
-    Q = _project_stack(state.Q - eta * grad, state.radius, state.norm)
-    return replace(state, Q=Q, step=t)
+def _lag_block(c: CoefficientVector, y: np.ndarray, lr0: float):
+    """c_1..c_n against -y_{t-1}..-y_{t-n}; c_0 = 1 is not a weight, so it
+    stays pinned, and the block is never projected."""
+    return lagged(-y, c.degree, 1), c.coeffs[1:], lr0, None
 
 
 # ---------------------------------------------------------------------------
-# preconditioned spectral filtering
+# learners
 
 
 def tilde_expand(c: CoefficientVector) -> CoefficientVector:
@@ -162,210 +180,136 @@ def tilde_expand(c: CoefficientVector) -> CoefficientVector:
     return CoefficientVector(-expanded, Family.CUSTOM)
 
 
-@dataclass(frozen=True)
-class SpectralLearnerState:
-    tilde_coeffs: CoefficientVector  # degree n+2, leading entry 1
-    Q: np.ndarray  # (n+1, d_out, d_in)
-    M: np.ndarray  # (k, d_out, d_in)
-    R_Q: float
-    R_M: float
-    bank: FilterBank
-    total_horizon: int
-    step: int = 0
-    lr0: float = 0.0
-    norm: str = "spectral"
+class RegressionLearner:
+    """Preconditioned regression: fixed lag coefficients plus learned
+    input maps Q_j in the ball of radius domain_bound * ||c||_1.
 
-    @property
-    def degree(self) -> int:
-        return self.tilde_coeffs.degree - 2
+    The default rate is D/G with D = 2 radius m and G = m sqrt(d_out).
+    Set frozen=True to evaluate a fixed comparator (init_Q) without updates.
+    """
+
+    lr_coeffs0 = 0.0  # the lag coefficients stay fixed
+
+    def __init__(
+        self,
+        c: CoefficientVector,
+        d_in: int,
+        d_out: int,
+        num_taps: int | None = None,
+        domain_bound: float = DEFAULT_DOMAIN_BOUND,
+        lr0: float | None = None,
+        norm: str = "spectral",
+        init_Q: np.ndarray | None = None,
+        frozen: bool = False,
+    ):
+        m = max(c.degree, 1) if num_taps is None else num_taps
+        if m < 0:
+            raise ValueError("num_taps must be nonnegative")
+        self.c = c
+        self.d_in = d_in
+        self.d_out = d_out
+        self.norm = norm
+        self.frozen = frozen
+        self.radius = domain_bound * c.l1
+        self.lr0 = 2.0 * self.radius / sqrt(d_out) if lr0 is None else lr0
+        self.Q0 = np.zeros((m, d_out, d_in))
+        if init_Q is not None:
+            init_Q = np.asarray(init_Q, dtype=float)
+            if init_Q.shape != self.Q0.shape:
+                raise ValueError(f"init_Q shape {init_Q.shape} != {self.Q0.shape}")
+            self.Q0 = init_Q.copy()
+
+    def blocks(self, u: np.ndarray, y: np.ndarray) -> list:
+        """The input window and the lag coefficients, for (T, d) streams."""
+        return [
+            (lagged(u, self.Q0.shape[0]), self.Q0, self.lr0, self.radius),
+            _lag_block(self.c, y, self.lr_coeffs0),
+        ]
+
+    def run(self, inputs, outputs) -> np.ndarray:
+        u, y = _rows(inputs, self.d_in), _rows(outputs, self.d_out)
+        return ogd(self.blocks(u, y), y, self.frozen, self.norm)[0]
 
 
-def spectral_state(
-    c: CoefficientVector,
-    bank: FilterBank,
-    d_in: int,
-    d_out: int,
-    total_horizon: int,
-    norm_bound: float = 1.0,
-    kappa_bound: float = 1.0,
-    lr0: float | None = None,
-    norm: str = "spectral",
-) -> SpectralLearnerState:
-    """Fresh zero state with radii from the regret analysis.
+class LearnedCoeffLearner(RegressionLearner):
+    """Preconditioned regression that also learns c_1..c_n from `init`.
+
+    The lag coefficients step at their own rate, by default the input
+    maps' rate; c_0 stays pinned to 1.
+    """
+
+    def __init__(
+        self,
+        init: CoefficientVector,
+        d_in: int,
+        d_out: int,
+        num_taps: int | None = None,
+        domain_bound: float = DEFAULT_DOMAIN_BOUND,
+        lr_model0: float | None = None,
+        lr_coeffs0: float | None = None,
+        norm: str = "spectral",
+    ):
+        super().__init__(init, d_in, d_out, num_taps, domain_bound, lr_model0, norm)
+        self.lr_coeffs0 = self.lr0 if lr_coeffs0 is None else lr_coeffs0
+
+
+class SpectralLearner:
+    """Preconditioned spectral filtering: the lag coefficients of
+    (1 - x^2) p(x), n+1 input taps Q_j and k filter maps M_j of the deep
+    past, all stepping at one rate.
 
     R_Q bounds the truncated-window maps by norm_bound * ||c||_1; R_M
     bounds the filter maps by the sector sup of p times the horizon-
     dependent amplification of the deep past.
     """
-    n = c.degree
-    k = bank.k
-    T = total_horizon
-    if bank.sector is None:
-        raise ValueError("bank must carry its sector to size the radii")
-    beta = bank.sector.beta
-    R_Q = norm_bound * c.l1
-    head = sup_on_sector(c, bank.sector)
-    R_M = 2.0 * norm_bound * kappa_bound * log(T) * beta ** (4 / 3) * T ** (7 / 6) * head
-    if lr0 is None:
-        D = n * R_Q + k * R_M
-        G = (n + k) * sqrt(d_out)
-        lr0 = D / G if G > 0 else 0.0
-    return SpectralLearnerState(
-        tilde_coeffs=tilde_expand(c),
-        Q=np.zeros((n + 1, d_out, d_in)),
-        M=np.zeros((k, d_out, d_in)),
-        R_Q=R_Q,
-        R_M=R_M,
-        bank=bank,
-        total_horizon=T,
-        step=0,
-        lr0=lr0,
-        norm=norm,
-    )
 
+    def __init__(
+        self,
+        c: CoefficientVector,
+        bank: FilterBank,
+        d_in: int,
+        d_out: int,
+        total_horizon: int,
+        norm_bound: float = 1.0,
+        kappa_bound: float = 1.0,
+        lr0: float | None = None,
+        norm: str = "spectral",
+    ):
+        if bank.sector is None:
+            raise ValueError("bank must carry its sector to size the radii")
+        n, k, T = c.degree, bank.k, total_horizon
+        beta = bank.sector.beta
+        self.c = c
+        self.bank = bank
+        self.d_in = d_in
+        self.d_out = d_out
+        self.total_horizon = T
+        self.norm = norm
+        self.R_Q = norm_bound * c.l1
+        head = sup_on_sector(c, bank.sector)
+        self.R_M = 2.0 * norm_bound * kappa_bound * log(T) * beta ** (4 / 3) * T ** (7 / 6) * head
+        if lr0 is None:
+            D = n * self.R_Q + k * self.R_M
+            G = (n + k) * sqrt(d_out)
+            lr0 = D / G if G > 0 else 0.0
+        self.lr0 = lr0
 
-def _deep_past_block(state: SpectralLearnerState, u_history: np.ndarray) -> np.ndarray:
-    """Inputs older than the truncation window, newest first, zero-padded
-    to the bank horizon: row s holds u_{t-n-1-s}."""
-    n = state.degree
-    t = u_history.shape[0]
-    depth = t - n - 1
-    if depth > state.bank.horizon:
-        raise ValueError(
-            f"history depth {depth} exceeds bank horizon {state.bank.horizon}"
-        )
-    padded = np.zeros((state.bank.horizon, u_history.shape[1]))
-    if depth > 0:
-        padded[:depth] = u_history[depth - 1 :: -1]
-    return padded
+    def blocks(self, u: np.ndarray, y: np.ndarray) -> list:
+        """Input window, lag coefficients and deep past, for (T, d) streams."""
+        n = self.c.degree
+        shape = (self.d_out, self.d_in)
+        return [
+            (lagged(u, n + 1), np.zeros((n + 1, *shape)), self.lr0, self.R_Q),
+            _lag_block(tilde_expand(self.c), y, 0.0),
+            (
+                deep_past(self.bank, u, n, self.total_horizon),
+                np.zeros((self.bank.k, *shape)), self.lr0, self.R_M,
+            ),
+        ]
 
-
-def spectral_predict(
-    state: SpectralLearnerState, u_history, y_window
-) -> np.ndarray:
-    """Lagged-target term + truncated input window term + filtered deep past."""
-    d_out, d_in = state.Q.shape[1:]
-    n = state.degree
-    u_hist = _check_window(u_history, 0, d_in, "u_history")
-    y = _check_window(y_window, n + 2, d_out, "y_window")
-    t = u_hist.shape[0]
-    # newest-first window u_t .. u_{t-n}, zero-padded before the start
-    window = np.zeros((n + 1, d_in))
-    avail = min(n + 1, t)
-    if avail:
-        window[:avail] = u_hist[t - avail : t][::-1]
-    pred = _affine_predict(state.Q, state.tilde_coeffs.coeffs, window, y)
-    if state.M.shape[0]:
-        proj = filter_project(
-            state.bank, _deep_past_block(state, u_hist), state.total_horizon
-        )
-        pred = pred + np.einsum("joi,ji->o", state.M, proj)
-    return pred
-
-
-def spectral_update(
-    state: SpectralLearnerState, residual, u_history
-) -> SpectralLearnerState:
-    s = _sign(residual)
-    t_step = state.step + 1
-    if not np.any(s):
-        return replace(state, step=t_step)
-    d_in = state.Q.shape[2]
-    n = state.degree
-    u_hist = _check_window(u_history, 0, d_in, "u_history")
-    t = u_hist.shape[0]
-    window = np.zeros((n + 1, d_in))
-    avail = min(n + 1, t)
-    if avail:
-        window[:avail] = u_hist[t - avail : t][::-1]
-    eta = state.lr0 / sqrt(t_step)
-    Q = state.Q - eta * (s[None, :, None] * window[:, None, :])
-    Q = _project_stack(Q, state.R_Q, state.norm)
-    M = state.M
-    if M.shape[0]:
-        proj = filter_project(
-            state.bank, _deep_past_block(state, u_hist), state.total_horizon
-        )
-        M = M - eta * (s[None, :, None] * proj[:, None, :])
-        M = _project_stack(M, state.R_M, state.norm)
-    return replace(state, Q=Q, M=M, step=t_step)
-
-
-# ---------------------------------------------------------------------------
-# learned preconditioning coefficients
-
-
-@dataclass(frozen=True)
-class LearnedCoeffState:
-    coeffs: np.ndarray  # c_0 pinned to 1, c_1..c_n trainable
-    Q: np.ndarray  # (num_taps, d_out, d_in)
-    radius: float
-    step: int = 0
-    lr_model0: float = 0.0
-    lr_coeffs0: float = 0.0
-    norm: str = "spectral"
-
-    def __post_init__(self):
-        if self.coeffs[0] != 1.0:
-            raise ValueError("c_0 must stay pinned to 1")
-
-    @property
-    def degree(self) -> int:
-        return self.coeffs.size - 1
-
-
-def learned_coeff_state(
-    init: CoefficientVector,
-    d_in: int,
-    d_out: int,
-    num_taps: int | None = None,
-    domain_bound: float = DEFAULT_DOMAIN_BOUND,
-    lr_model0: float | None = None,
-    lr_coeffs0: float | None = None,
-    norm: str = "spectral",
-) -> LearnedCoeffState:
-    base = regression_state(init, d_in, d_out, num_taps, domain_bound, lr_model0, norm)
-    if lr_coeffs0 is None:
-        lr_coeffs0 = base.lr0
-    return LearnedCoeffState(
-        coeffs=init.coeffs.copy(),
-        Q=base.Q,
-        radius=base.radius,
-        step=0,
-        lr_model0=base.lr0,
-        lr_coeffs0=lr_coeffs0,
-        norm=norm,
-    )
-
-
-def learned_coeff_predict(state: LearnedCoeffState, u_window, y_window) -> np.ndarray:
-    d_out, d_in = state.Q.shape[1:]
-    u = _check_window(u_window, state.Q.shape[0], d_in, "u_window")
-    y = _check_window(y_window, state.degree, d_out, "y_window")
-    return _affine_predict(state.Q, state.coeffs, u, y)
-
-
-def learned_coeff_step(
-    state: LearnedCoeffState, residual, y_window, u_features
-) -> LearnedCoeffState:
-    """Joint OGD step on the input maps and the lag coefficients."""
-    s = _sign(residual)
-    t = state.step + 1
-    if not np.any(s):
-        return replace(state, step=t)
-    m = state.Q.shape[0]
-    n = state.degree
-    u = _check_window(u_features, m, state.Q.shape[2], "u_features")
-    y = _check_window(y_window, n, state.Q.shape[1], "y_window")
-    eta_m = state.lr_model0 / sqrt(t)
-    eta_c = state.lr_coeffs0 / sqrt(t)
-    Q = state.Q - eta_m * (s[None, :, None] * u[:m, None, :])
-    Q = _project_stack(Q, state.radius, state.norm)
-    coeffs = state.coeffs.copy()
-    if n:
-        grad_c = -(y[:n] @ s)  # d loss / d c_i, i = 1..n
-        coeffs[1:] -= eta_c * grad_c
-    return replace(state, coeffs=coeffs, Q=Q, step=t)
+    def run(self, inputs, outputs) -> np.ndarray:
+        u, y = _rows(inputs, self.d_in), _rows(outputs, self.d_out)
+        return ogd(self.blocks(u, y), y, norm=self.norm)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -395,155 +339,3 @@ def select_degree(T: int, d_out: int) -> int:
     """Horizon-driven Chebyshev degree, clamped to [1, 20]."""
     raw = ceil((10.0 / 13.0) * log2((8.0 / (3.0 * sqrt(d_out))) * T**1.5))
     return min(20, max(1, raw))
-
-
-# ---------------------------------------------------------------------------
-# streaming drivers
-
-
-class RegressionLearner:
-    """Streams (u_t, y_t) pairs through preconditioned regression.
-
-    Set frozen=True to evaluate a fixed comparator without updates.
-    """
-
-    def __init__(
-        self,
-        c: CoefficientVector,
-        d_in: int,
-        d_out: int,
-        num_taps: int | None = None,
-        domain_bound: float = DEFAULT_DOMAIN_BOUND,
-        lr0: float | None = None,
-        norm: str = "spectral",
-        init_Q: np.ndarray | None = None,
-        frozen: bool = False,
-    ):
-        self.c = c
-        self.d_in = d_in
-        self.d_out = d_out
-        self.state = regression_state(
-            c, d_in, d_out, num_taps, domain_bound, lr0, norm
-        )
-        if init_Q is not None:
-            init_Q = np.asarray(init_Q, dtype=float)
-            if init_Q.shape != self.state.Q.shape:
-                raise ValueError(
-                    f"init_Q shape {init_Q.shape} != {self.state.Q.shape}"
-                )
-            self.state = replace(self.state, Q=init_Q.copy())
-        self.frozen = frozen
-        m = self.state.num_taps
-        self._u = deque([np.zeros(d_in)] * m, maxlen=max(m, 1))
-        self._y = deque([np.zeros(d_out)] * c.degree, maxlen=max(c.degree, 1))
-
-    def step(self, u_t, y_t) -> np.ndarray:
-        u_t = np.asarray(u_t, dtype=float).reshape(self.d_in)
-        y_t = np.asarray(y_t, dtype=float).reshape(self.d_out)
-        if self.state.num_taps:
-            self._u.appendleft(u_t)
-        u_win = np.array(self._u)
-        y_win = np.array(self._y)
-        pred = regression_predict(self.state, u_win, y_win, self.c)
-        if not self.frozen:
-            self.state = regression_update(self.state, pred - y_t, u_win)
-        if self.c.degree:
-            self._y.appendleft(y_t)
-        return pred
-
-    def run(self, inputs, outputs) -> np.ndarray:
-        T = inputs.shape[0]
-        preds = np.empty((T, self.d_out))
-        for t in range(T):
-            preds[t] = self.step(inputs[t], outputs[t])
-        return preds
-
-
-class SpectralLearner:
-    """Streams pairs through preconditioned spectral filtering."""
-
-    def __init__(
-        self,
-        c: CoefficientVector,
-        bank: FilterBank,
-        d_in: int,
-        d_out: int,
-        total_horizon: int,
-        norm_bound: float = 1.0,
-        kappa_bound: float = 1.0,
-        lr0: float | None = None,
-        norm: str = "spectral",
-    ):
-        self.d_in = d_in
-        self.d_out = d_out
-        self.state = spectral_state(
-            c, bank, d_in, d_out, total_horizon,
-            norm_bound, kappa_bound, lr0, norm,
-        )
-        n = c.degree
-        self._hist: list[np.ndarray] = []
-        self._y = deque([np.zeros(d_out)] * (n + 2), maxlen=n + 2)
-
-    def step(self, u_t, y_t) -> np.ndarray:
-        u_t = np.asarray(u_t, dtype=float).reshape(self.d_in)
-        y_t = np.asarray(y_t, dtype=float).reshape(self.d_out)
-        self._hist.append(u_t)
-        u_hist = np.array(self._hist)
-        y_win = np.array(self._y)
-        pred = spectral_predict(self.state, u_hist, y_win)
-        self.state = spectral_update(self.state, pred - y_t, u_hist)
-        self._y.appendleft(y_t)
-        return pred
-
-    def run(self, inputs, outputs) -> np.ndarray:
-        T = inputs.shape[0]
-        preds = np.empty((T, self.d_out))
-        for t in range(T):
-            preds[t] = self.step(inputs[t], outputs[t])
-        return preds
-
-
-class LearnedCoeffLearner:
-    """Streams pairs while adapting both input maps and lag coefficients."""
-
-    def __init__(
-        self,
-        init: CoefficientVector,
-        d_in: int,
-        d_out: int,
-        num_taps: int | None = None,
-        domain_bound: float = DEFAULT_DOMAIN_BOUND,
-        lr_model0: float | None = None,
-        lr_coeffs0: float | None = None,
-        norm: str = "spectral",
-    ):
-        self.d_in = d_in
-        self.d_out = d_out
-        self.state = learned_coeff_state(
-            init, d_in, d_out, num_taps, domain_bound,
-            lr_model0, lr_coeffs0, norm,
-        )
-        m = self.state.Q.shape[0]
-        n = self.state.degree
-        self._u = deque([np.zeros(d_in)] * m, maxlen=max(m, 1))
-        self._y = deque([np.zeros(d_out)] * n, maxlen=max(n, 1))
-
-    def step(self, u_t, y_t) -> np.ndarray:
-        u_t = np.asarray(u_t, dtype=float).reshape(self.d_in)
-        y_t = np.asarray(y_t, dtype=float).reshape(self.d_out)
-        if self.state.Q.shape[0]:
-            self._u.appendleft(u_t)
-        u_win = np.array(self._u)
-        y_win = np.array(self._y)
-        pred = learned_coeff_predict(self.state, u_win, y_win)
-        self.state = learned_coeff_step(self.state, pred - y_t, y_win, u_win)
-        if self.state.degree:
-            self._y.appendleft(y_t)
-        return pred
-
-    def run(self, inputs, outputs) -> np.ndarray:
-        T = inputs.shape[0]
-        preds = np.empty((T, self.d_out))
-        for t in range(T):
-            preds[t] = self.step(inputs[t], outputs[t])
-        return preds

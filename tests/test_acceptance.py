@@ -5,7 +5,6 @@ failure) and asserts with the tolerance pinned next to it.  The two
 desk-scale experiment criteria share one module-scoped set of runs.
 """
 
-import dataclasses
 import time
 from fractions import Fraction
 
@@ -21,12 +20,7 @@ from seqprecond.dynsys import (
     spectrum_summary,
     system_from_eigenvalues,
 )
-from seqprecond.learners import (
-    RegressionLearner,
-    oracle_weights,
-    spectral_predict,
-    spectral_state,
-)
+from seqprecond.learners import RegressionLearner, SpectralLearner, ogd, oracle_weights
 from seqprecond.poly import (
     CoefficientVector,
     ComplexSector,
@@ -201,10 +195,8 @@ def test_06_ogd_regret():
         ("alternating", 2.0 * (-1.0) ** np.arange(T)),
     ]:
         learner = RegressionLearner(trivial, 1, 1, num_taps=1, domain_bound=1.0)
-        total = 0.0
-        for t in range(T):
-            pred = learner.step(np.array([1.0]), np.array([ys[t]]))
-            total += abs(float(pred[0]) - ys[t])
+        preds = learner.run(np.ones((T, 1)), ys[:, None])
+        total = float(np.abs(preds[:, 0] - ys).sum())
         grid = np.linspace(-1.0, 1.0, 2001)
         best = np.abs(grid[:, None] - ys[None, :]).sum(axis=1).min()
         regret = total - best
@@ -250,9 +242,9 @@ def test_09_identities_and_determinism():
     online = RegressionLearner(c, 2, 2, num_taps=4, lr0=0.05).run(traj.inputs, traj.outputs)
     z = convolve(traj.outputs, c)
     inner = RegressionLearner(CoefficientVector(np.array([1.0])), 2, 2, num_taps=4, lr0=0.05)
+    z_hats = inner.run(traj.inputs, z)
     worst_stream = 0.0
-    for t in range(150):
-        z_hat = inner.step(traj.inputs[t], z[t])
+    for t, z_hat in enumerate(z_hats):
         hist = traj.outputs[max(0, t - 4):t][::-1]
         if hist.shape[0] < 4:
             hist = np.vstack([hist, np.zeros((4 - hist.shape[0], 2))])
@@ -261,23 +253,22 @@ def test_09_identities_and_determinism():
 
     # spectral prediction is additive in its parameter blocks
     bank = build_filter_bank(60, ComplexSector(0.1), 8)
-    base_state = spectral_state(chebyshev_monic(3), bank, 2, 2, total_horizon=80)
-    full_state = dataclasses.replace(
-        base_state,
-        Q=rng.standard_normal(base_state.Q.shape),
-        M=rng.standard_normal(base_state.M.shape),
-    )
+    spectral = SpectralLearner(chebyshev_monic(3), bank, 2, 2, total_horizon=80)
     u_hist = rng.standard_normal((40, 2))
-    y_win = rng.standard_normal((5, 2))
+    y_hist = rng.standard_normal((40, 2))
+    (X_Q, Q0, *rest_Q), lag, (X_M, M0, *rest_M) = spectral.blocks(u_hist, y_hist)
+    Q = rng.standard_normal(Q0.shape)
+    M = rng.standard_normal(M0.shape)
 
-    def drop(**zeroed):
-        return spectral_predict(dataclasses.replace(full_state, **zeroed), u_hist, y_win)
+    def predict(Q, M):
+        blocks = [(X_Q, Q, *rest_Q), lag, (X_M, M, *rest_M)]
+        return ogd(blocks, y_hist, frozen=True)[0]
 
     deletion = (
-        spectral_predict(full_state, u_hist, y_win)
-        - drop(M=np.zeros_like(full_state.M))
-        - drop(Q=np.zeros_like(full_state.Q))
-        + drop(Q=np.zeros_like(full_state.Q), M=np.zeros_like(full_state.M))
+        predict(Q, M)
+        - predict(Q, np.zeros_like(M))
+        - predict(np.zeros_like(Q), M)
+        + predict(np.zeros_like(Q), np.zeros_like(M))
     )
     worst_del = float(np.abs(deletion).max())
 

@@ -190,6 +190,15 @@ class TestRunExperiment:
         assert len(rep.grid_results) == 4
         assert isinstance(rep.chosen_lr, (list, tuple)) and len(rep.chosen_lr) == 2
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("d", [1, 3])  # d=3 projects through an SVD
+    def test_diverging_rate_fails_at_first_non_finite_step(self, d):
+        # a coefficient rate of 1e308 overflows; the report must not carry inf
+        gen = H.GeneratorConfig(d_h=6, tau=0.05, d_in=d, d_out=d)
+        spec = tiny_spec(generator=gen, variant="learned", lr_grid_coeffs=(1e308, 1e-2))
+        with pytest.raises(ValueError, match=r"non-finite prediction at step \d+ of 120"):
+            H.run_experiment(spec)
+
     def test_oracle_comparator_skips_grid(self):
         rep = H.run_experiment(tiny_spec(oracle_comparator=True, n_runs=2))
         assert rep.chosen_lr is None
@@ -276,6 +285,12 @@ class TestCsvExchange:
         path = tmp_path / "nan.csv"
         path.write_text(f"t,u_0,y_0\n1,0.5,{cell}\n")
         with pytest.raises(ValueError, match="row 2, column y_0: non-finite"):
+            H.ingest_csv(str(path))
+
+    def test_unparsable_cell_names_row_and_column(self, tmp_path):
+        path = tmp_path / "abc.csv"
+        path.write_text("t,u_0,y_0\n1,0.5,0.2\n2,abc,0.1\n")
+        with pytest.raises(ValueError, match="row 3, column u_0: not a number 'abc'"):
             H.ingest_csv(str(path))
 
     def test_short_row_rejected(self, tmp_path):

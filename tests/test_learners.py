@@ -1,34 +1,32 @@
-"""Online learners: subgradient oracles, projections, regret, comparators."""
+"""Online learners: feature blocks, the OGD recursion, projections, regret, comparators."""
 
 import numpy as np
 import pytest
 
 from seqprecond.dynsys import gaussian_inputs, simulate_lds, system_from_eigenvalues
 from seqprecond.poly import ComplexSector, CoefficientVector, chebyshev_monic
-from seqprecond.precond import PreconditionedOnline
 from seqprecond.spectral import build_filter_bank, filter_project
 from seqprecond.learners import (
     LearnedCoeffLearner,
     RegressionLearner,
     SpectralLearner,
-    learned_coeff_predict,
-    learned_coeff_state,
-    learned_coeff_step,
+    deep_past,
+    lagged,
+    ogd,
     oracle_weights,
     project_to_ball,
-    regression_predict,
-    regression_state,
-    regression_update,
     select_degree,
-    spectral_predict,
-    spectral_state,
-    spectral_update,
     tilde_expand,
 )
 
 
 def cv(*coeffs):
     return CoefficientVector(np.array(coeffs, dtype=float))
+
+
+def one_tap(lr0, T=1):
+    """A scalar input block: feature 1 at every step, weight starting at 0."""
+    return np.ones((T, 1, 1)), np.zeros((1, 1, 1)), lr0, None
 
 
 class TestProjection:
@@ -68,79 +66,140 @@ class TestProjection:
             project_to_ball(np.eye(2), 1.0, norm="nuclear")
 
 
+class TestLagged:
+    def test_matches_hand_built_windows(self):
+        x = np.random.default_rng(0).standard_normal((7, 2))
+        for taps in (1, 3, 9):
+            for lag in (0, 1, 2):
+                got = lagged(x, taps, lag)
+                assert got.shape == (7, taps, 2)
+                for t in range(7):
+                    for j in range(taps):
+                        s = t - lag - j  # newest first, zero before the start
+                        want = x[s] if s >= 0 else np.zeros(2)
+                        np.testing.assert_array_equal(got[t, j], want)
+
+    def test_no_taps(self):
+        assert lagged(np.ones((4, 3)), 0, 1).shape == (4, 0, 3)
+
+    def test_is_a_read_only_view(self):
+        windows = lagged(np.arange(5.0)[:, None], 2)
+        assert windows.base is not None
+        with pytest.raises(ValueError):
+            windows[0, 0, 0] = 1.0
+
+
+def padded_block(bank, u, t, n):
+    """Inputs older than the window at step t, newest first, zero-padded."""
+    block = np.zeros((bank.horizon, u.shape[1]))
+    if t - n > 0:
+        block[: t - n] = u[t - n - 1 :: -1]
+    return block
+
+
+class TestDeepPast:
+    @pytest.mark.parametrize("n", [0, 2])
+    def test_equals_filter_project_at_every_step(self, n):
+        bank = build_filter_bank(20, ComplexSector(0.1), 4)
+        T = bank.horizon + n + 1  # the last step sees the full bank horizon
+        u = np.random.default_rng(n).standard_normal((T, 2))
+        got = deep_past(bank, u, n, T)
+        assert got.shape == (T, 4, 2)
+        np.testing.assert_array_equal(got[: n + 1], 0.0)  # depth 0: no deep past yet
+        assert padded_block(bank, u, T - 1, n)[-1].all()  # full depth: u_0 in the last row
+        for t in range(T):
+            want = filter_project(bank, padded_block(bank, u, t, n), T)
+            np.testing.assert_allclose(got[t], want, rtol=0, atol=1e-12)
+
+    def test_too_deep_rejected(self):
+        bank = build_filter_bank(8, ComplexSector(0.1), 2)
+        assert deep_past(bank, np.zeros((10, 1)), 1, 10).shape == (10, 2, 1)  # depth 8
+        with pytest.raises(ValueError, match="history depth 9 exceeds bank horizon 8"):
+            deep_past(bank, np.zeros((11, 1)), 1, 11)
+
+    def test_empty_bank(self):
+        bank = build_filter_bank(8, ComplexSector(0.1), 0)
+        assert deep_past(bank, np.ones((5, 1)), 1, 5).shape == (5, 0, 1)
+
+
 class TestRegressionPredict:
     def test_zero_state_identity_coeffs(self):
-        st = regression_state(cv(1.0), 2, 1, num_taps=3)
-        out = regression_predict(st, np.zeros((3, 2)), np.zeros((0, 1)), cv(1.0))
-        np.testing.assert_array_equal(out, [0.0])
+        rng = np.random.default_rng(0)
+        learner = RegressionLearner(cv(1.0), 2, 1, num_taps=3, frozen=True)
+        preds = learner.run(rng.standard_normal((6, 2)), rng.standard_normal((6, 1)))
+        np.testing.assert_array_equal(preds, 0.0)
 
     def test_persistence_with_differencing(self):
-        c = cv(1.0, -1.0)
-        st = regression_state(c, 1, 2, num_taps=1)
-        y_prev = np.array([[1.5, -2.0]])
-        out = regression_predict(st, np.zeros((1, 1)), y_prev, c)
-        np.testing.assert_allclose(out, y_prev[0], atol=0)
+        y = np.random.default_rng(1).standard_normal((6, 2))
+        learner = RegressionLearner(cv(1.0, -1.0), 1, 2, num_taps=1, frozen=True)
+        preds = learner.run(np.zeros((6, 1)), y)
+        np.testing.assert_array_equal(preds[0], 0.0)
+        np.testing.assert_allclose(preds[1:], y[:-1], atol=0)
 
     def test_dense_oracle(self):
         rng = np.random.default_rng(7)
         c = chebyshev_monic(3)
-        st = regression_state(c, 2, 3, num_taps=3)
         Q = rng.standard_normal((3, 3, 2))
-        st = regression_state(c, 2, 3, num_taps=3)
-        object.__setattr__(st, "Q", Q)
-        u = rng.standard_normal((3, 2))
-        y = rng.standard_normal((3, 3))
-        got = regression_predict(st, u, y, c)
-        want = np.zeros(3)
-        for i in range(1, 4):
-            want -= c.coeffs[i] * y[i - 1]
-        for j in range(3):
-            want += Q[j] @ u[j]
-        np.testing.assert_allclose(got, want, atol=1e-12)
+        T = 8
+        u, y = rng.standard_normal((T, 2)), rng.standard_normal((T, 3))
+        got = RegressionLearner(c, 2, 3, num_taps=3, init_Q=Q, frozen=True).run(u, y)
+        for t in range(T):
+            want = np.zeros(3)
+            for i in range(1, 4):
+                if t - i >= 0:
+                    want -= c.coeffs[i] * y[t - i]
+            for j in range(3):
+                if t - j >= 0:
+                    want += Q[j] @ u[t - j]
+            np.testing.assert_allclose(got[t], want, atol=1e-12)
 
     def test_dimension_mismatch(self):
-        st = regression_state(cv(1.0, 0.0), 2, 1)
+        learner = RegressionLearner(cv(1.0, 0.0), 2, 1)
         with pytest.raises(ValueError):
-            regression_predict(st, np.zeros((1, 3)), np.zeros((1, 1)), cv(1.0, 0.0))
+            learner.run(np.zeros((5, 3)), np.zeros((5, 1)))
+        with pytest.raises(ValueError, match="init_Q shape"):
+            RegressionLearner(cv(1.0, 0.0), 2, 1, init_Q=np.zeros((2, 1, 2)))
+        with pytest.raises(ValueError, match="rows"):
+            ogd([one_tap(0.1, T=4)], np.zeros((5, 1)))
 
 
 class TestRegressionUpdate:
     def test_zero_residual_leaves_weights(self):
-        st = regression_state(cv(1.0, 0.0), 1, 1)
-        st2 = regression_update(st, np.zeros(1), np.ones((1, 1)))
-        np.testing.assert_array_equal(st2.Q, st.Q)
-        assert st2.step == 1  # the round still advances the schedule
+        # step 1 predicts its target exactly and leaves the weight at 0; the
+        # round still advances the schedule, so step 2 moves by -lr0 / sqrt(2)
+        preds, (W,) = ogd([one_tap(1.0, T=2)], np.array([[0.0], [-3.0]]))
+        np.testing.assert_array_equal(preds, 0.0)
+        assert W[0, 0, 0] == pytest.approx(-1.0 / np.sqrt(2), abs=1e-15)
 
     def test_scalar_sign_step(self):
-        st = regression_state(cv(1.0, 0.0), 1, 1, lr0=0.25)
-        st2 = regression_update(st, np.array([3.0]), np.ones((1, 1)))
+        _, (W,) = ogd([one_tap(0.25)], np.array([[-3.0]]))
         # positive residual, u = 1: Q_0 decreases by eta_1 = lr0
-        assert st2.Q[0, 0, 0] == pytest.approx(-0.25, abs=1e-15)
+        assert W[0, 0, 0] == pytest.approx(-0.25, abs=1e-15)
 
     def test_eta_decays_with_time(self):
-        st = regression_state(cv(1.0, 0.0), 1, 1, lr0=1.0)
-        st = regression_update(st, np.array([1.0]), np.ones((1, 1)))
-        q1 = st.Q[0, 0, 0]
-        st = regression_update(st, np.array([1.0]), np.ones((1, 1)))
-        q2 = st.Q[0, 0, 0]
+        preds, _ = ogd([one_tap(1.0, T=3)], np.full((3, 1), -10.0))
+        q1, q2 = preds[1, 0], preds[2, 0]  # the weight after one and two steps
         assert q1 == pytest.approx(-1.0)
         assert q2 - q1 == pytest.approx(-1.0 / np.sqrt(2), abs=1e-12)
 
     def test_projection_invariant_after_updates(self):
         rng = np.random.default_rng(3)
-        c = chebyshev_monic(2)
-        st = regression_state(c, 2, 2, domain_bound=0.1, lr0=5.0)
-        for _ in range(30):
-            res = rng.standard_normal(2)
-            u = rng.standard_normal((2, 2))
-            st = regression_update(st, res, u)
-            for Qj in st.Q:
-                assert np.linalg.norm(Qj, 2) <= st.radius + 1e-9
+        learner = RegressionLearner(chebyshev_monic(2), 2, 2, domain_bound=0.1, lr0=5.0)
+        u, y = rng.standard_normal((30, 2)), rng.standard_normal((30, 2))
+        for t in range(1, 31):
+            _, (Q, _) = ogd(learner.blocks(u[:t], y[:t]), y[:t])
+            for Qj in Q:
+                assert np.linalg.norm(Qj, 2) <= learner.radius + 1e-9
+
+    def test_no_input_taps(self):
+        # an empty input window learns nothing: differencing stays persistence
+        y = np.random.default_rng(2).standard_normal((6, 1))
+        preds = RegressionLearner(cv(1.0, -1.0), 1, 1, num_taps=0, lr0=0.1).run(np.ones((6, 1)), y)
+        np.testing.assert_array_equal(preds[1:], y[:-1])
 
     def test_zero_lr_freezes(self):
-        st = regression_state(cv(1.0, 0.0), 1, 1, lr0=0.0)
-        st2 = regression_update(st, np.array([1.0]), np.ones((1, 1)))
-        np.testing.assert_array_equal(st2.Q, st.Q)
+        _, (W,) = ogd([one_tap(0.0)], np.array([[1.0]]))
+        np.testing.assert_array_equal(W, 0.0)
 
 
 class TestTildeExpand:
@@ -171,30 +230,27 @@ def make_bank(horizon=24, beta=0.1, k=3):
     return build_filter_bank(horizon, ComplexSector(beta), k)
 
 
+def spectral_frozen(learner, u, y, Q, M):
+    """Predictions of a spectral learner held at input maps Q and filter maps M."""
+    (Xq, _, *q), lag, (Xm, _, *m) = learner.blocks(u, y)
+    return ogd([(Xq, Q, *q), lag, (Xm, M, *m)], y, frozen=True)[0]
+
+
 class TestSpectralPredict:
     def test_all_zero(self):
-        bank = make_bank()
-        st = spectral_state(cv(1.0), bank, 1, 1, total_horizon=27)
-        out = spectral_predict(st, np.zeros((5, 1)), np.zeros((2, 1)))
-        np.testing.assert_array_equal(out, [0.0])
+        learner = SpectralLearner(cv(1.0), make_bank(), 1, 1, total_horizon=27)
+        np.testing.assert_array_equal(learner.run(np.zeros((5, 1)), np.zeros((5, 1))), 0.0)
 
     def test_m_zero_reduces_to_regression(self):
         rng = np.random.default_rng(4)
         c = chebyshev_monic(2)
         bank = build_filter_bank(20, ComplexSector(0.1), 0)
-        st = spectral_state(c, bank, 2, 1, total_horizon=23)
+        learner = SpectralLearner(c, bank, 2, 1, total_horizon=23)
         Q = rng.standard_normal((3, 1, 2))
-        object.__setattr__(st, "Q", Q)
-        t = 9
-        u_hist = rng.standard_normal((t, 2))
-        y_win = rng.standard_normal((4, 1))
-        got = spectral_predict(st, u_hist, y_win)
-
-        reg = regression_state(st.tilde_coeffs, 2, 1, num_taps=3)
-        object.__setattr__(reg, "Q", Q)
-        u_win = u_hist[::-1][:3]
-        want = regression_predict(reg, u_win, y_win, st.tilde_coeffs)
-        np.testing.assert_allclose(got, want, atol=1e-12)
+        u, y = rng.standard_normal((9, 2)), rng.standard_normal((9, 1))
+        got = spectral_frozen(learner, u, y, Q, np.zeros((0, 1, 2)))
+        reg = RegressionLearner(tilde_expand(c), 2, 1, num_taps=3, init_Q=Q, frozen=True)
+        np.testing.assert_allclose(got, reg.run(u, y), atol=1e-12)
 
     def test_dense_oracle(self):
         rng = np.random.default_rng(12)
@@ -202,79 +258,81 @@ class TestSpectralPredict:
         n = 2
         bank = make_bank(horizon=16, beta=0.2, k=3)
         T = 16 + n + 1
-        st = spectral_state(c, bank, 1, 1, total_horizon=T)
+        learner = SpectralLearner(c, bank, 1, 1, total_horizon=T)
         Q = rng.standard_normal((n + 1, 1, 1))
         M = rng.standard_normal((3, 1, 1))
-        object.__setattr__(st, "Q", Q)
-        object.__setattr__(st, "M", M)
-        t = 11
-        u_hist = rng.standard_normal((t, 1))
-        y_win = rng.standard_normal((n + 2, 1))
-        got = spectral_predict(st, u_hist, y_win)
+        steps = 11
+        u, y = rng.standard_normal((steps, 1)), rng.standard_normal((steps, 1))
+        got = spectral_frozen(learner, u, y, Q, M)
 
-        ct = st.tilde_coeffs.coeffs
-        want = 0.0
-        for i in range(1, n + 3):
-            want -= ct[i] * y_win[i - 1, 0]
-        for j in range(n + 1):
-            want += Q[j, 0, 0] * u_hist[t - 1 - j, 0]
-        # deep past: u_{t-n-1-s} against filter component s, scaled 1/sqrt(T)
-        for jf in range(3):
-            acc = 0.0
-            for s in range(t - n - 1):
-                acc += bank.filters[jf, s] * u_hist[t - n - 2 - s, 0]
-            want += M[jf, 0, 0] * acc / np.sqrt(T)
-        np.testing.assert_allclose(got, [want], atol=1e-12)
+        ct = tilde_expand(c).coeffs
+        for t in range(steps):
+            want = 0.0
+            for i in range(1, n + 3):
+                if t - i >= 0:
+                    want -= ct[i] * y[t - i, 0]
+            for j in range(n + 1):
+                if t - j >= 0:
+                    want += Q[j, 0, 0] * u[t - j, 0]
+            # deep past: u_{t-n-1-s} against filter component s, scaled 1/sqrt(T)
+            for jf in range(3):
+                acc = 0.0
+                for s in range(t - n):
+                    acc += bank.filters[jf, s] * u[t - n - 1 - s, 0]
+                want += M[jf, 0, 0] * acc / np.sqrt(T)
+            np.testing.assert_allclose(got[t], [want], atol=1e-12)
 
     def test_history_deeper_than_bank_rejected(self):
-        bank = make_bank(horizon=8)
-        st = spectral_state(cv(1.0), bank, 1, 1, total_horizon=11)
+        learner = SpectralLearner(cv(1.0), make_bank(horizon=8), 1, 1, total_horizon=11)
         with pytest.raises(ValueError, match="bank horizon|exceeds"):
-            spectral_predict(st, np.zeros((30, 1)), np.zeros((2, 1)))
+            learner.run(np.zeros((30, 1)), np.zeros((30, 1)))
 
 
 class TestSpectralUpdate:
     def test_zero_residual_unchanged(self):
-        bank = make_bank()
-        st = spectral_state(chebyshev_monic(2), bank, 1, 1, total_horizon=27)
-        st2 = spectral_update(st, np.zeros(1), np.ones((5, 1)))
-        np.testing.assert_array_equal(st2.Q, st.Q)
-        np.testing.assert_array_equal(st2.M, st.M)
+        learner = SpectralLearner(chebyshev_monic(2), make_bank(), 1, 1, total_horizon=27)
+        u, y = np.ones((5, 1)), np.zeros((5, 1))
+        preds, (Q, _, M) = ogd(learner.blocks(u, y), y)
+        np.testing.assert_array_equal(preds, 0.0)
+        np.testing.assert_array_equal(Q, 0.0)
+        np.testing.assert_array_equal(M, 0.0)
 
     def test_zero_inputs_leave_parameters(self):
-        bank = make_bank()
-        st = spectral_state(chebyshev_monic(2), bank, 1, 1, total_horizon=27)
-        st2 = spectral_update(st, np.array([1.0]), np.zeros((6, 1)))
-        np.testing.assert_array_equal(st2.Q, st.Q)
-        np.testing.assert_array_equal(st2.M, st.M)
-        assert st2.step == 1
+        learner = SpectralLearner(chebyshev_monic(2), make_bank(), 1, 1, total_horizon=27)
+        u, y = np.zeros((6, 1)), np.ones((6, 1))
+        _, (Q, _, M) = ogd(learner.blocks(u, y), y)
+        np.testing.assert_array_equal(Q, 0.0)
+        np.testing.assert_array_equal(M, 0.0)
 
     def test_scalar_hand_computed_step(self):
         c = cv(1.0)  # degree 0: one input tap, c~ = (1, 0, -1)
         bank = make_bank(horizon=6, beta=0.1, k=1)
         # norm_bound large enough that the projection stays inactive
-        st = spectral_state(c, bank, 1, 1, total_horizon=7, lr0=0.5, norm_bound=10.0)
-        t = 4
-        u_hist = np.array([[1.0], [2.0], [3.0], [4.0]])
-        st2 = spectral_update(st, np.array([2.5]), u_hist)
-        # sign = +1; dQ_0 = u_t = 4; eta_1 = 0.5
-        assert st2.Q[0, 0, 0] == pytest.approx(-0.5 * 4.0, abs=1e-12)
+        learner = SpectralLearner(c, bank, 1, 1, total_horizon=7, lr0=0.5, norm_bound=10.0)
+        u = np.array([[1.0], [2.0], [3.0], [4.0]])
+        # three zero residuals advance the schedule without an update; the
+        # fourth is +2.5, so the one update runs at eta_4 = 0.5 / 2
+        y = np.array([[0.0], [0.0], [0.0], [-2.5]])
+        preds, (Q, _, M) = ogd(learner.blocks(u, y), y)
+        np.testing.assert_array_equal(preds, 0.0)
+        # sign = +1; dQ_0 = u_t = 4
+        assert Q[0, 0, 0] == pytest.approx(-0.25 * 4.0, abs=1e-12)
         # deep past: u_{t-1-s} for s=0.. -> (u_3, u_2, u_1) = (3, 2, 1), padded
         padded = np.array([[3.0], [2.0], [1.0], [0.0], [0.0], [0.0]])
         feat = filter_project(bank, padded, 7)[0, 0]
-        assert st2.M[0, 0, 0] == pytest.approx(-0.5 * feat, abs=1e-12)
+        assert M[0, 0, 0] == pytest.approx(-0.25 * feat, abs=1e-12)
 
     def test_radius_invariants_after_noise(self):
         rng = np.random.default_rng(9)
         bank = make_bank(horizon=12, k=2)
-        st = spectral_state(chebyshev_monic(2), bank, 1, 1, total_horizon=15, lr0=50.0)
-        for t in range(1, 13):
-            u_hist = rng.standard_normal((t, 1))
-            st = spectral_update(st, rng.standard_normal(1), u_hist)
-            for Qj in st.Q:
-                assert np.linalg.norm(Qj, 2) <= st.R_Q + 1e-9
-            for Mj in st.M:
-                assert np.linalg.norm(Mj, 2) <= st.R_M + 1e-9
+        learner = SpectralLearner(chebyshev_monic(2), bank, 1, 1, total_horizon=15, lr0=50.0)
+        u, y = rng.standard_normal((13, 1)), rng.standard_normal((13, 1))
+        for t in range(1, 14):
+            _, (Q, _, M) = ogd(learner.blocks(u[:t], y[:t]), y[:t])
+            for Qj in Q:
+                assert np.linalg.norm(Qj, 2) <= learner.R_Q + 1e-9
+            for Mj in M:
+                assert np.linalg.norm(Mj, 2) <= learner.R_M + 1e-9
 
 
 class TestOracleWeights:
@@ -322,39 +380,43 @@ class TestOracleWeights:
 
 class TestLearnedCoeffs:
     def test_zero_residual_unchanged(self):
-        st = learned_coeff_state(chebyshev_monic(2), 1, 1)
-        st2 = learned_coeff_step(st, np.zeros(1), np.zeros((2, 1)), np.zeros((2, 1)))
-        np.testing.assert_array_equal(st2.coeffs, st.coeffs)
-        np.testing.assert_array_equal(st2.Q, st.Q)
+        c = chebyshev_monic(2)
+        learner = LearnedCoeffLearner(c, 1, 1)
+        u, y = np.ones((5, 1)), np.zeros((5, 1))
+        preds, (Q, coeffs) = ogd(learner.blocks(u, y), y)
+        np.testing.assert_array_equal(preds, 0.0)
+        np.testing.assert_array_equal(Q, 0.0)
+        np.testing.assert_array_equal(coeffs, c.coeffs[1:])
 
     def test_scalar_coefficient_gradient(self):
-        st = learned_coeff_state(cv(1.0, 0.0), 1, 1, lr_model0=0.0, lr_coeffs0=0.1)
-        y_win = np.array([[2.0]])
-        u_win = np.array([[1.0]])
-        st2 = learned_coeff_step(st, np.array([1.5]), y_win, u_win)
-        # grad wrt c_1 is -sign(res) * y_{t-1} = -2; c_1 <- 0 - 0.1 * (-2)
-        assert st2.coeffs[1] == pytest.approx(0.2, abs=1e-15)
-        assert st2.coeffs[0] == 1.0
+        learner = LearnedCoeffLearner(cv(1.0, 0.0), 1, 1, lr_model0=0.0, lr_coeffs0=0.1)
+        # step 1 has no lagged target, so c_1 first moves at step 2, where
+        # y_{t-1} = 2 and the residual is 0 - (-1.5) > 0
+        u, y = np.zeros((2, 1)), np.array([[2.0], [-1.5]])
+        _, (_, coeffs) = ogd(learner.blocks(u, y), y)
+        # grad wrt c_1 is -sign(res) * y_{t-1} = -2; c_1 <- 0 - eta_2 * (-2)
+        assert coeffs[0] == pytest.approx(0.2 / np.sqrt(2), abs=1e-15)
 
     def test_pinned_leading_coefficient(self):
+        # the lag block holds c_1..c_n only: c_0 = 1 is no weight, so no
+        # update can move it, while the others do move
         rng = np.random.default_rng(5)
-        st = learned_coeff_state(chebyshev_monic(3), 1, 1, lr_coeffs0=1.0)
-        for t in range(1, 20):
-            st = learned_coeff_step(
-                st, rng.standard_normal(1), rng.standard_normal((3, 1)),
-                rng.standard_normal((3, 1)),
-            )
-        assert st.coeffs[0] == 1.0
+        c = chebyshev_monic(3)
+        learner = LearnedCoeffLearner(c, 1, 1, lr_coeffs0=1.0)
+        u, y = rng.standard_normal((20, 1)), rng.standard_normal((20, 1))
+        _, (_, coeffs) = ogd(learner.blocks(u, y), y)
+        assert coeffs.shape == (3,)
+        assert not np.array_equal(coeffs, c.coeffs[1:])
 
     def test_first_prediction_matches_fixed_baseline(self):
         c = chebyshev_monic(2)
-        st = learned_coeff_state(c, 1, 1)
-        reg = regression_state(c, 1, 1)
-        u = np.array([[0.7], [0.1]])
-        y = np.array([[0.3], [-0.4]])
-        a = learned_coeff_predict(st, u, y)
-        b = regression_predict(reg, u, y, c)
-        np.testing.assert_allclose(a, b, atol=0)
+        rng = np.random.default_rng(6)
+        u, y = rng.standard_normal((30, 1)), rng.standard_normal((30, 1))
+        fixed = RegressionLearner(c, 1, 1).run(u, y)
+        np.testing.assert_array_equal(LearnedCoeffLearner(c, 1, 1).run(u, y)[0], fixed[0])
+        # with a zero coefficient rate the two coincide on the whole stream
+        frozen_c = LearnedCoeffLearner(c, 1, 1, lr_coeffs0=0.0).run(u, y)
+        np.testing.assert_array_equal(frozen_c, fixed)
 
 
 class TestRegret:
@@ -373,44 +435,6 @@ class TestRegret:
 
 
 class TestStreamingEquivalences:
-    def test_regression_equals_wrapped_plain_regressor(self):
-        # running the full learner is identical to wrapping a plain
-        # input-only regressor around the preconditioned stream
-        rng = np.random.default_rng(21)
-        c = chebyshev_monic(3)
-        T, d_in, d_out = 60, 2, 1
-        u = rng.standard_normal((T, d_in))
-        y = rng.standard_normal((T, d_out))
-        m, lr0 = 4, 0.3
-        radius = 10.0 * c.l1
-
-        direct = RegressionLearner(c, d_in, d_out, num_taps=m, lr0=lr0)
-        got = direct.run(u, y)
-
-        class PlainRegressor:
-            def __init__(self):
-                self.state = regression_state(
-                    cv(1.0), d_in, d_out, num_taps=m,
-                    domain_bound=radius, lr0=lr0,
-                )
-                from collections import deque
-                self._u = deque([np.zeros(d_in)] * m, maxlen=m)
-
-            def predict(self, u_t):
-                self._u.appendleft(np.asarray(u_t, dtype=float))
-                self._win = np.array(self._u)
-                return regression_predict(
-                    self.state, self._win, np.zeros((0, d_out)), cv(1.0)
-                )
-
-            def update(self, residual):
-                self.state = regression_update(self.state, residual, self._win)
-
-        from seqprecond.dynsys import Trajectory
-        wrapper = PreconditionedOnline(PlainRegressor(), c, d_out)
-        want = wrapper.run(Trajectory(u, y))
-        np.testing.assert_allclose(got, want, atol=1e-12)
-
     def test_spectral_with_empty_bank_equals_regression(self):
         rng = np.random.default_rng(31)
         c = chebyshev_monic(2)
@@ -425,10 +449,46 @@ class TestStreamingEquivalences:
         ct = tilde_expand(c)
         reg = RegressionLearner(
             c=ct, d_in=1, d_out=1, num_taps=c.degree + 1,
-            domain_bound=spec.state.R_Q / ct.l1, lr0=lr0,
+            domain_bound=spec.R_Q / ct.l1, lr0=lr0,
         )
         want = reg.run(u, y)
         np.testing.assert_allclose(got, want, atol=1e-12)
+
+
+CAUSAL_T = 40
+
+
+def causal_learners():
+    c = cv(1.0, -0.9, 0.4, 0.1)  # no zero coefficient, so every lag is used
+    bank = build_filter_bank(CAUSAL_T - c.degree - 1, ComplexSector(0.1), 4)
+    return {
+        "regression": RegressionLearner(c, 2, 2, lr0=0.05),
+        "learned": LearnedCoeffLearner(c, 2, 2, lr_model0=0.05, lr_coeffs0=0.01),
+        "spectral": SpectralLearner(c, bank, 2, 2, total_horizon=CAUSAL_T, lr0=0.05),
+    }
+
+
+@pytest.mark.parametrize("name", ["regression", "learned", "spectral"])
+def test_prediction_ignores_the_future(name):
+    # preds[t] may use inputs up to t and targets up to t-1, nothing later
+    learner = causal_learners()[name]
+    rng = np.random.default_rng(8)
+    u, y = rng.standard_normal((CAUSAL_T, 2)), rng.standard_normal((CAUSAL_T, 2))
+    base = learner.run(u, y)
+    for t in (0, 1, 17, CAUSAL_T - 2):
+        u2, y2 = u.copy(), y.copy()
+        u2[t + 1 :] = rng.standard_normal(u2[t + 1 :].shape)
+        y2[t:] = rng.standard_normal(y2[t:].shape)
+        preds = learner.run(u2, y2)
+        np.testing.assert_array_equal(preds[: t + 1], base[: t + 1])
+        assert not np.array_equal(preds[t + 1 :], base[t + 1 :])  # the change is seen
+
+
+def test_first_non_finite_prediction_is_named():
+    X = np.ones((5, 1, 1))
+    X[3] = np.inf
+    with pytest.raises(ValueError, match="non-finite prediction at step 3 of 5"):
+        ogd([(X, np.full((1, 1, 1), 0.5), 0.0, None)], np.zeros((5, 1)), frozen=True)
 
 
 class TestSelectDegree:
