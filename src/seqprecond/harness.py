@@ -157,9 +157,6 @@ def spec_hash(spec: ExperimentSpec) -> str:
 def _make_run_data(spec: ExperimentSpec, seeds: list[int], r: int):
     g = spec.generator
     sys_seed, input_seed, noise_seed = seeds[3 * r : 3 * r + 3]
-    if spec.csv_path is not None:
-        traj = ingest_csv(spec.csv_path)
-        return traj, None
     u = dynsys.gaussian_inputs(spec.horizon, g.d_in, input_seed)
     if g.kind == "lds":
         system = dynsys.sample_system(
@@ -186,8 +183,16 @@ def _bank_for(horizon: int, beta: float, k: int):
     return _BANK_CACHE[key]
 
 
-def _build_learner(spec: ExperimentSpec, c, d_in: int, d_out: int, T: int, lr):
+def _build_learner(spec: ExperimentSpec, c, d_in: int, d_out: int, T: int, grid, systems):
+    """One learner for every (rate, run) cell: its rates have shape
+    (len(grid), 1), so they broadcast over the runs."""
+    if spec.oracle_comparator:
+        return learners.RegressionLearner(
+            c, d_in, d_out, num_taps=max(c.degree, 1), frozen=True,
+            init_Q=np.stack([learners.oracle_weights(system, c) for system in systems]),
+        )
     taps = spec.num_taps if spec.num_taps is not None else max(spec.degree, 1)
+    lr = np.array(grid, dtype=float)[:, None]
     if spec.algo == "spectral":
         bank = _bank_for(T - c.degree - 1, spec.beta, spec.filter_count)
         return learners.SpectralLearner(
@@ -195,18 +200,13 @@ def _build_learner(spec: ExperimentSpec, c, d_in: int, d_out: int, T: int, lr):
             norm_bound=spec.norm_bound, kappa_bound=spec.kappa_bound, lr0=lr,
         )
     if spec.variant == "learned":
-        lr_model, lr_coeffs = lr
         return learners.LearnedCoeffLearner(
             c, d_in, d_out, num_taps=taps, domain_bound=spec.domain_bound,
-            lr_model0=lr_model, lr_coeffs0=lr_coeffs,
+            lr_model0=lr[..., 0], lr_coeffs0=lr[..., 1],
         )
     return learners.RegressionLearner(
         c, d_in, d_out, num_taps=taps, domain_bound=spec.domain_bound, lr0=lr,
     )
-
-
-def _error_series(preds: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    return np.abs(preds - targets).sum(axis=1)
 
 
 def run_experiment(spec: ExperimentSpec) -> MetricsReport:
@@ -215,67 +215,62 @@ def run_experiment(spec: ExperimentSpec) -> MetricsReport:
     The rate is chosen on the reported metric (final-window mean absolute
     error averaged over runs); full-horizon means are logged alongside so
     the regret-flavoured view stays available.  Ties break toward the
-    smallest rate.
+    smallest rate.  Every (rate, run) cell steps in one `ogd` recursion
+    over features built once per run.
     """
     validate_spec(spec)
     c = resolve_coefficients(spec)
     seeds = derive_seeds(spec.master_seed, spec.n_runs)
 
-    runs = []
-    systems = []
-    for r in range(spec.n_runs):
-        traj, system = _make_run_data(spec, seeds, r)
-        if spec.window > traj.horizon:
-            raise ValueError(
-                f"window {spec.window} exceeds data horizon {traj.horizon}"
-            )
-        runs.append(traj)
-        systems.append(system)
+    if spec.csv_path is not None:
+        # one file: every run reads the same trajectory
+        runs, systems = [ingest_csv(spec.csv_path)] * spec.n_runs, [None] * spec.n_runs
+    else:
+        runs, systems = zip(*(_make_run_data(spec, seeds, r) for r in range(spec.n_runs)))
+    T = runs[0].horizon
+    if spec.window > T:
+        raise ValueError(f"window {spec.window} exceeds data horizon {T}")
 
     meta = {"coefficient_l1": c.l1, "seed_derivation": "SeedSequence(master).generate_state(3N)"}
     if systems[0] is not None:
         meta["spectra"] = [dynsys.spectrum_summary(s) for s in systems]
 
     if spec.oracle_comparator:
-        finals, fulls = [], []
-        for traj, system in zip(runs, systems):
-            learner = learners.RegressionLearner(
-                c, traj.inputs.shape[1], traj.outputs.shape[1],
-                num_taps=max(c.degree, 1), frozen=True,
-                init_Q=learners.oracle_weights(system, c),
-            )
-            errs = _error_series(learner.run(traj.inputs, traj.outputs), traj.outputs)
-            finals.append(float(errs[-spec.window :].mean()))
-            fulls.append(float(errs.mean()))
-        return _finish_report(spec, c, None, finals, fulls, [], seeds, runs[0].horizon, meta)
-
-    if spec.variant == "learned" and spec.algo == "regression":
+        grid = [None]
+    elif spec.variant == "learned" and spec.algo == "regression":
         coeff_grid = spec.lr_grid_coeffs if spec.lr_grid_coeffs else spec.lr_grid
         grid = [(m, cc) for m in spec.lr_grid for cc in coeff_grid]
     else:
         grid = list(spec.lr_grid)
+    labels = [list(lr) if isinstance(lr, tuple) else lr for lr in grid]
 
-    grid_results = []
-    for lr in grid:
-        finals, fulls = [], []
-        for traj in runs:
-            learner = _build_learner(
-                spec, c, traj.inputs.shape[1], traj.outputs.shape[1],
-                traj.horizon, lr,
-            )
-            errs = _error_series(learner.run(traj.inputs, traj.outputs), traj.outputs)
-            finals.append(float(errs[-spec.window :].mean()))
-            fulls.append(float(errs.mean()))
-        grid_results.append(
-            {
-                "lr": list(lr) if isinstance(lr, tuple) else lr,
-                "mean": float(np.mean(finals)),
-                "std": float(np.std(finals)),
-                "mean_full_horizon": float(np.mean(fulls)),
-                "per_run_final_errors": finals,
-                "per_run_full_errors": fulls,
-            }
-        )
+    # cells are (rate, run); the streams carry a size-1 rate axis
+    u = np.stack([traj.inputs for traj in runs])[None]
+    y = np.stack([traj.outputs for traj in runs])[None]
+    learner = _build_learner(spec, c, u.shape[-1], y.shape[-1], T, grid, systems)
+    try:
+        preds, _ = learners.ogd(learner.blocks(u, y), y, spec.oracle_comparator, learner.norm)
+    except learners.NonFinitePrediction as exc:
+        g, r = exc.cell
+        raise ValueError(f"{exc} (lr={labels[g]}, run {r})") from None
+    errs = np.abs(preds - y).sum(axis=-1)
+    finals = errs[..., -spec.window :].mean(axis=-1).tolist()
+    fulls = errs.mean(axis=-1).tolist()
+
+    if spec.oracle_comparator:
+        return _finish_report(spec, c, None, finals[0], fulls[0], [], seeds, T, meta)
+
+    grid_results = [
+        {
+            "lr": lr,
+            "mean": float(np.mean(f)),
+            "std": float(np.std(f)),
+            "mean_full_horizon": float(np.mean(fu)),
+            "per_run_final_errors": f,
+            "per_run_full_errors": fu,
+        }
+        for lr, f, fu in zip(labels, finals, fulls)
+    ]
 
     def tie_key(entry):
         lr = entry["lr"]
@@ -286,7 +281,7 @@ def run_experiment(spec: ExperimentSpec) -> MetricsReport:
         spec, c, winner["lr"],
         winner["per_run_final_errors"], winner["per_run_full_errors"],
         [{k: v for k, v in g.items() if not k.startswith("per_run")} for g in grid_results],
-        seeds, runs[0].horizon, meta,
+        seeds, T, meta,
     )
 
 

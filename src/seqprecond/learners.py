@@ -6,10 +6,13 @@ feature is fixed before learning starts: lagged targets -y_{t-i} against
 the lag coefficients c_1..c_n, an input window u_{t-j} against matrices
 Q_j and, for spectral filtering, the deep input past filtered by a bank
 against matrices M_j.  `ogd` steps every block along the ℓ1 subgradient at
-rate lr0/sqrt(t), with sign(0) = 0, and projects each tap of a bounded
-block onto its norm ball.  The learner classes only size radii and rates
-and assemble blocks; `.run(inputs, outputs)` processes a whole stream
-(there is no per-sample `.step`).
+rate lr0/sqrt(t), with sign(0) = 0, and projects the taps of a bounded
+block onto its norm ball.  Leading cell axes on the streams, weights and
+rates run many independent recursions, such as the (rate, run) cells of
+a grid search, in lockstep: one pass per step over all of them.  The
+learner classes only size radii and rates and assemble blocks;
+`.run(inputs, outputs)` processes a whole stream (there is no per-sample
+`.step`).
 """
 
 from __future__ import annotations
@@ -35,27 +38,35 @@ DEFAULT_DOMAIN_BOUND = 10.0
 
 
 def project_to_ball(M: np.ndarray, radius: float, norm: str = "spectral") -> np.ndarray:
-    """Project a matrix onto the norm ball of the given radius.
+    """Project a matrix, or each matrix of a stack (..., m, n), onto the
+    norm ball of the given radius.
 
-    Spectral projection clips singular values; Frobenius projection
-    rescales.  Both are idempotent and leave interior points untouched.
+    Spectral projection clips singular values, by one SVD of the stack or,
+    when m or n is 1, by rescaling; Frobenius projection rescales.  Both
+    are idempotent and leave interior points untouched.  A matrix with a
+    non-finite entry is left as it is and kept out of the SVD.
     """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    M = np.asarray(M, dtype=float)
-    if norm == "frobenius":
-        nrm = np.linalg.norm(M)
-        return M if nrm <= radius else M * (radius / nrm)
-    if norm != "spectral":
+    if norm not in ("spectral", "frobenius"):
         raise ValueError(f"unknown norm {norm!r}")
-    if min(M.shape) == 1:
-        # rank-one case: spectral norm is the vector length
-        nrm = np.linalg.norm(M)
-        return M if nrm <= radius else M * (radius / nrm)
-    U, s, Vt = np.linalg.svd(M, full_matrices=False)
-    if s[0] <= radius:
-        return M
-    return (U * np.minimum(s, radius)) @ Vt
+    M = np.asarray(M, dtype=float)
+    if norm == "frobenius" or min(M.shape[-2:]) == 1:
+        # rank one: the spectral norm is the vector length
+        nrm = np.sqrt(np.einsum("...ij,...ij->...", M, M))
+        over = nrm > radius
+        if not over.any():
+            return M
+        clipped = M * (radius / np.where(over, nrm, 1.0))[..., None, None]
+    else:
+        # a non-finite matrix goes into the SVD as 0, so it is not clipped
+        finite = np.isfinite(M).all(axis=(-2, -1), keepdims=True)
+        U, s, Vt = np.linalg.svd(np.where(finite, M, 0.0), full_matrices=False)
+        over = s[..., 0] > radius
+        if not over.any():
+            return M
+        clipped = (U * np.minimum(s, radius)[..., None, :]) @ Vt
+    return np.where(over[..., None, None], clipped, M)
 
 
 # ---------------------------------------------------------------------------
@@ -65,16 +76,17 @@ def project_to_ball(M: np.ndarray, radius: float, norm: str = "spectral") -> np.
 def lagged(x: np.ndarray, taps: int, lag: int = 0) -> np.ndarray:
     """Newest-first windows of a time-major stream, as a read-only view.
 
-    Row t holds x_{t-lag}, x_{t-lag-1}, ..., x_{t-lag-taps+1}, shape
-    (T, taps, d); entries before the start of the stream are zero.
+    For x of shape (..., T, d), row t holds x_{t-lag}, x_{t-lag-1}, ...,
+    x_{t-lag-taps+1}, shape (..., T, taps, d); entries before the start of
+    the stream are zero.
     """
     x = np.asarray(x, dtype=float)
-    T, d = x.shape
+    *cells, T, d = x.shape
     if taps == 0:
-        return np.zeros((T, 0, d))
-    padded = np.concatenate([np.zeros((taps - 1 + lag, d)), x])
-    windows = sliding_window_view(padded, taps, axis=0)[:T]  # (T, d, taps), oldest first
-    return windows[:, :, ::-1].transpose(0, 2, 1)
+        return np.zeros((*cells, T, 0, d))
+    padded = np.concatenate([np.zeros((*cells, taps - 1 + lag, d)), x], axis=-2)
+    windows = sliding_window_view(padded, taps, axis=-2)[..., :T, :, :]  # oldest first
+    return windows[..., ::-1].swapaxes(-1, -2)
 
 
 def deep_past(bank: FilterBank, u: np.ndarray, n: int, T: int) -> np.ndarray:
@@ -82,16 +94,17 @@ def deep_past(bank: FilterBank, u: np.ndarray, n: int, T: int) -> np.ndarray:
 
     Row t equals `filter_project(bank, padded, T)` for the block whose row
     s holds u_{t-n-1-s}, zero-padded to the bank horizon: one causal
-    convolution of u with each filter, shape (len(u), k, d_in).
+    convolution of u with each filter.  For u of shape (..., len, d_in)
+    the result has shape (..., len, k, d_in).
     """
     u = np.asarray(u, dtype=float)
-    depth = u.shape[0] - n - 1  # history depth at the last step
+    depth = u.shape[-2] - n - 1  # history depth at the last step
     if depth > bank.horizon:
         raise ValueError(f"history depth {depth} exceeds bank horizon {bank.horizon}")
-    out = np.zeros((u.shape[0], bank.k, u.shape[1]))
+    out = np.zeros((*u.shape[:-1], bank.k, u.shape[-1]))
     if depth > 0:
         for j, f in enumerate(bank.filters):
-            out[n + 1 :, j] = lfilter(f, [1.0], u[:depth], axis=0)
+            out[..., n + 1 :, j, :] = lfilter(f, [1.0], u[..., :depth, :], axis=-2)
         out /= np.sqrt(T)
     return out
 
@@ -100,58 +113,98 @@ def deep_past(bank: FilterBank, u: np.ndarray, n: int, T: int) -> np.ndarray:
 # the recursion
 
 
+class NonFinitePrediction(ValueError):
+    """A prediction that is not finite, at `step` of the failing cell whose
+    index on the cell axes is `cell` (() for a single cell)."""
+
+    def __init__(self, step: int, T: int, cell: tuple = ()):
+        super().__init__(f"non-finite prediction at step {step} of {T}")
+        self.cell = cell
+
+
 def ogd(blocks, targets: np.ndarray, frozen: bool = False, norm: str = "spectral"):
     """Projected online gradient descent on the ℓ1 loss over feature blocks.
 
-    Each block is (X, W0, lr0, radius): features X of shape (T, taps, d_in)
-    against weights (taps, d_out, d_in), or lag features (T, taps, d_out)
-    against one scalar weight per tap.  Step t predicts the sum over blocks
-    of sum_j W_j x_{t,j}; then, with s = sign(prediction - target), every
-    block moves by -lr0/sqrt(t) times its subgradient and each tap of a
-    block with a radius is projected onto that `norm` ball.  A zero s or
-    rate leaves the weights as they are, frozen=True skips every update,
-    and the schedule advances on every step.
+    Each block is (X, W0, lr0, radius): features X of shape
+    (..., T, taps, d_in) against weights (..., taps, d_out, d_in), or lag
+    features (..., T, taps, d_out) against one scalar weight per tap,
+    (..., taps).  Targets have shape (..., T, d_out).  The leading `...`
+    are cell axes: every cell is its own recursion.  A block's features
+    and weights carry as many cell axes as each other, of size 1 where
+    cells share them, and the targets and the rate lr0 broadcast against
+    them.  Step t predicts the sum over blocks of sum_j W_j x_{t,j}; then,
+    with s = sign(prediction - target), every block moves by
+    -lr0/sqrt(t) times its subgradient and the taps of a block with a
+    radius are projected onto that `norm` ball, all cells at once.
 
-    Returns the (T, d_out) predictions and the final weights; raises
-    ValueError naming the first step whose prediction is not finite.
+    The update is masked per cell: a zero s or rate leaves that cell's
+    weights as they are, and so does a non-finite prediction, so a failed
+    cell is out of the update; `project_to_ball` keeps its non-finite
+    weights out of the SVD.  frozen=True skips every update, and the
+    schedule advances on every step.
+
+    Returns the (..., T, d_out) predictions and the final weights; raises
+    NonFinitePrediction (a ValueError) naming the first step whose
+    prediction is not finite, in the first such cell in C order.
     """
     y = np.asarray(targets, dtype=float)
-    T, d_out = y.shape
-    Xs = [X for X, _, _, _ in blocks]
-    if any(X.shape[0] != T for X in Xs):
-        raise ValueError(f"every feature block needs {T} rows, one per target")
-    Ws = [np.array(W0, dtype=float) for _, W0, _, _ in blocks]
-    steps = [(b, lr0, radius) for b, (_, _, lr0, radius) in enumerate(blocks) if lr0 != 0]
-    preds = np.empty((T, d_out))
-    try:
-        for t in range(T):
-            xs = [X[t] for X in Xs]
-            pred = np.zeros(d_out)
-            for W, x in zip(Ws, xs):
-                pred = pred + (W @ x if W.ndim == 1 else np.einsum("joi,ji->o", W, x))
-            preds[t] = pred
-            if frozen:
-                continue
-            s = np.sign(pred - y[t])
-            if not s.any():
-                continue
-            root = sqrt(t + 1)
-            for b, lr0, radius in steps:
-                W, x = Ws[b], xs[b]
-                grad = x @ s if W.ndim == 1 else s[None, :, None] * x[:, None, :]
-                W = W - (lr0 / root) * grad
-                if radius is not None:
-                    for j in range(W.shape[0]):
-                        W[j] = project_to_ball(W[j], radius, norm)
-                Ws[b] = W
-    except np.linalg.LinAlgError:
-        # an SVD met weights that a non-finite prediction left behind
-        if np.isfinite(preds[: t + 1]).all():
-            raise
-        preds = preds[: t + 1]
-    finite = np.isfinite(preds).all(axis=1)
+    T, d_out = y.shape[-2:]
+    Xs, W0s, lrs, matrix = [], [], [], []
+    for X, W0, lr0, _ in blocks:
+        X, W0 = np.asarray(X), np.asarray(W0, dtype=float)
+        if X.shape[-3] != T:
+            raise ValueError(f"every feature block needs {T} rows, one per target")
+        if W0.ndim not in (X.ndim, X.ndim - 2):
+            raise ValueError(f"weights {W0.shape} do not fit features {X.shape}")
+        Xs.append(X)
+        W0s.append(W0)
+        lrs.append(np.asarray(lr0, dtype=float))
+        matrix.append(W0.ndim == X.ndim)
+    lead = [X.ndim - 3 for X in Xs]
+    cells = np.broadcast_shapes(
+        y.shape[:-2], *(X.shape[:n] for X, n in zip(Xs, lead)),
+        *(W.shape[:n] for W, n in zip(W0s, lead)), *(lr.shape for lr in lrs),
+    )
+    Ws = [np.array(np.broadcast_to(W, cells + W.shape[n:])) for W, n in zip(W0s, lead)]
+    steps = []
+    for b, lr in enumerate(lrs):
+        if lr.any():
+            core = (1, 1, 1) if matrix[b] else (1,)
+            steps.append((b, lr.reshape(lr.shape + core), lr != 0, core, blocks[b][3]))
+    preds = np.empty(cells + (T, d_out))
+    for t in range(T):
+        xs = [X[..., t, :, :] for X in Xs]
+        pred = np.zeros(cells + (d_out,))
+        for W, x, m in zip(Ws, xs, matrix):
+            if m:
+                pred = pred + np.einsum("...joi,...ji->...o", W, x)
+            else:
+                pred = pred + np.einsum("...j,...jo->...o", W, x)
+        preds[..., t, :] = pred
+        if frozen:
+            continue
+        live = np.isfinite(pred).all(axis=-1, keepdims=True)
+        s = np.where(live, np.sign(pred - y[..., t, :]), 0.0)
+        active = s.any(axis=-1)
+        if not active.any():
+            continue
+        root = sqrt(t + 1)
+        for b, lr, nonzero, core, radius in steps:
+            W, x = Ws[b], xs[b]
+            if matrix[b]:
+                grad = s[..., None, :, None] * x[..., :, None, :]
+            else:
+                grad = np.einsum("...jo,...o->...j", x, s)
+            step = W - (lr / root) * grad
+            if radius is not None:
+                step = project_to_ball(step, radius, norm)
+            Ws[b] = np.where((active & nonzero).reshape(cells + core), step, W)
+
+    finite = np.isfinite(preds).all(axis=-1)
     if not finite.all():
-        raise ValueError(f"non-finite prediction at step {int(np.argmin(finite))} of {T}")
+        failed = ~finite.all(axis=-1)
+        cell = np.unravel_index(np.argmax(failed), failed.shape)
+        raise NonFinitePrediction(int(np.argmin(finite[cell])), T, tuple(int(i) for i in cell))
     return preds, Ws
 
 
@@ -160,10 +213,17 @@ def _rows(a, d: int) -> np.ndarray:
     return a.reshape(a.shape[0], d)
 
 
+def _cells(W, x: np.ndarray, core: int) -> np.ndarray:
+    """W with leading size-1 axes for the cell axes of a (..., T, d) stream
+    x that it lacks, `core` being the number of its own trailing axes."""
+    W = np.asarray(W, dtype=float)
+    return W.reshape((1,) * max(0, x.ndim - 2 + core - W.ndim) + W.shape)
+
+
 def _lag_block(c: CoefficientVector, y: np.ndarray, lr0: float):
     """c_1..c_n against -y_{t-1}..-y_{t-n}; c_0 = 1 is not a weight, so it
     stays pinned, and the block is never projected."""
-    return lagged(-y, c.degree, 1), c.coeffs[1:], lr0, None
+    return lagged(-y, c.degree, 1), _cells(c.coeffs[1:], y, 1), lr0, None
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +245,8 @@ class RegressionLearner:
     input maps Q_j in the ball of radius domain_bound * ||c||_1.
 
     The default rate is D/G with D = 2 radius m and G = m sqrt(d_out).
-    Set frozen=True to evaluate a fixed comparator (init_Q) without updates.
+    Set frozen=True to evaluate a fixed comparator (init_Q) without updates;
+    init_Q may carry leading cell axes, one comparator per cell.
     """
 
     lr_coeffs0 = 0.0  # the lag coefficients stay fixed
@@ -215,14 +276,15 @@ class RegressionLearner:
         self.Q0 = np.zeros((m, d_out, d_in))
         if init_Q is not None:
             init_Q = np.asarray(init_Q, dtype=float)
-            if init_Q.shape != self.Q0.shape:
+            if init_Q.shape[-3:] != self.Q0.shape:
                 raise ValueError(f"init_Q shape {init_Q.shape} != {self.Q0.shape}")
             self.Q0 = init_Q.copy()
 
     def blocks(self, u: np.ndarray, y: np.ndarray) -> list:
-        """The input window and the lag coefficients, for (T, d) streams."""
+        """The input window and the lag coefficients, for (..., T, d)
+        streams whose leading axes are cell axes of `ogd`."""
         return [
-            (lagged(u, self.Q0.shape[0]), self.Q0, self.lr0, self.radius),
+            (lagged(u, self.Q0.shape[-3]), _cells(self.Q0, u, 3), self.lr0, self.radius),
             _lag_block(self.c, y, self.lr_coeffs0),
         ]
 
@@ -295,15 +357,16 @@ class SpectralLearner:
         self.lr0 = lr0
 
     def blocks(self, u: np.ndarray, y: np.ndarray) -> list:
-        """Input window, lag coefficients and deep past, for (T, d) streams."""
+        """Input window, lag coefficients and deep past, for (..., T, d)
+        streams whose leading axes are cell axes of `ogd`."""
         n = self.c.degree
         shape = (self.d_out, self.d_in)
         return [
-            (lagged(u, n + 1), np.zeros((n + 1, *shape)), self.lr0, self.R_Q),
+            (lagged(u, n + 1), _cells(np.zeros((n + 1, *shape)), u, 3), self.lr0, self.R_Q),
             _lag_block(tilde_expand(self.c), y, 0.0),
             (
                 deep_past(self.bank, u, n, self.total_horizon),
-                np.zeros((self.bank.k, *shape)), self.lr0, self.R_M,
+                _cells(np.zeros((self.bank.k, *shape)), u, 3), self.lr0, self.R_M,
             ),
         ]
 

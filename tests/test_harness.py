@@ -7,6 +7,7 @@ import pytest
 
 from seqprecond import harness as H
 from seqprecond.dynsys import gaussian_inputs, sample_system, simulate_lds
+from seqprecond.learners import LearnedCoeffLearner
 from seqprecond.poly import chebyshev_monic, differencing, legendre_monic
 
 TINY_GEN = H.GeneratorConfig(d_h=6, tau=0.05)
@@ -193,11 +194,45 @@ class TestRunExperiment:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("d", [1, 3])  # d=3 projects through an SVD
     def test_diverging_rate_fails_at_first_non_finite_step(self, d):
-        # a coefficient rate of 1e308 overflows; the report must not carry inf
+        # a coefficient rate of 1e308 overflows; the report must not carry
+        # inf.  The error names the first failing (rate, run) cell in grid
+        # order and the step at which that cell's own learner fails.
         gen = H.GeneratorConfig(d_h=6, tau=0.05, d_in=d, d_out=d)
         spec = tiny_spec(generator=gen, variant="learned", lr_grid_coeffs=(1e308, 1e-2))
-        with pytest.raises(ValueError, match=r"non-finite prediction at step \d+ of 120"):
+        c = H.resolve_coefficients(spec)
+        cell = LearnedCoeffLearner(c, d, d, num_taps=3, lr_model0=1e-3, lr_coeffs0=1e308)
+        seeds = H.derive_seeds(spec.master_seed, spec.n_runs)
+
+        def first_failure():
+            for r in range(spec.n_runs):
+                traj, _ = H._make_run_data(spec, seeds, r)
+                try:
+                    cell.run(traj.inputs, traj.outputs)
+                except ValueError as exc:
+                    return f"{exc} (lr=[0.001, 1e+308], run {r})"
+            pytest.fail("no run diverges at the first grid point")
+
+        want = first_failure()
+        with pytest.raises(ValueError) as exc:
             H.run_experiment(spec)
+        assert str(exc.value) == want
+        assert want.startswith("non-finite prediction at step ")
+
+    def test_csv_is_read_once_per_experiment(self, tiny_csv, monkeypatch):
+        _, path = tiny_csv
+        calls = []
+        ingest = H.ingest_csv
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return ingest(*args, **kwargs)
+
+        monkeypatch.setattr(H, "ingest_csv", counted)
+        rep = H.run_experiment(
+            H.ExperimentSpec(csv_path=path, n_runs=3, window=10, degree=2, master_seed=0)
+        )
+        assert len(calls) == 1
+        assert rep.per_run_final_errors == [rep.per_run_final_errors[0]] * 3
 
     def test_oracle_comparator_skips_grid(self):
         rep = H.run_experiment(tiny_spec(oracle_comparator=True, n_runs=2))
