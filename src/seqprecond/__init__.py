@@ -23,9 +23,9 @@ from seqprecond.harness import (
     ingest_csv,
     run_experiment,
     sweep,
-    verify,
     write_trajectory_csv,
 )
+from seqprecond.invariants import verify
 from seqprecond.learners import (
     LearnedCoeffLearner,
     RegressionLearner,
@@ -43,7 +43,7 @@ from seqprecond.poly import (
     legendre_monic,
     sup_on_sector,
 )
-from seqprecond.precond import PreconditionedOnline, convolve, precondition, reconstruct_prediction
+from seqprecond.precond import convolve, precondition, reconstruct_prediction
 from seqprecond.spectral import FilterBank, build_filter_bank, build_gram, filter_project
 
 __version__ = "0.1.0"
@@ -59,7 +59,6 @@ __all__ = [
     "LinearSystem",
     "MetricsReport",
     "NonlinearSystem",
-    "PreconditionedOnline",
     "RegressionLearner",
     "SpectralLearner",
     "Trajectory",

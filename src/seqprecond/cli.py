@@ -1,7 +1,7 @@
 """The `usp` command line: generate data, precondition, build filter banks,
-run experiments, sweep grids, and verify the mathematical invariants.
+run experiments, sweep grids, and check the ten acceptance criteria.
 
-Exit codes: 0 success, 1 validation error, 2 invariant-suite failure.
+Exit codes: 0 success, 1 validation error, 2 acceptance-criterion failure.
 """
 
 from __future__ import annotations
@@ -14,14 +14,8 @@ import sys
 
 import numpy as np
 
-from seqprecond import dynsys, harness
-from seqprecond.poly import (
-    CoefficientVector,
-    ComplexSector,
-    chebyshev_monic,
-    differencing,
-    legendre_monic,
-)
+from seqprecond import dynsys, harness, invariants
+from seqprecond.poly import CoefficientVector, ComplexSector
 from seqprecond.precond import convolve
 from seqprecond.spectral import build_filter_bank
 
@@ -76,12 +70,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--report", help="eigendecay CSV destination (index, sigma)")
 
     p = sub.add_parser("run", help="run one experiment configuration")
-    p.add_argument("--algo", choices=["regression", "spectral"])
-    p.add_argument(
-        "--precond",
-        choices=["none", "chebyshev", "legendre", "differencing", "learned", "custom"],
-        help="preconditioning variant",
-    )
+    p.add_argument("--algo", choices=harness.ALGOS)
+    p.add_argument("--precond", choices=harness.VARIANTS, help="preconditioning variant")
     p.add_argument("--degree", type=int)
     p.add_argument("--data", help="trajectory CSV (otherwise the generator is used)")
     p.add_argument("--config", help="JSON file mirroring ExperimentSpec fields")
@@ -94,12 +84,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", help="results destination (default stdout)")
     p.add_argument("--table", choices=["csv"], help="emit the wide mean±std table instead")
 
-    p = sub.add_parser("verify", help="run the mathematical invariant suites")
-    p.add_argument(
-        "--suite",
-        default="all",
-        choices=["all", "poly", "spectral", "precond", "learners", "dynsys"],
-    )
+    p = sub.add_parser("verify", help="run the ten acceptance criteria")
+    p.add_argument("--suite", default="all", choices=("all", *invariants.SUITES))
     return parser
 
 
@@ -112,12 +98,8 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _cmd_poly(args) -> int:
-    builders = {
-        "chebyshev": lambda: chebyshev_monic(args.degree),
-        "legendre": lambda: legendre_monic(args.degree),
-        "differencing": differencing,
-    }
-    c = builders[args.family]()
+    spec = harness.ExperimentSpec(variant=args.family, degree=args.degree)
+    c = harness.resolve_coefficients(spec)
     payload = {
         "family": args.family,
         "degree": c.degree,
@@ -134,20 +116,12 @@ def _cmd_poly(args) -> int:
 
 
 def _cmd_gen_data(args) -> int:
-    sys_seed, input_seed, noise_seed = harness.derive_seeds(args.seed, 1)
-    u = dynsys.gaussian_inputs(args.T, args.din, input_seed)
-    if args.kind == "lds":
-        system = dynsys.sample_system(
-            args.dh, args.din, args.dout, args.tau, args.L, args.U,
-            sys_seed, noise_sigma=args.sigma, basis_cond=args.basis_cond,
-        )
-        traj = dynsys.simulate_lds(system, u, seed=noise_seed)
-    else:
-        system = dynsys.sample_nonlinear_system(
-            args.dh, args.din, args.dout, args.tau, args.L, args.U,
-            sys_seed, noise_sigma=args.sigma, basis_cond=args.basis_cond,
-        )
-        traj = dynsys.simulate_nonlinear(system, u, seed=noise_seed)
+    g = harness.GeneratorConfig(
+        kind=args.kind, d_h=args.dh, d_in=args.din, d_out=args.dout, tau=args.tau,
+        radius_lo=args.L, radius_hi=args.U, noise_sigma=args.sigma,
+        basis_cond=args.basis_cond,
+    )
+    traj, _ = harness._make_run_data(g, args.T, harness.derive_seeds(args.seed, 1), 0)
     harness.write_trajectory_csv(traj, args.out)
     print(f"wrote {args.T} steps ({args.kind}, seed {args.seed}) to {args.out}")
     return 0
@@ -264,10 +238,9 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    report = harness.verify(args.suite)
+    report = invariants.verify(args.suite)
     for r in report.results:
-        status = "ok" if r.passed else "FAIL"
-        print(f"[{status}] {r.suite}/{r.name}: {r.detail}")
+        print(r)
     if report.all_passed:
         print(f"{len(report.results)} checks passed")
         return 0

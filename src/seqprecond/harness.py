@@ -1,11 +1,12 @@
-"""Experiment orchestration: data, grid search, metrics, verification.
+"""Experiment orchestration: data, grid search, metrics, sweeps, CSV exchange.
 
 Every run's randomness derives from the master seed through a single
 documented split: SeedSequence(master_seed).generate_state(3 N) yields one
 (system, inputs, noise) seed triple per run, so any table cell can be
 regenerated in isolation.  Reports are a pure function of the experiment
 configuration and serialize to byte-identical JSON on repeat runs on one
-platform.
+platform.  The desk-scale acceptance criteria that pin these experiments
+are defined in `seqprecond.invariants`.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from seqprecond import dynsys, learners, precond
+from seqprecond import dynsys, learners
 from seqprecond.poly import (
     ComplexSector,
     CoefficientVector,
@@ -154,10 +155,10 @@ def spec_hash(spec: ExperimentSpec) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:12]
 
 
-def _make_run_data(spec: ExperimentSpec, seeds: list[int], r: int):
-    g = spec.generator
+def _make_run_data(g: GeneratorConfig, horizon: int, seeds: list[int], r: int):
+    """Run r's trajectory, and its system when linear (`usp gen-data` is run 0)."""
     sys_seed, input_seed, noise_seed = seeds[3 * r : 3 * r + 3]
-    u = dynsys.gaussian_inputs(spec.horizon, g.d_in, input_seed)
+    u = dynsys.gaussian_inputs(horizon, g.d_in, input_seed)
     if g.kind == "lds":
         system = dynsys.sample_system(
             g.d_h, g.d_in, g.d_out, g.tau, g.radius_lo, g.radius_hi,
@@ -226,7 +227,9 @@ def run_experiment(spec: ExperimentSpec) -> MetricsReport:
         # one file: every run reads the same trajectory
         runs, systems = [ingest_csv(spec.csv_path)] * spec.n_runs, [None] * spec.n_runs
     else:
-        runs, systems = zip(*(_make_run_data(spec, seeds, r) for r in range(spec.n_runs)))
+        runs, systems = zip(*(
+            _make_run_data(spec.generator, spec.horizon, seeds, r) for r in range(spec.n_runs)
+        ))
     T = runs[0].horizon
     if spec.window > T:
         raise ValueError(f"window {spec.window} exceeds data horizon {T}")
@@ -466,269 +469,3 @@ def ingest_csv(path: str, standardize: bool = False) -> dynsys.Trajectory:
     return dynsys.Trajectory(
         u, y, seed=None, generator_tag=f"csv:{os.path.basename(path)}", meta=meta
     )
-
-
-# ---------------------------------------------------------------------------
-# verification suites (the release gate behind `usp verify`)
-
-
-@dataclass(frozen=True)
-class VerifyResult:
-    suite: str
-    name: str
-    passed: bool
-    detail: str
-
-
-@dataclass(frozen=True)
-class VerifyReport:
-    results: list
-
-    @property
-    def all_passed(self) -> bool:
-        return all(r.passed for r in self.results)
-
-
-def _check(fn):
-    try:
-        detail = fn()
-        return True, detail or "ok"
-    except AssertionError as exc:
-        return False, str(exc) or "assertion failed"
-    except Exception as exc:  # noqa: BLE001 - any crash is a failure
-        return False, f"{type(exc).__name__}: {exc}"
-
-
-def _poly_checks():
-    from fractions import Fraction
-
-    from seqprecond.poly import chebyshev_exact, eval_complex, sup_on_sector
-
-    def sector_decay():
-        worst = 0.0
-        for n in range(1, 11):
-            s = sup_on_sector(chebyshev_monic(n), ComplexSector(1 / (64 * n * n)), 128)
-            worst = max(worst, s / 2.0 ** (2 - n))
-            assert s <= 2.0 ** (2 - n), f"degree {n}: sup {s} exceeds {2.0 ** (2 - n)}"
-        return f"worst ratio {worst:.3f}"
-
-    def coefficient_growth():
-        for n in range(1, 21):
-            mx = max(abs(x) for x in chebyshev_exact(n))
-            assert mx**10 <= Fraction(2) ** (3 * n), f"degree {n}: max coeff {float(mx)}"
-        return "exact bound holds for degrees 1..20"
-
-    def cosine_identity():
-        theta = np.linspace(0, np.pi, 200)
-        for n in (1, 5, 9):
-            vals = eval_complex(chebyshev_monic(n), np.cos(theta).astype(complex))
-            err = np.abs(vals - np.cos(n * theta) / 2 ** (n - 1)).max()
-            assert err < 1e-12, f"degree {n}: deviation {err}"
-        return "within 1e-12"
-
-    def monic_guard():
-        try:
-            CoefficientVector(np.array([2.0, 0.0]))
-        except ValueError as exc:
-            assert "monic" in str(exc)
-            return "corrupted leading coefficient rejected"
-        raise AssertionError("non-monic vector was accepted")
-
-    return [
-        ("sector_decay_bound", sector_decay),
-        ("coefficient_growth_bound", coefficient_growth),
-        ("cosine_identity", cosine_identity),
-        ("monic_guard", monic_guard),
-    ]
-
-
-def _spectral_checks():
-    from scipy.integrate import dblquad
-
-    from seqprecond.spectral import build_gram, filter_bank, gram_entry
-
-    def diagonal_closed_form():
-        for beta in (0.01, 0.5):
-            s = ComplexSector(beta)
-            for j in range(0, 65, 4):
-                ref = beta * (1 / (j + 1) + 1 / (j + 3)) - np.sin(2 * beta) / (j + 2)
-                assert abs(gram_entry(j, j, s) - ref) < 1e-12
-        return "matches independent diagonal expression"
-
-    def quadrature_spot():
-        for j, k, beta in ((0, 2, 0.1), (3, 5, 0.5)):
-            def f(th, r):
-                return (1 - 2 * r**2 * np.cos(2 * th) + r**4) * r ** (j + k + 1) * np.cos((j - k) * th)
-
-            q, _ = dblquad(f, 0, 1, -beta, beta, epsabs=1e-12)
-            got = gram_entry(j, k, ComplexSector(beta))
-            assert abs(got - q) < 1e-8, f"({j},{k},{beta}): {got} vs {q}"
-        return "closed form matches quadrature"
-
-    def eigendecay():
-        beta, T = 0.1, 128
-        Z = build_gram(T, ComplexSector(beta))
-        w = np.linalg.eigvalsh(Z)
-        assert w.min() >= -1e-10, f"min eigenvalue {w.min()}"
-        assert np.trace(Z) <= 6 * beta * np.log(T)
-        assert int((w > beta).sum()) <= 6 * np.log(T)
-        return f"trace {np.trace(Z):.4f} <= {6 * beta * np.log(T):.4f}"
-
-    def degenerate_guard():
-        Z = build_gram(8, ComplexSector(0.0))
-        try:
-            filter_bank(Z, 2)
-        except ValueError as exc:
-            assert "degenerate" in str(exc)
-            return "zero-measure sector flagged"
-        raise AssertionError("all-zero Gram matrix was accepted")
-
-    return [
-        ("gram_diagonal_closed_form", diagonal_closed_form),
-        ("gram_vs_quadrature", quadrature_spot),
-        ("eigendecay", eigendecay),
-        ("degenerate_sector_guard", degenerate_guard),
-    ]
-
-
-def _precond_checks():
-    def round_trip():
-        rng = np.random.default_rng(0)
-        c = chebyshev_monic(4)
-        y = rng.standard_normal((50, 2))
-        z = precond.convolve(y, c)
-        for t in range(50):
-            hist = np.zeros((4, 2))
-            for i in range(1, 5):
-                if t - i >= 0:
-                    hist[i - 1] = y[t - i]
-            back = precond.reconstruct_prediction(z[t], hist, c)
-            err = np.abs(back - y[t]).max()
-            assert err < 1e-12, f"step {t}: {err}"
-        return "reconstruct(convolve(y)) = y to 1e-12"
-
-    def wrapper_error_identity():
-        class Zero:
-            def predict(self, u):
-                return np.zeros(1)
-
-            def update(self, residual):
-                pass
-
-        rng = np.random.default_rng(1)
-        traj = dynsys.Trajectory(rng.standard_normal((30, 1)), rng.standard_normal((30, 1)))
-        w = precond.PreconditionedOnline(Zero(), chebyshev_monic(3), 1)
-        w.run(traj)
-        err = np.abs(np.array(w.raw_errors) - np.array(w.precond_errors)).max()
-        assert err < 1e-12, f"series deviate by {err}"
-        return "raw and preconditioned error series coincide"
-
-    return [
-        ("convolve_reconstruct_identity", round_trip),
-        ("wrapper_error_identity", wrapper_error_identity),
-    ]
-
-
-def _learner_checks():
-    def ogd_regret():
-        T = 1000
-        learner = learners.RegressionLearner(
-            CoefficientVector(np.array([1.0])), 1, 1, num_taps=1, domain_bound=1.0
-        )
-        u = np.ones((T, 1))
-        y = np.full((T, 1), 2.0)
-        preds = learner.run(u, y)
-        losses = np.abs(preds - y).sum(axis=1)
-        best = float(np.abs(1.0 - y).sum())  # best fixed point is the boundary
-        regret = losses.sum() - best
-        bound = 1.5 * 1.0 * 2.0 * np.sqrt(T)
-        assert regret <= bound, f"regret {regret} > {bound}"
-        return f"regret {regret:.3f} <= {bound:.1f}"
-
-    def comparator_bound():
-        n, T = 4, 60
-        c = chebyshev_monic(n)
-        eigs = np.random.default_rng(3).uniform(0, 0.9, 5)
-        system = dynsys.system_from_eigenvalues(eigs, 1, 1, seed=4, basis_cond=3.0)
-        u = dynsys.gaussian_inputs(T, 1, 5, normalize=True)
-        traj = dynsys.simulate_lds(system, u)
-        learner = learners.RegressionLearner(
-            c, 1, 1, num_taps=n, frozen=True,
-            init_Q=learners.oracle_weights(system, c),
-        )
-        errs = np.abs(learner.run(traj.inputs, traj.outputs) - traj.outputs)
-        bound = (
-            np.linalg.norm(system.C, 2) * np.linalg.norm(system.B, 2)
-            * system.kappa * 2.0 ** (2 - n) * T
-        )
-        assert errs.max() <= bound, f"max err {errs.max()} > {bound}"
-        return f"max error {errs.max():.2e} <= {bound:.2e}"
-
-    def projection_idempotent():
-        rng = np.random.default_rng(6)
-        M = rng.standard_normal((4, 4)) * 5
-        once = learners.project_to_ball(M, 1.0)
-        twice = learners.project_to_ball(once, 1.0)
-        err = np.abs(once - twice).max()
-        assert err < 1e-12
-        return "projecting twice equals projecting once"
-
-    return [
-        ("ogd_regret_bound", ogd_regret),
-        ("oracle_weights_bound", comparator_bound),
-        ("projection_idempotent", projection_idempotent),
-    ]
-
-
-def _dynsys_checks():
-    def closed_form():
-        system = dynsys.sample_system(5, 1, 1, 0.1, 0.2, 0.9, seed=7)
-        u = dynsys.gaussian_inputs(20, 1, 8)
-        traj = dynsys.simulate_lds(system, u)
-        ref = np.zeros_like(traj.outputs)
-        Ap = np.eye(5)
-        powers = [np.eye(5)]
-        for _ in range(19):
-            Ap = Ap @ system.A
-            powers.append(Ap)
-        for t in range(20):
-            for s in range(t + 1):
-                ref[t] += system.C @ powers[t - s] @ system.B @ u[s]
-        err = np.abs(traj.outputs - ref).max()
-        assert err < 1e-8, f"deviation {err}"
-        return "simulation matches explicit power sum"
-
-    def determinism():
-        a = dynsys.sample_system(4, 1, 1, 0.05, 0.5, 1.0, seed=11, noise_sigma=0.1)
-        u = dynsys.gaussian_inputs(30, 1, 12)
-        t1 = dynsys.simulate_lds(a, u, seed=13)
-        t2 = dynsys.simulate_lds(a, u, seed=13)
-        assert np.array_equal(t1.outputs, t2.outputs)
-        return "same seeds, bit-identical outputs"
-
-    return [("simulation_closed_form", closed_form), ("determinism", determinism)]
-
-
-_SUITES = {
-    "poly": _poly_checks,
-    "spectral": _spectral_checks,
-    "precond": _precond_checks,
-    "learners": _learner_checks,
-    "dynsys": _dynsys_checks,
-}
-
-
-def verify(suite: str = "all") -> VerifyReport:
-    """Run the mathematical invariant suites; the CLI exits 2 on failure."""
-    if suite == "all":
-        names = list(_SUITES)
-    elif suite in _SUITES:
-        names = [suite]
-    else:
-        raise ValueError(f"unknown suite {suite!r}; options: all, {', '.join(_SUITES)}")
-    results = []
-    for sname in names:
-        for cname, fn in _SUITES[sname]():
-            passed, detail = _check(fn)
-            results.append(VerifyResult(sname, cname, passed, detail))
-    return VerifyReport(results)

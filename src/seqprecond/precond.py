@@ -3,14 +3,14 @@
 The transformed target is z_t = sum_{j=0}^n c_j y_{t-j} with y_s = 0 for
 s < 1.  Because c_0 = 1, a prediction of z_t converts back to a prediction
 of y_t by subtracting the known lagged terms, and the conversion is exact:
-the raw residual equals the preconditioned residual at every step.
+the raw residual equals the preconditioned residual at every step.  The
+learners apply it online, with the lagged terms as a feature block;
+acceptance criterion 09 in `seqprecond.invariants` checks the identity.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Protocol
 
 import numpy as np
 from scipy.signal import lfilter
@@ -60,59 +60,3 @@ class PreconditionedView:
 
 def precondition(traj: Trajectory, c: CoefficientVector) -> PreconditionedView:
     return PreconditionedView(traj, c, convolve(traj.outputs, c))
-
-
-class OnlinePredictor(Protocol):
-    """Minimal streaming interface the wrapper drives."""
-
-    def predict(self, u_t: np.ndarray) -> np.ndarray: ...
-
-    def update(self, residual: np.ndarray) -> None: ...
-
-
-class PreconditionedOnline:
-    """Run an inner online predictor on the preconditioned stream.
-
-    Each step: the inner model predicts the transformed target z_t, the
-    wrapper reconstructs a raw prediction from lagged true targets, then
-    feeds the inner model its residual against the true z_t.  Raw and
-    preconditioned residuals coincide identically, and both error series
-    are kept for reporting.
-    """
-
-    def __init__(self, inner: OnlinePredictor, c: CoefficientVector, d_out: int):
-        self.inner = inner
-        self.c = c
-        self.d_out = d_out
-        n = c.degree
-        self._hist = deque(
-            [np.zeros(d_out) for _ in range(n)], maxlen=n if n else 1
-        )
-        self.raw_errors: list[float] = []
-        self.precond_errors: list[float] = []
-
-    def _lag_sum(self) -> np.ndarray:
-        acc = np.zeros(self.d_out)
-        for ci, y in zip(self.c.coeffs[1:], self._hist):
-            acc += ci * y
-        return acc
-
-    def step(self, u_t: np.ndarray, y_t: np.ndarray) -> np.ndarray:
-        y_t = np.asarray(y_t, dtype=float).reshape(self.d_out)
-        lag = self._lag_sum()
-        z_hat = np.asarray(self.inner.predict(u_t), dtype=float).reshape(self.d_out)
-        y_hat = z_hat - lag
-        z_t = y_t + lag
-        residual = z_hat - z_t
-        self.inner.update(residual)
-        self.raw_errors.append(float(np.abs(y_hat - y_t).sum()))
-        self.precond_errors.append(float(np.abs(residual).sum()))
-        if self.c.degree:
-            self._hist.appendleft(y_t.copy())
-        return y_hat
-
-    def run(self, traj: Trajectory) -> np.ndarray:
-        preds = np.empty_like(traj.outputs)
-        for t in range(traj.horizon):
-            preds[t] = self.step(traj.inputs[t], traj.outputs[t])
-        return preds

@@ -1,13 +1,15 @@
 """Command-line interface: subcommands, file formats, exit codes."""
 
+import argparse
 import json
 
 import numpy as np
 import pytest
 
-from seqprecond import harness
-from seqprecond.cli import main
-from seqprecond.harness import VerifyReport, VerifyResult, ingest_csv
+from seqprecond import dynsys, harness, invariants
+from seqprecond.cli import _build_parser, main
+from seqprecond.harness import ingest_csv
+from seqprecond.invariants import VerifyReport, VerifyResult
 from seqprecond.poly import chebyshev_monic
 from seqprecond.precond import convolve
 
@@ -89,6 +91,38 @@ class TestGenData:
     def test_missing_out_is_usage_error(self, capsys):
         assert run_cli("gen-data", "--T", "10") == 1
         assert "--out" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["lds", "nonlinear"])
+    def test_writes_run_zero_of_the_generator_spec(self, tmp_path, monkeypatch, kind):
+        path = tmp_path / "gen.csv"
+        assert (
+            run_cli(
+                "gen-data", "--kind", kind, "--T", "60", "--dh", "5", "--din", "2",
+                "--dout", "2", "--tau", "0.05", "--L", "0.8", "--U", "0.99",
+                "--sigma", "0.3", "--basis-cond", "4", "--seed", "4", "--out", str(path),
+            )
+            == 0
+        )
+        written = ingest_csv(str(path))
+
+        simulate = "simulate_lds" if kind == "lds" else "simulate_nonlinear"
+        real, simulated = getattr(dynsys, simulate), []
+
+        def spy(*args, **kwargs):
+            simulated.append(real(*args, **kwargs))
+            return simulated[-1]
+
+        monkeypatch.setattr(dynsys, simulate, spy)
+        g = harness.GeneratorConfig(
+            kind=kind, d_h=5, d_in=2, d_out=2, tau=0.05, radius_lo=0.8,
+            radius_hi=0.99, noise_sigma=0.3, basis_cond=4.0,
+        )
+        harness.run_experiment(harness.ExperimentSpec(
+            generator=g, n_runs=2, horizon=60, window=10, master_seed=4, lr_grid=(1e-2,),
+        ))
+        assert len(simulated) == 2
+        assert np.array_equal(written.inputs, simulated[0].inputs)
+        assert np.array_equal(written.outputs, simulated[0].outputs)
 
 
 class TestPrecondCommand:
@@ -298,25 +332,57 @@ class TestSweepCommand:
 
 class TestVerifyCommand:
     def test_all_checks_pass(self, capsys):
-        assert run_cli("verify") == 0
-        out = capsys.readouterr().out
-        assert "15 checks passed" in out
-        assert "[FAIL]" not in out
+        assert run_cli("verify", "--suite", "poly") == 0
+        lines = capsys.readouterr().out.strip().split("\n")
+        assert [line.split(": ")[0] for line in lines[:-1]] == [
+            "[ok] poly/chebyshev_sector_decay",
+            "[ok] poly/coefficient_growth_exact",
+        ]
+        assert lines[-1] == "2 checks passed"
 
     def test_suite_filter(self, capsys):
-        assert run_cli("verify", "--suite", "dynsys") == 0
+        assert run_cli("verify", "--suite", "precond") == 0
         out = capsys.readouterr().out
         assert all(
-            line.startswith("[ok] dynsys/") for line in out.strip().split("\n")[:-1]
+            line.startswith("[ok] precond/") for line in out.strip().split("\n")[:-1]
         )
 
     def test_failure_exits_two(self, capsys, monkeypatch):
         fake = VerifyReport([VerifyResult("poly", "broken", False, "boom")])
-        monkeypatch.setattr(harness, "verify", lambda suite="all": fake)
+        monkeypatch.setattr(invariants, "verify", lambda suite="all": fake)
         assert run_cli("verify") == 2
         captured = capsys.readouterr()
         assert "[FAIL] poly/broken: boom" in captured.out
         assert "1 of 1 checks FAILED" in captured.err
+
+    def test_failing_and_crashing_criteria_are_reported(self, capsys, monkeypatch):
+        def violated():
+            raise AssertionError("bound violated")
+
+        def crashed():
+            raise RuntimeError("no result")
+
+        monkeypatch.setattr(invariants, "chebyshev_sector_decay", violated)
+        monkeypatch.setattr(invariants, "coefficient_growth_exact", crashed)
+        assert run_cli("verify", "--suite", "poly") == 2
+        captured = capsys.readouterr()
+        assert captured.out.strip().split("\n") == [
+            "[FAIL] poly/chebyshev_sector_decay: bound violated",
+            "[FAIL] poly/coefficient_growth_exact: RuntimeError: no result",
+        ]
+        assert "2 of 2 checks FAILED" in captured.err
+
+
+def _choices(command, dest):
+    parser = _build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return next(a for a in sub.choices[command]._actions if a.dest == dest).choices
+
+
+def test_choices_come_from_their_source():
+    assert _choices("run", "algo") == harness.ALGOS
+    assert _choices("run", "precond") == harness.VARIANTS
+    assert _choices("verify", "suite") == ("all", *invariants.SUITES)
 
 
 class TestTopLevel:

@@ -1,4 +1,4 @@
-"""Experiment orchestration: seeds, grid search, CSV exchange, verify suites."""
+"""Experiment orchestration: seeds, grid search, CSV exchange, and `verify` suites."""
 
 import json
 
@@ -7,6 +7,7 @@ import pytest
 
 from seqprecond import harness as H
 from seqprecond.dynsys import gaussian_inputs, sample_system, simulate_lds
+from seqprecond.invariants import SUITES, verify
 from seqprecond.learners import LearnedCoeffLearner
 from seqprecond.poly import chebyshev_monic, differencing, legendre_monic
 
@@ -205,7 +206,7 @@ class TestRunExperiment:
 
         def first_failure():
             for r in range(spec.n_runs):
-                traj, _ = H._make_run_data(spec, seeds, r)
+                traj, _ = H._make_run_data(spec.generator, spec.horizon, seeds, r)
                 try:
                     cell.run(traj.inputs, traj.outputs)
                 except ValueError as exc:
@@ -414,23 +415,16 @@ class TestSweep:
 
 
 class TestVerify:
-    def test_all_suites_pass(self):
-        report = H.verify("all")
-        assert report.all_passed, [r for r in report.results if not r.passed]
-        assert len(report.results) == 15
-        assert {r.suite for r in report.results} == {
-            "poly",
-            "spectral",
-            "precond",
-            "learners",
-            "dynsys",
-        }
-
     def test_single_suite_filter(self):
-        report = H.verify("poly")
-        assert {r.suite for r in report.results} == {"poly"}
+        report = verify("poly")
+        assert [(r.suite, r.name) for r in report.results] == [
+            ("poly", "chebyshev_sector_decay"),
+            ("poly", "coefficient_growth_exact"),
+        ]
         assert report.all_passed
 
     def test_unknown_suite_rejected(self):
-        with pytest.raises(ValueError, match="unknown suite"):
-            H.verify("nope")
+        with pytest.raises(ValueError, match="unknown suite 'nope'") as exc:
+            verify("nope")
+        assert str(exc.value).endswith("; options: all, " + ", ".join(SUITES))
+        assert list(SUITES) == ["poly", "spectral", "learners", "precond", "harness"]

@@ -187,7 +187,9 @@ def reference_experiment(spec):
     one reference recursion per (rate, run) cell."""
     c = H.resolve_coefficients(spec)
     seeds = H.derive_seeds(spec.master_seed, spec.n_runs)
-    runs = [H._make_run_data(spec, seeds, r)[0] for r in range(spec.n_runs)]
+    runs = [
+        H._make_run_data(spec.generator, spec.horizon, seeds, r)[0] for r in range(spec.n_runs)
+    ]
     if spec.variant == "learned":
         grid = [(m, cc) for m in spec.lr_grid for cc in spec.lr_grid_coeffs or spec.lr_grid]
     else:
@@ -241,7 +243,7 @@ def test_oracle_comparator_matches_per_run_reference():
     seeds = H.derive_seeds(spec.master_seed, spec.n_runs)
     want = []
     for r in range(spec.n_runs):
-        traj, system = H._make_run_data(spec, seeds, r)
+        traj, system = H._make_run_data(spec.generator, spec.horizon, seeds, r)
         learner = RegressionLearner(c, 1, 1, num_taps=3, frozen=True,
                                     init_Q=oracle_weights(system, c))
         preds, _ = reference_ogd(learner.blocks(traj.inputs, traj.outputs), traj.outputs,

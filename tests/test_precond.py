@@ -1,16 +1,11 @@
-"""Convolution, reconstruction, and the online wrapper reduction."""
+"""Convolution, reconstruction, and the preconditioned view."""
 
 import numpy as np
 import pytest
 
 from seqprecond.dynsys import Trajectory, gaussian_inputs
 from seqprecond.poly import CoefficientVector, chebyshev_monic, differencing
-from seqprecond.precond import (
-    PreconditionedOnline,
-    convolve,
-    precondition,
-    reconstruct_prediction,
-)
+from seqprecond.precond import convolve, precondition, reconstruct_prediction
 
 
 def cv(*coeffs):
@@ -88,96 +83,6 @@ class TestReconstruct:
     def test_short_history_rejected(self):
         with pytest.raises(ValueError, match="history"):
             reconstruct_prediction(np.zeros(1), np.zeros((1, 1)), chebyshev_monic(3))
-
-
-class _FixedInner:
-    """Deterministic fake: predicts a running count, records updates."""
-
-    def __init__(self, d_out):
-        self.d_out = d_out
-        self.t = 0
-        self.updates = []
-
-    def predict(self, u_t):
-        self.t += 1
-        return np.full(self.d_out, 0.1 * self.t)
-
-    def update(self, residual):
-        self.updates.append(np.array(residual))
-
-
-class _ZeroInner:
-    def __init__(self, d_out):
-        self.d_out = d_out
-
-    def predict(self, u_t):
-        return np.zeros(self.d_out)
-
-    def update(self, residual):
-        pass
-
-
-class TestOnlineWrapper:
-    def _traj(self, T=25, d=2, seed=3):
-        u = gaussian_inputs(T, 1, seed)
-        y = gaussian_inputs(T, d, seed + 1)
-        return Trajectory(u, y)
-
-    def test_identity_coeffs_passthrough(self):
-        traj = self._traj()
-        inner = _FixedInner(2)
-        preds = PreconditionedOnline(inner, cv(1.0), 2).run(traj)
-        bare = _FixedInner(2)
-        expect = np.stack([bare.predict(None) for _ in range(traj.horizon)])
-        np.testing.assert_array_equal(preds, expect)
-
-    def test_zero_inner_with_differencing_predicts_last_value(self):
-        # z_hat = 0 and c = (1, -1) gives y_hat_t = y_{t-1}
-        traj = self._traj(T=10, d=1)
-        preds = PreconditionedOnline(_ZeroInner(1), differencing(), 1).run(traj)
-        np.testing.assert_allclose(preds[0], [0.0], atol=0)
-        np.testing.assert_allclose(preds[1:], traj.outputs[:-1], atol=1e-14)
-
-    def test_raw_and_preconditioned_errors_coincide(self):
-        traj = self._traj(T=30, d=2, seed=9)
-        w = PreconditionedOnline(_FixedInner(2), chebyshev_monic(4), 2)
-        w.run(traj)
-        np.testing.assert_allclose(w.raw_errors, w.precond_errors, atol=1e-12)
-
-    def test_online_matches_offline_pipeline(self):
-        # running the inner model over the convolved stream offline, then
-        # reconstructing, reproduces the wrapper's predictions exactly
-        traj = self._traj(T=40, d=1, seed=21)
-        c = chebyshev_monic(3)
-        n = c.degree
-
-        online = PreconditionedOnline(_FixedInner(1), c, 1)
-        got = online.run(traj)
-
-        z = convolve(traj.outputs, c)
-        inner = _FixedInner(1)
-        want = np.empty_like(traj.outputs)
-        y = traj.outputs
-        for t in range(traj.horizon):
-            z_hat = inner.predict(traj.inputs[t])
-            hist = np.zeros((n, 1))
-            for i in range(1, n + 1):
-                if t - i >= 0:
-                    hist[i - 1] = y[t - i]
-            want[t] = reconstruct_prediction(z_hat, hist, c)
-            inner.update(z_hat - z[t])
-        np.testing.assert_array_equal(got, want)
-
-    def test_inner_sees_preconditioned_residual(self):
-        traj = self._traj(T=15, d=1, seed=2)
-        c = differencing()
-        inner = _FixedInner(1)
-        PreconditionedOnline(inner, c, 1).run(traj)
-        z = convolve(traj.outputs, c)
-        ref = _FixedInner(1)
-        for t in range(15):
-            z_hat = ref.predict(None)
-            np.testing.assert_allclose(inner.updates[t], z_hat - z[t], atol=1e-14)
 
 
 class TestView:
