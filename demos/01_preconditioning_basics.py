@@ -12,8 +12,8 @@ import numpy as np
 
 from seqprecond import (
     chebyshev_monic,
+    convolve,
     gaussian_inputs,
-    precondition,
     reconstruct_prediction,
     sample_system,
     simulate_lds,
@@ -35,9 +35,9 @@ print(f"raw target    : std {traj.outputs.std():8.3f}   "
 # --- convolve with monic Chebyshev coefficients of increasing degree -----
 for degree in (2, 5, 10):
     c = chebyshev_monic(degree)
-    view = precondition(traj, c)
-    print(f"degree {degree:2d} target: std {view.transformed.std():8.3f}   "
-          f"max |z_t| {np.abs(view.transformed).max():8.3f}   "
+    z = convolve(traj.outputs, c)
+    print(f"degree {degree:2d} target: std {z.std():8.3f}   "
+          f"max |z_t| {np.abs(z).max():8.3f}   "
           f"(l1 of coefficients {c.l1:.3f})")
 
 # The transformed stream is orders of magnitude smaller: the polynomial is
@@ -45,13 +45,13 @@ for degree in (2, 5, 10):
 
 # --- the transform is lossless: reconstruct the raw stream ---------------
 c = chebyshev_monic(5)
-view = precondition(traj, c)
+z = convolve(traj.outputs, c)
 n = c.degree
 worst = 0.0
 for t in range(T):
     hist = traj.outputs[max(0, t - n):t][::-1]
     if hist.shape[0] < n:
         hist = np.vstack([hist, np.zeros((n - hist.shape[0], 1))])
-    back = reconstruct_prediction(view.transformed[t], hist, c)
+    back = reconstruct_prediction(z[t], hist, c)
     worst = max(worst, float(np.abs(back - traj.outputs[t]).max()))
 print(f"\nround-trip reconstruction error over all {T} steps: {worst:.2e}")

@@ -27,7 +27,6 @@ from seqprecond.harness import (
 )
 from seqprecond.invariants import verify
 from seqprecond.learners import (
-    LearnedCoeffLearner,
     RegressionLearner,
     SpectralLearner,
     oracle_weights,
@@ -43,7 +42,7 @@ from seqprecond.poly import (
     legendre_monic,
     sup_on_sector,
 )
-from seqprecond.precond import convolve, precondition, reconstruct_prediction
+from seqprecond.precond import convolve, reconstruct_prediction
 from seqprecond.spectral import FilterBank, build_filter_bank, build_gram, filter_project
 
 __version__ = "0.1.0"
@@ -55,7 +54,6 @@ __all__ = [
     "Family",
     "FilterBank",
     "GeneratorConfig",
-    "LearnedCoeffLearner",
     "LinearSystem",
     "MetricsReport",
     "NonlinearSystem",
@@ -72,7 +70,6 @@ __all__ = [
     "ingest_csv",
     "legendre_monic",
     "oracle_weights",
-    "precondition",
     "reconstruct_prediction",
     "run_experiment",
     "sample_system",

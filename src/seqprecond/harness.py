@@ -62,7 +62,7 @@ class ExperimentSpec:
     csv_path: str | None = None
     lr_grid: tuple = DEFAULT_LR_GRID
     lr_grid_coeffs: tuple | None = None  # learned variant; defaults to lr_grid
-    n_runs: int = 20
+    n_runs: int | None = None  # 1 for a CSV spec, 20 otherwise
     horizon: int = 2000
     window: int = 200
     master_seed: int = 0
@@ -77,6 +77,8 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.generator is None and self.csv_path is None:
             object.__setattr__(self, "generator", GeneratorConfig())
+        if self.n_runs is None:
+            object.__setattr__(self, "n_runs", 1 if self.csv_path is not None else 20)
         if isinstance(self.generator, dict):
             object.__setattr__(self, "generator", GeneratorConfig(**self.generator))
         for name in ("lr_grid", "lr_grid_coeffs", "custom_coeffs"):
@@ -125,6 +127,8 @@ def validate_spec(spec: ExperimentSpec) -> None:
             raise ValueError("oracle comparator needs a generated linear system")
         if spec.algo != "regression":
             raise ValueError("oracle comparator is defined for regression only")
+    if spec.csv_path is not None and spec.n_runs != 1:
+        raise ValueError(f"a CSV spec holds one trajectory: n_runs must be 1, got {spec.n_runs}")
 
 
 def resolve_coefficients(spec: ExperimentSpec) -> CoefficientVector:
@@ -189,24 +193,21 @@ def _build_learner(spec: ExperimentSpec, c, d_in: int, d_out: int, T: int, grid,
     (len(grid), 1), so they broadcast over the runs."""
     if spec.oracle_comparator:
         return learners.RegressionLearner(
-            c, d_in, d_out, num_taps=max(c.degree, 1), frozen=True,
+            c, d_in, d_out, num_taps=max(c.degree, 1), lr0=0.0,
             init_Q=np.stack([learners.oracle_weights(system, c) for system in systems]),
         )
     taps = spec.num_taps if spec.num_taps is not None else max(spec.degree, 1)
-    lr = np.array(grid, dtype=float)[:, None]
+    # (grid, 1, 1), or (grid, 1, 2) for the learned variant's (model, coefficient) pairs
+    lr = np.array(grid, dtype=float).reshape(len(grid), 1, -1)
     if spec.algo == "spectral":
         bank = _bank_for(T - c.degree - 1, spec.beta, spec.filter_count)
         return learners.SpectralLearner(
             c, bank, d_in, d_out, total_horizon=T,
-            norm_bound=spec.norm_bound, kappa_bound=spec.kappa_bound, lr0=lr,
-        )
-    if spec.variant == "learned":
-        return learners.LearnedCoeffLearner(
-            c, d_in, d_out, num_taps=taps, domain_bound=spec.domain_bound,
-            lr_model0=lr[..., 0], lr_coeffs0=lr[..., 1],
+            norm_bound=spec.norm_bound, kappa_bound=spec.kappa_bound, lr0=lr[..., 0],
         )
     return learners.RegressionLearner(
-        c, d_in, d_out, num_taps=taps, domain_bound=spec.domain_bound, lr0=lr,
+        c, d_in, d_out, num_taps=taps, domain_bound=spec.domain_bound, lr0=lr[..., 0],
+        lr_coeffs0=lr[..., 1] if spec.variant == "learned" else 0.0,
     )
 
 
@@ -224,8 +225,7 @@ def run_experiment(spec: ExperimentSpec) -> MetricsReport:
     seeds = derive_seeds(spec.master_seed, spec.n_runs)
 
     if spec.csv_path is not None:
-        # one file: every run reads the same trajectory
-        runs, systems = [ingest_csv(spec.csv_path)] * spec.n_runs, [None] * spec.n_runs
+        runs, systems = [ingest_csv(spec.csv_path)], [None]  # one file, one run
     else:
         runs, systems = zip(*(
             _make_run_data(spec.generator, spec.horizon, seeds, r) for r in range(spec.n_runs)
@@ -252,7 +252,7 @@ def run_experiment(spec: ExperimentSpec) -> MetricsReport:
     y = np.stack([traj.outputs for traj in runs])[None]
     learner = _build_learner(spec, c, u.shape[-1], y.shape[-1], T, grid, systems)
     try:
-        preds, _ = learners.ogd(learner.blocks(u, y), y, spec.oracle_comparator, learner.norm)
+        preds, _ = learners.ogd(learner.blocks(u, y), y)
     except learners.NonFinitePrediction as exc:
         g, r = exc.cell
         raise ValueError(f"{exc} (lr={labels[g]}, run {r})") from None
@@ -332,23 +332,18 @@ def sweep(specs: list[ExperimentSpec], workers: int = 1) -> list:
         raise ValueError("sweep needs at least one spec")
     for spec in specs:
         validate_spec(spec)
+
+    def recorded(spec, result):
+        try:
+            return result()
+        except Exception as exc:  # noqa: BLE001 - reported, not swallowed
+            return SweepFailure(spec_hash(spec), str(exc))
+
     if workers <= 1 or len(specs) == 1:
-        results = []
-        for spec in specs:
-            try:
-                results.append(run_experiment(spec))
-            except Exception as exc:  # noqa: BLE001 - reported, not swallowed
-                results.append(SweepFailure(spec_hash(spec), str(exc)))
-        return results
+        return [recorded(spec, lambda spec=spec: run_experiment(spec)) for spec in specs]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(run_experiment, spec) for spec in specs]
-        results = []
-        for spec, fut in zip(specs, futures):
-            try:
-                results.append(fut.result())
-            except Exception as exc:  # noqa: BLE001
-                results.append(SweepFailure(spec_hash(spec), str(exc)))
-    return results
+        return [recorded(spec, fut.result) for spec, fut in zip(specs, futures)]
 
 
 def sweep_table_csv(reports: list) -> str:

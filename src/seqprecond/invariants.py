@@ -117,7 +117,7 @@ def gram_eigendecay() -> str:
 
 
 def oracle_weights_per_step() -> str:
-    """05: frozen oracle weights meet the comparator bound at every step."""
+    """05: fixed oracle weights meet the comparator bound at every step."""
     t0 = time.perf_counter()
     degree, horizon = 5, 200
     c = poly.chebyshev_monic(degree)
@@ -133,7 +133,7 @@ def oracle_weights_per_step() -> str:
         )
         traj = dynsys.simulate_lds(system, dynsys.gaussian_inputs(horizon, 1, seed=trial))
         learner = RegressionLearner(
-            c, 1, 1, num_taps=degree, frozen=True,
+            c, 1, 1, num_taps=degree, lr0=0.0,
             init_Q=oracle_weights(system, c),
         )
         errs = np.abs(learner.run(traj.inputs, traj.outputs) - traj.outputs).sum(axis=1)
@@ -231,13 +231,12 @@ def identities_and_determinism() -> str:
     spectral = SpectralLearner(poly.chebyshev_monic(3), bank, 2, 2, total_horizon=80)
     u_hist = rng.standard_normal((40, 2))
     y_hist = rng.standard_normal((40, 2))
-    (X_Q, Q0, *rest_Q), lag, (X_M, M0, *rest_M) = spectral.blocks(u_hist, y_hist)
+    (X_Q, Q0, _, R_Q), lag, (X_M, M0, _, R_M) = spectral.blocks(u_hist, y_hist)
     Q = rng.standard_normal(Q0.shape)
     M = rng.standard_normal(M0.shape)
 
-    def predict(Q, M):
-        blocks = [(X_Q, Q, *rest_Q), lag, (X_M, M, *rest_M)]
-        return ogd(blocks, y_hist, frozen=True)[0]
+    def predict(Q, M):  # rate 0: the weights stay at Q and M
+        return ogd([(X_Q, Q, 0.0, R_Q), lag, (X_M, M, 0.0, R_M)], y_hist)[0]
 
     deletion = (
         predict(Q, M)

@@ -5,12 +5,15 @@ lag coefficients are one algorithm.  The inputs are exogenous, so every
 feature is fixed before learning starts: lagged targets -y_{t-i} against
 the lag coefficients c_1..c_n, an input window u_{t-j} against matrices
 Q_j and, for spectral filtering, the deep input past filtered by a bank
-against matrices M_j.  `ogd` steps every block along the ℓ1 subgradient at
-rate lr0/sqrt(t), with sign(0) = 0, and projects the taps of a bounded
-block onto its norm ball.  Leading cell axes on the streams, weights and
-rates run many independent recursions, such as the (rate, run) cells of
-a grid search, in lockstep: one pass per step over all of them.  The
-learner classes only size radii and rates and assemble blocks;
+against matrices M_j.  A block (X, W0, lr0, radius) is the whole
+configuration of its weights: `ogd` steps every block along the ℓ1
+subgradient at rate lr0/sqrt(t), with sign(0) = 0, and projects the taps
+of a block with a radius onto the spectral-norm ball.  Rate 0 holds a
+block fixed, so the fixed lag coefficients, the learned ones and a fixed
+comparator differ only in their rates.  Leading cell axes on the streams,
+weights and rates run many independent recursions, such as the (rate,
+run) cells of a grid search, in lockstep: one pass per step over all of
+them.  The learner classes only size radii and rates and assemble blocks;
 `.run(inputs, outputs)` processes a whole stream (there is no per-sample
 `.step`).
 """
@@ -37,21 +40,19 @@ DEFAULT_DOMAIN_BOUND = 10.0
 # projections
 
 
-def project_to_ball(M: np.ndarray, radius: float, norm: str = "spectral") -> np.ndarray:
+def project_to_ball(M: np.ndarray, radius: float) -> np.ndarray:
     """Project a matrix, or each matrix of a stack (..., m, n), onto the
-    norm ball of the given radius.
+    spectral-norm ball of the given radius.
 
-    Spectral projection clips singular values, by one SVD of the stack or,
-    when m or n is 1, by rescaling; Frobenius projection rescales.  Both
-    are idempotent and leave interior points untouched.  A matrix with a
-    non-finite entry is left as it is and kept out of the SVD.
+    Singular values are clipped by one SVD of the stack or, when m or n
+    is 1, by rescaling.  The projection is idempotent and leaves interior
+    points untouched.  A matrix with a non-finite entry is left as it is
+    and kept out of the SVD.
     """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    if norm not in ("spectral", "frobenius"):
-        raise ValueError(f"unknown norm {norm!r}")
     M = np.asarray(M, dtype=float)
-    if norm == "frobenius" or min(M.shape[-2:]) == 1:
+    if min(M.shape[-2:]) == 1:
         # rank one: the spectral norm is the vector length
         nrm = np.sqrt(np.einsum("...ij,...ij->...", M, M))
         over = nrm > radius
@@ -122,7 +123,7 @@ class NonFinitePrediction(ValueError):
         self.cell = cell
 
 
-def ogd(blocks, targets: np.ndarray, frozen: bool = False, norm: str = "spectral"):
+def ogd(blocks, targets: np.ndarray):
     """Projected online gradient descent on the ℓ1 loss over feature blocks.
 
     Each block is (X, W0, lr0, radius): features X of shape
@@ -135,13 +136,14 @@ def ogd(blocks, targets: np.ndarray, frozen: bool = False, norm: str = "spectral
     them.  Step t predicts the sum over blocks of sum_j W_j x_{t,j}; then,
     with s = sign(prediction - target), every block moves by
     -lr0/sqrt(t) times its subgradient and the taps of a block with a
-    radius are projected onto that `norm` ball, all cells at once.
+    radius are projected onto that spectral-norm ball, all cells at once.
 
     The update is masked per cell: a zero s or rate leaves that cell's
     weights as they are, and so does a non-finite prediction, so a failed
     cell is out of the update; `project_to_ball` keeps its non-finite
-    weights out of the SVD.  frozen=True skips every update, and the
-    schedule advances on every step.
+    weights out of the SVD.  The schedule advances on every step.  When no
+    block has a nonzero rate the update work is skipped, so rate 0
+    evaluates fixed weights.
 
     Returns the (..., T, d_out) predictions and the final weights; raises
     NonFinitePrediction (a ValueError) naming the first step whose
@@ -181,7 +183,7 @@ def ogd(blocks, targets: np.ndarray, frozen: bool = False, norm: str = "spectral
             else:
                 pred = pred + np.einsum("...j,...jo->...o", W, x)
         preds[..., t, :] = pred
-        if frozen:
+        if not steps:
             continue
         live = np.isfinite(pred).all(axis=-1, keepdims=True)
         s = np.where(live, np.sign(pred - y[..., t, :]), 0.0)
@@ -197,7 +199,7 @@ def ogd(blocks, targets: np.ndarray, frozen: bool = False, norm: str = "spectral
                 grad = np.einsum("...jo,...o->...j", x, s)
             step = W - (lr / root) * grad
             if radius is not None:
-                step = project_to_ball(step, radius, norm)
+                step = project_to_ball(step, radius)
             Ws[b] = np.where((active & nonzero).reshape(cells + core), step, W)
 
     finite = np.isfinite(preds).all(axis=-1)
@@ -241,15 +243,15 @@ def tilde_expand(c: CoefficientVector) -> CoefficientVector:
 
 
 class RegressionLearner:
-    """Preconditioned regression: fixed lag coefficients plus learned
+    """Preconditioned regression: lag coefficients c_1..c_n plus learned
     input maps Q_j in the ball of radius domain_bound * ||c||_1.
 
     The default rate is D/G with D = 2 radius m and G = m sqrt(d_out).
-    Set frozen=True to evaluate a fixed comparator (init_Q) without updates;
+    The lag coefficients step from c at rate lr_coeffs0, by default 0, so
+    they stay fixed; a nonzero rate is the learned-coefficient variant,
+    with c_0 pinned to 1.  Rate lr0=0 evaluates a fixed comparator init_Q;
     init_Q may carry leading cell axes, one comparator per cell.
     """
-
-    lr_coeffs0 = 0.0  # the lag coefficients stay fixed
 
     def __init__(
         self,
@@ -259,9 +261,8 @@ class RegressionLearner:
         num_taps: int | None = None,
         domain_bound: float = DEFAULT_DOMAIN_BOUND,
         lr0: float | None = None,
-        norm: str = "spectral",
+        lr_coeffs0: float = 0.0,
         init_Q: np.ndarray | None = None,
-        frozen: bool = False,
     ):
         m = max(c.degree, 1) if num_taps is None else num_taps
         if m < 0:
@@ -269,10 +270,9 @@ class RegressionLearner:
         self.c = c
         self.d_in = d_in
         self.d_out = d_out
-        self.norm = norm
-        self.frozen = frozen
         self.radius = domain_bound * c.l1
         self.lr0 = 2.0 * self.radius / sqrt(d_out) if lr0 is None else lr0
+        self.lr_coeffs0 = lr_coeffs0
         self.Q0 = np.zeros((m, d_out, d_in))
         if init_Q is not None:
             init_Q = np.asarray(init_Q, dtype=float)
@@ -290,29 +290,7 @@ class RegressionLearner:
 
     def run(self, inputs, outputs) -> np.ndarray:
         u, y = _rows(inputs, self.d_in), _rows(outputs, self.d_out)
-        return ogd(self.blocks(u, y), y, self.frozen, self.norm)[0]
-
-
-class LearnedCoeffLearner(RegressionLearner):
-    """Preconditioned regression that also learns c_1..c_n from `init`.
-
-    The lag coefficients step at their own rate, by default the input
-    maps' rate; c_0 stays pinned to 1.
-    """
-
-    def __init__(
-        self,
-        init: CoefficientVector,
-        d_in: int,
-        d_out: int,
-        num_taps: int | None = None,
-        domain_bound: float = DEFAULT_DOMAIN_BOUND,
-        lr_model0: float | None = None,
-        lr_coeffs0: float | None = None,
-        norm: str = "spectral",
-    ):
-        super().__init__(init, d_in, d_out, num_taps, domain_bound, lr_model0, norm)
-        self.lr_coeffs0 = self.lr0 if lr_coeffs0 is None else lr_coeffs0
+        return ogd(self.blocks(u, y), y)[0]
 
 
 class SpectralLearner:
@@ -335,7 +313,6 @@ class SpectralLearner:
         norm_bound: float = 1.0,
         kappa_bound: float = 1.0,
         lr0: float | None = None,
-        norm: str = "spectral",
     ):
         if bank.sector is None:
             raise ValueError("bank must carry its sector to size the radii")
@@ -346,7 +323,6 @@ class SpectralLearner:
         self.d_in = d_in
         self.d_out = d_out
         self.total_horizon = T
-        self.norm = norm
         self.R_Q = norm_bound * c.l1
         head = sup_on_sector(c, bank.sector)
         self.R_M = 2.0 * norm_bound * kappa_bound * log(T) * beta ** (4 / 3) * T ** (7 / 6) * head
@@ -372,7 +348,7 @@ class SpectralLearner:
 
     def run(self, inputs, outputs) -> np.ndarray:
         u, y = _rows(inputs, self.d_in), _rows(outputs, self.d_out)
-        return ogd(self.blocks(u, y), y, norm=self.norm)[0]
+        return ogd(self.blocks(u, y), y)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -10,13 +10,11 @@ acceptance criterion 09 in `seqprecond.invariants` checks the identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.signal import lfilter
 
-from seqprecond.dynsys import Trajectory, _as_time_major
-from seqprecond.poly import CoefficientVector, as_coeff_array
+from seqprecond.dynsys import _as_time_major
+from seqprecond.poly import as_coeff_array
 
 
 def convolve(outputs, c) -> np.ndarray:
@@ -44,19 +42,3 @@ def reconstruct_prediction(model_output, history, c) -> np.ndarray:
         raise ValueError(f"history holds {hist.shape[0]} rows, need {n}")
     return out - coeffs[1:] @ hist[:n]
 
-
-@dataclass(frozen=True)
-class PreconditionedView:
-    """A trajectory together with its convolved target stream."""
-
-    raw: Trajectory
-    coeffs: CoefficientVector
-    transformed: np.ndarray
-
-    @property
-    def horizon(self) -> int:
-        return self.raw.horizon
-
-
-def precondition(traj: Trajectory, c: CoefficientVector) -> PreconditionedView:
-    return PreconditionedView(traj, c, convolve(traj.outputs, c))

@@ -36,16 +36,20 @@ def _pair_sine(m, beta: float):
     return np.where(m == 0, 2.0 * beta, 2.0 * np.sin(m * beta) / safe)
 
 
+def _gram(j, k, beta: float):
+    """The closed-form entries G_jk, broadcast over index arrays j and k."""
+    m = j - k
+    jk = np.add(j, k, dtype=float)
+    G = _pair_sine(m, beta) * (1.0 / (jk + 2) + 1.0 / (jk + 6))
+    G -= (_pair_sine(m + 2, beta) + _pair_sine(m - 2, beta)) / (jk + 4)
+    return G
+
+
 def gram_entry(j: int, k: int, sector: ComplexSector) -> float:
     """Closed-form sector Gram entry for row j, column k (both >= 0)."""
     if j < 0 or k < 0:
         raise ValueError("indices must be nonnegative")
-    b = sector.beta
-    m = j - k
-    jk = j + k
-    val = _pair_sine(m, b) * (1.0 / (jk + 2) + 1.0 / (jk + 6))
-    val -= (_pair_sine(m + 2, b) + _pair_sine(m - 2, b)) / (jk + 4)
-    return float(val)
+    return float(_gram(j, k, sector.beta))
 
 
 def build_gram(horizon: int, sector: ComplexSector) -> np.ndarray:
@@ -56,13 +60,8 @@ def build_gram(horizon: int, sector: ComplexSector) -> np.ndarray:
         raise ValueError(
             f"horizon {horizon} exceeds the memory guard {MAX_HORIZON}"
         )
-    b = sector.beta
     idx = np.arange(horizon)
-    m = idx[:, None] - idx[None, :]
-    jk = (idx[:, None] + idx[None, :]).astype(float)
-    Z = _pair_sine(m, b) * (1.0 / (jk + 2) + 1.0 / (jk + 6))
-    Z -= (_pair_sine(m + 2, b) + _pair_sine(m - 2, b)) / (jk + 4)
-    return Z
+    return _gram(idx[:, None], idx[None, :], sector.beta)
 
 
 @dataclass(frozen=True)

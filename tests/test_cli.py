@@ -248,6 +248,15 @@ class TestRunCommand:
         assert report["tau"] is None
         assert report["horizon"] == 50
 
+    def test_data_without_config_runs_once(self, tmp_path, capsys):
+        path = tmp_path / "long.csv"
+        assert run_cli("gen-data", "--T", "250", "--dh", "5", "--seed", "3", "--out", str(path)) == 0
+        capsys.readouterr()
+        assert run_cli("run", "--data", str(path)) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["n_runs"] == 1
+        assert len(report["per_run_final_errors"]) == 1
+
     def test_table_output(self, tmp_path, capsys):
         cfg = self.make_config(tmp_path)
         assert run_cli("run", "--config", str(cfg), "--table", "csv") == 0

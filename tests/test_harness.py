@@ -8,7 +8,7 @@ import pytest
 from seqprecond import harness as H
 from seqprecond.dynsys import gaussian_inputs, sample_system, simulate_lds
 from seqprecond.invariants import SUITES, verify
-from seqprecond.learners import LearnedCoeffLearner
+from seqprecond.learners import RegressionLearner
 from seqprecond.poly import chebyshev_monic, differencing, legendre_monic
 
 TINY_GEN = H.GeneratorConfig(d_h=6, tau=0.05)
@@ -88,6 +88,7 @@ class TestValidateSpec:
                 "generated linear system",
             ),
             (dict(oracle_comparator=True, algo="spectral"), "regression only"),
+            (dict(csv_path="x.csv"), "CSV spec holds one trajectory: n_runs must be 1, got 3"),
         ],
     )
     def test_rejections_name_the_problem(self, overrides, fragment):
@@ -101,6 +102,12 @@ class TestValidateSpec:
 
     def test_good_spec_passes(self):
         H.validate_spec(tiny_spec())
+
+    def test_n_runs_default_follows_the_data(self):
+        # 1 on a CSV spec, 20 otherwise; a spec that sets it hashes as before
+        H.validate_spec(H.ExperimentSpec(csv_path="x.csv"))
+        assert H.ExperimentSpec(csv_path="x.csv").n_runs == 1
+        assert H.spec_hash(H.ExperimentSpec()) == H.spec_hash(H.ExperimentSpec(n_runs=20))
 
 
 class TestResolveCoefficients:
@@ -201,7 +208,7 @@ class TestRunExperiment:
         gen = H.GeneratorConfig(d_h=6, tau=0.05, d_in=d, d_out=d)
         spec = tiny_spec(generator=gen, variant="learned", lr_grid_coeffs=(1e308, 1e-2))
         c = H.resolve_coefficients(spec)
-        cell = LearnedCoeffLearner(c, d, d, num_taps=3, lr_model0=1e-3, lr_coeffs0=1e308)
+        cell = RegressionLearner(c, d, d, num_taps=3, lr0=1e-3, lr_coeffs0=1e308)
         seeds = H.derive_seeds(spec.master_seed, spec.n_runs)
 
         def first_failure():
@@ -230,10 +237,10 @@ class TestRunExperiment:
 
         monkeypatch.setattr(H, "ingest_csv", counted)
         rep = H.run_experiment(
-            H.ExperimentSpec(csv_path=path, n_runs=3, window=10, degree=2, master_seed=0)
+            H.ExperimentSpec(csv_path=path, n_runs=1, window=10, degree=2, master_seed=0)
         )
         assert len(calls) == 1
-        assert rep.per_run_final_errors == [rep.per_run_final_errors[0]] * 3
+        assert rep.n_runs == 1
 
     def test_oracle_comparator_skips_grid(self):
         rep = H.run_experiment(tiny_spec(oracle_comparator=True, n_runs=2))
@@ -384,6 +391,16 @@ class TestSweep:
         assert isinstance(results[1], H.SweepFailure)
         assert results[1].config_hash == H.spec_hash(bad)
         assert results[1].error
+
+    def test_pool_records_failures_like_the_serial_path(self, tmp_path):
+        bad = H.ExperimentSpec(csv_path=str(tmp_path / "missing.csv"), window=5, master_seed=0)
+        good = tiny_spec(n_runs=1)
+        serial = H.sweep([good, bad], workers=1)
+        pooled = H.sweep([good, bad], workers=2)
+        assert H.report_to_json(pooled[0]) == H.report_to_json(serial[0])
+        assert isinstance(pooled[1], H.SweepFailure)
+        assert (pooled[1].config_hash, pooled[1].error) == (H.spec_hash(bad), serial[1].error)
+        assert "missing.csv" in pooled[1].error
 
     def test_parallel_matches_serial(self):
         specs = [tiny_spec(n_runs=1), tiny_spec(n_runs=1, variant="none")]

@@ -7,7 +7,6 @@ from seqprecond.dynsys import gaussian_inputs, simulate_lds, system_from_eigenva
 from seqprecond.poly import ComplexSector, CoefficientVector, chebyshev_monic
 from seqprecond.spectral import build_filter_bank, filter_project
 from seqprecond.learners import (
-    LearnedCoeffLearner,
     RegressionLearner,
     SpectralLearner,
     deep_past,
@@ -52,18 +51,9 @@ class TestProjection:
             P = project_to_ball(M, 1.3)
             assert np.linalg.norm(P, 2) <= 1.3 + 1e-9
 
-    def test_frobenius_alternative(self):
-        M = np.ones((2, 2))  # frobenius norm 2
-        P = project_to_ball(M, 1.0, norm="frobenius")
-        np.testing.assert_allclose(P, M / 2, atol=1e-15)
-
     def test_vector_shortcut_matches_svd_path(self):
         v = np.array([[3.0, 4.0]])  # spectral norm 5
         np.testing.assert_allclose(project_to_ball(v, 1.0), v / 5, atol=1e-12)
-
-    def test_unknown_norm_rejected(self):
-        with pytest.raises(ValueError):
-            project_to_ball(np.eye(2), 1.0, norm="nuclear")
 
 
 class TestLagged:
@@ -125,13 +115,13 @@ class TestDeepPast:
 class TestRegressionPredict:
     def test_zero_state_identity_coeffs(self):
         rng = np.random.default_rng(0)
-        learner = RegressionLearner(cv(1.0), 2, 1, num_taps=3, frozen=True)
+        learner = RegressionLearner(cv(1.0), 2, 1, num_taps=3, lr0=0.0)
         preds = learner.run(rng.standard_normal((6, 2)), rng.standard_normal((6, 1)))
         np.testing.assert_array_equal(preds, 0.0)
 
     def test_persistence_with_differencing(self):
         y = np.random.default_rng(1).standard_normal((6, 2))
-        learner = RegressionLearner(cv(1.0, -1.0), 1, 2, num_taps=1, frozen=True)
+        learner = RegressionLearner(cv(1.0, -1.0), 1, 2, num_taps=1, lr0=0.0)
         preds = learner.run(np.zeros((6, 1)), y)
         np.testing.assert_array_equal(preds[0], 0.0)
         np.testing.assert_allclose(preds[1:], y[:-1], atol=0)
@@ -142,7 +132,7 @@ class TestRegressionPredict:
         Q = rng.standard_normal((3, 3, 2))
         T = 8
         u, y = rng.standard_normal((T, 2)), rng.standard_normal((T, 3))
-        got = RegressionLearner(c, 2, 3, num_taps=3, init_Q=Q, frozen=True).run(u, y)
+        got = RegressionLearner(c, 2, 3, num_taps=3, lr0=0.0, init_Q=Q).run(u, y)
         for t in range(T):
             want = np.zeros(3)
             for i in range(1, 4):
@@ -201,6 +191,26 @@ class TestRegressionUpdate:
         _, (W,) = ogd([one_tap(0.0)], np.array([[1.0]]))
         np.testing.assert_array_equal(W, 0.0)
 
+    def test_zero_rate_keeps_weights_outside_the_ball(self):
+        # the fixed comparator's contract: rate 0 neither updates nor
+        # projects init_Q, even outside the ball and on nonzero residuals
+        rng = np.random.default_rng(11)
+        c = chebyshev_monic(2)
+        Q = rng.standard_normal((2, 2, 3))
+        learner = RegressionLearner(c, 3, 2, domain_bound=1e-3, lr0=0.0, init_Q=Q)
+        assert all(np.linalg.norm(Qj, 2) > learner.radius for Qj in Q)
+        T = 12
+        u, y = rng.standard_normal((T, 3)), rng.standard_normal((T, 2))
+        preds, (W, coeffs) = ogd(learner.blocks(u, y), y)
+        assert (preds != y).all()
+        np.testing.assert_array_equal(W, Q)
+        np.testing.assert_array_equal(coeffs, c.coeffs[1:])
+        np.testing.assert_array_equal(learner.run(u, y), preds)
+        for t in range(T):
+            want = sum(Q[j] @ u[t - j] for j in range(2) if t - j >= 0)
+            want = want - sum(c.coeffs[i] * y[t - i] for i in (1, 2) if t - i >= 0)
+            np.testing.assert_allclose(preds[t], want, rtol=0, atol=1e-12)
+
 
 class TestTildeExpand:
     def test_trivial(self):
@@ -232,8 +242,8 @@ def make_bank(horizon=24, beta=0.1, k=3):
 
 def spectral_frozen(learner, u, y, Q, M):
     """Predictions of a spectral learner held at input maps Q and filter maps M."""
-    (Xq, _, *q), lag, (Xm, _, *m) = learner.blocks(u, y)
-    return ogd([(Xq, Q, *q), lag, (Xm, M, *m)], y, frozen=True)[0]
+    (Xq, _, _, R_Q), lag, (Xm, _, _, R_M) = learner.blocks(u, y)
+    return ogd([(Xq, Q, 0.0, R_Q), lag, (Xm, M, 0.0, R_M)], y)[0]
 
 
 class TestSpectralPredict:
@@ -249,7 +259,7 @@ class TestSpectralPredict:
         Q = rng.standard_normal((3, 1, 2))
         u, y = rng.standard_normal((9, 2)), rng.standard_normal((9, 1))
         got = spectral_frozen(learner, u, y, Q, np.zeros((0, 1, 2)))
-        reg = RegressionLearner(tilde_expand(c), 2, 1, num_taps=3, init_Q=Q, frozen=True)
+        reg = RegressionLearner(tilde_expand(c), 2, 1, num_taps=3, lr0=0.0, init_Q=Q)
         np.testing.assert_allclose(got, reg.run(u, y), atol=1e-12)
 
     def test_dense_oracle(self):
@@ -367,7 +377,7 @@ class TestOracleWeights:
             u = gaussian_inputs(T, 1, seed + 10, normalize=True)
             traj = simulate_lds(sys, u)
             learner = RegressionLearner(
-                c, 1, 1, num_taps=n, frozen=True, init_Q=oracle_weights(sys, c)
+                c, 1, 1, num_taps=n, lr0=0.0, init_Q=oracle_weights(sys, c)
             )
             preds = learner.run(traj.inputs, traj.outputs)
             err = np.abs(preds - traj.outputs).max()
@@ -381,7 +391,7 @@ class TestOracleWeights:
 class TestLearnedCoeffs:
     def test_zero_residual_unchanged(self):
         c = chebyshev_monic(2)
-        learner = LearnedCoeffLearner(c, 1, 1)
+        learner = RegressionLearner(c, 1, 1, lr0=1.0, lr_coeffs0=1.0)
         u, y = np.ones((5, 1)), np.zeros((5, 1))
         preds, (Q, coeffs) = ogd(learner.blocks(u, y), y)
         np.testing.assert_array_equal(preds, 0.0)
@@ -389,7 +399,7 @@ class TestLearnedCoeffs:
         np.testing.assert_array_equal(coeffs, c.coeffs[1:])
 
     def test_scalar_coefficient_gradient(self):
-        learner = LearnedCoeffLearner(cv(1.0, 0.0), 1, 1, lr_model0=0.0, lr_coeffs0=0.1)
+        learner = RegressionLearner(cv(1.0, 0.0), 1, 1, lr0=0.0, lr_coeffs0=0.1)
         # step 1 has no lagged target, so c_1 first moves at step 2, where
         # y_{t-1} = 2 and the residual is 0 - (-1.5) > 0
         u, y = np.zeros((2, 1)), np.array([[2.0], [-1.5]])
@@ -402,7 +412,7 @@ class TestLearnedCoeffs:
         # update can move it, while the others do move
         rng = np.random.default_rng(5)
         c = chebyshev_monic(3)
-        learner = LearnedCoeffLearner(c, 1, 1, lr_coeffs0=1.0)
+        learner = RegressionLearner(c, 1, 1, lr_coeffs0=1.0)
         u, y = rng.standard_normal((20, 1)), rng.standard_normal((20, 1))
         _, (_, coeffs) = ogd(learner.blocks(u, y), y)
         assert coeffs.shape == (3,)
@@ -413,9 +423,10 @@ class TestLearnedCoeffs:
         rng = np.random.default_rng(6)
         u, y = rng.standard_normal((30, 1)), rng.standard_normal((30, 1))
         fixed = RegressionLearner(c, 1, 1).run(u, y)
-        np.testing.assert_array_equal(LearnedCoeffLearner(c, 1, 1).run(u, y)[0], fixed[0])
+        learned = RegressionLearner(c, 1, 1, lr_coeffs0=0.1).run(u, y)
+        np.testing.assert_array_equal(learned[0], fixed[0])
         # with a zero coefficient rate the two coincide on the whole stream
-        frozen_c = LearnedCoeffLearner(c, 1, 1, lr_coeffs0=0.0).run(u, y)
+        frozen_c = RegressionLearner(c, 1, 1, lr_coeffs0=0.0).run(u, y)
         np.testing.assert_array_equal(frozen_c, fixed)
 
 
@@ -463,7 +474,7 @@ def causal_learners():
     bank = build_filter_bank(CAUSAL_T - c.degree - 1, ComplexSector(0.1), 4)
     return {
         "regression": RegressionLearner(c, 2, 2, lr0=0.05),
-        "learned": LearnedCoeffLearner(c, 2, 2, lr_model0=0.05, lr_coeffs0=0.01),
+        "learned": RegressionLearner(c, 2, 2, lr0=0.05, lr_coeffs0=0.01),
         "spectral": SpectralLearner(c, bank, 2, 2, total_horizon=CAUSAL_T, lr0=0.05),
     }
 
@@ -488,7 +499,7 @@ def test_first_non_finite_prediction_is_named():
     X = np.ones((5, 1, 1))
     X[3] = np.inf
     with pytest.raises(ValueError, match="non-finite prediction at step 3 of 5"):
-        ogd([(X, np.full((1, 1, 1), 0.5), 0.0, None)], np.zeros((5, 1)), frozen=True)
+        ogd([(X, np.full((1, 1, 1), 0.5), 0.0, None)], np.zeros((5, 1)))
 
 
 class TestSelectDegree:

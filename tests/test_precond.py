@@ -1,11 +1,11 @@
-"""Convolution, reconstruction, and the preconditioned view."""
+"""Convolution and reconstruction."""
 
 import numpy as np
 import pytest
 
-from seqprecond.dynsys import Trajectory, gaussian_inputs
+from seqprecond.dynsys import gaussian_inputs
 from seqprecond.poly import CoefficientVector, chebyshev_monic, differencing
-from seqprecond.precond import convolve, precondition, reconstruct_prediction
+from seqprecond.precond import convolve, reconstruct_prediction
 
 
 def cv(*coeffs):
@@ -83,12 +83,3 @@ class TestReconstruct:
     def test_short_history_rejected(self):
         with pytest.raises(ValueError, match="history"):
             reconstruct_prediction(np.zeros(1), np.zeros((1, 1)), chebyshev_monic(3))
-
-
-class TestView:
-    def test_precondition_view_fields(self):
-        traj = Trajectory(gaussian_inputs(8, 1, 0), gaussian_inputs(8, 1, 1))
-        c = differencing()
-        view = precondition(traj, c)
-        assert view.horizon == 8
-        np.testing.assert_array_equal(view.transformed, convolve(traj.outputs, c))
