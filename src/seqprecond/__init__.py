@@ -35,7 +35,6 @@ from seqprecond.learners import (
 from seqprecond.poly import (
     CoefficientVector,
     ComplexSector,
-    Family,
     chebyshev_monic,
     differencing,
     eval_complex,
@@ -43,7 +42,7 @@ from seqprecond.poly import (
     sup_on_sector,
 )
 from seqprecond.precond import convolve, reconstruct_prediction
-from seqprecond.spectral import FilterBank, build_filter_bank, build_gram, filter_project
+from seqprecond.spectral import FilterBank, build_filter_bank, build_gram
 
 __version__ = "0.1.0"
 
@@ -51,7 +50,6 @@ __all__ = [
     "CoefficientVector",
     "ComplexSector",
     "ExperimentSpec",
-    "Family",
     "FilterBank",
     "GeneratorConfig",
     "LinearSystem",

@@ -141,10 +141,7 @@ def _cmd_precond(args) -> int:
     c = _load_coeffs(args.coeffs)
     traj = harness.ingest_csv(args.infile)
     transformed = convolve(traj.outputs, c)
-    out_traj = dynsys.Trajectory(
-        traj.inputs, transformed, seed=None,
-        generator_tag=f"precond:{traj.generator_tag}",
-    )
+    out_traj = dynsys.Trajectory(traj.inputs, transformed)
     harness.write_trajectory_csv(out_traj, args.out)
     print(f"wrote preconditioned outputs (degree {c.degree}) to {args.out}")
     return 0

@@ -10,7 +10,7 @@ condition number is recorded as kappa.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -109,9 +109,6 @@ class NonlinearSystem:
 class Trajectory:
     inputs: np.ndarray  # (T, d_in)
     outputs: np.ndarray  # (T, d_out)
-    seed: int | None = None
-    generator_tag: str = ""
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         u = _as_time_major(self.inputs)
@@ -281,23 +278,6 @@ def sample_system(
     return _assemble(upper, reals, d_in, d_out, rng, basis_cond, noise_sigma)
 
 
-def permutation_system(d_h: int, noise_sigma: float = 0.0) -> LinearSystem:
-    """Cyclic-shift system: A sends coordinate i to i+1 (mod d_h), B = C = I.
-
-    Its spectrum is the d_h-th roots of unity, all on the unit circle, and
-    the state replays inputs with period d_h.
-    """
-    if d_h < 1:
-        raise ValueError("d_h must be positive")
-    A = np.zeros((d_h, d_h))
-    A[0, d_h - 1] = 1.0
-    for i in range(1, d_h):
-        A[i, i - 1] = 1.0
-    eigs = np.exp(2j * np.pi * np.arange(d_h) / d_h)
-    I = np.eye(d_h)
-    return LinearSystem(A, I, I.copy(), eigs, 1.0, noise_sigma)
-
-
 def spectrum_summary(sys: LinearSystem) -> dict:
     """Both constraint views of the sampled spectrum: the generator caps
     |Im z| while the decay bounds care about |arg z|, so report each."""
@@ -310,17 +290,11 @@ def spectrum_summary(sys: LinearSystem) -> dict:
     }
 
 
-def gaussian_inputs(
-    T: int, d_in: int, seed, normalize: bool = False
-) -> np.ndarray:
-    """I.i.d. standard normal input rows; optionally scaled to unit length."""
+def gaussian_inputs(T: int, d_in: int, seed) -> np.ndarray:
+    """I.i.d. standard normal input rows."""
     if T < 1 or d_in < 1:
         raise ValueError("T and d_in must be positive")
-    u = np.random.default_rng(seed).standard_normal((T, d_in))
-    if normalize:
-        norms = np.linalg.norm(u, axis=1, keepdims=True)
-        u = u / np.where(norms == 0, 1.0, norms)
-    return u
+    return np.random.default_rng(seed).standard_normal((T, d_in))
 
 
 def simulate_lds(sys: LinearSystem, inputs: np.ndarray, seed=None) -> Trajectory:
@@ -336,7 +310,7 @@ def simulate_lds(sys: LinearSystem, inputs: np.ndarray, seed=None) -> Trajectory
         y[t] = sys.C @ x
     if sys.noise_sigma > 0:
         y += sys.noise_sigma * np.random.default_rng(seed).standard_normal(y.shape)
-    return Trajectory(u, y, seed=seed, generator_tag="lds")
+    return Trajectory(u, y)
 
 
 def simulate_nonlinear(
@@ -355,7 +329,7 @@ def simulate_nonlinear(
         y[t] = nl.C @ x
     if nl.noise_sigma > 0:
         y += nl.noise_sigma * np.random.default_rng(seed).standard_normal(y.shape)
-    return Trajectory(u, y, seed=seed, generator_tag="nonlinear")
+    return Trajectory(u, y)
 
 
 def sample_nonlinear_system(

@@ -15,7 +15,7 @@ import csv
 import hashlib
 import json
 import math
-import os
+import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 
@@ -120,6 +120,14 @@ def validate_spec(spec: ExperimentSpec) -> None:
         raise ValueError(f"need 1 <= window <= horizon, got W={spec.window}, T={spec.horizon}")
     if not spec.oracle_comparator and len(spec.lr_grid) == 0:
         raise ValueError("learning-rate grid must be nonempty")
+    for name in ("lr_grid", "lr_grid_coeffs"):
+        for lr in getattr(spec, name) or ():
+            if not (isinstance(lr, numbers.Real) and math.isfinite(lr) and lr >= 0):
+                raise ValueError(f"{name} holds {lr!r}: a learning rate must be finite and >= 0")
+    if spec.variant == "learned" and spec.algo != "regression":
+        raise ValueError("the learned variant is defined for regression only")
+    if spec.lr_grid_coeffs is not None and spec.variant != "learned":
+        raise ValueError(f"lr_grid_coeffs applies to the learned variant, not {spec.variant!r}")
     if spec.variant == "custom" and not spec.custom_coeffs:
         raise ValueError("custom variant requires custom_coeffs")
     if spec.oracle_comparator:
@@ -127,6 +135,9 @@ def validate_spec(spec: ExperimentSpec) -> None:
             raise ValueError("oracle comparator needs a generated linear system")
         if spec.algo != "regression":
             raise ValueError("oracle comparator is defined for regression only")
+        if resolve_coefficients(spec).degree == 0:
+            raise ValueError(f"oracle comparator needs coefficients of degree >= 1; "
+                             f"variant {spec.variant!r} gives degree 0")
     if spec.csv_path is not None and spec.n_runs != 1:
         raise ValueError(f"a CSV spec holds one trajectory: n_runs must be 1, got {spec.n_runs}")
 
@@ -178,16 +189,6 @@ def _make_run_data(g: GeneratorConfig, horizon: int, seeds: list[int], r: int):
     raise ValueError(f"unknown generator kind {g.kind!r}")
 
 
-_BANK_CACHE: dict = {}
-
-
-def _bank_for(horizon: int, beta: float, k: int):
-    key = (horizon, beta, k)
-    if key not in _BANK_CACHE:
-        _BANK_CACHE[key] = build_filter_bank(horizon, ComplexSector(beta), k)
-    return _BANK_CACHE[key]
-
-
 def _build_learner(spec: ExperimentSpec, c, d_in: int, d_out: int, T: int, grid, systems):
     """One learner for every (rate, run) cell: its rates have shape
     (len(grid), 1), so they broadcast over the runs."""
@@ -200,7 +201,7 @@ def _build_learner(spec: ExperimentSpec, c, d_in: int, d_out: int, T: int, grid,
     # (grid, 1, 1), or (grid, 1, 2) for the learned variant's (model, coefficient) pairs
     lr = np.array(grid, dtype=float).reshape(len(grid), 1, -1)
     if spec.algo == "spectral":
-        bank = _bank_for(T - c.degree - 1, spec.beta, spec.filter_count)
+        bank = build_filter_bank(T - c.degree - 1, ComplexSector(spec.beta), spec.filter_count)
         return learners.SpectralLearner(
             c, bank, d_in, d_out, total_horizon=T,
             norm_bound=spec.norm_bound, kappa_bound=spec.kappa_bound, lr0=lr[..., 0],
@@ -240,7 +241,7 @@ def run_experiment(spec: ExperimentSpec) -> MetricsReport:
 
     if spec.oracle_comparator:
         grid = [None]
-    elif spec.variant == "learned" and spec.algo == "regression":
+    elif spec.variant == "learned":
         coeff_grid = spec.lr_grid_coeffs if spec.lr_grid_coeffs else spec.lr_grid
         grid = [(m, cc) for m in spec.lr_grid for cc in coeff_grid]
     else:
@@ -410,7 +411,7 @@ def _parse_header(header: list[str]) -> tuple[int, int]:
     return d_in, d_out
 
 
-def ingest_csv(path: str, standardize: bool = False) -> dynsys.Trajectory:
+def ingest_csv(path: str) -> dynsys.Trajectory:
     """Parse a trajectory CSV, validating schema, continuity, and finiteness."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -454,13 +455,4 @@ def ingest_csv(path: str, standardize: bool = False) -> dynsys.Trajectory:
         raise ValueError("CSV contains no data rows")
     u = np.array(us)
     y = np.array(ys)
-    meta = {}
-    if standardize:
-        mu = y.mean(axis=0)
-        sd = y.std(axis=0)
-        sd = np.where(sd == 0, 1.0, sd)
-        y = (y - mu) / sd
-        meta = {"standardized": True, "y_mean": mu.tolist(), "y_std": sd.tolist()}
-    return dynsys.Trajectory(
-        u, y, seed=None, generator_tag=f"csv:{os.path.basename(path)}", meta=meta
-    )
+    return dynsys.Trajectory(u, y)

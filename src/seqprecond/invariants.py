@@ -17,7 +17,7 @@ import numpy as np
 from scipy.integrate import dblquad
 
 from seqprecond import dynsys, harness, poly
-from seqprecond.learners import RegressionLearner, SpectralLearner, ogd, oracle_weights
+from seqprecond.learners import RegressionLearner, SpectralLearner, lagged, ogd, oracle_weights
 from seqprecond.precond import convolve, reconstruct_prediction
 from seqprecond.spectral import build_filter_bank, build_gram, gram_entry
 
@@ -193,12 +193,6 @@ def average_error_decays_with_horizon() -> str:
     return _verdict(long_ < short, detail)
 
 
-def _newest_first(y, t, n):
-    """The n targets before step t, newest first, zero rows before the start."""
-    hist = y[max(0, t - n):t][::-1]
-    return np.vstack([hist, np.zeros((n - hist.shape[0], y.shape[1]))])
-
-
 def identities_and_determinism() -> str:
     """09: exact transform identities, and byte-identical reports per seed."""
     rng = np.random.default_rng(5)
@@ -208,8 +202,8 @@ def identities_and_determinism() -> str:
     y = rng.standard_normal((80, 2))
     z = convolve(y, c)
     worst_rt = 0.0
-    for t in range(80):
-        back = reconstruct_prediction(z[t], _newest_first(y, t, 4), c)
+    for t, hist in enumerate(lagged(y, 4, 1)):  # the 4 targets before t, newest first
+        back = reconstruct_prediction(z[t], hist, c)
         worst_rt = max(worst_rt, float(np.abs(back - y[t]).max()))
 
     # direct online learner == offline transform + inner learner + reconstruction,
@@ -222,8 +216,8 @@ def identities_and_determinism() -> str:
     inner = RegressionLearner(poly.CoefficientVector(np.array([1.0])), 2, 2, num_taps=4, lr0=0.05)
     z_hats = inner.run(traj.inputs, z)
     worst_stream = 0.0
-    for t, z_hat in enumerate(z_hats):
-        raw_hat = reconstruct_prediction(z_hat, _newest_first(traj.outputs, t, 4), c)
+    for t, (z_hat, hist) in enumerate(zip(z_hats, lagged(traj.outputs, 4, 1))):
+        raw_hat = reconstruct_prediction(z_hat, hist, c)
         worst_stream = max(worst_stream, float(np.abs(raw_hat - online[t]).max()))
 
     # spectral prediction is additive in its parameter blocks

@@ -27,7 +27,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.signal import lfilter
 
 from seqprecond.dynsys import LinearSystem
-from seqprecond.poly import CoefficientVector, Family, sup_on_sector
+from seqprecond.poly import CoefficientVector, sup_on_sector
 from seqprecond.spectral import FilterBank
 
 # Upper bound for ||C|| ||B|| kappa used in domain radii when the true
@@ -93,8 +93,9 @@ def lagged(x: np.ndarray, taps: int, lag: int = 0) -> np.ndarray:
 def deep_past(bank: FilterBank, u: np.ndarray, n: int, T: int) -> np.ndarray:
     """Filter projections of the inputs older than the window u_t..u_{t-n}.
 
-    Row t equals `filter_project(bank, padded, T)` for the block whose row
-    s holds u_{t-n-1-s}, zero-padded to the bank horizon: one causal
+    Row t, filter j holds sum_s filters[j, s] u_{t-n-1-s} / sqrt(T) over
+    the inputs that exist (u_s = 0 before the start): the deep past,
+    newest first, projected onto each filter.  This is one causal
     convolution of u with each filter.  For u of shape (..., len, d_in)
     the result has shape (..., len, k, d_in).
     """
@@ -239,7 +240,7 @@ def tilde_expand(c: CoefficientVector) -> CoefficientVector:
     prediction identity simultaneously, so predictions are unaffected.
     """
     expanded = np.convolve(c.coeffs, [-1.0, 0.0, 1.0])
-    return CoefficientVector(-expanded, Family.CUSTOM)
+    return CoefficientVector(-expanded)
 
 
 class RegressionLearner:
@@ -314,8 +315,6 @@ class SpectralLearner:
         kappa_bound: float = 1.0,
         lr0: float | None = None,
     ):
-        if bank.sector is None:
-            raise ValueError("bank must carry its sector to size the radii")
         n, k, T = c.degree, bank.k, total_horizon
         beta = bank.sector.beta
         self.c = c

@@ -8,8 +8,7 @@ converted to floats once, at the boundary.  A coefficient vector
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from enum import Enum
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -20,20 +19,11 @@ import numpy as np
 MAX_DEGREE = 60
 
 
-class Family(str, Enum):
-    CHEBYSHEV = "chebyshev"
-    LEGENDRE = "legendre"
-    DIFFERENCING = "differencing"
-    CUSTOM = "custom"
-    LEARNED = "learned"
-
-
 @dataclass(frozen=True)
 class CoefficientVector:
     """Monic coefficient vector in descending powers, c[0] == 1."""
 
     coeffs: np.ndarray
-    family: Family = Family.CUSTOM
 
     def __post_init__(self):
         arr = np.asarray(self.coeffs, dtype=float)
@@ -115,23 +105,23 @@ def legendre_exact(n: int) -> list[Fraction]:
     return [c / lead for c in cur]
 
 
-def _to_vector(exact: list[Fraction], family: Family) -> CoefficientVector:
-    return CoefficientVector(np.array([float(c) for c in exact]), family)
+def _to_vector(exact: list[Fraction]) -> CoefficientVector:
+    return CoefficientVector(np.array([float(c) for c in exact]))
 
 
 def chebyshev_monic(n: int) -> CoefficientVector:
     """Monic Chebyshev coefficient vector of degree n."""
-    return _to_vector(chebyshev_exact(n), Family.CHEBYSHEV)
+    return _to_vector(chebyshev_exact(n))
 
 
 def legendre_monic(n: int) -> CoefficientVector:
     """Monic Legendre coefficient vector of degree n."""
-    return _to_vector(legendre_exact(n), Family.LEGENDRE)
+    return _to_vector(legendre_exact(n))
 
 
 def differencing() -> CoefficientVector:
     """First-order differencing preset, p(x) = x - 1."""
-    return CoefficientVector(np.array([1.0, -1.0]), Family.DIFFERENCING)
+    return CoefficientVector(np.array([1.0, -1.0]))
 
 
 def as_coeff_array(c) -> np.ndarray:

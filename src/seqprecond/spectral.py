@@ -71,26 +71,23 @@ class FilterBank:
     horizon: int
     eigenvalues: np.ndarray  # full spectrum, descending
     filters: np.ndarray  # (k, horizon) rows
-    sector: ComplexSector | None = None
+    sector: ComplexSector
 
     @property
     def k(self) -> int:
         return self.filters.shape[0]
 
 
-def filter_bank(Z: np.ndarray, k: int, sector: ComplexSector | None = None) -> FilterBank:
-    """Extract the top-k eigenvectors of a symmetric PSD Gram matrix.
+def build_filter_bank(horizon: int, sector: ComplexSector, k: int) -> FilterBank:
+    """The top-k eigenvectors of the sector Gram matrix of size horizon.
 
     Sign convention: the first component of each filter whose magnitude is
     non-negligible is made positive, so the bank is reproducible bit for
     bit on one platform.
     """
-    Z = np.asarray(Z, dtype=float)
-    horizon = Z.shape[0]
-    if Z.shape != (horizon, horizon):
-        raise ValueError(f"Gram matrix must be square, got {Z.shape}")
     if not 0 <= k <= horizon:
         raise ValueError(f"need 0 <= k <= {horizon}, got k={k}")
+    Z = build_gram(horizon, sector)
     w, V = scipy.linalg.eigh(Z)
     w = w[::-1]
     V = V[:, ::-1]
@@ -120,26 +117,3 @@ def _validate_bank(Z: np.ndarray, bank: FilterBank) -> None:
             raise ValueError("eigenpair residual exceeds 1e-8 * largest eigenvalue")
     if np.any(np.diff(w) > 1e-12) or w[-1] < -1e-10:
         raise ValueError("eigenvalues must be descending and nonnegative to 1e-10")
-
-
-def build_filter_bank(horizon: int, sector: ComplexSector, k: int) -> FilterBank:
-    return filter_bank(build_gram(horizon, sector), k, sector)
-
-
-def filter_project(
-    bank: FilterBank, padded_inputs: np.ndarray, total_horizon: int | None = None
-) -> np.ndarray:
-    """Project a zero-padded reversed input block onto the filters.
-
-    Row j of the result is filters[j] . padded_inputs, scaled by
-    1/sqrt(total_horizon); the scale horizon defaults to the bank's own.
-    """
-    u = np.asarray(padded_inputs, dtype=float)
-    if u.ndim == 1:
-        u = u[:, None]
-    if u.shape[0] != bank.horizon:
-        raise ValueError(
-            f"padded inputs have length {u.shape[0]}, bank expects {bank.horizon}"
-        )
-    T = bank.horizon if total_horizon is None else total_horizon
-    return (bank.filters @ u) / np.sqrt(T)

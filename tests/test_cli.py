@@ -274,6 +274,12 @@ class TestRunCommand:
         assert run_cli("run", "--config", str(cfg)) == 1
         assert "n_runs" in capsys.readouterr().err
 
+    def test_learned_spectral_flags_exit_one(self, tmp_path, capsys):
+        cfg = self.make_config(tmp_path)
+        argv = ("run", "--config", str(cfg), "--algo", "spectral", "--precond", "learned")
+        assert run_cli(*argv) == 1
+        assert "learned variant is defined for regression only" in capsys.readouterr().err
+
     def test_missing_config_file(self, tmp_path, capsys):
         assert run_cli("run", "--config", str(tmp_path / "nope.json")) == 1
         assert "error:" in capsys.readouterr().err

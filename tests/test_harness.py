@@ -89,6 +89,21 @@ class TestValidateSpec:
             ),
             (dict(oracle_comparator=True, algo="spectral"), "regression only"),
             (dict(csv_path="x.csv"), "CSV spec holds one trajectory: n_runs must be 1, got 3"),
+            (dict(lr_grid=(1e-2, -0.1)), r"lr_grid holds -0\.1: a learning rate must be finite"),
+            (dict(lr_grid=(float("nan"),)), "lr_grid holds nan"),
+            (dict(lr_grid=(float("inf"),)), "lr_grid holds inf"),
+            (dict(lr_grid=("0.1",)), "lr_grid holds '0.1'"),
+            (
+                dict(variant="learned", lr_grid_coeffs=(1e-2, -1e-3)),
+                r"lr_grid_coeffs holds -0\.001",
+            ),
+            (dict(variant="learned", algo="spectral"), "learned variant is defined for regression"),
+            (dict(lr_grid_coeffs=(1e-2,)), "applies to the learned variant, not 'chebyshev'"),
+            (dict(oracle_comparator=True, variant="none"), "variant 'none' gives degree 0"),
+            (
+                dict(oracle_comparator=True, variant="custom", custom_coeffs=(1.0,)),
+                "oracle comparator needs coefficients of degree >= 1; variant 'custom'",
+            ),
         ],
     )
     def test_rejections_name_the_problem(self, overrides, fragment):
@@ -279,7 +294,6 @@ class TestCsvExchange:
         back = H.ingest_csv(path)
         np.testing.assert_array_equal(back.inputs, traj.inputs)
         np.testing.assert_array_equal(back.outputs, traj.outputs)
-        assert back.generator_tag.startswith("csv:")
 
     def test_handcrafted_rows(self, tmp_path):
         path = tmp_path / "hand.csv"
@@ -352,20 +366,6 @@ class TestCsvExchange:
         with pytest.raises(ValueError, match="no data rows"):
             H.ingest_csv(str(header_only))
 
-    def test_standardize_centers_and_scales_outputs(self, tiny_csv):
-        _, path = tiny_csv
-        traj = H.ingest_csv(path, standardize=True)
-        np.testing.assert_allclose(traj.outputs.mean(axis=0), 0.0, atol=1e-12)
-        np.testing.assert_allclose(traj.outputs.std(axis=0), 1.0, atol=1e-12)
-        assert traj.meta["standardized"] is True
-        assert len(traj.meta["y_mean"]) == 2
-
-    def test_standardize_leaves_inputs_and_constant_columns_finite(self, tmp_path):
-        path = tmp_path / "const.csv"
-        path.write_text("t,u_0,y_0\n1,0.5,2.0\n2,0.25,2.0\n3,1.5,2.0\n")
-        traj = H.ingest_csv(str(path), standardize=True)
-        np.testing.assert_array_equal(traj.inputs[:, 0], [0.5, 0.25, 1.5])
-        np.testing.assert_array_equal(traj.outputs[:, 0], [0.0, 0.0, 0.0])
 
 
 class TestSweep:

@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from seqprecond.dynsys import gaussian_inputs, simulate_lds, system_from_eigenvalues
 from seqprecond.poly import ComplexSector, CoefficientVector, chebyshev_monic
-from seqprecond.spectral import build_filter_bank, filter_project
+from seqprecond.spectral import build_filter_bank
 from seqprecond.learners import (
     RegressionLearner,
     SpectralLearner,
@@ -79,6 +81,14 @@ class TestLagged:
             windows[0, 0, 0] = 1.0
 
 
+def filter_project(bank, padded, T):
+    """Reference for one row of `deep_past`: a zero-padded block of the
+    deep past, newest first, projected onto the filters and scaled by
+    1/sqrt(T)."""
+    assert padded.shape[0] == bank.horizon
+    return (bank.filters @ padded) / np.sqrt(T)
+
+
 def padded_block(bank, u, t, n):
     """Inputs older than the window at step t, newest first, zero-padded."""
     block = np.zeros((bank.horizon, u.shape[1]))
@@ -100,6 +110,35 @@ class TestDeepPast:
         for t in range(T):
             want = filter_project(bank, padded_block(bank, u, t, n), T)
             np.testing.assert_allclose(got[t], want, rtol=0, atol=1e-12)
+
+    @given(st.data())
+    def test_matches_filter_project_reference(self, data):
+        horizon = data.draw(st.integers(1, 24), label="horizon")
+        k = data.draw(st.integers(0, horizon), label="k")
+        n = data.draw(st.integers(0, 4), label="n")
+        d_in = data.draw(st.integers(1, 3), label="d_in")
+        cells = data.draw(st.lists(st.integers(1, 2), max_size=2), label="cells")
+        length = data.draw(st.integers(1, n + 1 + horizon), label="length")  # depth <= horizon
+        T = length + data.draw(st.integers(0, 3), label="extra steps")
+        bank = build_filter_bank(horizon, ComplexSector(data.draw(st.floats(0.01, 1.0))), k)
+        u = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).standard_normal(
+            (*cells, length, d_in)
+        )
+        got = deep_past(bank, u, n, T)
+        assert got.shape == (*cells, length, k, d_in)
+        for cell in np.ndindex(*cells):
+            want = [padded_block(bank, u[cell], t, n) for t in range(length)]
+            want = np.array([filter_project(bank, block, T) for block in want])
+            np.testing.assert_allclose(got[cell], want, rtol=0, atol=1e-12)
+
+    def test_one_hot(self):
+        # an impulse at the first step reaches row t through filter entry t-1
+        bank = build_filter_bank(32, ComplexSector(0.1), 4)
+        u = np.zeros((33, 1))
+        u[0] = 1.0
+        got = deep_past(bank, u, 0, 33)
+        np.testing.assert_array_equal(got[0], 0.0)
+        np.testing.assert_allclose(got[1:, :, 0], bank.filters.T / np.sqrt(33), atol=1e-15)
 
     def test_too_deep_rejected(self):
         bank = build_filter_bank(8, ComplexSector(0.1), 2)
@@ -374,7 +413,7 @@ class TestOracleWeights:
         T = 100
         for seed in range(3):
             sys = self._sys(seed=seed, d=5)
-            u = gaussian_inputs(T, 1, seed + 10, normalize=True)
+            u = np.sign(gaussian_inputs(T, 1, seed + 10))  # unit-length input rows
             traj = simulate_lds(sys, u)
             learner = RegressionLearner(
                 c, 1, 1, num_taps=n, lr0=0.0, init_Q=oracle_weights(sys, c)

@@ -187,7 +187,7 @@ def reference_experiment(spec):
     means = []
     for lr in grid:
         if spec.algo == "spectral":
-            bank = H._bank_for(T - c.degree - 1, spec.beta, spec.filter_count)
+            bank = build_filter_bank(T - c.degree - 1, ComplexSector(spec.beta), spec.filter_count)
             learner = SpectralLearner(c, bank, d_in, d_out, total_horizon=T, lr0=lr)
         elif spec.variant == "learned":
             learner = RegressionLearner(c, d_in, d_out, num_taps=taps,

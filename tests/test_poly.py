@@ -10,7 +10,6 @@ from seqprecond.poly import (
     MAX_DEGREE,
     CoefficientVector,
     ComplexSector,
-    Family,
     chebyshev_exact,
     chebyshev_monic,
     differencing,
@@ -75,11 +74,6 @@ class TestExactCoefficients:
         assert c.coeffs[0] == 1.0
         assert c.degree == 7
         assert len(c) == 8
-
-    def test_families_tagged(self):
-        assert chebyshev_monic(3).family is Family.CHEBYSHEV
-        assert legendre_monic(3).family is Family.LEGENDRE
-        assert differencing().family is Family.DIFFERENCING
 
     def test_differencing_preset(self):
         np.testing.assert_array_equal(differencing().coeffs, [1.0, -1.0])

@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from seqprecond.dynsys import gaussian_inputs
+from seqprecond.learners import lagged
 from seqprecond.poly import CoefficientVector, chebyshev_monic, differencing
 from seqprecond.precond import convolve, reconstruct_prediction
 
@@ -79,6 +82,20 @@ class TestReconstruct:
                         hist[i - 1] = y[t - i]
                 back = reconstruct_prediction(z[t], hist, c)
                 np.testing.assert_allclose(back, y[t], atol=1e-12)
+
+    @given(
+        coeffs=st.lists(st.floats(-2.0, 2.0), max_size=6),
+        T=st.integers(1, 30),
+        d=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_round_trip_any_monic_coefficients(self, coeffs, T, d, seed):
+        c = cv(1.0, *coeffs)
+        y = np.random.default_rng(seed).standard_normal((T, d))
+        z = convolve(y, c)
+        for t, hist in enumerate(lagged(y, c.degree, 1)):  # the targets before t, newest first
+            back = reconstruct_prediction(z[t], hist, c)
+            np.testing.assert_allclose(back, y[t], rtol=0, atol=1e-12)
 
     def test_short_history_rejected(self):
         with pytest.raises(ValueError, match="history"):
