@@ -135,6 +135,9 @@ def validate_spec(spec: ExperimentSpec) -> None:
             raise ValueError("oracle comparator needs a generated linear system")
         if spec.algo != "regression":
             raise ValueError("oracle comparator is defined for regression only")
+        if spec.variant == "learned":
+            raise ValueError("oracle_comparator=True holds the coefficients fixed: "
+                             "it does not apply to variant='learned'")
         if resolve_coefficients(spec).degree == 0:
             raise ValueError(f"oracle comparator needs coefficients of degree >= 1; "
                              f"variant {spec.variant!r} gives degree 0")

@@ -24,7 +24,6 @@ from math import ceil, log, log2, sqrt
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.signal import lfilter
 
 from seqprecond.dynsys import LinearSystem
 from seqprecond.poly import CoefficientVector, sup_on_sector
@@ -105,8 +104,11 @@ def deep_past(bank: FilterBank, u: np.ndarray, n: int, T: int) -> np.ndarray:
         raise ValueError(f"history depth {depth} exceeds bank horizon {bank.horizon}")
     out = np.zeros((*u.shape[:-1], bank.k, u.shape[-1]))
     if depth > 0:
-        for j, f in enumerate(bank.filters):
-            out[..., n + 1 :, j, :] = lfilter(f, [1.0], u[..., :depth, :], axis=-2)
+        # direct, not FFT, convolution: row t must read u_0..u_t only, bit for bit
+        for cell in np.ndindex(u.shape[:-2]):
+            for c in range(u.shape[-1]):
+                for j, f in enumerate(bank.filters):
+                    out[cell][n + 1 :, j, c] = np.convolve(u[cell][:depth, c], f)[:depth]
         out /= np.sqrt(T)
     return out
 

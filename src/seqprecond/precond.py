@@ -11,7 +11,6 @@ acceptance criterion 09 in `seqprecond.invariants` checks the identity.
 from __future__ import annotations
 
 import numpy as np
-from scipy.signal import lfilter
 
 from seqprecond.dynsys import _as_time_major
 from seqprecond.poly import as_coeff_array
@@ -21,7 +20,10 @@ def convolve(outputs, c) -> np.ndarray:
     """Causal convolution of each output channel with the coefficient vector."""
     y = _as_time_major(outputs)
     coeffs = as_coeff_array(c)
-    return lfilter(coeffs, [1.0], y, axis=0)
+    z = coeffs[0] * y
+    for j in range(1, min(coeffs.size, len(y))):
+        z[j:] += coeffs[j] * y[:-j]
+    return z
 
 
 def reconstruct_prediction(model_output, history, c) -> np.ndarray:

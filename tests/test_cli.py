@@ -2,10 +2,15 @@
 
 import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import seqprecond
 from seqprecond import dynsys, harness, invariants
 from seqprecond.cli import _build_parser, main
 from seqprecond.harness import ingest_csv
@@ -413,3 +418,11 @@ class TestTopLevel:
     def test_unknown_subcommand_is_usage_error(self, capsys):
         assert run_cli("frobnicate") == 1
         assert "invalid choice" in capsys.readouterr().err
+
+
+def test_importing_the_cli_loads_no_scipy():
+    # scipy is loaded only to build a filter bank and for criterion 03
+    env = dict(os.environ, PYTHONPATH=str(Path(seqprecond.__file__).parents[1]))
+    code = "import sys, seqprecond.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

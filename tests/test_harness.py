@@ -104,6 +104,10 @@ class TestValidateSpec:
                 dict(oracle_comparator=True, variant="custom", custom_coeffs=(1.0,)),
                 "oracle comparator needs coefficients of degree >= 1; variant 'custom'",
             ),
+            (
+                dict(oracle_comparator=True, variant="learned"),
+                "oracle_comparator=True .* variant='learned'",
+            ),
         ],
     )
     def test_rejections_name_the_problem(self, overrides, fragment):

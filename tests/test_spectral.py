@@ -1,13 +1,19 @@
 """Sector Gram matrix: closed form vs quadrature, eigendecay, filter bank."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.integrate import dblquad
 
 from seqprecond.poly import ComplexSector
 from seqprecond.spectral import (
     MAX_HORIZON,
     FilterBank,
+    _gram,
+    _validate_bank,
     build_filter_bank,
     build_gram,
     gram_entry,
@@ -90,6 +96,14 @@ class TestBuildGram:
             for k in range(6):
                 assert Z[j, k] == pytest.approx(gram_entry(j, k, s), abs=1e-15)
 
+    @given(st.integers(1, 300), st.floats(0.0, 1.0, exclude_min=True))
+    def test_equals_the_closed_form_bit_for_bit(self, horizon, beta):
+        idx = np.arange(horizon)
+        np.testing.assert_array_equal(
+            build_gram(horizon, ComplexSector(beta)),
+            _gram(idx[:, None], idx[None, :], beta),
+        )
+
     def test_exactly_symmetric(self):
         Z = build_gram(128, ComplexSector(0.07))
         assert np.abs(Z - Z.T).max() == 0.0
@@ -139,8 +153,8 @@ class TestFilterBank:
 
     def test_eigendecay_count(self):
         beta = 0.1
-        bank = build_filter_bank(256, ComplexSector(beta), 4)
-        assert int((bank.eigenvalues > beta).sum()) <= 6 * np.log(256)
+        sigma = np.linalg.eigvalsh(build_gram(256, ComplexSector(beta)))
+        assert int((sigma > beta).sum()) <= 6 * np.log(256)
 
     def test_deterministic(self):
         a = build_filter_bank(64, ComplexSector(0.1), 5)
@@ -158,3 +172,65 @@ class TestFilterBank:
         with pytest.raises(ValueError, match="k=-1"):
             build_filter_bank(4, ComplexSector(0.1), -1)
 
+
+def reference_bank(horizon: int, beta: float, k: int):
+    """Oracle: the top k eigenpairs from the full dense eigendecomposition,
+    the whole spectrum descending, and the Gram matrix."""
+    Z = build_gram(horizon, ComplexSector(beta))
+    w, V = np.linalg.eigh(Z)
+    return w[::-1][:k], V[:, ::-1][:, :k].T, w[::-1], Z
+
+
+class TestAgainstDenseEigh:
+    """Filters whose eigenvalue is above 1e-10 * the largest match the dense
+    solve; below that floor the eigenvectors are arbitrary (at horizon 40,
+    k=38 dense solves differ by |cos| ~ 0), so only their eigenpair
+    residual and orthonormality are checked."""
+
+    @pytest.mark.parametrize(
+        "horizon,beta,k",
+        [(40, 0.1, 0), (40, 0.1, 1), (40, 0.1, 39), (40, 0.1, 40), (1994, 0.1, 24)],
+    )
+    def test_matches_the_dense_bank(self, horizon, beta, k):
+        bank = build_filter_bank(horizon, ComplexSector(beta), k)
+        w_ref, F_ref, spectrum, Z = reference_bank(horizon, beta, k)
+        assert bank.filters.shape == (k, horizon) and bank.eigenvalues.shape == (k,)
+        top = spectrum[0]
+        above = w_ref > 1e-10 * top
+        cos = np.abs(np.sum(bank.filters * F_ref, axis=1))
+        assert np.all(1.0 - cos[above] <= 1e-12)
+        assert np.all(np.abs(bank.eigenvalues - w_ref)[above] <= 1e-12 * top)
+        resid = Z @ bank.filters.T - bank.filters.T * bank.eigenvalues
+        assert np.abs(resid).max(initial=0.0) <= 1e-12 * top
+        orth = bank.filters @ bank.filters.T - np.eye(k)
+        assert np.abs(orth).max(initial=0.0) <= 1e-12
+
+
+class TestValidateBank:
+    @pytest.fixture
+    def valid(self):
+        # build_filter_bank has validated it
+        bank = build_filter_bank(40, ComplexSector(0.1), 4)
+        return build_gram(40, ComplexSector(0.1)), bank
+
+    def test_rejects_non_orthonormal_filters(self, valid):
+        Z, bank = valid
+        with pytest.raises(ValueError, match="orthonormal"):
+            _validate_bank(Z, dataclasses.replace(bank, filters=bank.filters * (1 + 1e-6)))
+
+    def test_rejects_a_bad_residual(self, valid):
+        # swapped filters stay orthonormal but no longer match their eigenvalues
+        Z, bank = valid
+        swapped = bank.filters[[1, 0, 2, 3]]
+        with pytest.raises(ValueError, match="residual"):
+            _validate_bank(Z, dataclasses.replace(bank, filters=swapped))
+
+    def test_rejects_a_negative_eigenvalue(self, valid):
+        # move the smallest eigenvalue of Z to -1e-8, leaving the top pairs
+        Z, bank = valid
+        w, V = np.linalg.eigh(Z)
+        v = V[:, 0]
+        Z_bad = Z - (w[0] + 1e-8) * np.outer(v, v)
+        assert np.linalg.eigvalsh(Z_bad)[0] == pytest.approx(-1e-8, rel=1e-6)
+        with pytest.raises(ValueError, match="nonnegative to 1e-10"):
+            _validate_bank(Z_bad, bank)
