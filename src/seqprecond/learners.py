@@ -123,6 +123,7 @@ class NonFinitePrediction(ValueError):
 
     def __init__(self, step: int, T: int, cell: tuple = ()):
         super().__init__(f"non-finite prediction at step {step} of {T}")
+        self.step = step
         self.cell = cell
 
 

@@ -420,9 +420,24 @@ class TestTopLevel:
         assert "invalid choice" in capsys.readouterr().err
 
 
-def test_importing_the_cli_loads_no_scipy():
-    # scipy is loaded only to build a filter bank and for criterion 03
+SCIPY_MODULES = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
+
+
+def loaded_scipy(code):
+    """The scipy modules loaded after running `code` in a fresh interpreter."""
     env = dict(os.environ, PYTHONPATH=str(Path(seqprecond.__file__).parents[1]))
-    code = "import sys, seqprecond.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    code = f"import sys\n{code}\nprint({SCIPY_MODULES})"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip().splitlines()[-1]
+
+
+def test_importing_the_cli_loads_no_scipy():
+    # scipy is loaded only for criterion 03
+    assert loaded_scipy("import seqprecond.cli") == "[]"
+
+
+def test_building_a_filter_bank_loads_no_scipy(tmp_path):
+    out = tmp_path / "bank.json"
+    code = f"from seqprecond.cli import main\nmain(['filters', '--T', '300', '--k', '8', '--out', {str(out)!r}])"
+    assert loaded_scipy(code) == "[]"
+    assert json.loads(out.read_text())["k"] == 8

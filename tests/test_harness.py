@@ -8,7 +8,7 @@ import pytest
 from seqprecond import harness as H
 from seqprecond.dynsys import gaussian_inputs, sample_system, simulate_lds
 from seqprecond.invariants import SUITES, verify
-from seqprecond.learners import RegressionLearner
+from seqprecond.learners import NonFinitePrediction, RegressionLearner
 from seqprecond.poly import chebyshev_monic, differencing, legendre_monic
 
 TINY_GEN = H.GeneratorConfig(d_h=6, tau=0.05)
@@ -235,15 +235,15 @@ class TestRunExperiment:
                 traj, _ = H._make_run_data(spec.generator, spec.horizon, seeds, r)
                 try:
                     cell.run(traj.inputs, traj.outputs)
-                except ValueError as exc:
-                    return f"{exc} (lr=[0.001, 1e+308], run {r})"
+                except NonFinitePrediction as exc:
+                    return exc, f"{exc} (lr=[0.001, 1e+308], run {r})"
             pytest.fail("no run diverges at the first grid point")
 
-        want = first_failure()
+        failure, want = first_failure()
         with pytest.raises(ValueError) as exc:
             H.run_experiment(spec)
         assert str(exc.value) == want
-        assert want.startswith("non-finite prediction at step ")
+        assert want.startswith(f"non-finite prediction at step {failure.step} of 120 ")
 
     def test_csv_is_read_once_per_experiment(self, tiny_csv, monkeypatch):
         _, path = tiny_csv

@@ -3,7 +3,8 @@
 `reference_ogd` is the per-step, per-cell, per-tap recursion that `ogd`
 replaced, kept here verbatim in behaviour: one cell per call, one
 projection per tap.  Batched `ogd` must agree with it on every cell of a
-batch to 1e-12, and `run_experiment` must pick the same learning rate as
+batch to 1e-12, on fixed learners and on random blocks (a `hypothesis`
+property), and `run_experiment` must pick the same learning rate as
 a grid search that runs the reference cell by cell.
 """
 
@@ -11,6 +12,8 @@ from math import sqrt
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from seqprecond import harness as H
 from seqprecond.learners import RegressionLearner, SpectralLearner, ogd, oracle_weights
@@ -101,6 +104,52 @@ def test_every_cell_matches_the_reference(kind, d, taps):
             np.testing.assert_allclose(preds[g, r], want, rtol=TOL, atol=TOL)
             for W, w in zip(Ws, want_W):
                 np.testing.assert_allclose(W[g, r], w, rtol=TOL, atol=TOL)
+
+
+def draw_block(data, rng, cells, T, d_in, d_out, lag):
+    """One ogd block on random features: a matrix block (taps, d_out, d_in)
+    with an optional ball, or a lag block with one scalar weight per tap
+    and none.  Features and weights each span every cell axis or share
+    size-1 ones; the rate is drawn per cell and may be 0."""
+
+    def lead():
+        return cells if data.draw(st.booleans(), label="per cell") else (1,) * len(cells)
+
+    taps = data.draw(st.integers(1, 3), label="taps")
+    X = rng.standard_normal((*lead(), T, taps, d_out if lag else d_in))
+    W0 = rng.normal(scale=0.5, size=(*lead(), taps, *(() if lag else (d_out, d_in))))
+    n = int(np.prod(cells))
+    rates = st.lists(st.sampled_from([0.0, 1e-3, 0.05, 0.5, 2.0]), min_size=n, max_size=n)
+    lr0 = np.reshape(data.draw(rates, label="rates"), cells)
+    radius = None if lag else data.draw(st.none() | st.floats(0.05, 2.0), label="radius")
+    return X, W0, lr0, radius
+
+
+def cell_of(a, cell):
+    """The entry of `a` for `cell`, reading a size-1 cell axis as shared."""
+    return a[tuple(i if n > 1 else 0 for i, n in zip(cell, a.shape))]
+
+
+@given(st.data())
+def test_random_batches_match_the_reference_on_every_cell(data):
+    cells = tuple(data.draw(st.lists(st.integers(1, 3), max_size=2), label="cells"))
+    T = data.draw(st.integers(1, 12), label="T")
+    d_in, d_out = data.draw(st.integers(1, 3), label="d_in"), data.draw(st.integers(1, 3), label="d_out")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    blocks = [draw_block(data, rng, cells, T, d_in, d_out, lag=False)
+              for _ in range(data.draw(st.integers(1, 2), label="matrix blocks"))]
+    if data.draw(st.booleans(), label="lag block"):
+        blocks.append(draw_block(data, rng, cells, T, d_in, d_out, lag=True))
+    y = rng.standard_normal((*cells, T, d_out))
+    preds, Ws = ogd(blocks, y)
+    assert preds.shape == y.shape
+    for cell in np.ndindex(*cells):
+        mine = [(cell_of(X, cell), cell_of(W0, cell), float(lr0[cell]), radius)
+                for X, W0, lr0, radius in blocks]
+        want, want_W = reference_ogd(mine, y[cell])
+        np.testing.assert_allclose(preds[cell], want, rtol=TOL, atol=TOL)
+        for W, w in zip(Ws, want_W):
+            np.testing.assert_allclose(W[cell], w, rtol=TOL, atol=TOL)
 
 
 @pytest.mark.parametrize("d", [1, 3])
