@@ -420,13 +420,10 @@ class TestTopLevel:
         assert "invalid choice" in capsys.readouterr().err
 
 
-SCIPY_MODULES = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
-
-
 def loaded_scipy(code):
     """The scipy modules loaded after running `code` in a fresh interpreter."""
     env = dict(os.environ, PYTHONPATH=str(Path(seqprecond.__file__).parents[1]))
-    code = f"import sys\n{code}\nprint({SCIPY_MODULES})"
+    code = f"import sys\n{code}\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     return out.stdout.strip().splitlines()[-1]
 
