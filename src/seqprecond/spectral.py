@@ -41,9 +41,11 @@ MAX_HORIZON = 8192
 
 DEFAULT_FILTER_COUNT = 24
 
-# The eigensolve (see _top_eigenpairs): the least width of the Krylov block, and
-# the bounds on each kept pair's residual and angle at which it stops.
+# The eigensolve (see _top_eigenpairs): the least width of the Krylov block,
+# the number of steps in which a wider block reaches k vectors, and the
+# bounds on each kept pair's residual and angle at which it stops.
 _KRYLOV_BLOCK = 8
+_KRYLOV_STEPS = 8
 _RESIDUAL_TOL = 1e-14
 _ANGLE_TOL = 1e-8
 _GAP_FLOOR = 1e-10
@@ -117,11 +119,12 @@ def _top_eigenpairs(Z: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     eigenvectors as rows.
 
     Block Krylov with full reorthogonalisation: starting from a fixed-seed
-    block of _KRYLOV_BLOCK random vectors, each step applies Z to the
-    newest block, projects the result off the basis twice and appends it.
-    For k > 8 * _KRYLOV_BLOCK the block holds k/8 vectors, so a basis that
-    must exceed k vectors gets there in 8 steps (at T'=1994 and k=1000,
-    one BLAS thread: 6.7 s instead of 23 s with blocks of 8).
+    block of random vectors, each step applies Z to the newest block,
+    projects the result off the basis twice and appends it.  The block
+    holds _KRYLOV_BLOCK vectors, or k / _KRYLOV_STEPS when that is more:
+    every step past k vectors pays an eigensolve of the projected matrix
+    for the stopping rule, so for large k the basis grows in a bounded
+    number of steps instead of one step per _KRYLOV_BLOCK vectors.
     Rayleigh-Ritz on the basis gives Ritz pairs (theta_i, y_i).  In exact
     arithmetic the residual Z y_i - theta_i y_i is the newest projected
     block weighted by y_i's coordinates in the newest basis block, and its
@@ -131,26 +134,27 @@ def _top_eigenpairs(Z: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     the angle bound at most _ANGLE_TOL.  Gaps below _GAP_FLOOR * theta_0
     count as that floor: rounding at the scale of theta_0 can turn such
     directions by eps * theta_0 / gap > 2e-6 in any solve.  A basis that
-    reaches the size of Z is the dense solve, so every k from 0 to the
-    size takes this one path.  At T'=1994 and k=24 the basis stops at
-    48-176 vectors.
+    reaches the size of Z is the dense solve, so it stops there without
+    the rule, and every k from 0 to the size takes this one path.
     """
     n = Z.shape[0]
-    b = min(max(_KRYLOV_BLOCK, -(-k // 8)), n)
+    b = min(max(_KRYLOV_BLOCK, -(-k // _KRYLOV_STEPS)), n)
     # one basis vector per row; rows past the basis are never written, so
     # they take no memory
-    V, ZV, H = np.empty((n, n)), np.empty((n, n)), np.zeros((n, n))
+    V, H = np.empty((n, n)), np.zeros((n, n))
     start = np.random.default_rng(0).standard_normal((n, b))
     V[:b] = np.linalg.qr(start)[0].T
     m, new = 0, b
     while True:
         blk = slice(m, m + new)
-        ZV[blk] = V[blk] @ Z
-        H[blk, : m + new] = ZV[blk] @ V[: m + new].T  # lower triangle of V Z V^T
+        ZV = V[blk] @ Z
+        H[blk, : m + new] = ZV @ V[: m + new].T  # lower triangle of V Z V^T
         m += new
-        W = ZV[blk] - H[blk, :m] @ V[:m]
+        if m == n:
+            break
+        W = ZV - H[blk, :m] @ V[:m]
         W -= (W @ V[:m].T) @ V[:m]
-        if m > k or m == n:
+        if m > k:
             theta, S = np.linalg.eigh(H[:m, :m], UPLO="L")
             theta, S = theta[::-1], S[:, ::-1]
             est = np.linalg.norm(S[blk, :k].T @ W, axis=1)
@@ -160,7 +164,7 @@ def _top_eigenpairs(Z: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
                 _ANGLE_TOL * np.maximum(gap, _GAP_FLOOR * theta[0]),
                 _RESIDUAL_TOL * theta[0],
             )
-            if m == n or np.all(est <= bound):
+            if np.all(est <= bound):
                 break
         new = min(b, n - m)
         Q = np.linalg.qr(W[:new].T)[0].T
@@ -173,7 +177,9 @@ def _top_eigenpairs(Z: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     # and the QR iteration does not.  Rounding can make a close pair of
     # eigenvalues complex conjugates; the real and imaginary parts of such
     # a pair span its real invariant subspace.
-    H = np.tril(H[:m, :m]) + np.tril(H[:m, :m], -1).T
+    H = H[:m, :m]
+    for i in range(m - 1):  # mirror the lower triangle, without a copy of H
+        H[i, i + 1 :] = H[i + 1 :, i]
     w, X = np.linalg.eig(H)
     top = np.argsort(-w.real, kind="stable")[:k]
     X = np.linalg.qr(np.where(w[top].imag < 0, X[:, top].imag, X[:, top].real))[0]

@@ -184,6 +184,10 @@ DENSE_CASES = [
     # the 23rd eigenvalue, 3.6e-10 * the largest: its Ritz vector from the
     # divide-and-conquer eigh of the projected matrix is off by 1e-11
     (400, 0.05, 24),
+    # k > _KRYLOV_BLOCK * _KRYLOV_STEPS widens the block; at k = horizon
+    # the basis fills before any stopping-rule check
+    (300, 0.1, 100),
+    (300, 0.1, 300),
     (1994, 0.1, 24),
     (1994, 1.0, 24),
 ]
