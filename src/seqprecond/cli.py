@@ -121,7 +121,7 @@ def _cmd_gen_data(args) -> int:
         radius_lo=args.L, radius_hi=args.U, noise_sigma=args.sigma,
         basis_cond=args.basis_cond,
     )
-    traj, _ = harness._make_run_data(g, args.T, harness.derive_seeds(args.seed, 1), 0)
+    (traj,), _ = harness._make_runs(g, args.T, harness.derive_seeds(args.seed, 1))
     harness.write_trajectory_csv(traj, args.out)
     print(f"wrote {args.T} steps ({args.kind}, seed {args.seed}) to {args.out}")
     return 0

@@ -6,6 +6,14 @@ Transition matrices are built from a sampled eigenvalue multiset: complex
 values in conjugate pairs become 2x2 rotation-scaling blocks, the block
 diagonal is conjugated by a random well-conditioned basis, and the basis
 condition number is recorded as kappa.
+
+The runs of an experiment are simulated together: `simulate_lds_runs` and
+`simulate_nonlinear_runs` stack R systems of one shape and step their
+states x of shape (R, d_h, 1) through one recursion, x = A x + B u_t with
+A of shape (R, d_h, d_h), keeping only the current states between steps.
+Each run's trajectory is bit for bit the one it gets alone, and its noise
+comes from its own seed, added after the loop.  `simulate_lds` and
+`simulate_nonlinear` are the single-run case.
 """
 
 from __future__ import annotations
@@ -297,39 +305,84 @@ def gaussian_inputs(T: int, d_in: int, seed) -> np.ndarray:
     return np.random.default_rng(seed).standard_normal((T, d_in))
 
 
+def _stack(systems, names: tuple[str, ...], inputs, seeds):
+    """Stack the named matrices of every run's system and its (T, d_in)
+    inputs, checking that all runs agree on their shapes."""
+    if not systems:
+        raise ValueError("need at least one system to simulate")
+    if not len(systems) == len(inputs) == len(seeds):
+        raise ValueError(
+            f"got {len(systems)} systems, {len(inputs)} input streams and {len(seeds)} seeds"
+        )
+    us = [_as_time_major(u) for u in inputs]
+    for r, (sys, u) in enumerate(zip(systems, us)):
+        if u.shape[1] != sys.d_in:
+            raise ValueError(
+                f"run {r}: inputs have {u.shape[1]} channels, system expects {sys.d_in}"
+            )
+        for name in names:
+            got, want = np.shape(getattr(sys, name)), np.shape(getattr(systems[0], name))
+            if got != want:
+                raise ValueError(f"run {r}: {name} has shape {got}, run 0 has {want}")
+        if u.shape[0] != us[0].shape[0]:
+            raise ValueError(f"run {r}: {u.shape[0]} input rows, run 0 has {us[0].shape[0]}")
+    return [np.stack([getattr(sys, name) for sys in systems]) for name in names], np.stack(us)
+
+
+def _trajectories(systems, u: np.ndarray, y: np.ndarray, seeds) -> list[Trajectory]:
+    """One trajectory per run, each with noise drawn from its own seed."""
+    for r, (sys, seed) in enumerate(zip(systems, seeds)):
+        if sys.noise_sigma > 0:
+            y[r] += sys.noise_sigma * np.random.default_rng(seed).standard_normal(y[r].shape)
+    return [Trajectory(u_r, y_r) for u_r, y_r in zip(u, y)]
+
+
+def simulate_lds_runs(systems, inputs, seeds) -> list[Trajectory]:
+    """Roll every run's linear system forward from x_0 = 0 over its inputs,
+    all runs in one stacked recursion.  The systems must share their
+    shapes and the inputs their length; run r's noise is drawn from
+    seeds[r]."""
+    (A, B, C), u = _stack(systems, ("A", "B", "C"), inputs, seeds)
+    R, T = u.shape[:2]
+    y = np.empty((R, T, C.shape[1]))
+    x = np.zeros((R, A.shape[1], 1))
+    for t in range(T):
+        x = A @ x + B @ u[:, t, :, None]
+        y[:, t] = (C @ x)[..., 0]
+    return _trajectories(systems, u, y, seeds)
+
+
 def simulate_lds(sys: LinearSystem, inputs: np.ndarray, seed=None) -> Trajectory:
     """Roll the linear system forward from x_0 = 0 over the given inputs."""
-    u = _as_time_major(inputs)
-    if u.shape[1] != sys.d_in:
-        raise ValueError(f"inputs have {u.shape[1]} channels, system expects {sys.d_in}")
-    T = u.shape[0]
-    y = np.empty((T, sys.d_out))
-    x = np.zeros(sys.d_hidden)
+    return simulate_lds_runs([sys], [inputs], [seed])[0]
+
+
+def simulate_nonlinear_runs(systems, inputs, seeds) -> list[Trajectory]:
+    """Roll every run's two-layer nonlinear system forward from x_0 = 0,
+    all runs in one stacked recursion as in `simulate_lds_runs`.  The
+    systems must also share their activation."""
+    (A1, B1, A2, B2, C), u = _stack(systems, ("A1", "B1", "A2", "B2", "C"), inputs, seeds)
+    for r, nl in enumerate(systems):
+        if nl.activation != systems[0].activation:
+            raise ValueError(
+                f"run {r}: activation {nl.activation!r}, run 0 has {systems[0].activation!r}"
+            )
+    act = np.tanh if systems[0].activation == "tanh" else (lambda v: v)
+    R, T = u.shape[:2]
+    y = np.empty((R, T, C.shape[1]))
+    x = np.zeros((R, A1.shape[1], 1))
     for t in range(T):
-        x = sys.A @ x + sys.B @ u[t]
-        y[t] = sys.C @ x
-    if sys.noise_sigma > 0:
-        y += sys.noise_sigma * np.random.default_rng(seed).standard_normal(y.shape)
-    return Trajectory(u, y)
+        u_t = u[:, t, :, None]
+        x = A2 @ act(A1 @ x + B1 @ u_t) + B2 @ u_t
+        y[:, t] = (C @ x)[..., 0]
+    return _trajectories(systems, u, y, seeds)
 
 
 def simulate_nonlinear(
     nl: NonlinearSystem, inputs: np.ndarray, seed=None
 ) -> Trajectory:
     """Roll the two-layer nonlinear system forward from x_0 = 0."""
-    u = _as_time_major(inputs)
-    if u.shape[1] != nl.d_in:
-        raise ValueError(f"inputs have {u.shape[1]} channels, system expects {nl.d_in}")
-    act = np.tanh if nl.activation == "tanh" else (lambda v: v)
-    T = u.shape[0]
-    y = np.empty((T, nl.d_out))
-    x = np.zeros(nl.d_hidden)
-    for t in range(T):
-        x = nl.A2 @ act(nl.A1 @ x + nl.B1 @ u[t]) + nl.B2 @ u[t]
-        y[t] = nl.C @ x
-    if nl.noise_sigma > 0:
-        y += nl.noise_sigma * np.random.default_rng(seed).standard_normal(y.shape)
-    return Trajectory(u, y)
+    return simulate_nonlinear_runs([nl], [inputs], [seed])[0]
 
 
 def sample_nonlinear_system(

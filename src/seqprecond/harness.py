@@ -3,10 +3,12 @@
 Every run's randomness derives from the master seed through a single
 documented split: SeedSequence(master_seed).generate_state(3 N) yields one
 (system, inputs, noise) seed triple per run, so any table cell can be
-regenerated in isolation.  Reports are a pure function of the experiment
-configuration and serialize to byte-identical JSON on repeat runs on one
-platform.  The desk-scale acceptance criteria that pin these experiments
-are defined in `seqprecond.invariants`.
+regenerated in isolation.  An experiment samples each run's system and
+inputs from its triple, then simulates all its runs once, in one stacked
+recursion (`dynsys.simulate_lds_runs`).  Reports are a pure function of
+the experiment configuration and serialize to byte-identical JSON on
+repeat runs on one platform.  The desk-scale acceptance criteria that
+pin these experiments are defined in `seqprecond.invariants`.
 """
 
 from __future__ import annotations
@@ -173,23 +175,26 @@ def spec_hash(spec: ExperimentSpec) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:12]
 
 
-def _make_run_data(g: GeneratorConfig, horizon: int, seeds: list[int], r: int):
-    """Run r's trajectory, and its system when linear (`usp gen-data` is run 0)."""
-    sys_seed, input_seed, noise_seed = seeds[3 * r : 3 * r + 3]
-    u = dynsys.gaussian_inputs(horizon, g.d_in, input_seed)
+def _make_runs(g: GeneratorConfig, horizon: int, seeds: list[int]):
+    """Every run's trajectory, all simulated in one stacked recursion, and
+    the systems when linear (None each otherwise).  Run r samples its
+    system, inputs and noise from seeds[3 r : 3 r + 3]; `usp gen-data`
+    passes run 0's seeds alone."""
     if g.kind == "lds":
-        system = dynsys.sample_system(
-            g.d_h, g.d_in, g.d_out, g.tau, g.radius_lo, g.radius_hi,
-            sys_seed, noise_sigma=g.noise_sigma, basis_cond=g.basis_cond,
-        )
-        return dynsys.simulate_lds(system, u, seed=noise_seed), system
-    if g.kind == "nonlinear":
-        system = dynsys.sample_nonlinear_system(
-            g.d_h, g.d_in, g.d_out, g.tau, g.radius_lo, g.radius_hi,
-            sys_seed, noise_sigma=g.noise_sigma, basis_cond=g.basis_cond,
-        )
-        return dynsys.simulate_nonlinear(system, u, seed=noise_seed), None
-    raise ValueError(f"unknown generator kind {g.kind!r}")
+        sample, simulate = dynsys.sample_system, dynsys.simulate_lds_runs
+    elif g.kind == "nonlinear":
+        sample, simulate = dynsys.sample_nonlinear_system, dynsys.simulate_nonlinear_runs
+    else:
+        raise ValueError(f"unknown generator kind {g.kind!r}")
+    triples = [seeds[i : i + 3] for i in range(0, len(seeds), 3)]
+    systems = [
+        sample(g.d_h, g.d_in, g.d_out, g.tau, g.radius_lo, g.radius_hi,
+               sys_seed, noise_sigma=g.noise_sigma, basis_cond=g.basis_cond)
+        for sys_seed, _, _ in triples
+    ]
+    inputs = [dynsys.gaussian_inputs(horizon, g.d_in, input_seed) for _, input_seed, _ in triples]
+    runs = simulate(systems, inputs, [noise_seed for _, _, noise_seed in triples])
+    return runs, systems if g.kind == "lds" else [None] * len(runs)
 
 
 def _build_learner(spec: ExperimentSpec, c, d_in: int, d_out: int, T: int, grid, systems):
@@ -221,8 +226,11 @@ def run_experiment(spec: ExperimentSpec) -> MetricsReport:
     The rate is chosen on the reported metric (final-window mean absolute
     error averaged over runs); full-horizon means are logged alongside so
     the regret-flavoured view stays available.  Ties break toward the
-    smallest rate.  Every (rate, run) cell steps in one `ogd` recursion
-    over features built once per run.
+    smallest rate.  The runs' data is simulated once, in one stacked
+    recursion, and every (rate, run) cell steps in one `ogd` recursion
+    over features built once per run.  A cell whose prediction is not
+    finite raises `learners.NonFinitePrediction` with `.step` and
+    `.cell = (rate index, run)`.
     """
     validate_spec(spec)
     c = resolve_coefficients(spec)
@@ -231,9 +239,7 @@ def run_experiment(spec: ExperimentSpec) -> MetricsReport:
     if spec.csv_path is not None:
         runs, systems = [ingest_csv(spec.csv_path)], [None]  # one file, one run
     else:
-        runs, systems = zip(*(
-            _make_run_data(spec.generator, spec.horizon, seeds, r) for r in range(spec.n_runs)
-        ))
+        runs, systems = _make_runs(spec.generator, spec.horizon, seeds)
     T = runs[0].horizon
     if spec.window > T:
         raise ValueError(f"window {spec.window} exceeds data horizon {T}")
@@ -259,7 +265,9 @@ def run_experiment(spec: ExperimentSpec) -> MetricsReport:
         preds, _ = learners.ogd(learner.blocks(u, y), y)
     except learners.NonFinitePrediction as exc:
         g, r = exc.cell
-        raise ValueError(f"{exc} (lr={labels[g]}, run {r})") from None
+        raise learners.NonFinitePrediction(
+            exc.step, T, exc.cell, f" (lr={labels[g]}, run {r})"
+        ) from None
     errs = np.abs(preds - y).sum(axis=-1)
     finals = errs[..., -spec.window :].mean(axis=-1).tolist()
     fulls = errs.mean(axis=-1).tolist()

@@ -156,18 +156,18 @@ def ogd_regret() -> str:
     trivial = poly.CoefficientVector(np.array([1.0]))
     G, D = 1.0, 2.0  # unit inputs, domain [-1, 1]
     bound = 1.5 * G * D * np.sqrt(T)
+    names = ("constant", "alternating")
+    ys = np.stack([np.full(T, 2.0), 2.0 * (-1.0) ** np.arange(T)])[..., None]
+    # one cell per target sequence; both see the same unit inputs
+    u = np.ones((1, T, 1))
+    learner = RegressionLearner(trivial, 1, 1, num_taps=1, domain_bound=1.0)
+    totals = np.abs(ogd(learner.blocks(u, ys), ys)[0] - ys).sum(axis=(-2, -1))
+    grid = np.linspace(-1.0, 1.0, 2001)
     results = []
     ok = True
-    for name, ys in [
-        ("constant", np.full(T, 2.0)),
-        ("alternating", 2.0 * (-1.0) ** np.arange(T)),
-    ]:
-        learner = RegressionLearner(trivial, 1, 1, num_taps=1, domain_bound=1.0)
-        preds = learner.run(np.ones((T, 1)), ys[:, None])
-        total = float(np.abs(preds[:, 0] - ys).sum())
-        grid = np.linspace(-1.0, 1.0, 2001)
-        best = np.abs(grid[:, None] - ys[None, :]).sum(axis=1).min()
-        regret = total - best
+    for name, y, total in zip(names, ys[..., 0], totals):
+        best = np.abs(grid[:, None] - y[None, :]).sum(axis=1).min()
+        regret = float(total) - best
         ok &= regret <= bound
         results.append(f"{name} {regret:.1f}")
     detail = f"regret {', '.join(results)} <= 1.5*G*D*sqrt(T) = {bound:.0f}"
@@ -179,15 +179,18 @@ def average_error_decays_with_horizon() -> str:
     t0 = time.perf_counter()
     system = dynsys.sample_system(d_h=50, d_in=1, d_out=1, tau_thresh=0.01,
                                   radius_lo=0.9, radius_hi=1.0, seed=2024, noise_sigma=0.0)
-    c = poly.chebyshev_monic(5)
-    at_short, at_long = [], []
-    for seed in range(10):
-        traj = dynsys.simulate_lds(system, dynsys.gaussian_inputs(4000, 1, seed=seed))
-        learner = RegressionLearner(c, 1, 1, num_taps=5, lr0=0.01)
-        errs = np.abs(learner.run(traj.inputs, traj.outputs) - traj.outputs).sum(axis=1)
-        at_short.append(errs[:1000].mean())
-        at_long.append(errs.mean())
-    short, long_ = float(np.mean(at_short)), float(np.mean(at_long))
+    seeds = range(10)
+    runs = dynsys.simulate_lds_runs(
+        [system] * len(seeds), [dynsys.gaussian_inputs(4000, 1, seed=s) for s in seeds],
+        [None] * len(seeds),
+    )
+    # one cell per input seed, all stepping in one recursion
+    u = np.stack([traj.inputs for traj in runs])
+    y = np.stack([traj.outputs for traj in runs])
+    learner = RegressionLearner(poly.chebyshev_monic(5), 1, 1, num_taps=5, lr0=0.01)
+    errs = np.abs(ogd(learner.blocks(u, y), y)[0] - y).sum(axis=-1)
+    short = float(np.mean(errs[:, :1000].mean(axis=-1)))
+    long_ = float(np.mean(errs.mean(axis=-1)))
     elapsed = time.perf_counter() - t0
     detail = (f"one noiseless system, 10 seeds: {long_:.4f} < {short:.4f} "
               f"(ratio {long_ / short:.2f}), {elapsed:.1f}s")

@@ -119,10 +119,11 @@ def deep_past(bank: FilterBank, u: np.ndarray, n: int, T: int) -> np.ndarray:
 
 class NonFinitePrediction(ValueError):
     """A prediction that is not finite, at `step` of the failing cell whose
-    index on the cell axes is `cell` (() for a single cell)."""
+    index on the cell axes is `cell` (() for a single cell); `where` is
+    appended to the message to name the cell in the caller's terms."""
 
-    def __init__(self, step: int, T: int, cell: tuple = ()):
-        super().__init__(f"non-finite prediction at step {step} of {T}")
+    def __init__(self, step: int, T: int, cell: tuple = (), where: str = ""):
+        super().__init__(f"non-finite prediction at step {step} of {T}{where}")
         self.step = step
         self.cell = cell
 

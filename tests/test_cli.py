@@ -110,7 +110,7 @@ class TestGenData:
         )
         written = ingest_csv(str(path))
 
-        simulate = "simulate_lds" if kind == "lds" else "simulate_nonlinear"
+        simulate = "simulate_lds_runs" if kind == "lds" else "simulate_nonlinear_runs"
         real, simulated = getattr(dynsys, simulate), []
 
         def spy(*args, **kwargs):
@@ -125,9 +125,9 @@ class TestGenData:
         harness.run_experiment(harness.ExperimentSpec(
             generator=g, n_runs=2, horizon=60, window=10, master_seed=4, lr_grid=(1e-2,),
         ))
-        assert len(simulated) == 2
-        assert np.array_equal(written.inputs, simulated[0].inputs)
-        assert np.array_equal(written.outputs, simulated[0].outputs)
+        assert [len(runs) for runs in simulated] == [2]  # one call for both runs
+        assert np.array_equal(written.inputs, simulated[0][0].inputs)
+        assert np.array_equal(written.outputs, simulated[0][0].outputs)
 
 
 class TestPrecondCommand:

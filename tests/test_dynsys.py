@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from seqprecond.dynsys import (
     LinearSystem,
@@ -11,7 +13,9 @@ from seqprecond.dynsys import (
     sample_nonlinear_system,
     sample_system,
     simulate_lds,
+    simulate_lds_runs,
     simulate_nonlinear,
+    simulate_nonlinear_runs,
     system_from_eigenvalues,
 )
 
@@ -254,6 +258,94 @@ class TestNonlinear:
         u = gaussian_inputs(6, 1, 7)
         got = simulate_nonlinear(nl, u).outputs[:, 0]
         np.testing.assert_allclose(got, GOLDEN_NONLINEAR, rtol=0, atol=1e-12)
+
+
+def reference_lds(sys: LinearSystem, u: np.ndarray, seed) -> np.ndarray:
+    """One run alone, stepped with the per-run loop the stacked one replaced."""
+    T = u.shape[0]
+    y = np.empty((T, sys.d_out))
+    x = np.zeros(sys.d_hidden)
+    for t in range(T):
+        x = sys.A @ x + sys.B @ u[t]
+        y[t] = sys.C @ x
+    if sys.noise_sigma > 0:
+        y += sys.noise_sigma * np.random.default_rng(seed).standard_normal(y.shape)
+    return y
+
+
+def reference_nonlinear(nl: NonlinearSystem, u: np.ndarray, seed) -> np.ndarray:
+    act = np.tanh if nl.activation == "tanh" else (lambda v: v)
+    T = u.shape[0]
+    y = np.empty((T, nl.d_out))
+    x = np.zeros(nl.d_hidden)
+    for t in range(T):
+        x = nl.A2 @ act(nl.A1 @ x + nl.B1 @ u[t]) + nl.B2 @ u[t]
+        y[t] = nl.C @ x
+    if nl.noise_sigma > 0:
+        y += nl.noise_sigma * np.random.default_rng(seed).standard_normal(y.shape)
+    return y
+
+
+class TestStackedRuns:
+    @given(
+        kind=st.sampled_from(["lds", "tanh", "identity"]),
+        R=st.integers(1, 4), d_h=st.integers(1, 8), d_in=st.integers(1, 3),
+        d_out=st.integers(1, 3), T=st.integers(1, 50), sigma=st.sampled_from([0.0, 0.3]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_every_run_matches_its_own_loop_bit_for_bit(
+        self, kind, R, d_h, d_in, d_out, T, sigma, seed
+    ):
+        sys_seeds, input_seeds, noise_seeds = (
+            np.random.SeedSequence(seed).generate_state(3 * R).reshape(3, R)
+        )
+        if kind == "lds":
+            systems = [sample_system(d_h, d_in, d_out, 0.1, 0.5, 1.0, s, noise_sigma=sigma)
+                       for s in sys_seeds]
+            simulate, reference = simulate_lds_runs, reference_lds
+        else:
+            systems = [sample_nonlinear_system(d_h, d_in, d_out, 0.1, 0.5, 1.0, s,
+                                               noise_sigma=sigma, activation=kind)
+                       for s in sys_seeds]
+            simulate, reference = simulate_nonlinear_runs, reference_nonlinear
+        inputs = [gaussian_inputs(T, d_in, s) for s in input_seeds]
+        runs = simulate(systems, inputs, list(noise_seeds))
+        assert len(runs) == R
+        for sys, u, noise_seed, traj in zip(systems, inputs, noise_seeds, runs):
+            assert np.array_equal(traj.inputs, u)
+            assert np.array_equal(traj.outputs, reference(sys, u, noise_seed))
+
+    def test_mismatched_runs_are_rejected_by_run(self):
+        small = sample_system(3, 1, 1, 0.1, 0.5, 1.0, 0)
+        u = gaussian_inputs(10, 1, 0)
+        with pytest.raises(ValueError, match="run 1: A has shape"):
+            simulate_lds_runs([small, sample_system(4, 1, 1, 0.1, 0.5, 1.0, 1)], [u, u], [0, 1])
+        with pytest.raises(ValueError, match="run 1: C has shape"):
+            simulate_lds_runs([small, sample_system(3, 1, 2, 0.1, 0.5, 1.0, 1)], [u, u], [0, 1])
+        with pytest.raises(ValueError, match="run 1: inputs have 2 channels"):
+            simulate_lds_runs([small, small], [u, gaussian_inputs(10, 2, 0)], [0, 1])
+        with pytest.raises(ValueError, match="run 1: 9 input rows"):
+            simulate_lds_runs([small, small], [u, u[:9]], [0, 1])
+        nl = sample_nonlinear_system(3, 1, 1, 0.1, 0.5, 1.0, 0)
+        with pytest.raises(ValueError, match="run 1: A1 has shape"):
+            simulate_nonlinear_runs(
+                [nl, sample_nonlinear_system(4, 1, 1, 0.1, 0.5, 1.0, 1)], [u, u], [0, 1]
+            )
+        other = sample_nonlinear_system(3, 1, 1, 0.1, 0.5, 1.0, 1, activation="identity")
+        with pytest.raises(ValueError, match="run 1: activation"):
+            simulate_nonlinear_runs([nl, other], [u, u], [0, 1])
+
+    @pytest.mark.parametrize("simulate, sampler", [
+        (simulate_lds_runs, sample_system), (simulate_nonlinear_runs, sample_nonlinear_system),
+    ])
+    def test_list_lengths_must_agree(self, simulate, sampler):
+        sys = sampler(3, 1, 1, 0.1, 0.5, 1.0, 0)
+        u = gaussian_inputs(10, 1, 0)
+        for systems, inputs, seeds in [
+            ([sys, sys], [u], [0, 1]), ([sys], [u, u], [0]), ([sys], [u], [0, 1]), ([], [], []),
+        ]:
+            with pytest.raises(ValueError):
+                simulate(systems, inputs, seeds)
 
 
 class TestTrajectory:

@@ -231,19 +231,21 @@ class TestRunExperiment:
         seeds = H.derive_seeds(spec.master_seed, spec.n_runs)
 
         def first_failure():
-            for r in range(spec.n_runs):
-                traj, _ = H._make_run_data(spec.generator, spec.horizon, seeds, r)
+            for r, traj in enumerate(H._make_runs(spec.generator, spec.horizon, seeds)[0]):
                 try:
                     cell.run(traj.inputs, traj.outputs)
                 except NonFinitePrediction as exc:
-                    return exc, f"{exc} (lr=[0.001, 1e+308], run {r})"
+                    return exc, r, f"{exc} (lr=[0.001, 1e+308], run {r})"
             pytest.fail("no run diverges at the first grid point")
 
-        failure, want = first_failure()
-        with pytest.raises(ValueError) as exc:
+        failure, run, want = first_failure()
+        with pytest.raises(NonFinitePrediction) as exc:
             H.run_experiment(spec)
+        assert isinstance(exc.value, ValueError)
         assert str(exc.value) == want
         assert want.startswith(f"non-finite prediction at step {failure.step} of 120 ")
+        assert exc.value.step == failure.step
+        assert exc.value.cell == (0, run)  # (1e-3, 1e308) is grid point 0
 
     def test_csv_is_read_once_per_experiment(self, tiny_csv, monkeypatch):
         _, path = tiny_csv
@@ -260,6 +262,21 @@ class TestRunExperiment:
         )
         assert len(calls) == 1
         assert rep.n_runs == 1
+
+    @pytest.mark.parametrize("kind", ["lds", "nonlinear"])
+    def test_runs_are_simulated_in_one_call_per_experiment(self, kind, monkeypatch):
+        name = "simulate_lds_runs" if kind == "lds" else "simulate_nonlinear_runs"
+        calls = []
+        simulate = getattr(H.dynsys, name)
+
+        def counted(systems, inputs, seeds):
+            calls.append(len(systems))
+            return simulate(systems, inputs, seeds)
+
+        monkeypatch.setattr(H.dynsys, name, counted)
+        rep = H.run_experiment(tiny_spec(generator=H.GeneratorConfig(kind=kind, d_h=6, tau=0.05)))
+        assert calls == [3]
+        assert len(rep.per_run_final_errors) == 3
 
     def test_oracle_comparator_skips_grid(self):
         rep = H.run_experiment(tiny_spec(oracle_comparator=True, n_runs=2))

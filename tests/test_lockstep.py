@@ -224,9 +224,7 @@ def reference_experiment(spec):
     one reference recursion per (rate, run) cell."""
     c = H.resolve_coefficients(spec)
     seeds = H.derive_seeds(spec.master_seed, spec.n_runs)
-    runs = [
-        H._make_run_data(spec.generator, spec.horizon, seeds, r)[0] for r in range(spec.n_runs)
-    ]
+    runs, _ = H._make_runs(spec.generator, spec.horizon, seeds)
     if spec.variant == "learned":
         grid = [(m, cc) for m in spec.lr_grid for cc in spec.lr_grid_coeffs or spec.lr_grid]
     else:
@@ -279,8 +277,7 @@ def test_oracle_comparator_matches_per_run_reference():
     c = H.resolve_coefficients(spec)
     seeds = H.derive_seeds(spec.master_seed, spec.n_runs)
     want = []
-    for r in range(spec.n_runs):
-        traj, system = H._make_run_data(spec.generator, spec.horizon, seeds, r)
+    for traj, system in zip(*H._make_runs(spec.generator, spec.horizon, seeds)):
         learner = RegressionLearner(c, 1, 1, num_taps=3, lr0=0.0,
                                     init_Q=oracle_weights(system, c))
         preds, _ = reference_ogd(learner.blocks(traj.inputs, traj.outputs), traj.outputs)
