@@ -265,9 +265,8 @@ def run_experiment(spec: ExperimentSpec) -> MetricsReport:
         preds, _ = learners.ogd(learner.blocks(u, y), y)
     except learners.NonFinitePrediction as exc:
         g, r = exc.cell
-        raise learners.NonFinitePrediction(
-            exc.step, T, exc.cell, f" (lr={labels[g]}, run {r})"
-        ) from None
+        exc.args = (f"{exc} (lr={labels[g]}, run {r})",)
+        raise exc from None
     errs = np.abs(preds - y).sum(axis=-1)
     finals = errs[..., -spec.window :].mean(axis=-1).tolist()
     fulls = errs.mean(axis=-1).tolist()

@@ -118,14 +118,20 @@ def deep_past(bank: FilterBank, u: np.ndarray, n: int, T: int) -> np.ndarray:
 
 
 class NonFinitePrediction(ValueError):
-    """A prediction that is not finite, at `step` of the failing cell whose
-    index on the cell axes is `cell` (() for a single cell); `where` is
-    appended to the message to name the cell in the caller's terms."""
+    """A prediction that is not finite, at `step` of `T` in the failing cell
+    whose index on the cell axes is `cell` (() for a single cell).
 
-    def __init__(self, step: int, T: int, cell: tuple = (), where: str = ""):
-        super().__init__(f"non-finite prediction at step {step} of {T}{where}")
+    It pickles with its fields and its message, which a caller may have
+    extended, so it crosses a process boundary intact."""
+
+    def __init__(self, step: int, T: int, cell: tuple = ()):
+        super().__init__(f"non-finite prediction at step {step} of {T}")
         self.step = step
+        self.T = T
         self.cell = cell
+
+    def __reduce__(self):
+        return (type(self), (self.step, self.T, self.cell), {"args": self.args})
 
 
 def ogd(blocks, targets: np.ndarray):

@@ -1,6 +1,7 @@
 """Experiment orchestration: seeds, grid search, CSV exchange, and `verify` suites."""
 
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -246,6 +247,10 @@ class TestRunExperiment:
         assert want.startswith(f"non-finite prediction at step {failure.step} of 120 ")
         assert exc.value.step == failure.step
         assert exc.value.cell == (0, run)  # (1e-3, 1e308) is grid point 0
+        back = pickle.loads(pickle.dumps(exc.value))
+        assert (type(back), str(back), back.step, back.cell) == (
+            NonFinitePrediction, want, failure.step, (0, run)
+        )
 
     def test_csv_is_read_once_per_experiment(self, tiny_csv, monkeypatch):
         _, path = tiny_csv
@@ -422,6 +427,20 @@ class TestSweep:
         assert isinstance(pooled[1], H.SweepFailure)
         assert (pooled[1].config_hash, pooled[1].error) == (H.spec_hash(bad), serial[1].error)
         assert "missing.csv" in pooled[1].error
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_pool_records_a_diverging_spec_like_the_serial_path(self):
+        # the worker's NonFinitePrediction must unpickle in the parent, or
+        # the pool breaks and every pending sibling fails with it
+        gen = H.GeneratorConfig(d_h=6, tau=0.05, d_in=3, d_out=3)
+        bad = tiny_spec(generator=gen, variant="learned", lr_grid_coeffs=(1e308, 1e-2))
+        good = tiny_spec(n_runs=1)
+        serial = H.sweep([bad, good], workers=1)
+        pooled = H.sweep([bad, good], workers=2)
+        assert isinstance(pooled[0], H.SweepFailure)
+        assert (pooled[0].config_hash, pooled[0].error) == (H.spec_hash(bad), serial[0].error)
+        assert serial[0].error.startswith("non-finite prediction at step ")
+        assert H.report_to_json(pooled[1]) == H.report_to_json(serial[1])
 
     def test_parallel_matches_serial(self):
         specs = [tiny_spec(n_runs=1), tiny_spec(n_runs=1, variant="none")]
