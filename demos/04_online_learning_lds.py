@@ -26,8 +26,8 @@ traj = simulate_lds(system, gaussian_inputs(T, 1, seed=43), seed=44)
 
 trivial = CoefficientVector(np.array([1.0]))
 learners = {
-    "baseline": RegressionLearner(trivial, 1, 1, num_taps=5, lr0=0.01),
-    "chebyshev-5": RegressionLearner(chebyshev_monic(5), 1, 1, num_taps=5, lr0=0.01),
+    "baseline": RegressionLearner(trivial, num_taps=5, lr0=0.01),
+    "chebyshev-5": RegressionLearner(chebyshev_monic(5), num_taps=5, lr0=0.01),
 }
 
 errors = {}

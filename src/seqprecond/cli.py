@@ -17,7 +17,7 @@ import numpy as np
 from seqprecond import dynsys, harness, invariants
 from seqprecond.poly import CoefficientVector, ComplexSector
 from seqprecond.precond import convolve
-from seqprecond.spectral import build_filter_bank, build_gram
+from seqprecond.spectral import DEFAULT_FILTER_COUNT, build_filter_bank, build_gram
 
 
 class _UsageError(Exception):
@@ -65,7 +65,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("filters", help="build the sector filter bank")
     p.add_argument("--T", type=int, default=2000, help="bank horizon")
     p.add_argument("--beta", type=float, default=0.1)
-    p.add_argument("--k", type=int, default=24)
+    p.add_argument("--k", type=int, default=DEFAULT_FILTER_COUNT)
     p.add_argument("--out", help="bank JSON destination")
     p.add_argument("--report", help="eigendecay CSV destination (index, sigma)")
 
@@ -175,13 +175,25 @@ def _cmd_filters(args) -> int:
 
 
 _SPEC_FIELDS = {f.name for f in dataclasses.fields(harness.ExperimentSpec)}
+_GENERATOR_FIELDS = {f.name for f in dataclasses.fields(harness.GeneratorConfig)}
 
 
-def _spec_from_dict(cfg: dict) -> harness.ExperimentSpec:
-    unknown = sorted(set(cfg) - _SPEC_FIELDS)
-    if unknown:
-        raise ValueError(f"unknown config fields: {', '.join(unknown)}")
-    return harness.ExperimentSpec(**cfg)
+def _spec_from_dict(cfg, where: str = "config") -> harness.ExperimentSpec:
+    """The validated spec of one JSON experiment.  Unknown keys (also under
+    `generator`) and values of the wrong type are ValueErrors naming `where`."""
+    try:
+        if not isinstance(cfg, dict):
+            raise ValueError(f"must be a JSON object, got {cfg!r}")
+        unknown = sorted(set(cfg) - _SPEC_FIELDS)
+        if isinstance(cfg.get("generator"), dict):
+            unknown += sorted(f"generator.{k}" for k in set(cfg["generator"]) - _GENERATOR_FIELDS)
+        if unknown:
+            raise ValueError(f"unknown fields: {', '.join(unknown)}")
+        spec = harness.ExperimentSpec(**cfg)
+        harness.validate_spec(spec)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{where}: {exc}") from None
+    return spec
 
 
 def _cmd_run(args) -> int:
@@ -216,7 +228,7 @@ def _cmd_sweep(args) -> int:
         cfg = cfg["experiments"]
     if not isinstance(cfg, list):
         raise ValueError("sweep config must be a list of experiment objects")
-    specs = [_spec_from_dict(entry) for entry in cfg]
+    specs = [_spec_from_dict(entry, f"experiment {i}") for i, entry in enumerate(cfg)]
     results = harness.sweep(specs, workers=args.workers)
     if args.table == "csv":
         _emit(harness.sweep_table_csv(results), args.out)

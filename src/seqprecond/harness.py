@@ -31,7 +31,7 @@ from seqprecond.poly import (
     differencing,
     legendre_monic,
 )
-from seqprecond.spectral import build_filter_bank
+from seqprecond.spectral import DEFAULT_FILTER_COUNT, build_filter_bank
 
 VARIANTS = ("none", "chebyshev", "legendre", "differencing", "learned", "custom")
 ALGOS = ("regression", "spectral")
@@ -71,7 +71,7 @@ class ExperimentSpec:
     num_taps: int | None = None
     domain_bound: float = learners.DEFAULT_DOMAIN_BOUND
     beta: float = 0.1
-    filter_count: int = 24
+    filter_count: int = DEFAULT_FILTER_COUNT
     norm_bound: float = 1.0
     kappa_bound: float = 1.0
     oracle_comparator: bool = False
@@ -132,6 +132,7 @@ def validate_spec(spec: ExperimentSpec) -> None:
         raise ValueError(f"lr_grid_coeffs applies to the learned variant, not {spec.variant!r}")
     if spec.variant == "custom" and not spec.custom_coeffs:
         raise ValueError("custom variant requires custom_coeffs")
+    c = resolve_coefficients(spec)  # rejects a degree that is no integer
     if spec.oracle_comparator:
         if spec.csv_path is not None or spec.generator.kind != "lds":
             raise ValueError("oracle comparator needs a generated linear system")
@@ -140,7 +141,7 @@ def validate_spec(spec: ExperimentSpec) -> None:
         if spec.variant == "learned":
             raise ValueError("oracle_comparator=True holds the coefficients fixed: "
                              "it does not apply to variant='learned'")
-        if resolve_coefficients(spec).degree == 0:
+        if c.degree == 0:
             raise ValueError(f"oracle comparator needs coefficients of degree >= 1; "
                              f"variant {spec.variant!r} gives degree 0")
     if spec.csv_path is not None and spec.n_runs != 1:
@@ -197,13 +198,12 @@ def _make_runs(g: GeneratorConfig, horizon: int, seeds: list[int]):
     return runs, systems if g.kind == "lds" else [None] * len(runs)
 
 
-def _build_learner(spec: ExperimentSpec, c, d_in: int, d_out: int, T: int, grid, systems):
+def _build_learner(spec: ExperimentSpec, c, T: int, grid, systems):
     """One learner for every (rate, run) cell: its rates have shape
     (len(grid), 1), so they broadcast over the runs."""
     if spec.oracle_comparator:
         return learners.RegressionLearner(
-            c, d_in, d_out, num_taps=max(c.degree, 1), lr0=0.0,
-            init_Q=np.stack([learners.oracle_weights(system, c) for system in systems]),
+            c, lr0=0.0, init_Q=np.stack([learners.oracle_weights(s, c) for s in systems])
         )
     taps = spec.num_taps if spec.num_taps is not None else max(spec.degree, 1)
     # (grid, 1, 1), or (grid, 1, 2) for the learned variant's (model, coefficient) pairs
@@ -211,11 +211,11 @@ def _build_learner(spec: ExperimentSpec, c, d_in: int, d_out: int, T: int, grid,
     if spec.algo == "spectral":
         bank = build_filter_bank(T - c.degree - 1, ComplexSector(spec.beta), spec.filter_count)
         return learners.SpectralLearner(
-            c, bank, d_in, d_out, total_horizon=T,
+            c, bank, total_horizon=T,
             norm_bound=spec.norm_bound, kappa_bound=spec.kappa_bound, lr0=lr[..., 0],
         )
     return learners.RegressionLearner(
-        c, d_in, d_out, num_taps=taps, domain_bound=spec.domain_bound, lr0=lr[..., 0],
+        c, num_taps=taps, domain_bound=spec.domain_bound, lr0=lr[..., 0],
         lr_coeffs0=lr[..., 1] if spec.variant == "learned" else 0.0,
     )
 
@@ -260,7 +260,7 @@ def run_experiment(spec: ExperimentSpec) -> MetricsReport:
     # cells are (rate, run); the streams carry a size-1 rate axis
     u = np.stack([traj.inputs for traj in runs])[None]
     y = np.stack([traj.outputs for traj in runs])[None]
-    learner = _build_learner(spec, c, u.shape[-1], y.shape[-1], T, grid, systems)
+    learner = _build_learner(spec, c, T, grid, systems)
     try:
         preds, _ = learners.ogd(learner.blocks(u, y), y)
     except learners.NonFinitePrediction as exc:

@@ -134,8 +134,7 @@ def oracle_weights_per_step() -> str:
         )
         traj = dynsys.simulate_lds(system, dynsys.gaussian_inputs(horizon, 1, seed=trial))
         learner = RegressionLearner(
-            c, 1, 1, num_taps=degree, lr0=0.0,
-            init_Q=oracle_weights(system, c),
+            c, num_taps=degree, lr0=0.0, init_Q=oracle_weights(system, c),
         )
         errs = np.abs(learner.run(traj.inputs, traj.outputs) - traj.outputs).sum(axis=1)
         kappa = dynsys.spectrum_summary(system)["kappa"]
@@ -160,13 +159,13 @@ def ogd_regret() -> str:
     ys = np.stack([np.full(T, 2.0), 2.0 * (-1.0) ** np.arange(T)])[..., None]
     # one cell per target sequence; both see the same unit inputs
     u = np.ones((1, T, 1))
-    learner = RegressionLearner(trivial, 1, 1, num_taps=1, domain_bound=1.0)
+    learner = RegressionLearner(trivial, num_taps=1, domain_bound=1.0)
     totals = np.abs(ogd(learner.blocks(u, ys), ys)[0] - ys).sum(axis=(-2, -1))
     grid = np.linspace(-1.0, 1.0, 2001)
     results = []
     ok = True
     for name, y, total in zip(names, ys[..., 0], totals):
-        best = np.abs(grid[:, None] - y[None, :]).sum(axis=1).min()
+        best = min(np.abs(g - y).sum() for g in grid)  # one row at a time: no (grid, T) array
         regret = float(total) - best
         ok &= regret <= bound
         results.append(f"{name} {regret:.1f}")
@@ -187,7 +186,7 @@ def average_error_decays_with_horizon() -> str:
     # one cell per input seed, all stepping in one recursion
     u = np.stack([traj.inputs for traj in runs])
     y = np.stack([traj.outputs for traj in runs])
-    learner = RegressionLearner(poly.chebyshev_monic(5), 1, 1, num_taps=5, lr0=0.01)
+    learner = RegressionLearner(poly.chebyshev_monic(5), num_taps=5, lr0=0.01)
     errs = np.abs(ogd(learner.blocks(u, y), y)[0] - y).sum(axis=-1)
     short = float(np.mean(errs[:, :1000].mean(axis=-1)))
     long_ = float(np.mean(errs.mean(axis=-1)))
@@ -215,9 +214,9 @@ def identities_and_determinism() -> str:
     system = dynsys.sample_system(d_h=8, d_in=2, d_out=2, tau_thresh=0.05,
                                   radius_lo=0.8, radius_hi=0.95, seed=11, noise_sigma=0.05)
     traj = dynsys.simulate_lds(system, dynsys.gaussian_inputs(150, 2, seed=12), seed=13)
-    online = RegressionLearner(c, 2, 2, num_taps=4, lr0=0.05).run(traj.inputs, traj.outputs)
+    online = RegressionLearner(c, num_taps=4, lr0=0.05).run(traj.inputs, traj.outputs)
     z = convolve(traj.outputs, c)
-    inner = RegressionLearner(poly.CoefficientVector(np.array([1.0])), 2, 2, num_taps=4, lr0=0.05)
+    inner = RegressionLearner(poly.CoefficientVector(np.array([1.0])), num_taps=4, lr0=0.05)
     z_hats = inner.run(traj.inputs, z)
     worst_stream = 0.0
     for t, (z_hat, hist) in enumerate(zip(z_hats, lagged(traj.outputs, 4, 1))):
@@ -226,7 +225,7 @@ def identities_and_determinism() -> str:
 
     # spectral prediction is additive in its parameter blocks
     bank = build_filter_bank(60, poly.ComplexSector(0.1), 8)
-    spectral = SpectralLearner(poly.chebyshev_monic(3), bank, 2, 2, total_horizon=80)
+    spectral = SpectralLearner(poly.chebyshev_monic(3), bank, total_horizon=80)
     u_hist = rng.standard_normal((40, 2))
     y_hist = rng.standard_normal((40, 2))
     (X_Q, Q0, _, R_Q), lag, (X_M, M0, _, R_M) = spectral.blocks(u_hist, y_hist)

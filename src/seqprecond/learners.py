@@ -8,14 +8,15 @@ Q_j and, for spectral filtering, the deep input past filtered by a bank
 against matrices M_j.  A block (X, W0, lr0, radius) is the whole
 configuration of its weights: `ogd` steps every block along the ℓ1
 subgradient at rate lr0/sqrt(t), with sign(0) = 0, and projects the taps
-of a block with a radius onto the spectral-norm ball.  Rate 0 holds a
-block fixed, so the fixed lag coefficients, the learned ones and a fixed
-comparator differ only in their rates.  Leading cell axes on the streams,
-weights and rates run many independent recursions, such as the (rate,
-run) cells of a grid search, in lockstep: one pass per step over all of
-them.  The learner classes only size radii and rates and assemble blocks;
-`.run(inputs, outputs)` processes a whole stream (there is no per-sample
-`.step`).
+of a block with a radius onto the spectral-norm ball (an SVD, only when
+a Frobenius norm exceeds the radius).  Rate 0 holds a block fixed, so the
+fixed lag coefficients, the learned ones and a fixed comparator differ
+only in their rates.  Leading cell axes on the streams, weights and rates
+run many independent recursions, such as the (rate, run) cells of a grid
+search, in lockstep: one pass per step over all of them.  The learner
+classes only size radii and rates and assemble blocks, taking d_in and
+d_out from the (u, y) streams of `blocks(u, y)`; `.run(inputs, outputs)`
+processes a whole stream (there is no per-sample `.step`).
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from math import ceil, log, log2, sqrt
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from seqprecond.dynsys import LinearSystem
+from seqprecond.dynsys import LinearSystem, _as_time_major
 from seqprecond.poly import CoefficientVector, sup_on_sector
 from seqprecond.spectral import FilterBank
 
@@ -43,30 +44,23 @@ def project_to_ball(M: np.ndarray, radius: float) -> np.ndarray:
     """Project a matrix, or each matrix of a stack (..., m, n), onto the
     spectral-norm ball of the given radius.
 
-    Singular values are clipped by one SVD of the stack or, when m or n
-    is 1, by rescaling.  The projection is idempotent and leaves interior
-    points untouched.  A matrix with a non-finite entry is left as it is
-    and kept out of the SVD.
+    The Frobenius norm bounds the spectral norm from above and equals it
+    at rank one, so a stack with no Frobenius norm over the radius is
+    returned as it is, the input object itself.  Otherwise one SVD of the
+    stack clips the singular values.  The projection is idempotent and
+    leaves interior points untouched.  A matrix with a non-finite entry is
+    left as it is and kept out of the SVD.
     """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
     M = np.asarray(M, dtype=float)
-    if min(M.shape[-2:]) == 1:
-        # rank one: the spectral norm is the vector length
-        nrm = np.sqrt(np.einsum("...ij,...ij->...", M, M))
-        over = nrm > radius
-        if not over.any():
-            return M
-        clipped = M * (radius / np.where(over, nrm, 1.0))[..., None, None]
-    else:
-        # a non-finite matrix goes into the SVD as 0, so it is not clipped
-        finite = np.isfinite(M).all(axis=(-2, -1), keepdims=True)
-        U, s, Vt = np.linalg.svd(np.where(finite, M, 0.0), full_matrices=False)
-        over = s[..., 0] > radius
-        if not over.any():
-            return M
-        clipped = (U * np.minimum(s, radius)[..., None, :]) @ Vt
-    return np.where(over[..., None, None], clipped, M)
+    if not (np.sqrt(np.einsum("...ij,...ij->...", M, M)) > radius).any():
+        return M
+    # a non-finite matrix goes into the SVD as 0, so it is not clipped
+    finite = np.isfinite(M).all(axis=(-2, -1), keepdims=True)
+    U, s, Vt = np.linalg.svd(np.where(finite, M, 0.0), full_matrices=False)
+    clipped = (U * np.minimum(s, radius)[..., None, :]) @ Vt
+    return np.where((s[..., 0] > radius)[..., None, None], clipped, M)
 
 
 # ---------------------------------------------------------------------------
@@ -221,11 +215,6 @@ def ogd(blocks, targets: np.ndarray):
     return preds, Ws
 
 
-def _rows(a, d: int) -> np.ndarray:
-    a = np.asarray(a, dtype=float)
-    return a.reshape(a.shape[0], d)
-
-
 def _cells(W, x: np.ndarray, core: int) -> np.ndarray:
     """W with leading size-1 axes for the cell axes of a (..., T, d) stream
     x that it lacks, `core` being the number of its own trailing axes."""
@@ -260,47 +249,46 @@ class RegressionLearner:
     The default rate is D/G with D = 2 radius m and G = m sqrt(d_out).
     The lag coefficients step from c at rate lr_coeffs0, by default 0, so
     they stay fixed; a nonzero rate is the learned-coefficient variant,
-    with c_0 pinned to 1.  Rate lr0=0 evaluates a fixed comparator init_Q;
-    init_Q may carry leading cell axes, one comparator per cell.
+    with c_0 pinned to 1.  Rate lr0=0 evaluates a fixed comparator init_Q,
+    (..., num_taps, d_out, d_in), one per cell on its leading axes.
     """
 
     def __init__(
         self,
         c: CoefficientVector,
-        d_in: int,
-        d_out: int,
+        *,
         num_taps: int | None = None,
         domain_bound: float = DEFAULT_DOMAIN_BOUND,
         lr0: float | None = None,
         lr_coeffs0: float = 0.0,
         init_Q: np.ndarray | None = None,
     ):
-        m = max(c.degree, 1) if num_taps is None else num_taps
-        if m < 0:
+        self.num_taps = max(c.degree, 1) if num_taps is None else num_taps
+        if self.num_taps < 0:
             raise ValueError("num_taps must be nonnegative")
+        self.init_Q = None if init_Q is None else np.array(init_Q, dtype=float)
+        if self.init_Q is not None and self.init_Q.shape[-3:-2] != (self.num_taps,):
+            raise ValueError(f"init_Q shape {self.init_Q.shape} needs {self.num_taps} taps")
         self.c = c
-        self.d_in = d_in
-        self.d_out = d_out
         self.radius = domain_bound * c.l1
-        self.lr0 = 2.0 * self.radius / sqrt(d_out) if lr0 is None else lr0
+        self.lr0 = lr0
         self.lr_coeffs0 = lr_coeffs0
-        self.Q0 = np.zeros((m, d_out, d_in))
-        if init_Q is not None:
-            init_Q = np.asarray(init_Q, dtype=float)
-            if init_Q.shape[-3:] != self.Q0.shape:
-                raise ValueError(f"init_Q shape {init_Q.shape} != {self.Q0.shape}")
-            self.Q0 = init_Q.copy()
 
     def blocks(self, u: np.ndarray, y: np.ndarray) -> list:
         """The input window and the lag coefficients, for (..., T, d)
         streams whose leading axes are cell axes of `ogd`."""
+        shape = (self.num_taps, y.shape[-1], u.shape[-1])
+        Q0 = np.zeros(shape) if self.init_Q is None else self.init_Q
+        if Q0.shape[-3:] != shape:
+            raise ValueError(f"init_Q shape {Q0.shape} does not fit the streams' {shape}")
+        lr0 = 2.0 * self.radius / sqrt(y.shape[-1]) if self.lr0 is None else self.lr0
         return [
-            (lagged(u, self.Q0.shape[-3]), _cells(self.Q0, u, 3), self.lr0, self.radius),
+            (lagged(u, self.num_taps), _cells(Q0, u, 3), lr0, self.radius),
             _lag_block(self.c, y, self.lr_coeffs0),
         ]
 
     def run(self, inputs, outputs) -> np.ndarray:
-        u, y = _rows(inputs, self.d_in), _rows(outputs, self.d_out)
+        u, y = _as_time_major(inputs), _as_time_major(outputs)
         return ogd(self.blocks(u, y), y)[0]
 
 
@@ -311,52 +299,45 @@ class SpectralLearner:
 
     R_Q bounds the truncated-window maps by norm_bound * ||c||_1; R_M
     bounds the filter maps by the sector sup of p times the horizon-
-    dependent amplification of the deep past.
+    dependent amplification of the deep past.  The default rate is D/G
+    with D = n R_Q + k R_M and G = (n + k) sqrt(d_out).
     """
 
     def __init__(
         self,
         c: CoefficientVector,
         bank: FilterBank,
-        d_in: int,
-        d_out: int,
+        *,
         total_horizon: int,
         norm_bound: float = 1.0,
         kappa_bound: float = 1.0,
         lr0: float | None = None,
     ):
-        n, k, T = c.degree, bank.k, total_horizon
-        beta = bank.sector.beta
+        T, beta = total_horizon, bank.sector.beta
         self.c = c
         self.bank = bank
-        self.d_in = d_in
-        self.d_out = d_out
         self.total_horizon = T
         self.R_Q = norm_bound * c.l1
         head = sup_on_sector(c, bank.sector)
         self.R_M = 2.0 * norm_bound * kappa_bound * log(T) * beta ** (4 / 3) * T ** (7 / 6) * head
-        if lr0 is None:
-            D = n * self.R_Q + k * self.R_M
-            G = (n + k) * sqrt(d_out)
-            lr0 = D / G if G > 0 else 0.0
         self.lr0 = lr0
 
     def blocks(self, u: np.ndarray, y: np.ndarray) -> list:
         """Input window, lag coefficients and deep past, for (..., T, d)
         streams whose leading axes are cell axes of `ogd`."""
-        n = self.c.degree
-        shape = (self.d_out, self.d_in)
+        n, k, shape = self.c.degree, self.bank.k, (y.shape[-1], u.shape[-1])
+        G = (n + k) * sqrt(y.shape[-1])
+        default = (n * self.R_Q + k * self.R_M) / G if G > 0 else 0.0
+        lr0 = default if self.lr0 is None else self.lr0
         return [
-            (lagged(u, n + 1), _cells(np.zeros((n + 1, *shape)), u, 3), self.lr0, self.R_Q),
+            (lagged(u, n + 1), _cells(np.zeros((n + 1, *shape)), u, 3), lr0, self.R_Q),
             _lag_block(tilde_expand(self.c), y, 0.0),
-            (
-                deep_past(self.bank, u, n, self.total_horizon),
-                _cells(np.zeros((self.bank.k, *shape)), u, 3), self.lr0, self.R_M,
-            ),
+            (deep_past(self.bank, u, n, self.total_horizon),
+             _cells(np.zeros((k, *shape)), u, 3), lr0, self.R_M),
         ]
 
     def run(self, inputs, outputs) -> np.ndarray:
-        u, y = _rows(inputs, self.d_in), _rows(outputs, self.d_out)
+        u, y = _as_time_major(inputs), _as_time_major(outputs)
         return ogd(self.blocks(u, y), y)[0]
 
 

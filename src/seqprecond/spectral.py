@@ -104,7 +104,6 @@ def build_gram(horizon: int, sector: ComplexSector) -> np.ndarray:
 class FilterBank:
     """Top eigenvectors of the sector Gram matrix, fixed sign, unit norm."""
 
-    horizon: int
     eigenvalues: np.ndarray  # the top k eigenvalues, descending
     filters: np.ndarray  # (k, horizon) rows, the matching eigenvectors
     sector: ComplexSector
@@ -112,6 +111,10 @@ class FilterBank:
     @property
     def k(self) -> int:
         return self.filters.shape[0]
+
+    @property
+    def horizon(self) -> int:
+        return self.filters.shape[1]
 
 
 def _top_eigenpairs(Z: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -209,7 +212,7 @@ def build_filter_bank(horizon: int, sector: ComplexSector, k: int) -> FilterBank
         nz = np.flatnonzero(np.abs(row) > 1e-12 * np.abs(row).max())
         if nz.size and row[nz[0]] < 0:
             row *= -1.0
-    bank = FilterBank(horizon=horizon, eigenvalues=w, filters=F, sector=sector)
+    bank = FilterBank(eigenvalues=w, filters=F, sector=sector)
     _validate_bank(Z, bank)
     return bank
 

@@ -212,6 +212,15 @@ class TestFilters:
         assert "--out and/or --report" in capsys.readouterr().err
 
 
+# configs of the wrong shape or type, and a word their error line must name
+BAD_CONFIGS = [
+    pytest.param({"generator": {"bogus": 1}}, "generator.bogus", id="generator-key"),
+    pytest.param({"lr_grid": 0.1}, "float", id="lr_grid-number"),
+    pytest.param({"n_runs": "5"}, "str", id="n_runs-string"),
+    pytest.param({"degree": 2.5}, "degree", id="degree-float"),
+]
+
+
 class TestRunCommand:
     def make_config(self, tmp_path, **overrides):
         cfg = {
@@ -279,6 +288,14 @@ class TestRunCommand:
         assert run_cli("run", "--config", str(cfg)) == 1
         assert "n_runs" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad, named", BAD_CONFIGS)
+    def test_bad_config_type_is_one_error_line(self, tmp_path, capsys, bad, named):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(bad))
+        assert run_cli("run", "--config", str(path)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and named in err
+
     def test_learned_spectral_flags_exit_one(self, tmp_path, capsys):
         cfg = self.make_config(tmp_path)
         argv = ("run", "--config", str(cfg), "--algo", "spectral", "--precond", "learned")
@@ -342,6 +359,14 @@ class TestSweepCommand:
         payload = json.loads(captured.out)
         assert "failure" in payload[1]
         assert "failed" in captured.err
+
+    @pytest.mark.parametrize("bad, named", BAD_CONFIGS)
+    def test_bad_entry_type_is_one_error_line(self, tmp_path, capsys, bad, named):
+        cfg = self.write_sweep(tmp_path, [self.base_entry(), self.base_entry(**bad)])
+        assert run_cli("sweep", "--config", str(cfg)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: experiment 1: ") and err.count("\n") == 1
+        assert named in err
 
     def test_rejects_object_without_experiments(self, tmp_path, capsys):
         path = tmp_path / "sweep.json"

@@ -1,12 +1,17 @@
-"""The narrative scripts in demos/ run against the public API."""
+"""The narrative scripts in demos/ and the Python blocks of README.md run
+against the public API."""
 
+import re
 import runpy
 import sys
 from pathlib import Path
 
 import pytest
 
-DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+# every fenced ```python block of the README, in order
+README_BLOCKS = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(), re.M | re.S)
 
 
 def test_all_five_demos_found():
@@ -19,4 +24,17 @@ def test_demo_runs(path, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(sys, "argv", [str(path)])
     runpy.run_path(str(path), run_name="__main__")
+    assert capsys.readouterr().out
+
+
+def test_readme_python_blocks_found():
+    assert README_BLOCKS
+
+
+@pytest.mark.parametrize(
+    "code", README_BLOCKS, ids=[f"block{i}" for i in range(len(README_BLOCKS))]
+)
+def test_readme_python_block_runs(code, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    exec(compile(code, "README.md", "exec"), {"__name__": "__main__"})
     assert capsys.readouterr().out

@@ -228,7 +228,7 @@ class TestRunExperiment:
         gen = H.GeneratorConfig(d_h=6, tau=0.05, d_in=d, d_out=d)
         spec = tiny_spec(generator=gen, variant="learned", lr_grid_coeffs=(1e308, 1e-2))
         c = H.resolve_coefficients(spec)
-        cell = RegressionLearner(c, d, d, num_taps=3, lr0=1e-3, lr_coeffs0=1e308)
+        cell = RegressionLearner(c, num_taps=3, lr0=1e-3, lr_coeffs0=1e308)
         seeds = H.derive_seeds(spec.master_seed, spec.n_runs)
 
         def first_failure():

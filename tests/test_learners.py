@@ -9,6 +9,7 @@ from seqprecond.dynsys import gaussian_inputs, simulate_lds, system_from_eigenva
 from seqprecond.poly import ComplexSector, CoefficientVector, chebyshev_monic
 from seqprecond.spectral import build_filter_bank
 from seqprecond.learners import (
+    DEFAULT_DOMAIN_BOUND,
     RegressionLearner,
     SpectralLearner,
     deep_past,
@@ -54,7 +55,7 @@ class TestProjection:
             assert np.linalg.norm(P, 2) <= 1.3 + 1e-9
 
     def test_vector_shortcut_matches_svd_path(self):
-        v = np.array([[3.0, 4.0]])  # spectral norm 5
+        v = np.array([[3.0, 4.0]])  # rank one: spectral norm = Frobenius norm = 5
         np.testing.assert_allclose(project_to_ball(v, 1.0), v / 5, atol=1e-12)
 
 
@@ -154,13 +155,13 @@ class TestDeepPast:
 class TestRegressionPredict:
     def test_zero_state_identity_coeffs(self):
         rng = np.random.default_rng(0)
-        learner = RegressionLearner(cv(1.0), 2, 1, num_taps=3, lr0=0.0)
+        learner = RegressionLearner(cv(1.0), num_taps=3, lr0=0.0)
         preds = learner.run(rng.standard_normal((6, 2)), rng.standard_normal((6, 1)))
         np.testing.assert_array_equal(preds, 0.0)
 
     def test_persistence_with_differencing(self):
         y = np.random.default_rng(1).standard_normal((6, 2))
-        learner = RegressionLearner(cv(1.0, -1.0), 1, 2, num_taps=1, lr0=0.0)
+        learner = RegressionLearner(cv(1.0, -1.0), num_taps=1, lr0=0.0)
         preds = learner.run(np.zeros((6, 1)), y)
         np.testing.assert_array_equal(preds[0], 0.0)
         np.testing.assert_allclose(preds[1:], y[:-1], atol=0)
@@ -171,7 +172,7 @@ class TestRegressionPredict:
         Q = rng.standard_normal((3, 3, 2))
         T = 8
         u, y = rng.standard_normal((T, 2)), rng.standard_normal((T, 3))
-        got = RegressionLearner(c, 2, 3, num_taps=3, lr0=0.0, init_Q=Q).run(u, y)
+        got = RegressionLearner(c, num_taps=3, lr0=0.0, init_Q=Q).run(u, y)
         for t in range(T):
             want = np.zeros(3)
             for i in range(1, 4):
@@ -183,13 +184,38 @@ class TestRegressionPredict:
             np.testing.assert_allclose(got[t], want, atol=1e-12)
 
     def test_dimension_mismatch(self):
-        learner = RegressionLearner(cv(1.0, 0.0), 2, 1)
-        with pytest.raises(ValueError):
+        # the streams set (d_out, d_in), so an init_Q that does not fit them
+        # is refused when the blocks are built, naming both shapes
+        learner = RegressionLearner(cv(1.0, 0.0), init_Q=np.zeros((1, 1, 2)))
+        with pytest.raises(ValueError, match=r"\(1, 1, 2\) does not fit the streams' \(1, 1, 3\)"):
             learner.run(np.zeros((5, 3)), np.zeros((5, 1)))
         with pytest.raises(ValueError, match="init_Q shape"):
-            RegressionLearner(cv(1.0, 0.0), 2, 1, init_Q=np.zeros((2, 1, 2)))
+            RegressionLearner(cv(1.0, 0.0), init_Q=np.zeros((2, 1, 2)))
         with pytest.raises(ValueError, match="rows"):
             ogd([one_tap(0.1, T=4)], np.zeros((5, 1)))
+
+
+class TestStreamWidths:
+    @pytest.mark.parametrize("d_out", [1, 4])
+    def test_default_rate_follows_the_streams_d_out(self, d_out):
+        c = chebyshev_monic(2)
+        u, y = np.zeros((5, 3)), np.zeros((5, d_out))
+        (_, _, rate, radius), _ = RegressionLearner(c).blocks(u, y)
+        assert radius == DEFAULT_DOMAIN_BOUND * c.l1
+        assert rate == 2.0 * radius / np.sqrt(d_out)
+        spectral = SpectralLearner(c, make_bank(), total_horizon=27)
+        (_, Q0, rate_Q, _), _, (_, M0, rate_M, _) = spectral.blocks(u, y)
+        want = (2 * spectral.R_Q + 3 * spectral.R_M) / ((2 + 3) * np.sqrt(d_out))
+        assert rate_Q == rate_M == want
+        assert Q0.shape == (3, d_out, 3) and M0.shape == (3, d_out, 3)
+
+    def test_stale_positional_widths_are_refused(self):
+        # widths are no longer parameters; a positional call that passed them
+        # must not become num_taps and domain_bound
+        with pytest.raises(TypeError):
+            RegressionLearner(cv(1.0, 0.0), 2, 2, lr0=0.1)
+        with pytest.raises(TypeError):
+            SpectralLearner(cv(1.0), make_bank(), 1, 1, total_horizon=27)
 
 
 class TestRegressionUpdate:
@@ -213,7 +239,7 @@ class TestRegressionUpdate:
 
     def test_projection_invariant_after_updates(self):
         rng = np.random.default_rng(3)
-        learner = RegressionLearner(chebyshev_monic(2), 2, 2, domain_bound=0.1, lr0=5.0)
+        learner = RegressionLearner(chebyshev_monic(2), domain_bound=0.1, lr0=5.0)
         u, y = rng.standard_normal((30, 2)), rng.standard_normal((30, 2))
         for t in range(1, 31):
             _, (Q, _) = ogd(learner.blocks(u[:t], y[:t]), y[:t])
@@ -223,7 +249,7 @@ class TestRegressionUpdate:
     def test_no_input_taps(self):
         # an empty input window learns nothing: differencing stays persistence
         y = np.random.default_rng(2).standard_normal((6, 1))
-        preds = RegressionLearner(cv(1.0, -1.0), 1, 1, num_taps=0, lr0=0.1).run(np.ones((6, 1)), y)
+        preds = RegressionLearner(cv(1.0, -1.0), num_taps=0, lr0=0.1).run(np.ones((6, 1)), y)
         np.testing.assert_array_equal(preds[1:], y[:-1])
 
     def test_zero_lr_freezes(self):
@@ -236,7 +262,7 @@ class TestRegressionUpdate:
         rng = np.random.default_rng(11)
         c = chebyshev_monic(2)
         Q = rng.standard_normal((2, 2, 3))
-        learner = RegressionLearner(c, 3, 2, domain_bound=1e-3, lr0=0.0, init_Q=Q)
+        learner = RegressionLearner(c, domain_bound=1e-3, lr0=0.0, init_Q=Q)
         assert all(np.linalg.norm(Qj, 2) > learner.radius for Qj in Q)
         T = 12
         u, y = rng.standard_normal((T, 3)), rng.standard_normal((T, 2))
@@ -287,18 +313,18 @@ def spectral_frozen(learner, u, y, Q, M):
 
 class TestSpectralPredict:
     def test_all_zero(self):
-        learner = SpectralLearner(cv(1.0), make_bank(), 1, 1, total_horizon=27)
+        learner = SpectralLearner(cv(1.0), make_bank(), total_horizon=27)
         np.testing.assert_array_equal(learner.run(np.zeros((5, 1)), np.zeros((5, 1))), 0.0)
 
     def test_m_zero_reduces_to_regression(self):
         rng = np.random.default_rng(4)
         c = chebyshev_monic(2)
         bank = build_filter_bank(20, ComplexSector(0.1), 0)
-        learner = SpectralLearner(c, bank, 2, 1, total_horizon=23)
+        learner = SpectralLearner(c, bank, total_horizon=23)
         Q = rng.standard_normal((3, 1, 2))
         u, y = rng.standard_normal((9, 2)), rng.standard_normal((9, 1))
         got = spectral_frozen(learner, u, y, Q, np.zeros((0, 1, 2)))
-        reg = RegressionLearner(tilde_expand(c), 2, 1, num_taps=3, lr0=0.0, init_Q=Q)
+        reg = RegressionLearner(tilde_expand(c), num_taps=3, lr0=0.0, init_Q=Q)
         np.testing.assert_allclose(got, reg.run(u, y), atol=1e-12)
 
     def test_dense_oracle(self):
@@ -307,7 +333,7 @@ class TestSpectralPredict:
         n = 2
         bank = make_bank(horizon=16, beta=0.2, k=3)
         T = 16 + n + 1
-        learner = SpectralLearner(c, bank, 1, 1, total_horizon=T)
+        learner = SpectralLearner(c, bank, total_horizon=T)
         Q = rng.standard_normal((n + 1, 1, 1))
         M = rng.standard_normal((3, 1, 1))
         steps = 11
@@ -332,14 +358,14 @@ class TestSpectralPredict:
             np.testing.assert_allclose(got[t], [want], atol=1e-12)
 
     def test_history_deeper_than_bank_rejected(self):
-        learner = SpectralLearner(cv(1.0), make_bank(horizon=8), 1, 1, total_horizon=11)
+        learner = SpectralLearner(cv(1.0), make_bank(horizon=8), total_horizon=11)
         with pytest.raises(ValueError, match="bank horizon|exceeds"):
             learner.run(np.zeros((30, 1)), np.zeros((30, 1)))
 
 
 class TestSpectralUpdate:
     def test_zero_residual_unchanged(self):
-        learner = SpectralLearner(chebyshev_monic(2), make_bank(), 1, 1, total_horizon=27)
+        learner = SpectralLearner(chebyshev_monic(2), make_bank(), total_horizon=27)
         u, y = np.ones((5, 1)), np.zeros((5, 1))
         preds, (Q, _, M) = ogd(learner.blocks(u, y), y)
         np.testing.assert_array_equal(preds, 0.0)
@@ -347,7 +373,7 @@ class TestSpectralUpdate:
         np.testing.assert_array_equal(M, 0.0)
 
     def test_zero_inputs_leave_parameters(self):
-        learner = SpectralLearner(chebyshev_monic(2), make_bank(), 1, 1, total_horizon=27)
+        learner = SpectralLearner(chebyshev_monic(2), make_bank(), total_horizon=27)
         u, y = np.zeros((6, 1)), np.ones((6, 1))
         _, (Q, _, M) = ogd(learner.blocks(u, y), y)
         np.testing.assert_array_equal(Q, 0.0)
@@ -357,7 +383,7 @@ class TestSpectralUpdate:
         c = cv(1.0)  # degree 0: one input tap, c~ = (1, 0, -1)
         bank = make_bank(horizon=6, beta=0.1, k=1)
         # norm_bound large enough that the projection stays inactive
-        learner = SpectralLearner(c, bank, 1, 1, total_horizon=7, lr0=0.5, norm_bound=10.0)
+        learner = SpectralLearner(c, bank, total_horizon=7, lr0=0.5, norm_bound=10.0)
         u = np.array([[1.0], [2.0], [3.0], [4.0]])
         # three zero residuals advance the schedule without an update; the
         # fourth is +2.5, so the one update runs at eta_4 = 0.5 / 2
@@ -374,7 +400,7 @@ class TestSpectralUpdate:
     def test_radius_invariants_after_noise(self):
         rng = np.random.default_rng(9)
         bank = make_bank(horizon=12, k=2)
-        learner = SpectralLearner(chebyshev_monic(2), bank, 1, 1, total_horizon=15, lr0=50.0)
+        learner = SpectralLearner(chebyshev_monic(2), bank, total_horizon=15, lr0=50.0)
         u, y = rng.standard_normal((13, 1)), rng.standard_normal((13, 1))
         for t in range(1, 14):
             _, (Q, _, M) = ogd(learner.blocks(u[:t], y[:t]), y[:t])
@@ -416,7 +442,7 @@ class TestOracleWeights:
             u = np.sign(gaussian_inputs(T, 1, seed + 10))  # unit-length input rows
             traj = simulate_lds(sys, u)
             learner = RegressionLearner(
-                c, 1, 1, num_taps=n, lr0=0.0, init_Q=oracle_weights(sys, c)
+                c, num_taps=n, lr0=0.0, init_Q=oracle_weights(sys, c)
             )
             preds = learner.run(traj.inputs, traj.outputs)
             err = np.abs(preds - traj.outputs).max()
@@ -430,7 +456,7 @@ class TestOracleWeights:
 class TestLearnedCoeffs:
     def test_zero_residual_unchanged(self):
         c = chebyshev_monic(2)
-        learner = RegressionLearner(c, 1, 1, lr0=1.0, lr_coeffs0=1.0)
+        learner = RegressionLearner(c, lr0=1.0, lr_coeffs0=1.0)
         u, y = np.ones((5, 1)), np.zeros((5, 1))
         preds, (Q, coeffs) = ogd(learner.blocks(u, y), y)
         np.testing.assert_array_equal(preds, 0.0)
@@ -438,7 +464,7 @@ class TestLearnedCoeffs:
         np.testing.assert_array_equal(coeffs, c.coeffs[1:])
 
     def test_scalar_coefficient_gradient(self):
-        learner = RegressionLearner(cv(1.0, 0.0), 1, 1, lr0=0.0, lr_coeffs0=0.1)
+        learner = RegressionLearner(cv(1.0, 0.0), lr0=0.0, lr_coeffs0=0.1)
         # step 1 has no lagged target, so c_1 first moves at step 2, where
         # y_{t-1} = 2 and the residual is 0 - (-1.5) > 0
         u, y = np.zeros((2, 1)), np.array([[2.0], [-1.5]])
@@ -451,7 +477,7 @@ class TestLearnedCoeffs:
         # update can move it, while the others do move
         rng = np.random.default_rng(5)
         c = chebyshev_monic(3)
-        learner = RegressionLearner(c, 1, 1, lr_coeffs0=1.0)
+        learner = RegressionLearner(c, lr_coeffs0=1.0)
         u, y = rng.standard_normal((20, 1)), rng.standard_normal((20, 1))
         _, (_, coeffs) = ogd(learner.blocks(u, y), y)
         assert coeffs.shape == (3,)
@@ -461,11 +487,11 @@ class TestLearnedCoeffs:
         c = chebyshev_monic(2)
         rng = np.random.default_rng(6)
         u, y = rng.standard_normal((30, 1)), rng.standard_normal((30, 1))
-        fixed = RegressionLearner(c, 1, 1).run(u, y)
-        learned = RegressionLearner(c, 1, 1, lr_coeffs0=0.1).run(u, y)
+        fixed = RegressionLearner(c).run(u, y)
+        learned = RegressionLearner(c, lr_coeffs0=0.1).run(u, y)
         np.testing.assert_array_equal(learned[0], fixed[0])
         # with a zero coefficient rate the two coincide on the whole stream
-        frozen_c = RegressionLearner(c, 1, 1, lr_coeffs0=0.0).run(u, y)
+        frozen_c = RegressionLearner(c, lr_coeffs0=0.0).run(u, y)
         np.testing.assert_array_equal(frozen_c, fixed)
 
 
@@ -473,7 +499,7 @@ class TestRegret:
     def test_fixed_l1_stream_regret_bound(self):
         # scalar box domain [-1, 1], target 2 outside it: G = 1, D = 2
         T = 2000
-        learner = RegressionLearner(cv(1.0), 1, 1, num_taps=1, domain_bound=1.0)
+        learner = RegressionLearner(cv(1.0), num_taps=1, domain_bound=1.0)
         u = np.ones((T, 1))
         y = np.full((T, 1), 2.0)
         preds = learner.run(u, y)
@@ -493,12 +519,12 @@ class TestStreamingEquivalences:
         u = rng.standard_normal((T, 1))
         y = rng.standard_normal((T, 1))
         lr0 = 0.2
-        spec = SpectralLearner(c, bank, 1, 1, total_horizon=T, lr0=lr0)
+        spec = SpectralLearner(c, bank, total_horizon=T, lr0=lr0)
         got = spec.run(u, y)
 
         ct = tilde_expand(c)
         reg = RegressionLearner(
-            c=ct, d_in=1, d_out=1, num_taps=c.degree + 1,
+            c=ct, num_taps=c.degree + 1,
             domain_bound=spec.R_Q / ct.l1, lr0=lr0,
         )
         want = reg.run(u, y)
@@ -512,9 +538,9 @@ def causal_learners():
     c = cv(1.0, -0.9, 0.4, 0.1)  # no zero coefficient, so every lag is used
     bank = build_filter_bank(CAUSAL_T - c.degree - 1, ComplexSector(0.1), 4)
     return {
-        "regression": RegressionLearner(c, 2, 2, lr0=0.05),
-        "learned": RegressionLearner(c, 2, 2, lr0=0.05, lr_coeffs0=0.01),
-        "spectral": SpectralLearner(c, bank, 2, 2, total_horizon=CAUSAL_T, lr0=0.05),
+        "regression": RegressionLearner(c, lr0=0.05),
+        "learned": RegressionLearner(c, lr0=0.05, lr_coeffs0=0.01),
+        "spectral": SpectralLearner(c, bank, total_horizon=CAUSAL_T, lr0=0.05),
     }
 
 

@@ -16,7 +16,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from seqprecond import harness as H
-from seqprecond.learners import RegressionLearner, SpectralLearner, ogd, oracle_weights
+from seqprecond.learners import (
+    RegressionLearner,
+    SpectralLearner,
+    lagged,
+    ogd,
+    oracle_weights,
+    project_to_ball,
+)
 from seqprecond.poly import ComplexSector, CoefficientVector
 from seqprecond.spectral import build_filter_bank
 
@@ -64,13 +71,37 @@ def reference_ogd(blocks, targets):
     return preds, Ws
 
 
-def make_learner(kind, rng, d_in, d_out, T, rate, taps=None):
+@given(st.data())
+def test_stacked_projection_matches_the_reference(data):
+    cells = tuple(data.draw(st.lists(st.integers(1, 3), max_size=2), label="cells"))
+    m, n = data.draw(st.integers(1, 4), label="m"), data.draw(st.integers(1, 4), label="n")
+    radius = data.draw(st.sampled_from([0.0, 0.3, 1.0, 10.0]), label="radius")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    # per-matrix scales put some matrices inside the ball and some over it
+    scale = rng.choice([0.0, 0.1, 1.0, 4.0], size=(*cells, 1, 1))
+    M = rng.standard_normal((*cells, m, n)) * scale
+    for cell in np.ndindex(*cells):
+        if rng.random() < 0.2:
+            M[cell][rng.integers(m), rng.integers(n)] = rng.choice([np.inf, -np.inf, np.nan])
+    out = project_to_ball(M, radius)
+    assert out.shape == M.shape
+    for cell in np.ndindex(*cells):
+        if np.isfinite(M[cell]).all():
+            want = reference_project(M[cell], radius)
+            np.testing.assert_allclose(out[cell], want, rtol=TOL, atol=TOL)
+        else:
+            np.testing.assert_array_equal(out[cell], M[cell])
+    if not (np.sqrt((M * M).sum(axis=(-2, -1))) > radius).any():
+        assert out is M
+
+
+def make_learner(kind, rng, T, rate, taps=None):
     """A learner of `kind` at `rate` (a float, or rates broadcast over cells)."""
     c = CoefficientVector(np.concatenate([[1.0], rng.uniform(-0.9, 0.9, rng.integers(0, 4))]))
     if kind == "spectral":
         bank = build_filter_bank(T - c.degree - 1, ComplexSector(0.1), int(rng.integers(1, 5)))
-        return SpectralLearner(c, bank, d_in, d_out, total_horizon=T, lr0=rate, norm_bound=0.3)
-    return RegressionLearner(c, d_in, d_out, num_taps=taps, domain_bound=0.2, lr0=rate,
+        return SpectralLearner(c, bank, total_horizon=T, lr0=rate, norm_bound=0.3)
+    return RegressionLearner(c, num_taps=taps, domain_bound=0.2, lr0=rate,
                              lr_coeffs0=rate / 10 if kind == "learned" else 0.0)
 
 
@@ -93,12 +124,12 @@ def test_every_cell_matches_the_reference(kind, d, taps):
     y[1, :5] = 0.0  # run 1 starts on exact zero residuals; the others do not
     u[1, :5] = 0.0
     state = rng.bit_generator.state
-    batched = make_learner(kind, rng, d_in, d_out, T, rates[:, None], taps)
+    batched = make_learner(kind, rng, T, rates[:, None], taps)
     preds, Ws = ogd(batched.blocks(u[None], y[None]), y[None])
     assert preds.shape == (len(rates), runs, T, d_out)
     for g, rate in enumerate(rates):
         rng.bit_generator.state = state  # the same coefficients and bank
-        learner = make_learner(kind, rng, d_in, d_out, T, float(rate), taps)
+        learner = make_learner(kind, rng, T, float(rate), taps)
         for r in range(runs):
             want, want_W = reference_ogd(learner.blocks(u[r], y[r]), y[r])
             np.testing.assert_allclose(preds[g, r], want, rtol=TOL, atol=TOL)
@@ -159,11 +190,11 @@ def test_frozen_cells_with_their_own_weights(d):
     c = CoefficientVector(np.array([1.0, -0.5, 0.25]))
     Q = rng.standard_normal((runs, 2, d, d))
     u, y = rng.standard_normal((runs, T, d)), rng.standard_normal((runs, T, d))
-    learner = RegressionLearner(c, d, d, lr0=0.0, init_Q=Q)
+    learner = RegressionLearner(c, lr0=0.0, init_Q=Q)
     preds, (W, _) = ogd(learner.blocks(u, y), y)
     np.testing.assert_array_equal(W, Q)
     for r in range(runs):
-        single = RegressionLearner(c, d, d, lr0=0.0, init_Q=Q[r])
+        single = RegressionLearner(c, lr0=0.0, init_Q=Q[r])
         want, _ = reference_ogd(single.blocks(u[r], y[r]), y[r])
         np.testing.assert_allclose(preds[r], want, rtol=TOL, atol=TOL)
 
@@ -219,6 +250,29 @@ def test_diverging_cell_is_named_and_leaves_the_others_to_finish():
 # the grid search, cell by cell over the reference
 
 
+def test_one_learner_serves_streams_of_any_width():
+    # the widths come from the streams: the same learner object steps
+    # (d_out, d_in) maps of zeros from each stream, at a rate set by d_out
+    rng = np.random.default_rng(17)
+    c = CoefficientVector(np.array([1.0, -0.5, 0.25]))
+    learner = RegressionLearner(c, domain_bound=0.2, lr_coeffs0=0.05)
+    T = 30
+    for d_in, d_out in ((1, 1), (3, 2)):
+        u, y = 3 * rng.standard_normal((T, d_in)), rng.standard_normal((T, d_out))
+        lr0 = 2.0 * learner.radius / sqrt(d_out)
+        blocks = [
+            (lagged(u, 2), np.zeros((2, d_out, d_in)), lr0, learner.radius),
+            (lagged(-y, 2, 1), c.coeffs[1:], 0.05, None),
+        ]
+        want, want_W = reference_ogd(blocks, y)
+        preds, Ws = ogd(learner.blocks(u, y), y)
+        np.testing.assert_allclose(learner.run(u, y), want, rtol=TOL, atol=TOL)
+        np.testing.assert_allclose(preds, want, rtol=TOL, atol=TOL)
+        assert Ws[0].shape == (2, d_out, d_in)
+        for W, w in zip(Ws, want_W):
+            np.testing.assert_allclose(W, w, rtol=TOL, atol=TOL)
+
+
 def reference_experiment(spec):
     """Per-grid-point mean final-window errors and the chosen rate, from
     one reference recursion per (rate, run) cell."""
@@ -229,18 +283,17 @@ def reference_experiment(spec):
         grid = [(m, cc) for m in spec.lr_grid for cc in spec.lr_grid_coeffs or spec.lr_grid]
     else:
         grid = list(spec.lr_grid)
-    d_in, d_out, T = runs[0].inputs.shape[1], runs[0].outputs.shape[1], spec.horizon
+    T = spec.horizon
     taps = spec.num_taps if spec.num_taps is not None else max(spec.degree, 1)
     means = []
     for lr in grid:
         if spec.algo == "spectral":
             bank = build_filter_bank(T - c.degree - 1, ComplexSector(spec.beta), spec.filter_count)
-            learner = SpectralLearner(c, bank, d_in, d_out, total_horizon=T, lr0=lr)
+            learner = SpectralLearner(c, bank, total_horizon=T, lr0=lr)
         elif spec.variant == "learned":
-            learner = RegressionLearner(c, d_in, d_out, num_taps=taps,
-                                        lr0=lr[0], lr_coeffs0=lr[1])
+            learner = RegressionLearner(c, num_taps=taps, lr0=lr[0], lr_coeffs0=lr[1])
         else:
-            learner = RegressionLearner(c, d_in, d_out, num_taps=taps, lr0=lr)
+            learner = RegressionLearner(c, num_taps=taps, lr0=lr)
         finals = []
         for traj in runs:
             preds, _ = reference_ogd(learner.blocks(traj.inputs, traj.outputs), traj.outputs)
@@ -278,8 +331,7 @@ def test_oracle_comparator_matches_per_run_reference():
     seeds = H.derive_seeds(spec.master_seed, spec.n_runs)
     want = []
     for traj, system in zip(*H._make_runs(spec.generator, spec.horizon, seeds)):
-        learner = RegressionLearner(c, 1, 1, num_taps=3, lr0=0.0,
-                                    init_Q=oracle_weights(system, c))
+        learner = RegressionLearner(c, num_taps=3, lr0=0.0, init_Q=oracle_weights(system, c))
         preds, _ = reference_ogd(learner.blocks(traj.inputs, traj.outputs), traj.outputs)
         want.append(np.abs(preds - traj.outputs).sum(axis=1)[-spec.window :].mean())
     report = H.run_experiment(spec)
