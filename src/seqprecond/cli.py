@@ -249,14 +249,14 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    report = invariants.verify(args.suite)
-    for r in report.results:
+    results = invariants.verify(args.suite)
+    for r in results:
         print(r)
-    if report.all_passed:
-        print(f"{len(report.results)} checks passed")
+    failed = sum(not r.passed for r in results)
+    if not failed:
+        print(f"{len(results)} checks passed")
         return 0
-    failed = sum(not r.passed for r in report.results)
-    print(f"{failed} of {len(report.results)} checks FAILED", file=sys.stderr)
+    print(f"{failed} of {len(results)} checks FAILED", file=sys.stderr)
     return 2
 
 

@@ -18,8 +18,9 @@ import hashlib
 import json
 import math
 import numbers
+import typing
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -111,7 +112,25 @@ class MetricsReport:
     meta: dict = field(default_factory=dict)
 
 
+def _check_field_types(obj, prefix: str = "") -> None:
+    """Check each field of a spec dataclass against its annotation, naming
+    the field.  A bool is no int or float here; a float takes any real."""
+    hints = typing.get_type_hints(type(obj))
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        allowed = typing.get_args(hints[f.name]) or (hints[f.name],)
+        kinds = tuple({int: numbers.Integral, float: numbers.Real}.get(t, t) for t in allowed)
+        if not isinstance(value, kinds) or isinstance(value, bool) and bool not in allowed:
+            raise ValueError(f"{prefix}{f.name}: expected {f.type}, "
+                             f"got {type(value).__name__} {value!r}")
+
+
 def validate_spec(spec: ExperimentSpec) -> None:
+    _check_field_types(spec)
+    if spec.generator is not None:
+        _check_field_types(spec.generator, "generator.")
+        if spec.generator.kind not in ("lds", "nonlinear"):
+            raise ValueError(f"unknown generator kind {spec.generator.kind!r}")
     if spec.algo not in ALGOS:
         raise ValueError(f"unknown algorithm {spec.algo!r}")
     if spec.variant not in VARIANTS:
@@ -124,7 +143,8 @@ def validate_spec(spec: ExperimentSpec) -> None:
         raise ValueError("learning-rate grid must be nonempty")
     for name in ("lr_grid", "lr_grid_coeffs"):
         for lr in getattr(spec, name) or ():
-            if not (isinstance(lr, numbers.Real) and math.isfinite(lr) and lr >= 0):
+            real = isinstance(lr, numbers.Real) and not isinstance(lr, bool)
+            if not (real and math.isfinite(lr) and lr >= 0):
                 raise ValueError(f"{name} holds {lr!r}: a learning rate must be finite and >= 0")
     if spec.variant == "learned" and spec.algo != "regression":
         raise ValueError("the learned variant is defined for regression only")
@@ -132,7 +152,7 @@ def validate_spec(spec: ExperimentSpec) -> None:
         raise ValueError(f"lr_grid_coeffs applies to the learned variant, not {spec.variant!r}")
     if spec.variant == "custom" and not spec.custom_coeffs:
         raise ValueError("custom variant requires custom_coeffs")
-    c = resolve_coefficients(spec)  # rejects a degree that is no integer
+    c = resolve_coefficients(spec)
     if spec.oracle_comparator:
         if spec.csv_path is not None or spec.generator.kind != "lds":
             raise ValueError("oracle comparator needs a generated linear system")
@@ -183,10 +203,8 @@ def _make_runs(g: GeneratorConfig, horizon: int, seeds: list[int]):
     passes run 0's seeds alone."""
     if g.kind == "lds":
         sample, simulate = dynsys.sample_system, dynsys.simulate_lds_runs
-    elif g.kind == "nonlinear":
-        sample, simulate = dynsys.sample_nonlinear_system, dynsys.simulate_nonlinear_runs
     else:
-        raise ValueError(f"unknown generator kind {g.kind!r}")
+        sample, simulate = dynsys.sample_nonlinear_system, dynsys.simulate_nonlinear_runs
     triples = [seeds[i : i + 3] for i in range(0, len(seeds), 3)]
     systems = [
         sample(g.d_h, g.d_in, g.d_out, g.tau, g.radius_lo, g.radius_hi,

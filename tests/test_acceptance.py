@@ -14,10 +14,10 @@ from seqprecond import invariants
 
 @pytest.fixture(scope="module")
 def gate():
-    report = invariants.verify("all")
-    assert len(report.results) == 10
-    assert {r.suite for r in report.results} == set(invariants.SUITES)
-    return {r.name: r for r in report.results}
+    results = invariants.verify("all")
+    assert len(results) == 10
+    assert {r.suite for r in results} == set(invariants.SUITES)
+    return {r.name: r for r in results}
 
 
 def _criterion(gate, name):

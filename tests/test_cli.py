@@ -1,9 +1,9 @@
 """Command-line interface: subcommands, file formats, exit codes."""
 
 import argparse
+import ast
 import json
-import os
-import subprocess
+import re
 import sys
 from pathlib import Path
 
@@ -14,7 +14,7 @@ import seqprecond
 from seqprecond import dynsys, harness, invariants
 from seqprecond.cli import _build_parser, main
 from seqprecond.harness import ingest_csv
-from seqprecond.invariants import VerifyReport, VerifyResult
+from seqprecond.invariants import VerifyResult
 from seqprecond.poly import chebyshev_monic
 from seqprecond.precond import convolve
 
@@ -218,6 +218,11 @@ BAD_CONFIGS = [
     pytest.param({"lr_grid": 0.1}, "float", id="lr_grid-number"),
     pytest.param({"n_runs": "5"}, "str", id="n_runs-string"),
     pytest.param({"degree": 2.5}, "degree", id="degree-float"),
+    pytest.param({"generator": 5}, "generator", id="generator-number"),
+    pytest.param({"degree": True}, "degree", id="degree-bool"),
+    pytest.param({"n_runs": 2.0}, "n_runs", id="n_runs-float"),
+    pytest.param({"csv_path": 0, "n_runs": 1}, "csv_path", id="csv_path-number"),
+    pytest.param({"horizon": "50"}, "horizon", id="horizon-string"),
 ]
 
 
@@ -393,7 +398,7 @@ class TestVerifyCommand:
         )
 
     def test_failure_exits_two(self, capsys, monkeypatch):
-        fake = VerifyReport([VerifyResult("poly", "broken", False, "boom")])
+        fake = [VerifyResult("poly", "broken", False, "boom")]
         monkeypatch.setattr(invariants, "verify", lambda suite="all": fake)
         assert run_cli("verify") == 2
         captured = capsys.readouterr()
@@ -445,21 +450,21 @@ class TestTopLevel:
         assert "invalid choice" in capsys.readouterr().err
 
 
-def loaded_scipy(code):
-    """The scipy modules loaded after running `code` in a fresh interpreter."""
-    env = dict(os.environ, PYTHONPATH=str(Path(seqprecond.__file__).parents[1]))
-    code = f"import sys\n{code}\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    return out.stdout.strip().splitlines()[-1]
-
-
-def test_importing_the_cli_loads_no_scipy():
-    # scipy is loaded only for criterion 03
-    assert loaded_scipy("import seqprecond.cli") == "[]"
-
-
-def test_building_a_filter_bank_loads_no_scipy(tmp_path):
-    out = tmp_path / "bank.json"
-    code = f"from seqprecond.cli import main\nmain(['filters', '--T', '300', '--k', '8', '--out', {str(out)!r}])"
-    assert loaded_scipy(code) == "[]"
-    assert json.loads(out.read_text())["k"] == 8
+def test_src_imports_only_the_standard_library_and_numpy():
+    tomllib = pytest.importorskip("tomllib")  # Python >= 3.11
+    allowed = sys.stdlib_module_names | {"numpy", "seqprecond"}
+    package = Path(seqprecond.__file__).parent
+    outside = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            outside += [f"{path.name}:{node.lineno} {name}" for name in names
+                        if name.split(".")[0] not in allowed]
+    assert outside == []
+    project = tomllib.loads((package.parents[1] / "pyproject.toml").read_text())["project"]
+    assert [re.match(r"[\w.-]+", dep)[0] for dep in project["dependencies"]] == ["numpy"]

@@ -94,6 +94,7 @@ class TestValidateSpec:
             (dict(lr_grid=(float("nan"),)), "lr_grid holds nan"),
             (dict(lr_grid=(float("inf"),)), "lr_grid holds inf"),
             (dict(lr_grid=("0.1",)), "lr_grid holds '0.1'"),
+            (dict(lr_grid=(True,)), "lr_grid holds True"),
             (
                 dict(variant="learned", lr_grid_coeffs=(1e-2, -1e-3)),
                 r"lr_grid_coeffs holds -0\.001",
@@ -108,6 +109,10 @@ class TestValidateSpec:
             (
                 dict(oracle_comparator=True, variant="learned"),
                 "oracle_comparator=True .* variant='learned'",
+            ),
+            (
+                dict(generator=H.GeneratorConfig(kind="weird", d_h=6)),
+                "unknown generator kind 'weird'",
             ),
         ],
     )
@@ -473,12 +478,12 @@ class TestSweep:
 
 class TestVerify:
     def test_single_suite_filter(self):
-        report = verify("poly")
-        assert [(r.suite, r.name) for r in report.results] == [
+        results = verify("poly")
+        assert [(r.suite, r.name) for r in results] == [
             ("poly", "chebyshev_sector_decay"),
             ("poly", "coefficient_growth_exact"),
         ]
-        assert report.all_passed
+        assert all(r.passed for r in results)
 
     def test_unknown_suite_rejected(self):
         with pytest.raises(ValueError, match="unknown suite 'nope'") as exc:

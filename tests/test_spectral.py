@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.integrate import dblquad
 
+from seqprecond import invariants
 from seqprecond.poly import ComplexSector
 from seqprecond.spectral import (
     MAX_HORIZON,
@@ -65,6 +66,14 @@ class TestGramEntry:
             assert gram_entry(j, k, sector) == pytest.approx(
                 gram_by_quadrature(j, k, beta), abs=1e-8
             )
+
+    def test_criterion_03_reports_an_off_diagonal_error(self, monkeypatch):
+        def off_by_1e6(j, k, sector):
+            return gram_entry(j, k, sector) + (1e-6 if j != k else 0.0)
+
+        monkeypatch.setattr(invariants, "gram_entry", off_by_1e6)
+        with pytest.raises(AssertionError, match=r"20-point off-diagonal err 1\.00e-06 \(tol"):
+            invariants.gram_closed_form()
 
     def test_symmetric_in_indices(self):
         s = ComplexSector(0.3)
