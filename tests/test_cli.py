@@ -3,7 +3,9 @@
 import argparse
 import ast
 import json
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -448,6 +450,25 @@ class TestTopLevel:
     def test_unknown_subcommand_is_usage_error(self, capsys):
         assert run_cli("frobnicate") == 1
         assert "invalid choice" in capsys.readouterr().err
+
+
+def loaded_scipy(code):
+    """The scipy modules loaded after running `code` in a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(Path(seqprecond.__file__).parents[1]))
+    code = f"import sys\n{code}\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    return out.stdout.strip().splitlines()[-1]
+
+
+def test_importing_the_cli_loads_no_scipy():
+    assert loaded_scipy("import seqprecond.cli") == "[]"
+
+
+def test_building_a_filter_bank_loads_no_scipy(tmp_path):
+    out = tmp_path / "bank.json"
+    code = f"from seqprecond.cli import main\nmain(['filters', '--T', '300', '--k', '8', '--out', {str(out)!r}])"
+    assert loaded_scipy(code) == "[]"
+    assert json.loads(out.read_text())["k"] == 8
 
 
 def test_src_imports_only_the_standard_library_and_numpy():

@@ -94,7 +94,6 @@ class TestValidateSpec:
             (dict(lr_grid=(float("nan"),)), "lr_grid holds nan"),
             (dict(lr_grid=(float("inf"),)), "lr_grid holds inf"),
             (dict(lr_grid=("0.1",)), "lr_grid holds '0.1'"),
-            (dict(lr_grid=(True,)), "lr_grid holds True"),
             (
                 dict(variant="learned", lr_grid_coeffs=(1e-2, -1e-3)),
                 r"lr_grid_coeffs holds -0\.001",
@@ -114,6 +113,7 @@ class TestValidateSpec:
                 dict(generator=H.GeneratorConfig(kind="weird", d_h=6)),
                 "unknown generator kind 'weird'",
             ),
+            (dict(lr_grid=(True,)), "lr_grid holds True"),
         ],
     )
     def test_rejections_name_the_problem(self, overrides, fragment):
