@@ -243,6 +243,25 @@ def _sample_pair(
     raise ValueError("infeasible eigenvalue constraints: rejection sampling failed")
 
 
+def check_system_args(
+    d_h, d_in, d_out, tau, radius_lo, radius_hi, noise_sigma, basis_cond, prefix: str = ""
+) -> None:
+    """Reject an argument of `sample_system` out of range, naming it after
+    `prefix` by its `harness.GeneratorConfig` field name (tau is
+    tau_thresh).  A NaN is out of every range."""
+    for name, value in (("d_h", d_h), ("d_in", d_in), ("d_out", d_out)):
+        if not value >= 1:
+            raise ValueError(f"{prefix}{name} must be >= 1, got {value}")
+    if not (0.0 <= radius_lo <= radius_hi <= 1.0):
+        raise ValueError(f"need 0 <= {prefix}radius_lo <= {prefix}radius_hi <= 1, "
+                         f"got [{radius_lo}, {radius_hi}]")
+    for name, value in (("tau", tau), ("noise_sigma", noise_sigma)):
+        if not value >= 0:
+            raise ValueError(f"{prefix}{name} must be >= 0, got {value}")
+    if not basis_cond >= 1:
+        raise ValueError(f"{prefix}basis_cond must be >= 1, got {basis_cond}")
+
+
 def sample_system(
     d_h: int,
     d_in: int,
@@ -261,14 +280,7 @@ def sample_system(
     [radius_lo, radius_hi] and random signs; otherwise eigenvalues come in
     conjugate pairs (plus one real when d_h is odd).
     """
-    if d_h < 1 or d_in < 1 or d_out < 1:
-        raise ValueError("dimensions must be positive")
-    if not (0.0 <= radius_lo <= radius_hi <= 1.0):
-        raise ValueError(
-            f"need 0 <= radius_lo <= radius_hi <= 1, got [{radius_lo}, {radius_hi}]"
-        )
-    if tau_thresh < 0:
-        raise ValueError("tau_thresh must be nonnegative")
+    check_system_args(d_h, d_in, d_out, tau_thresh, radius_lo, radius_hi, noise_sigma, basis_cond)
     rng = np.random.default_rng(seed)
 
     def real_draw():

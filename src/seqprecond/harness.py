@@ -127,16 +127,25 @@ def _check_field_types(obj, prefix: str = "") -> None:
 
 def validate_spec(spec: ExperimentSpec) -> None:
     _check_field_types(spec)
-    if spec.generator is not None:
-        _check_field_types(spec.generator, "generator.")
-        if spec.generator.kind not in ("lds", "nonlinear"):
-            raise ValueError(f"unknown generator kind {spec.generator.kind!r}")
+    g = spec.generator
+    if g is not None:
+        _check_field_types(g, "generator.")
+        if g.kind not in ("lds", "nonlinear"):
+            raise ValueError(f"unknown generator kind {g.kind!r}")
+        dynsys.check_system_args(g.d_h, g.d_in, g.d_out, g.tau, g.radius_lo, g.radius_hi,
+                                 g.noise_sigma, g.basis_cond, "generator.")
     if spec.algo not in ALGOS:
         raise ValueError(f"unknown algorithm {spec.algo!r}")
     if spec.variant not in VARIANTS:
         raise ValueError(f"unknown variant {spec.variant!r}")
     if spec.n_runs < 1:
         raise ValueError("n_runs must be >= 1")
+    for name in ("master_seed", "num_taps", "domain_bound", "norm_bound", "kappa_bound"):
+        value = getattr(spec, name)
+        if value is not None and not value >= 0:
+            raise ValueError(f"{name} must be >= 0, got {value}")
+    if not 0 <= spec.beta <= 1:
+        raise ValueError(f"beta must lie in [0, 1], got {spec.beta}")
     if not (1 <= spec.window <= spec.horizon):
         raise ValueError(f"need 1 <= window <= horizon, got W={spec.window}, T={spec.horizon}")
     if not spec.oracle_comparator and len(spec.lr_grid) == 0:
@@ -153,6 +162,12 @@ def validate_spec(spec: ExperimentSpec) -> None:
     if spec.variant == "custom" and not spec.custom_coeffs:
         raise ValueError("custom variant requires custom_coeffs")
     c = resolve_coefficients(spec)
+    if spec.algo == "spectral" and spec.csv_path is None:  # a CSV's horizon is known at run time
+        bank_horizon = spec.horizon - c.degree - 1
+        if not 0 <= spec.filter_count <= bank_horizon:
+            raise ValueError(f"filter_count must lie in [0, horizon - degree - 1] = "
+                             f"[0, {bank_horizon}] for coefficients of degree {c.degree}, "
+                             f"got {spec.filter_count}")
     if spec.oracle_comparator:
         if spec.csv_path is not None or spec.generator.kind != "lds":
             raise ValueError("oracle comparator needs a generated linear system")
@@ -246,9 +261,12 @@ def run_experiment(spec: ExperimentSpec) -> MetricsReport:
     the regret-flavoured view stays available.  Ties break toward the
     smallest rate.  The runs' data is simulated once, in one stacked
     recursion, and every (rate, run) cell steps in one `ogd` recursion
-    over features built once per run.  A cell whose prediction is not
-    finite raises `learners.NonFinitePrediction` with `.step` and
-    `.cell = (rate index, run)`.
+    over features built once per run.  A grid point where some run's
+    prediction is not finite is recorded as {"lr", "diverged": {"run",
+    "step"}}, with the first such run and its first non-finite step, and
+    is never chosen; when every point diverges, the first one's failure
+    is raised as a ValueError.  The oracle comparator is a one-point grid
+    that `grid_results` does not list.
     """
     validate_spec(spec)
     c = resolve_coefficients(spec)
@@ -279,62 +297,52 @@ def run_experiment(spec: ExperimentSpec) -> MetricsReport:
     u = np.stack([traj.inputs for traj in runs])[None]
     y = np.stack([traj.outputs for traj in runs])[None]
     learner = _build_learner(spec, c, T, grid, systems)
-    try:
+    with np.errstate(over="ignore", invalid="ignore"):  # a diverged cell is recorded below
         preds, _ = learners.ogd(learner.blocks(u, y), y)
-    except learners.NonFinitePrediction as exc:
-        g, r = exc.cell
-        exc.args = (f"{exc} (lr={labels[g]}, run {r})",)
-        raise exc from None
-    errs = np.abs(preds - y).sum(axis=-1)
-    finals = errs[..., -spec.window :].mean(axis=-1).tolist()
-    fulls = errs.mean(axis=-1).tolist()
+        errs = np.abs(preds - y).sum(axis=-1)
+        finals = errs[..., -spec.window :].mean(axis=-1).tolist()
+        fulls = errs.mean(axis=-1).tolist()
+    finite = np.isfinite(preds).all(axis=-1)
 
-    if spec.oracle_comparator:
-        return _finish_report(spec, c, None, finals[0], fulls[0], [], seeds, T, meta)
-
-    grid_results = [
-        {
-            "lr": lr,
-            "mean": float(np.mean(f)),
-            "std": float(np.std(f)),
-            "mean_full_horizon": float(np.mean(fu)),
-            "per_run_final_errors": f,
-            "per_run_full_errors": fu,
-        }
-        for lr, f, fu in zip(labels, finals, fulls)
-    ]
+    grid_results = []
+    for lr, ok, f, fu in zip(labels, finite, finals, fulls):
+        if ok.all():
+            grid_results.append({"lr": lr, "mean": float(np.mean(f)), "std": float(np.std(f)),
+                                 "mean_full_horizon": float(np.mean(fu)),
+                                 "per_run_final_errors": f, "per_run_full_errors": fu})
+        else:
+            run = int(np.argmin(ok.all(axis=-1)))  # the first diverged run
+            step = int(np.argmin(ok[run]))  # and its first non-finite step
+            grid_results.append({"lr": lr, "diverged": {"run": run, "step": step}})
+    finished = [g for g in grid_results if "diverged" not in g]
+    if not finished:
+        failed = grid_results[0]["diverged"]
+        raise ValueError(f"non-finite prediction at step {failed['step']} of {T} "
+                         f"(lr={labels[0]}, run {failed['run']})")
 
     def tie_key(entry):
         lr = entry["lr"]
         return (entry["mean"], tuple(lr) if isinstance(lr, list) else (lr,))
 
-    winner = min(grid_results, key=tie_key)
-    return _finish_report(
-        spec, c, winner["lr"],
-        winner["per_run_final_errors"], winner["per_run_full_errors"],
-        [{k: v for k, v in g.items() if not k.startswith("per_run")} for g in grid_results],
-        seeds, T, meta,
-    )
-
-
-def _finish_report(spec, c, chosen_lr, finals, fulls, grid_results, seeds, horizon, meta):
-    tau = spec.generator.tau if spec.csv_path is None else None
+    winner = min(finished, key=tie_key)
     return MetricsReport(
         algo=spec.algo,
         variant=spec.variant,
         degree=spec.degree,
-        tau=tau,
-        mean=float(np.mean(finals)),
-        std=float(np.std(finals)),
-        mean_full_horizon=float(np.mean(fulls)),
-        chosen_lr=chosen_lr,
-        per_run_final_errors=finals,
-        per_run_full_errors=fulls,
-        grid_results=grid_results,
+        tau=spec.generator.tau if spec.csv_path is None else None,
+        mean=winner["mean"],
+        std=winner["std"],
+        mean_full_horizon=winner["mean_full_horizon"],
+        chosen_lr=winner["lr"],
+        per_run_final_errors=winner["per_run_final_errors"],
+        per_run_full_errors=winner["per_run_full_errors"],
+        grid_results=[] if spec.oracle_comparator else [
+            {k: v for k, v in g.items() if not k.startswith("per_run")} for g in grid_results
+        ],
         config_hash=spec_hash(spec),
         master_seed=spec.master_seed,
         seeds=seeds,
-        horizon=horizon,
+        horizon=T,
         window=spec.window,
         n_runs=spec.n_runs,
         meta=meta,
@@ -342,7 +350,8 @@ def _finish_report(spec, c, chosen_lr, finals, fulls, grid_results, seeds, horiz
 
 
 def report_to_json(report: MetricsReport) -> str:
-    return json.dumps(asdict(report), sort_keys=True, indent=2)
+    """The report as strict JSON: a NaN or infinite field raises a ValueError."""
+    return json.dumps(asdict(report), sort_keys=True, indent=2, allow_nan=False)
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,8 @@ a Frobenius norm exceeds the radius).  Rate 0 holds a block fixed, so the
 fixed lag coefficients, the learned ones and a fixed comparator differ
 only in their rates.  Leading cell axes on the streams, weights and rates
 run many independent recursions, such as the (rate, run) cells of a grid
-search, in lockstep: one pass per step over all of them.  The learner
+search, in lockstep: one pass per step over all of them.  A non-finite
+prediction is returned as computed, for the caller to judge.  The learner
 classes only size radii and rates and assemble blocks, taking d_in and
 d_out from the (u, y) streams of `blocks(u, y)`; `.run(inputs, outputs)`
 processes a whole stream (there is no per-sample `.step`).
@@ -111,23 +112,6 @@ def deep_past(bank: FilterBank, u: np.ndarray, n: int, T: int) -> np.ndarray:
 # the recursion
 
 
-class NonFinitePrediction(ValueError):
-    """A prediction that is not finite, at `step` of `T` in the failing cell
-    whose index on the cell axes is `cell` (() for a single cell).
-
-    It pickles with its fields and its message, which a caller may have
-    extended, so it crosses a process boundary intact."""
-
-    def __init__(self, step: int, T: int, cell: tuple = ()):
-        super().__init__(f"non-finite prediction at step {step} of {T}")
-        self.step = step
-        self.T = T
-        self.cell = cell
-
-    def __reduce__(self):
-        return (type(self), (self.step, self.T, self.cell), {"args": self.args})
-
-
 def ogd(blocks, targets: np.ndarray):
     """Projected online gradient descent on the ℓ1 loss over feature blocks.
 
@@ -150,9 +134,9 @@ def ogd(blocks, targets: np.ndarray):
     block has a nonzero rate the update work is skipped, so rate 0
     evaluates fixed weights.
 
-    Returns the (..., T, d_out) predictions and the final weights; raises
-    NonFinitePrediction (a ValueError) naming the first step whose
-    prediction is not finite, in the first such cell in C order.
+    Returns the (..., T, d_out) predictions as computed, non-finite rows
+    included, and the final weights; a failed cell leaves the others'
+    results as they would be without it.
     """
     y = np.asarray(targets, dtype=float)
     T, d_out = y.shape[-2:]
@@ -206,12 +190,6 @@ def ogd(blocks, targets: np.ndarray):
             if radius is not None:
                 step = project_to_ball(step, radius)
             Ws[b] = np.where((active & nonzero).reshape(cells + core), step, W)
-
-    finite = np.isfinite(preds).all(axis=-1)
-    if not finite.all():
-        failed = ~finite.all(axis=-1)
-        cell = np.unravel_index(np.argmax(failed), failed.shape)
-        raise NonFinitePrediction(int(np.argmin(finite[cell])), T, tuple(int(i) for i in cell))
     return preds, Ws
 
 

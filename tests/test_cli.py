@@ -225,6 +225,21 @@ BAD_CONFIGS = [
     pytest.param({"n_runs": 2.0}, "n_runs", id="n_runs-float"),
     pytest.param({"csv_path": 0, "n_runs": 1}, "csv_path", id="csv_path-number"),
     pytest.param({"horizon": "50"}, "horizon", id="horizon-string"),
+    pytest.param({"generator": {"d_h": -1}}, "generator.d_h", id="generator-d_h-negative"),
+    pytest.param({"generator": {"d_in": 0}}, "generator.d_in", id="generator-d_in-zero"),
+    pytest.param({"generator": {"d_out": 0}}, "generator.d_out", id="generator-d_out-zero"),
+    pytest.param({"generator": {"radius_lo": 2.0}}, "generator.radius_lo", id="radius_lo-high"),
+    pytest.param({"generator": {"radius_hi": 1.5}}, "generator.radius_hi", id="radius_hi-high"),
+    pytest.param({"generator": {"tau": -0.1}}, "generator.tau", id="tau-negative"),
+    pytest.param({"generator": {"noise_sigma": -1}}, "generator.noise_sigma", id="noise-negative"),
+    pytest.param({"generator": {"basis_cond": 0.5}}, "generator.basis_cond", id="basis_cond-low"),
+    pytest.param({"master_seed": -1}, "master_seed", id="master_seed-negative"),
+    pytest.param({"num_taps": -1}, "num_taps", id="num_taps-negative"),
+    pytest.param({"domain_bound": -1}, "domain_bound", id="domain_bound-negative"),
+    pytest.param({"norm_bound": -1}, "norm_bound", id="norm_bound-negative"),
+    pytest.param({"kappa_bound": -1}, "kappa_bound", id="kappa_bound-negative"),
+    pytest.param({"beta": 1.5}, "beta", id="beta-high"),
+    pytest.param({"algo": "spectral", "filter_count": 2000}, "filter_count", id="filters-high"),
 ]
 
 

@@ -140,6 +140,13 @@ class TestSampleSystem:
         with pytest.raises(ValueError):
             sample_system(4, 1, 1, -0.5, 0.0, 0.9, seed=0)
 
+    @pytest.mark.parametrize("basis_cond", [0.5, 0.0, -1.0])
+    def test_basis_cond_below_one_rejected(self, basis_cond):
+        # as system_from_eigenvalues does; 0 and -1 used to fail inside the
+        # linear algebra and 0.5 to run silently
+        with pytest.raises(ValueError, match=f"basis_cond must be >= 1, got {basis_cond}"):
+            sample_system(4, 1, 1, 0.1, 0.0, 0.9, seed=0, basis_cond=basis_cond)
+
 
 class TestSystemFromEigenvalues:
     def test_prescribed_real_spectrum(self):

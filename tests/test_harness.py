@@ -1,7 +1,8 @@
 """Experiment orchestration: seeds, grid search, CSV exchange, and `verify` suites."""
 
+import dataclasses
 import json
-import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import pytest
 from seqprecond import harness as H
 from seqprecond.dynsys import gaussian_inputs, sample_system, simulate_lds
 from seqprecond.invariants import SUITES, verify
-from seqprecond.learners import NonFinitePrediction, RegressionLearner
+from seqprecond.learners import RegressionLearner
 from seqprecond.poly import chebyshev_monic, differencing, legendre_monic
 
 TINY_GEN = H.GeneratorConfig(d_h=6, tau=0.05)
@@ -21,6 +22,24 @@ def tiny_spec(**overrides):
     )
     base.update(overrides)
     return H.ExperimentSpec(**base)
+
+
+def first_non_finite(learner, spec):
+    """(run, step) of the first non-finite prediction of `learner` over the
+    spec's runs, each run on its own, or None."""
+    seeds = H.derive_seeds(spec.master_seed, spec.n_runs)
+    for run, traj in enumerate(H._make_runs(spec.generator, spec.horizon, seeds)[0]):
+        finite = np.isfinite(learner.run(traj.inputs, traj.outputs)).all(axis=-1)
+        if not finite.all():
+            return run, int(np.argmin(finite))
+    return None
+
+
+def strict_json(text):
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
 
 
 @pytest.fixture(scope="module")
@@ -114,6 +133,32 @@ class TestValidateSpec:
                 "unknown generator kind 'weird'",
             ),
             (dict(lr_grid=(True,)), "lr_grid holds True"),
+            (dict(generator=H.GeneratorConfig(d_h=0)), r"generator\.d_h must be >= 1, got 0"),
+            (dict(generator=H.GeneratorConfig(d_in=-1)), r"generator\.d_in must be >= 1"),
+            (dict(generator=H.GeneratorConfig(d_out=0)), r"generator\.d_out must be >= 1"),
+            (
+                dict(generator=H.GeneratorConfig(radius_lo=2.0)),
+                r"need 0 <= generator\.radius_lo <= generator\.radius_hi <= 1, got \[2\.0, 1\.0\]",
+            ),
+            (dict(generator=H.GeneratorConfig(radius_lo=-0.1)), r"generator\.radius_lo"),
+            (dict(generator=H.GeneratorConfig(radius_hi=1.5)), r"generator\.radius_hi"),
+            (
+                dict(generator=H.GeneratorConfig(radius_lo=0.95, radius_hi=0.9)),
+                r"got \[0\.95, 0\.9\]",
+            ),
+            (dict(generator=H.GeneratorConfig(tau=-0.01)), r"generator\.tau must be >= 0"),
+            (dict(generator=H.GeneratorConfig(tau=float("nan"))), r"generator\.tau .* got nan"),
+            (dict(generator=H.GeneratorConfig(noise_sigma=-1.0)), r"generator\.noise_sigma"),
+            (dict(generator=H.GeneratorConfig(basis_cond=0.5)), r"generator\.basis_cond .* 0\.5"),
+            (dict(master_seed=-1), "master_seed must be >= 0, got -1"),
+            (dict(num_taps=-1), "num_taps must be >= 0"),
+            (dict(domain_bound=-1.0), "domain_bound must be >= 0"),
+            (dict(norm_bound=-0.5), "norm_bound must be >= 0"),
+            (dict(kappa_bound=-2.0), "kappa_bound must be >= 0"),
+            (dict(beta=-0.1), r"beta must lie in \[0, 1\], got -0\.1"),
+            (dict(beta=1.5), r"beta must lie in \[0, 1\], got 1\.5"),
+            (dict(algo="spectral", filter_count=-1), r"filter_count must lie in .* = \[0, 116\]"),
+            (dict(algo="spectral", filter_count=117), r"degree 3, got 117"),
         ],
     )
     def test_rejections_name_the_problem(self, overrides, fragment):
@@ -127,6 +172,12 @@ class TestValidateSpec:
 
     def test_good_spec_passes(self):
         H.validate_spec(tiny_spec())
+
+    def test_filter_count_bound_is_inclusive_and_waits_for_a_csv(self):
+        # 120 - 3 - 1 = 116 filters fit a generated spec; a CSV's horizon
+        # is known only when it is read, so its check waits for the run
+        H.validate_spec(tiny_spec(algo="spectral", filter_count=116))
+        H.validate_spec(H.ExperimentSpec(algo="spectral", csv_path="x.csv", filter_count=10**6))
 
     def test_n_runs_default_follows_the_data(self):
         # 1 on a CSV spec, 20 otherwise; a spec that sets it hashes as before
@@ -227,35 +278,53 @@ class TestRunExperiment:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("d", [1, 3])  # d=3 projects through an SVD
     def test_diverging_rate_fails_at_first_non_finite_step(self, d):
-        # a coefficient rate of 1e308 overflows; the report must not carry
-        # inf.  The error names the first failing (rate, run) cell in grid
-        # order and the step at which that cell's own learner fails.
+        # a coefficient rate of 1e308 overflows.  Each of its grid points is
+        # recorded as diverged at the first non-finite step of its own
+        # learner, and the rest of the report is, bit for bit, that of the
+        # grid without them.  The overflow is recorded, not warned about.
         gen = H.GeneratorConfig(d_h=6, tau=0.05, d_in=d, d_out=d)
         spec = tiny_spec(generator=gen, variant="learned", lr_grid_coeffs=(1e308, 1e-2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rep = H.run_experiment(spec)
+        ref = H.run_experiment(tiny_spec(generator=gen, variant="learned", lr_grid_coeffs=(1e-2,)))
+
+        diverged = [g for g in rep.grid_results if "diverged" in g]
+        assert [g["lr"] for g in diverged] == [[m, 1e308] for m in H.DEFAULT_LR_GRID]
+        assert [g for g in rep.grid_results if "diverged" not in g] == ref.grid_results
+        skip = ("grid_results", "config_hash")
+        mine, want = dataclasses.asdict(rep), dataclasses.asdict(ref)
+        assert {k: v for k, v in mine.items() if k not in skip} == {
+            k: v for k, v in want.items() if k not in skip
+        }
         c = H.resolve_coefficients(spec)
-        cell = RegressionLearner(c, num_taps=3, lr0=1e-3, lr_coeffs0=1e308)
-        seeds = H.derive_seeds(spec.master_seed, spec.n_runs)
+        for g in diverged:
+            assert set(g) == {"lr", "diverged"}
+            cell = RegressionLearner(c, num_taps=3, lr0=g["lr"][0], lr_coeffs0=g["lr"][1])
+            assert first_non_finite(cell, spec) == (g["diverged"]["run"], g["diverged"]["step"])
+        assert strict_json(H.report_to_json(rep))["grid_results"] == rep.grid_results
 
-        def first_failure():
-            for r, traj in enumerate(H._make_runs(spec.generator, spec.horizon, seeds)[0]):
-                try:
-                    cell.run(traj.inputs, traj.outputs)
-                except NonFinitePrediction as exc:
-                    return exc, r, f"{exc} (lr=[0.001, 1e+308], run {r})"
-            pytest.fail("no run diverges at the first grid point")
-
-        failure, run, want = first_failure()
-        with pytest.raises(NonFinitePrediction) as exc:
-            H.run_experiment(spec)
-        assert isinstance(exc.value, ValueError)
-        assert str(exc.value) == want
-        assert want.startswith(f"non-finite prediction at step {failure.step} of 120 ")
-        assert exc.value.step == failure.step
-        assert exc.value.cell == (0, run)  # (1e-3, 1e308) is grid point 0
-        back = pickle.loads(pickle.dumps(exc.value))
-        assert (type(back), str(back), back.step, back.cell) == (
-            NonFinitePrediction, want, failure.step, (0, run)
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_experiment_fails_when_every_grid_point_diverges(self):
+        # the error names the first grid point, its first diverged run and
+        # that run's first non-finite step
+        spec = tiny_spec(variant="learned", lr_grid=(1e-3, 1e-2), lr_grid_coeffs=(1e308,))
+        cell = RegressionLearner(
+            H.resolve_coefficients(spec), num_taps=3, lr0=1e-3, lr_coeffs0=1e308
         )
+        run, step = first_non_finite(cell, spec)
+        with pytest.raises(ValueError) as exc:
+            H.run_experiment(spec)
+        assert type(exc.value) is ValueError
+        assert str(exc.value) == (
+            f"non-finite prediction at step {step} of 120 (lr=[0.001, 1e+308], run {run})"
+        )
+
+    def test_report_json_rejects_a_non_finite_field(self, tiny_report):
+        strict_json(H.report_to_json(tiny_report))
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="not JSON compliant"):
+                H.report_to_json(dataclasses.replace(tiny_report, mean=value))
 
     def test_csv_is_read_once_per_experiment(self, tiny_csv, monkeypatch):
         _, path = tiny_csv
@@ -412,6 +481,18 @@ class TestSweep:
         with pytest.raises(ValueError, match="unknown algorithm 'nope'"):
             H.sweep([tiny_spec(), tiny_spec(algo="nope")])
 
+    @pytest.mark.parametrize("bad, fragment", [
+        (dict(generator=H.GeneratorConfig(basis_cond=0.5)), "generator.basis_cond"),
+        (dict(master_seed=-1), "master_seed"),
+        (dict(algo="spectral", filter_count=200), "filter_count"),
+    ])
+    def test_out_of_range_spec_stops_the_sweep_before_any_data(self, bad, fragment, monkeypatch):
+        calls = []
+        monkeypatch.setattr(H, "_make_runs", lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match=fragment):
+            H.sweep([tiny_spec(), tiny_spec(**bad)])
+        assert calls == []
+
     def test_runtime_failure_is_isolated(self, tmp_path):
         bad = H.ExperimentSpec(
             csv_path=str(tmp_path / "missing.csv"), n_runs=1, window=5, master_seed=0
@@ -435,15 +516,17 @@ class TestSweep:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_pool_records_a_diverging_spec_like_the_serial_path(self):
-        # the worker's NonFinitePrediction must unpickle in the parent, or
-        # the pool breaks and every pending sibling fails with it
+        # every grid point of `bad` diverges, so it fails with a plain
+        # ValueError, the same from a worker as in the parent, and its
+        # sibling's report is unchanged
         gen = H.GeneratorConfig(d_h=6, tau=0.05, d_in=3, d_out=3)
-        bad = tiny_spec(generator=gen, variant="learned", lr_grid_coeffs=(1e308, 1e-2))
+        bad = tiny_spec(generator=gen, variant="learned", lr_grid_coeffs=(1e308,))
         good = tiny_spec(n_runs=1)
         serial = H.sweep([bad, good], workers=1)
         pooled = H.sweep([bad, good], workers=2)
         assert isinstance(pooled[0], H.SweepFailure)
-        assert (pooled[0].config_hash, pooled[0].error) == (H.spec_hash(bad), serial[0].error)
+        assert pooled[0] == serial[0]
+        assert serial[0].config_hash == H.spec_hash(bad)
         assert serial[0].error.startswith("non-finite prediction at step ")
         assert H.report_to_json(pooled[1]) == H.report_to_json(serial[1])
 

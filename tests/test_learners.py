@@ -561,10 +561,12 @@ def test_prediction_ignores_the_future(name):
 
 
 def test_first_non_finite_prediction_is_named():
+    # a non-finite prediction comes back as computed, at its own step, for
+    # the caller to name; the other steps are untouched
     X = np.ones((5, 1, 1))
     X[3] = np.inf
-    with pytest.raises(ValueError, match="non-finite prediction at step 3 of 5"):
-        ogd([(X, np.full((1, 1, 1), 0.5), 0.0, None)], np.zeros((5, 1)))
+    preds, _ = ogd([(X, np.full((1, 1, 1), 0.5), 0.0, None)], np.zeros((5, 1)))
+    np.testing.assert_array_equal(preds[:, 0], [0.5, 0.5, 0.5, np.inf, 0.5])
 
 
 class TestSelectDegree:
