@@ -379,7 +379,8 @@ def sweep(specs: list[ExperimentSpec], workers: int = 1) -> list:
 
     if workers <= 1 or len(specs) == 1:
         return [recorded(spec, lambda spec=spec: run_experiment(spec)) for spec in specs]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    # the fork start method launches every worker at the first submit
+    with ProcessPoolExecutor(max_workers=min(workers, len(specs))) as pool:
         futures = [pool.submit(run_experiment, spec) for spec in specs]
         return [recorded(spec, fut.result) for spec, fut in zip(specs, futures)]
 

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import warnings
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -513,6 +514,34 @@ class TestSweep:
         assert isinstance(pooled[1], H.SweepFailure)
         assert (pooled[1].config_hash, pooled[1].error) == (H.spec_hash(bad), serial[1].error)
         assert "missing.csv" in pooled[1].error
+
+    @pytest.mark.parametrize("workers, n_specs, cap", [(10000, 3, 3), (2, 3, 2)])
+    def test_pool_starts_no_more_workers_than_specs(self, workers, n_specs, cap, monkeypatch):
+        # a recorder in place of the pool: it keeps the worker count it is
+        # given and runs each task inline, so no process starts
+        class InlinePool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                pass
+
+            def submit(self, fn, *args):
+                fut = Future()
+                fut.set_result(fn(*args))
+                return fut
+
+        started = []
+        monkeypatch.setattr(H, "ProcessPoolExecutor", InlinePool)
+        specs = [tiny_spec(n_runs=1, master_seed=s) for s in range(n_specs)]
+        pooled = H.sweep(specs, workers=workers)
+        assert started == [cap]
+        assert [H.report_to_json(r) for r in pooled] == [
+            H.report_to_json(H.run_experiment(spec)) for spec in specs
+        ]
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_pool_records_a_diverging_spec_like_the_serial_path(self):

@@ -1,16 +1,18 @@
 """Sector Gram matrix: closed form vs quadrature, eigendecay, filter bank."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy.integrate import dblquad
 
 from seqprecond import invariants
 from seqprecond.poly import ComplexSector
 from seqprecond.spectral import (
+    _BLOCK,
     MAX_HORIZON,
     FilterBank,
     _gram,
@@ -105,12 +107,25 @@ class TestBuildGram:
             for k in range(6):
                 assert Z[j, k] == pytest.approx(gram_entry(j, k, s), abs=1e-15)
 
+    # the row blocks of build_gram's in-place subtraction end at multiples
+    # of _BLOCK
     @given(st.integers(1, 300), st.floats(0.0, 1.0, exclude_min=True))
+    @example(1, 0.1)
+    @example(_BLOCK - 1, 0.1)
+    @example(_BLOCK, 0.1)
+    @example(_BLOCK + 1, 0.1)
+    @example(2 * _BLOCK + 1, 0.1)
     def test_equals_the_closed_form_bit_for_bit(self, horizon, beta):
         idx = np.arange(horizon)
         np.testing.assert_array_equal(
             build_gram(horizon, ComplexSector(beta)),
             _gram(idx[:, None], idx[None, :], beta),
+        )
+
+    def test_equals_the_closed_form_bit_for_bit_at_1994(self):
+        idx = np.arange(1994)
+        np.testing.assert_array_equal(
+            build_gram(1994, ComplexSector(0.1)), _gram(idx[:, None], idx[None, :], 0.1)
         )
 
     def test_exactly_symmetric(self):
@@ -271,3 +286,72 @@ class TestValidateBank:
         assert np.linalg.eigvalsh(Z_bad)[0] == pytest.approx(-1e-8, rel=1e-6)
         with pytest.raises(ValueError, match="nonnegative to 1e-10"):
             _validate_bank(Z_bad, bank)
+
+    @staticmethod
+    def no_filters(horizon, beta):
+        """A bank of k=0, so that only the nonnegativity certificate runs."""
+        return FilterBank(np.zeros(0), np.zeros((0, horizon)), ComplexSector(beta))
+
+    @pytest.fixture
+    def wide(self):
+        # three blocks of the certificate, the last one partial
+        horizon = 600
+        assert 2 * _BLOCK < horizon < 3 * _BLOCK
+        return build_gram(horizon, ComplexSector(0.1)), self.no_filters(horizon, 0.1)
+
+    def test_rejects_a_negative_eigenvalue_beyond_one_block(self, wide):
+        Z, bank = wide
+        w, V = np.linalg.eigh(Z)
+        v = V[:, 0]
+        Z_bad = Z - (w[0] + 1e-8) * np.outer(v, v)
+        assert np.linalg.eigvalsh(Z_bad)[0] == pytest.approx(-1e-8, rel=1e-6)
+        with pytest.raises(ValueError, match="nonnegative to 1e-10"):
+            _validate_bank(Z_bad, bank)
+
+    def test_rejects_a_negative_direction_in_the_last_block(self, wide):
+        # v lives on the last block's indices, so every leading block of Z
+        # is unchanged and the failing pivot lies in the last block
+        Z, bank = wide
+        last = slice(2 * _BLOCK, None)
+        w, V = np.linalg.eigh(Z[last, last])
+        v = np.zeros(len(Z))
+        v[last] = V[:, 0]
+        Z_bad = Z - (w[0] + 1e-8) * np.outer(v, v)
+        assert np.linalg.eigvalsh(Z_bad)[0] <= -1e-8 * (1 - 1e-6)
+        head = Z_bad[: 2 * _BLOCK, : 2 * _BLOCK] + 1e-10 * np.eye(2 * _BLOCK)
+        np.linalg.cholesky(head)
+        with pytest.raises(ValueError, match="nonnegative to 1e-10"):
+            _validate_bank(Z_bad, bank)
+
+    @pytest.mark.parametrize("beta", [0.1, 1.0])
+    def test_accepts_the_gram_matrix_at_1994(self, dense_solve, beta):
+        Z = dense_solve(1994, beta)[2].copy()
+        _validate_bank(Z, self.no_filters(1994, beta))
+
+    def test_leaves_lapacks_cholesky_factor_in_the_lower_triangle(self, dense_solve):
+        Z = dense_solve(1994, 0.1)[2]
+        expected = np.linalg.cholesky(Z + 1e-10 * np.eye(len(Z)))
+        factor = Z.copy()
+        _validate_bank(factor, self.no_filters(1994, 0.1))
+        assert np.abs(np.tril(factor) - expected).max() <= 1e-12
+
+    def test_holds_one_copy_of_the_gram_matrix(self, dense_solve):
+        # numpy reports its array allocations to tracemalloc; the Gram build
+        # allocates Z and row blocks of it, the certificate column blocks
+        spectrum, F, _ = dense_solve(1994, 0.1)
+        bank = FilterBank(spectrum[:24], F[:24], ComplexSector(0.1))
+        z_bytes = 8 * 1994**2
+
+        def traced_peak(fn, *args):
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                result = fn(*args)
+                return result, tracemalloc.get_traced_memory()[1] - start
+            finally:
+                tracemalloc.stop()
+
+        Z, gram_peak = traced_peak(build_gram, 1994, ComplexSector(0.1))
+        assert gram_peak <= 1.25 * z_bytes
+        _, check_peak = traced_peak(_validate_bank, Z, bank)
+        assert check_peak <= 0.25 * z_bytes
