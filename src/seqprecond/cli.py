@@ -80,7 +80,8 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("sweep", help="run a list of experiment configurations")
     p.add_argument("--config", required=True, help="JSON: list of specs or {'experiments': [...]}")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help="processes (>= 1); each runs one group of specs at a time")
     p.add_argument("--out", help="results destination (default stdout)")
     p.add_argument("--table", choices=["csv"], help="emit the wide mean±std table instead")
 

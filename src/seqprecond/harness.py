@@ -9,6 +9,17 @@ recursion (`dynsys.simulate_lds_runs`).  Reports are a pure function of
 the experiment configuration and serialize to byte-identical JSON on
 repeat runs on one platform.  The desk-scale acceptance criteria that
 pin these experiments are defined in `seqprecond.invariants`.
+
+`sweep` runs many specs in lockstep, and `run_experiment` is its one-spec
+case, so there is one learning path.  Specs with one data key (the CSV
+path, or generator, horizon, master seed and n_runs) share one load or
+simulation.  Specs with one group key (algo, T, d_in, d_out, and for
+spectral the bank's T', beta and k) step all their (spec, rate, run)
+cells in one `ogd` call, padded to the group's most taps with zero
+features and zero weights.  A cell's results do not depend on the cells
+beside it, so every report is bit for bit the spec's own.  With several
+workers and several groups, each group is one task of a process pool.
+Nothing outlives the call.
 """
 
 from __future__ import annotations
@@ -19,6 +30,7 @@ import json
 import math
 import numbers
 import typing
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 
@@ -231,74 +243,131 @@ def _make_runs(g: GeneratorConfig, horizon: int, seeds: list[int]):
     return runs, systems if g.kind == "lds" else [None] * len(runs)
 
 
-def _build_learner(spec: ExperimentSpec, c, T: int, grid, systems):
-    """One learner for every (rate, run) cell: its rates have shape
-    (len(grid), 1), so they broadcast over the runs."""
-    if spec.oracle_comparator:
-        return learners.RegressionLearner(
-            c, lr0=0.0, init_Q=np.stack([learners.oracle_weights(s, c) for s in systems])
-        )
-    taps = spec.num_taps if spec.num_taps is not None else max(spec.degree, 1)
-    # (grid, 1, 1), or (grid, 1, 2) for the learned variant's (model, coefficient) pairs
-    lr = np.array(grid, dtype=float).reshape(len(grid), 1, -1)
-    if spec.algo == "spectral":
-        bank = build_filter_bank(T - c.degree - 1, ComplexSector(spec.beta), spec.filter_count)
-        return learners.SpectralLearner(
-            c, bank, total_horizon=T,
-            norm_bound=spec.norm_bound, kappa_bound=spec.kappa_bound, lr0=lr[..., 0],
-        )
-    return learners.RegressionLearner(
-        c, num_taps=taps, domain_bound=spec.domain_bound, lr0=lr[..., 0],
-        lr_coeffs0=lr[..., 1] if spec.variant == "learned" else 0.0,
-    )
-
-
-def run_experiment(spec: ExperimentSpec) -> MetricsReport:
-    """Run one experiment configuration with a learning-rate grid search.
-
-    The rate is chosen on the reported metric (final-window mean absolute
-    error averaged over runs); full-horizon means are logged alongside so
-    the regret-flavoured view stays available.  Ties break toward the
-    smallest rate.  The runs' data is simulated once, in one stacked
-    recursion, and every (rate, run) cell steps in one `ogd` recursion
-    over features built once per run.  A grid point where some run's
-    prediction is not finite is recorded as {"lr", "diverged": {"run",
-    "step"}}, with the first such run and its first non-finite step, and
-    is never chosen; when every point diverges, the first one's failure
-    is raised as a ValueError.  The oracle comparator is a one-point grid
-    that `grid_results` does not list.
-    """
-    validate_spec(spec)
-    c = resolve_coefficients(spec)
-    seeds = derive_seeds(spec.master_seed, spec.n_runs)
-
+def _data_key(spec: ExperimentSpec):
+    """Specs with one data key read the same trajectories: a CSV path, or
+    the generator, horizon, master seed and run count."""
     if spec.csv_path is not None:
-        runs, systems = [ingest_csv(spec.csv_path)], [None]  # one file, one run
-    else:
-        runs, systems = _make_runs(spec.generator, spec.horizon, seeds)
-    T = runs[0].horizon
-    if spec.window > T:
-        raise ValueError(f"window {spec.window} exceeds data horizon {T}")
+        return spec.csv_path
+    return (spec.generator, spec.horizon, spec.master_seed, spec.n_runs)
 
+
+def _load(spec: ExperimentSpec):
+    """The runs and systems of a spec's data key, or the exception that
+    loading them raised."""
+    try:
+        if spec.csv_path is not None:
+            return [ingest_csv(spec.csv_path)], [None]  # one file, one run
+        return _make_runs(spec.generator, spec.horizon,
+                          derive_seeds(spec.master_seed, spec.n_runs))
+    except Exception as exc:  # noqa: BLE001 - the failure of every spec that reads it
+        return exc
+
+
+def _grid(spec: ExperimentSpec) -> list:
+    """The spec's grid points: rates, (model, coefficient) rate pairs for
+    the learned variant, or [None] for the oracle comparator."""
+    if spec.oracle_comparator:
+        return [None]
+    if spec.variant == "learned":
+        coeff_grid = spec.lr_grid_coeffs if spec.lr_grid_coeffs else spec.lr_grid
+        return [(m, cc) for m in spec.lr_grid for cc in coeff_grid]
+    return list(spec.lr_grid)
+
+
+def _windows(x: np.ndarray, taps: np.ndarray, lag: int, traj: np.ndarray) -> learners.Rows:
+    """Each cell's `lagged` window of its trajectory x[traj[cell]], with
+    taps[cell] taps: one stream per (trajectory, tap count) that cells
+    use, padded with zero taps to the most.  Padded streams are stored
+    lane-major, as `ogd` reads them; without padding they are a view."""
+    counts, which = np.unique(taps, return_inverse=True)
+    if len(counts) == 1:
+        return learners.Rows(learners.lagged(x, int(counts[0]), lag), traj)
+    n = len(x)
+    lanes = np.zeros((x.shape[1], int(counts[-1]), x.shape[2], len(counts) * n))
+    for i, k in enumerate(counts.tolist()):
+        lanes[:, :k, :, i * n : (i + 1) * n] = np.moveaxis(learners.lagged(x, k, lag), 0, -1)
+    return learners.Rows(np.moveaxis(lanes, -1, 0), which * n + traj)
+
+
+def _group_predictions(specs: list, data: dict) -> np.ndarray:
+    """The (cells, T, d_out) predictions of one group, from one `ogd` call.
+    Cells are (spec, rate, run), flat, with specs in order, rates major and
+    runs minor.  Each cell has its own rates, radii, lag coefficients and
+    initial weights.  Features are built once per distinct trajectory
+    (and tap count), and a cell with fewer input taps or lag coefficients
+    than the group's most is padded with zero features and zero weights,
+    which change nothing."""
+    keys = list(dict.fromkeys(map(_data_key, specs)))
+    first = dict(zip(keys, np.cumsum([0] + [len(data[k][0]) for k in keys]).tolist()))
+    trajs = [traj for k in keys for traj in data[k][0]]
+    u = np.stack([traj.inputs for traj in trajs])
+    y = np.stack([traj.outputs for traj in trajs])
+    T, d_out, d_in = *y.shape[1:], u.shape[-1]
+    spectral = specs[0].algo == "spectral"
+    if spectral:
+        n = resolve_coefficients(specs[0]).degree  # one bank horizon, so one degree
+        bank = build_filter_bank(T - n - 1, ComplexSector(specs[0].beta), specs[0].filter_count)
+    traj, lr, lr_lag, taps, radius, radius_m, lags, init = [], [], [], [], [], [], [], []
+    for spec in specs:
+        c, grid, runs = resolve_coefficients(spec), _grid(spec), spec.n_runs
+        cells = len(grid) * runs
+        traj.append(first[_data_key(spec)] + np.tile(np.arange(runs), len(grid)))
+        # (model, coefficient) rates; the oracle's one grid point holds both at 0
+        rates = np.array([g if isinstance(g, tuple) else (g or 0.0, 0.0) for g in grid])
+        lr.append(rates[:, 0].repeat(runs))
+        lr_lag.append(rates[:, 1].repeat(runs))
+        if spectral:
+            learner = learners.SpectralLearner(c, bank, total_horizon=T, norm_bound=spec.norm_bound,
+                                               kappa_bound=spec.kappa_bound)
+            taps.append(np.full(cells, n + 1))
+            radius.append(np.full(cells, learner.R_Q))
+            radius_m.append(np.full(cells, learner.R_M))
+            lag = learners.tilde_expand(c).coeffs[1:]
+        else:
+            num_taps = spec.num_taps if spec.num_taps is not None else max(spec.degree, 1)
+            learner = learners.RegressionLearner(
+                c, num_taps=None if spec.oracle_comparator else num_taps,
+                domain_bound=spec.domain_bound,
+            )
+            taps.append(np.full(cells, learner.num_taps))
+            radius.append(np.full(cells, learner.radius))
+            lag = c.coeffs[1:]
+        lags += [lag] * cells
+        if spec.oracle_comparator:
+            init += [learners.oracle_weights(s, c) for s in data[_data_key(spec)][1]]
+        else:
+            init += [None] * cells
+    traj, lr, lr_lag, taps, radius = map(np.concatenate, (traj, lr, lr_lag, taps, radius))
+    lag_taps = np.array([len(lag) for lag in lags])
+    W_lag = np.zeros((len(traj), lag_taps.max()))
+    Q0 = np.zeros((len(traj), taps.max(), d_out, d_in))
+    for cell, (lag, Q) in enumerate(zip(lags, init)):
+        W_lag[cell, : len(lag)] = lag
+        if Q is not None:
+            Q0[cell, : len(Q)] = Q
+    blocks = [(_windows(u, taps, 0, traj), Q0, lr, radius),
+              (_windows(-y, lag_taps, 1, traj), W_lag, lr_lag, None)]
+    if spectral:
+        deep = learners.Rows(learners.deep_past(bank, u, n, T), traj)
+        blocks.append((deep, np.zeros((len(traj), bank.k, d_out, d_in)), lr,
+                       np.concatenate(radius_m)))
+    with np.errstate(over="ignore", invalid="ignore"):  # a diverged cell is recorded
+        return learners.ogd(blocks, y[traj])[0]
+
+
+def _report(spec: ExperimentSpec, grid: list, preds: np.ndarray, data) -> MetricsReport:
+    """A spec's report from its cells' (len(grid) * n_runs, T, d_out)
+    predictions and its runs and systems."""
+    runs, systems = data
+    y = np.stack([traj.outputs for traj in runs])
+    c = resolve_coefficients(spec)
+    T = y.shape[-2]
     meta = {"coefficient_l1": c.l1, "seed_derivation": "SeedSequence(master).generate_state(3N)"}
     if systems[0] is not None:
         meta["spectra"] = [dynsys.spectrum_summary(s) for s in systems]
-
-    if spec.oracle_comparator:
-        grid = [None]
-    elif spec.variant == "learned":
-        coeff_grid = spec.lr_grid_coeffs if spec.lr_grid_coeffs else spec.lr_grid
-        grid = [(m, cc) for m in spec.lr_grid for cc in coeff_grid]
-    else:
-        grid = list(spec.lr_grid)
     labels = [list(lr) if isinstance(lr, tuple) else lr for lr in grid]
-
-    # cells are (rate, run); the streams carry a size-1 rate axis
-    u = np.stack([traj.inputs for traj in runs])[None]
-    y = np.stack([traj.outputs for traj in runs])[None]
-    learner = _build_learner(spec, c, T, grid, systems)
+    preds = preds.reshape(len(grid), *y.shape)
     with np.errstate(over="ignore", invalid="ignore"):  # a diverged cell is recorded below
-        preds, _ = learners.ogd(learner.blocks(u, y), y)
         errs = np.abs(preds - y).sum(axis=-1)
         finals = errs[..., -spec.window :].mean(axis=-1).tolist()
         fulls = errs.mean(axis=-1).tolist()
@@ -341,12 +410,126 @@ def run_experiment(spec: ExperimentSpec) -> MetricsReport:
         ],
         config_hash=spec_hash(spec),
         master_seed=spec.master_seed,
-        seeds=seeds,
+        seeds=derive_seeds(spec.master_seed, spec.n_runs),
         horizon=T,
         window=spec.window,
         n_runs=spec.n_runs,
         meta=meta,
     )
+
+
+def _run_group(specs: list, data: dict) -> list:
+    """Each spec's report, or the exception it failed with, for the specs
+    of one group: all their cells step in one `ogd` call.  `data` maps
+    each data key to its runs and systems, a load failure, or None for a
+    key that only this group reads, which is loaded here."""
+    data = dict(data)
+    for spec in specs:
+        if data[_data_key(spec)] is None:
+            data[_data_key(spec)] = _load(spec)
+    results = {i: data[_data_key(spec)] for i, spec in enumerate(specs)
+               if isinstance(data[_data_key(spec)], Exception)}
+    live = [i for i in range(len(specs)) if i not in results]
+    try:
+        if live:
+            preds = _group_predictions([specs[i] for i in live], data)
+    except Exception as exc:  # noqa: BLE001 - every live spec of the group fails with it
+        return [results.get(i, exc) for i in range(len(specs))]
+    start = 0
+    for i in live:
+        spec, grid = specs[i], _grid(specs[i])
+        cells = slice(start, start + len(grid) * spec.n_runs)
+        start = cells.stop
+        try:
+            results[i] = _report(spec, grid, preds[cells], data[_data_key(spec)])
+        except Exception as exc:  # noqa: BLE001 - that spec's failure alone
+            results[i] = exc
+    return [results[i] for i in range(len(specs))]
+
+
+def _run(specs: list, workers: int = 1) -> list:
+    """Each validated spec's report, or the exception it failed with, in
+    input order.
+
+    Specs are grouped by (algo, T, d_in, d_out) and, for spectral, by the
+    filter bank (T', beta, k).  Each group is one `_run_group` task: in
+    this process when there is one group or one worker, else one pool
+    task per group.  Each data key is loaded once.  A CSV is read here,
+    since its horizon and widths decide its group; a generated key is
+    loaded here when several groups read it, else in its group's task.
+    A load failure, or a window longer than the data, fails only the
+    specs that read that data.
+    """
+    results = [None] * len(specs)
+    data, groups = {}, {}
+    for i, spec in enumerate(specs):
+        key = _data_key(spec)
+        if spec.csv_path is None:
+            T, d_in, d_out = spec.horizon, spec.generator.d_in, spec.generator.d_out
+        else:
+            if key not in data:
+                data[key] = _load(spec)
+            if isinstance(data[key], Exception):
+                results[i] = data[key]
+                continue
+            traj = data[key][0][0]
+            T, d_in, d_out = traj.horizon, traj.inputs.shape[1], traj.outputs.shape[1]
+            if spec.window > T:
+                results[i] = ValueError(f"window {spec.window} exceeds data horizon {T}")
+                continue
+        group = (spec.algo, T, d_in, d_out)
+        if spec.algo == "spectral":
+            group += (T - resolve_coefficients(spec).degree - 1, spec.beta, spec.filter_count)
+        groups.setdefault(group, []).append(i)
+    groups = list(groups.values())
+    readers = Counter(key for members in groups for key in {_data_key(specs[i]) for i in members})
+    tasks = []
+    for members in groups:
+        for i in members:
+            key = _data_key(specs[i])
+            if key not in data and readers[key] > 1:
+                data[key] = _load(specs[i])
+        tasks.append(([specs[i] for i in members],
+                      {_data_key(specs[i]): data.get(_data_key(specs[i])) for i in members}))
+    if workers == 1 or len(tasks) <= 1:
+        outcomes = [_run_group(*task) for task in tasks]
+    else:
+        # the fork start method launches every worker at the first submit
+        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
+            futures = [pool.submit(_run_group, *task) for task in tasks]
+            outcomes = []
+            for fut, (members, _) in zip(futures, tasks):
+                try:
+                    outcomes.append(fut.result())
+                except Exception as exc:  # noqa: BLE001 - a lost worker fails its group
+                    outcomes.append([exc] * len(members))
+    for members, outcome in zip(groups, outcomes):
+        for i, result in zip(members, outcome):
+            results[i] = result
+    return results
+
+
+def run_experiment(spec: ExperimentSpec) -> MetricsReport:
+    """Run one experiment configuration with a learning-rate grid search.
+
+    The rate is chosen on the reported metric (final-window mean absolute
+    error averaged over runs); full-horizon means are logged alongside so
+    the regret-flavoured view stays available.  Ties break toward the
+    smallest rate.  The runs' data is simulated once, in one stacked
+    recursion, and every (rate, run) cell steps in one `ogd` recursion
+    over features built once per run.  A grid point where some run's
+    prediction is not finite is recorded as {"lr", "diverged": {"run",
+    "step"}}, with the first such run and its first non-finite step, and
+    is never chosen; when every point diverges, the first one's failure
+    is raised as a ValueError.  The oracle comparator is a one-point grid
+    that `grid_results` does not list.  This is `sweep` of one spec,
+    which raises the failure instead of recording it.
+    """
+    validate_spec(spec)
+    (result,) = _run([spec])
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 def report_to_json(report: MetricsReport) -> str:
@@ -361,44 +544,51 @@ class SweepFailure:
 
 
 def sweep(specs: list[ExperimentSpec], workers: int = 1) -> list:
-    """Run several specs; failures are recorded, siblings continue.
+    """Run several specs in lockstep; failures are recorded, siblings continue.
 
-    All specs are validated before any run starts; results come back in
-    input order regardless of completion order.
+    All specs are validated before any data is loaded.  Specs that share a
+    data key (the CSV path, or generator, horizon, master seed and
+    n_runs) share one load or simulation.  Specs that share (algo, T,
+    d_in, d_out), and for spectral the filter bank (T', beta, k), form a
+    group whose (spec, rate, run) cells step in one `ogd` recursion; each
+    spec's report is bit for bit its `run_experiment` report.  A spec that
+    fails, on its data or because every grid point diverged, is a
+    `SweepFailure`, and the rest of its group still reports.  The unit of
+    the process pool is a group: with workers > 1 and several groups,
+    each group is one task of a pool of at most that many workers;
+    otherwise everything runs in this process.  Results come back in
+    input order.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     if not specs:
         raise ValueError("sweep needs at least one spec")
     for spec in specs:
         validate_spec(spec)
-
-    def recorded(spec, result):
-        try:
-            return result()
-        except Exception as exc:  # noqa: BLE001 - reported, not swallowed
-            return SweepFailure(spec_hash(spec), str(exc))
-
-    if workers <= 1 or len(specs) == 1:
-        return [recorded(spec, lambda spec=spec: run_experiment(spec)) for spec in specs]
-    # the fork start method launches every worker at the first submit
-    with ProcessPoolExecutor(max_workers=min(workers, len(specs))) as pool:
-        futures = [pool.submit(run_experiment, spec) for spec in specs]
-        return [recorded(spec, fut.result) for spec, fut in zip(specs, futures)]
+    return [SweepFailure(spec_hash(spec), str(r)) if isinstance(r, Exception) else r
+            for spec, r in zip(specs, _run(specs, workers))]
 
 
 def sweep_table_csv(reports: list) -> str:
     """Wide table: one row per (algorithm, tau) setting, one column per
-    variant/degree, cells formatted mean±std."""
+    variant/degree, cells formatted mean±std.  A report whose cell is
+    already taken, by a spec that differs in a field the table does not
+    show (such as d_in), goes on a row of its own, tagged with its
+    config_hash."""
     ok = [r for r in reports if isinstance(r, MetricsReport)]
     cols = sorted({(r.variant, r.degree) for r in ok})
-    rows = sorted({(r.algo, r.tau) for r in ok}, key=lambda k: (k[0], k[1] is None, k[1]))
-    header = ["setting"] + [f"{v}-{d}" for v, d in cols]
-    lines = [",".join(header)]
     cells = {}
     for r in ok:
-        cells[(r.algo, r.tau), (r.variant, r.degree)] = f"{r.mean:.4g}±{r.std:.4g}"
+        row, col = (r.algo, r.tau, ""), (r.variant, r.degree)
+        if (row, col) in cells:
+            row = (r.algo, r.tau, r.config_hash)
+        cells[row, col] = f"{r.mean:.4g}±{r.std:.4g}"
+    rows = sorted({row for row, _ in cells}, key=lambda k: (k[0], k[1] is None, k[1], k[2]))
+    header = ["setting"] + [f"{v}-{d}" for v, d in cols]
+    lines = [",".join(header)]
     for row in rows:
         tag = f"{row[0]} tau={row[1]}" if row[1] is not None else f"{row[0]} csv"
-        line = [tag] + [cells.get((row, col), "") for col in cols]
+        line = [f"{tag} {row[2]}".rstrip()] + [cells.get((row, col), "") for col in cols]
         lines.append(",".join(line))
     return "\n".join(lines) + "\n"
 

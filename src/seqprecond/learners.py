@@ -11,9 +11,10 @@ subgradient at rate lr0/sqrt(t), with sign(0) = 0, and projects the taps
 of a block with a radius onto the spectral-norm ball (an SVD, only when
 a Frobenius norm exceeds the radius).  Rate 0 holds a block fixed, so the
 fixed lag coefficients, the learned ones and a fixed comparator differ
-only in their rates.  Leading cell axes on the streams, weights and rates
-run many independent recursions, such as the (rate, run) cells of a grid
-search, in lockstep: one pass per step over all of them.  A non-finite
+only in their rates.  Leading cell axes on the streams, weights, rates and
+radii run many independent recursions, such as the (spec, rate, run)
+cells of a sweep, in lockstep: one pass per step over all of them, with
+streams that many cells read stored once (`Rows`).  A non-finite
 prediction is returned as computed, for the caller to judge.  The learner
 classes only size radii and rates and assemble blocks, taking d_in and
 d_out from the (u, y) streams of `blocks(u, y)`; `.run(inputs, outputs)`
@@ -22,7 +23,8 @@ processes a whole stream (there is no per-sample `.step`).
 
 from __future__ import annotations
 
-from math import ceil, log, log2, sqrt
+from math import ceil, log, log2, prod, sqrt
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -41,26 +43,30 @@ DEFAULT_DOMAIN_BOUND = 10.0
 # projections
 
 
-def project_to_ball(M: np.ndarray, radius: float) -> np.ndarray:
+def project_to_ball(M: np.ndarray, radius) -> np.ndarray:
     """Project a matrix, or each matrix of a stack (..., m, n), onto the
     spectral-norm ball of the given radius.
 
-    The Frobenius norm bounds the spectral norm from above and equals it
-    at rank one, so a stack with no Frobenius norm over the radius is
-    returned as it is, the input object itself.  Otherwise one SVD of the
-    stack clips the singular values.  The projection is idempotent and
-    leaves interior points untouched.  A matrix with a non-finite entry is
-    left as it is and kept out of the SVD.
+    The radius is a number or an array that broadcasts over the stack's
+    leading axes, one radius per matrix.  The Frobenius norm bounds the
+    spectral norm from above and equals it at rank one, so a stack with no
+    Frobenius norm over its radius is returned as it is, the input object
+    itself.  Otherwise one SVD of the stack clips the singular values.
+    The projection is idempotent and leaves interior points untouched.  A
+    matrix with a non-finite entry is left as it is and kept out of the SVD.
     """
-    if radius < 0:
+    radius, M = np.asarray(radius, dtype=float), np.asarray(M, dtype=float)
+    norms = np.sqrt(np.einsum("...ij,...ij->...", M, M))
+    if norms.size and (norms <= radius).all():
+        return M  # every radius is at least a norm, so none is negative
+    if radius.min(initial=0.0) < 0:
         raise ValueError("radius must be nonnegative")
-    M = np.asarray(M, dtype=float)
-    if not (np.sqrt(np.einsum("...ij,...ij->...", M, M)) > radius).any():
+    if not (norms > radius).any():
         return M
     # a non-finite matrix goes into the SVD as 0, so it is not clipped
     finite = np.isfinite(M).all(axis=(-2, -1), keepdims=True)
     U, s, Vt = np.linalg.svd(np.where(finite, M, 0.0), full_matrices=False)
-    clipped = (U * np.minimum(s, radius)[..., None, :]) @ Vt
+    clipped = (U * np.minimum(s, radius[..., None])[..., None, :]) @ Vt
     return np.where((s[..., 0] > radius)[..., None, None], clipped, M)
 
 
@@ -112,7 +118,16 @@ def deep_past(bank: FilterBank, u: np.ndarray, n: int, T: int) -> np.ndarray:
 # the recursion
 
 
-def ogd(blocks, targets: np.ndarray):
+class Rows(NamedTuple):
+    """Features that cells share: cell c reads streams[index[c]], so a
+    stream is stored once however many cells read it.  `index` carries the
+    cell axes, `streams` one leading stream axis."""
+
+    streams: np.ndarray
+    index: np.ndarray
+
+
+def ogd(blocks, targets):
     """Projected online gradient descent on the ℓ1 loss over feature blocks.
 
     Each block is (X, W0, lr0, radius): features X of shape
@@ -121,11 +136,13 @@ def ogd(blocks, targets: np.ndarray):
     (..., taps).  Targets have shape (..., T, d_out).  The leading `...`
     are cell axes: every cell is its own recursion.  A block's features
     and weights carry as many cell axes as each other, of size 1 where
-    cells share them, and the targets and the rate lr0 broadcast against
-    them.  Step t predicts the sum over blocks of sum_j W_j x_{t,j}; then,
-    with s = sign(prediction - target), every block moves by
-    -lr0/sqrt(t) times its subgradient and the taps of a block with a
-    radius are projected onto that spectral-norm ball, all cells at once.
+    cells share them, and the targets, the rate lr0 and the radius
+    broadcast against them.  Features given as `Rows` carry their cell
+    axes on the index.  Step t predicts the sum over blocks of
+    sum_j W_j x_{t,j}; then, with s = sign(prediction - target), every
+    block moves by -lr0/sqrt(t) times its subgradient and the taps of a
+    block with a radius are projected onto that spectral-norm ball, all
+    cells at once.
 
     The update is masked per cell: a zero s or rate leaves that cell's
     weights as they are, and so does a non-finite prediction, so a failed
@@ -134,63 +151,112 @@ def ogd(blocks, targets: np.ndarray):
     block has a nonzero rate the update work is skipped, so rate 0
     evaluates fixed weights.
 
+    Inside, the cells lie on one trailing lane axis, so every sum over
+    taps and channels runs in tap order, one cell per lane, whatever the
+    number of cells.  A cell's results therefore do not depend on which
+    other cells share the call, and trailing taps with zero features and
+    zero weights change nothing, bit for bit.  (One cell runs as two
+    identical lanes: with a single lane numpy would fold the taps into
+    its inner loop and sum them in another order.)
+
     Returns the (..., T, d_out) predictions as computed, non-finite rows
     included, and the final weights; a failed cell leaves the others'
     results as they would be without it.
     """
+
+    def split(a, core):
+        """(cell shape, own shape, array, index) of features."""
+        if isinstance(a, Rows):
+            streams = np.asarray(a.streams, dtype=float)
+            return np.shape(a.index), streams.shape[1:], streams, np.asarray(a.index)
+        a = np.asarray(a, dtype=float)
+        return a.shape[: a.ndim - core], a.shape[a.ndim - core :], a, None
+
     y = np.asarray(targets, dtype=float)
     T, d_out = y.shape[-2:]
-    Xs, W0s, lrs, matrix = [], [], [], []
-    for X, W0, lr0, _ in blocks:
-        X, W0 = np.asarray(X), np.asarray(W0, dtype=float)
-        if X.shape[-3] != T:
+    Xs, W0s, lrs, radii, matrix = [], [], [], [], []
+    for X, W0, lr0, radius in blocks:
+        X, W0 = split(X, 3), np.asarray(W0, dtype=float)
+        if X[1][0] != T:
             raise ValueError(f"every feature block needs {T} rows, one per target")
-        if W0.ndim not in (X.ndim, X.ndim - 2):
-            raise ValueError(f"weights {W0.shape} do not fit features {X.shape}")
+        if W0.ndim - len(X[0]) not in (3, 1):
+            raise ValueError(f"weights {W0.shape} do not fit features {X[0] + X[1]}")
         Xs.append(X)
         W0s.append(W0)
         lrs.append(np.asarray(lr0, dtype=float))
-        matrix.append(W0.ndim == X.ndim)
-    lead = [X.ndim - 3 for X in Xs]
+        radii.append(None if radius is None else np.asarray(radius, dtype=float))
+        matrix.append(W0.ndim - len(X[0]) == 3)
     cells = np.broadcast_shapes(
-        y.shape[:-2], *(X.shape[:n] for X, n in zip(Xs, lead)),
-        *(W.shape[:n] for W, n in zip(W0s, lead)), *(lr.shape for lr in lrs),
+        y.shape[:-2], *(X[0] for X in Xs), *(W.shape[: len(X[0])] for W, X in zip(W0s, Xs)),
+        *(lr.shape for lr in lrs), *(r.shape for r in radii if r is not None),
     )
-    Ws = [np.array(np.broadcast_to(W, cells + W.shape[n:])) for W, n in zip(W0s, lead)]
+    n = prod(cells)
+    lanes = max(n, 2)
+
+    def lanes_first(a, core):
+        """A view of a with its cell axes flattened onto a leading lane axis."""
+        shape = a.shape[a.ndim - core :]
+        return np.broadcast_to(np.broadcast_to(a, cells + shape).reshape(n, *shape),
+                               (lanes, *shape))
+
+    def lanes_last(a, core):
+        """A copy of a with its cell axes flattened onto a trailing lane axis."""
+        return np.array(np.moveaxis(lanes_first(a, core), 0, -1), order="C")
+
+    def streams(parts):
+        """(array, lane index or None) with time first and lanes or streams
+        last: step t reads a[t], or a[t] at the index, one column per
+        lane.  Streams are read in place, views included."""
+        _, own, a, index = parts
+        if index is None:
+            return lanes_last(a, len(own)), None
+        return np.moveaxis(a, 0, -1), lanes_last(index, 0)
+
+    Xs = [streams(X) for X in Xs]  # (T, taps, d, lanes or streams)
+    # targets and predictions stay lanes first: step t reads and writes one
+    # column per lane, and no sum runs over them
+    Y = lanes_first(y, 2)
+    Ws = [lanes_last(W, 3 if m else 1) for W, m in zip(W0s, matrix)]
     steps = []
     for b, lr in enumerate(lrs):
         if lr.any():
-            core = (1, 1, 1) if matrix[b] else (1,)
-            steps.append((b, lr.reshape(lr.shape + core), lr != 0, core, blocks[b][3]))
-    preds = np.empty(cells + (T, d_out))
+            lr = lanes_last(lr, 0)
+            radius = None if radii[b] is None else lanes_last(radii[b], 0)[:, None]
+            steps.append((b, lr, lr != 0, radius))
+    preds = np.empty((lanes, T, d_out))
     for t in range(T):
-        xs = [X[..., t, :, :] for X in Xs]
-        pred = np.zeros(cells + (d_out,))
+        xs = [X[t] if index is None else X[t].take(index, axis=-1) for X, index in Xs]
+        pred = np.zeros((d_out, lanes))
         for W, x, m in zip(Ws, xs, matrix):
             if m:
-                pred = pred + np.einsum("...joi,...ji->...o", W, x)
+                pred = pred + np.einsum("joil,jil->ol", W, x)
             else:
-                pred = pred + np.einsum("...j,...jo->...o", W, x)
-        preds[..., t, :] = pred
+                pred = pred + np.einsum("jl,jol->ol", W, x)
+        preds[:, t] = pred.T
         if not steps:
             continue
-        live = np.isfinite(pred).all(axis=-1, keepdims=True)
-        s = np.where(live, np.sign(pred - y[..., t, :]), 0.0)
-        active = s.any(axis=-1)
+        live = np.isfinite(pred).all(axis=0)
+        s = np.where(live, np.sign(pred - Y[:, t].T), 0.0)
+        active = s.any(axis=0)
         if not active.any():
             continue
         root = sqrt(t + 1)
-        for b, lr, nonzero, core, radius in steps:
+        for b, lr, nonzero, radius in steps:
             W, x = Ws[b], xs[b]
             if matrix[b]:
-                grad = s[..., None, :, None] * x[..., :, None, :]
+                grad = s[None, :, None, :] * x[:, None, :, :]
             else:
-                grad = np.einsum("...jo,...o->...j", x, s)
+                grad = np.einsum("jol,ol->jl", x, s)
             step = W - (lr / root) * grad
             if radius is not None:
-                step = project_to_ball(step, radius)
-            Ws[b] = np.where((active & nonzero).reshape(cells + core), step, W)
-    return preds, Ws
+                step = project_to_ball(step.transpose(3, 0, 1, 2), radius).transpose(1, 2, 3, 0)
+            np.copyto(W, step, where=active & nonzero)
+
+    def cells_first(a):
+        a = np.moveaxis(a[..., :n], -1, 0)
+        return np.ascontiguousarray(a.reshape(cells + a.shape[1:]))
+
+    return preds[:n].reshape(cells + (T, d_out)), [cells_first(W) for W in Ws]
 
 
 def _cells(W, x: np.ndarray, core: int) -> np.ndarray:

@@ -390,6 +390,14 @@ class TestSweepCommand:
         assert err.startswith("error: experiment 1: ") and err.count("\n") == 1
         assert named in err
 
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_workers_below_one_is_one_error_line(self, tmp_path, capsys, workers):
+        cfg = self.write_sweep(tmp_path, [self.base_entry()])
+        assert run_cli("sweep", "--config", str(cfg), "--workers", workers) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: workers must be >= 1, got {workers}\n"
+        assert captured.out == ""
+
     def test_rejects_object_without_experiments(self, tmp_path, capsys):
         path = tmp_path / "sweep.json"
         path.write_text('{"runs": []}')

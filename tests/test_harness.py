@@ -474,6 +474,14 @@ class TestSweep:
         (only,) = H.sweep([tiny_spec()])
         assert H.report_to_json(only) == H.report_to_json(tiny_report)
 
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_workers_below_one_rejected(self, workers, monkeypatch):
+        calls = []
+        monkeypatch.setattr(H, "_make_runs", lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match=f"workers must be >= 1, got {workers}"):
+            H.sweep([tiny_spec()], workers=workers)
+        assert calls == []
+
     def test_empty_sweep_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
             H.sweep([])
@@ -536,7 +544,8 @@ class TestSweep:
 
         started = []
         monkeypatch.setattr(H, "ProcessPoolExecutor", InlinePool)
-        specs = [tiny_spec(n_runs=1, master_seed=s) for s in range(n_specs)]
+        # a pool task is a group; distinct horizons make each spec its own group
+        specs = [tiny_spec(n_runs=1, master_seed=s, horizon=120 + s) for s in range(n_specs)]
         pooled = H.sweep(specs, workers=workers)
         assert started == [cap]
         assert [H.report_to_json(r) for r in pooled] == [
@@ -580,12 +589,97 @@ class TestSweep:
         assert lines[1].startswith("regression tau=0.05,")
         assert lines[1].count("±") == 4
 
+    def test_table_keeps_reports_that_share_a_cell(self):
+        # the two specs differ only in generator.d_in, which the table does
+        # not show: the later report goes on its own row, tagged by its hash
+        wide = tiny_spec(n_runs=1, generator=dataclasses.replace(TINY_GEN, d_in=2))
+        first, second = H.sweep([tiny_spec(n_runs=1), wide])
+        lines = H.sweep_table_csv([first, second]).strip().split("\n")
+        assert lines == [
+            "setting,chebyshev-3",
+            f"regression tau=0.05,{first.mean:.4g}±{first.std:.4g}",
+            f"regression tau=0.05 {second.config_hash},{second.mean:.4g}±{second.std:.4g}",
+        ]
+        assert first.mean != second.mean
+
     def test_table_skips_failures(self, tmp_path):
         bad = H.ExperimentSpec(
             csv_path=str(tmp_path / "missing.csv"), n_runs=1, window=5, master_seed=0
         )
         table = H.sweep_table_csv(H.sweep([tiny_spec(n_runs=1), bad]))
         assert "±" in table and "missing" not in table
+
+
+def lockstep_specs(tmp_path):
+    """Specs that exercise every way a grouped sweep can differ from one
+    `run_experiment` per spec: padded taps and lag degree, a learned
+    3 x 3 grid, a single cell, d=3, a CSV, spectral, the oracle comparator,
+    a spec whose every grid point diverges next to good ones in its group,
+    a CSV that does not exist and a window longer than a CSV."""
+    gen = H.GeneratorConfig(d_h=6, tau=0.05)
+    system = sample_system(d_h=5, d_in=1, d_out=1, tau_thresh=0.05,
+                           radius_lo=0.5, radius_hi=0.9, seed=3)
+    csv_path = str(tmp_path / "traj.csv")
+    H.write_trajectory_csv(simulate_lds(system, gaussian_inputs(150, 1, seed=4)), csv_path)
+    base = dict(generator=gen, n_runs=3, horizon=150, window=40, master_seed=5)
+    return [
+        H.ExperimentSpec(variant="none", degree=5, **base),
+        H.ExperimentSpec(variant="chebyshev", degree=5, **base),
+        H.ExperimentSpec(variant="chebyshev", degree=10, **base),
+        H.ExperimentSpec(variant="learned", degree=3, lr_grid=(1e-3, 1e-2, 1e-1), **base),
+        H.ExperimentSpec(degree=5, **{**base, "n_runs": 1, "lr_grid": (0.1,)}),
+        H.ExperimentSpec(**{**base, "generator": dataclasses.replace(gen, d_in=3, d_out=3)}),
+        H.ExperimentSpec(csv_path=csv_path, horizon=150, window=40, degree=4),
+        H.ExperimentSpec(algo="spectral", degree=3, filter_count=6, **base),
+        H.ExperimentSpec(oracle_comparator=True, degree=3, **base),
+        H.ExperimentSpec(variant="learned", degree=3, lr_grid_coeffs=(1e308,), **base),
+        H.ExperimentSpec(csv_path=str(tmp_path / "missing.csv"), window=40, degree=4),
+        H.ExperimentSpec(csv_path=csv_path, horizon=500, window=300, degree=4),
+    ]
+
+
+class TestLockstepSweep:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_grouped_sweep_matches_each_run_experiment(self, tmp_path, workers):
+        specs = lockstep_specs(tmp_path)
+        want = []
+        for spec in specs:
+            try:
+                want.append(H.report_to_json(H.run_experiment(spec)))
+            except (ValueError, OSError) as exc:
+                want.append(H.SweepFailure(H.spec_hash(spec), str(exc)))
+        got = [r if isinstance(r, H.SweepFailure) else H.report_to_json(r)
+               for r in H.sweep(specs, workers=workers)]
+        assert got == want
+        failed = [i for i, r in enumerate(got) if isinstance(r, H.SweepFailure)]
+        assert failed == [9, 10, 11]
+        assert got[9].error.startswith("non-finite prediction at step ")
+        assert "missing.csv" in got[10].error
+        assert got[11].error == "window 300 exceeds data horizon 150"
+
+    def test_one_load_per_data_key_and_one_ogd_call_per_group(self, tmp_path, monkeypatch):
+        loads, calls = [], []
+        make_runs, ogd = H._make_runs, H.learners.ogd
+
+        def counted_make_runs(g, horizon, seeds):
+            loads.append((g, horizon, len(seeds)))
+            return make_runs(g, horizon, seeds)
+
+        def counted_ogd(blocks, targets):
+            calls.append(len(targets))
+            return ogd(blocks, targets)
+
+        monkeypatch.setattr(H, "_make_runs", counted_make_runs)
+        monkeypatch.setattr(H.learners, "ogd", counted_ogd)
+        specs = lockstep_specs(tmp_path)
+        # the spectral spec is another group on the first three specs' data key
+        shared, d3, spectral = specs[:3], specs[5], specs[7]
+        reports = H.sweep([*shared, d3, spectral], workers=1)
+        assert all(isinstance(r, H.MetricsReport) for r in reports)
+        assert sorted(loads, key=lambda load: load[0].d_in) == [
+            (shared[0].generator, 150, 9), (d3.generator, 150, 9)]
+        assert calls == [27, 9, 9]  # (spec, rate, run) cells of each group
 
 
 class TestVerify:

@@ -58,6 +58,48 @@ class TestProjection:
         v = np.array([[3.0, 4.0]])  # rank one: spectral norm = Frobenius norm = 5
         np.testing.assert_allclose(project_to_ball(v, 1.0), v / 5, atol=1e-12)
 
+    @staticmethod
+    def mixed_stack(rng):
+        """A (4, 3, 2, 3) stack, some matrices inside their ball and some
+        over it, and one radius per matrix, zero included."""
+        scale = rng.choice([0.0, 0.1, 1.0, 4.0], size=(4, 3, 1, 1))
+        return rng.standard_normal((4, 3, 2, 3)) * scale, rng.choice([0.0, 0.5, 10.0], (4, 3))
+
+    def test_radius_per_matrix_matches_each_projection(self):
+        M, radius = self.mixed_stack(np.random.default_rng(3))
+        for r in (radius, radius[:, :1]):  # one radius per matrix, or per row of the stack
+            out = project_to_ball(M, r)
+            for cell in np.ndindex(4, 3):
+                want = project_to_ball(M[cell], np.broadcast_to(r, (4, 3))[cell])
+                np.testing.assert_array_equal(out[cell], want)
+
+    def test_scalar_radius_is_a_full_radius_array(self):
+        M, _ = self.mixed_stack(np.random.default_rng(4))
+        np.testing.assert_array_equal(project_to_ball(M, 0.5), project_to_ball(M, np.full((4, 3), 0.5)))
+
+    def test_mixed_radius_keeps_a_non_finite_matrix_out_of_the_svd(self, monkeypatch):
+        M, radius = self.mixed_stack(np.random.default_rng(5))
+        M[1, 2, 0, 1], M[3, 0, 1, 2] = np.nan, np.inf
+        svd, seen = np.linalg.svd, []
+
+        def recorded(A, *args, **kwargs):
+            seen.append(np.isfinite(A).all())
+            return svd(A, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recorded)
+        out = project_to_ball(M, radius)
+        assert seen == [True]
+        for cell in np.ndindex(4, 3):
+            if cell in ((1, 2), (3, 0)):
+                np.testing.assert_array_equal(out[cell], M[cell])
+            else:
+                np.testing.assert_array_equal(out[cell], project_to_ball(M[cell], radius[cell]))
+
+    def test_negative_radius_anywhere_rejected(self):
+        for n, radius in ((3, -1.0), (3, np.array([1.0, 0.0, -1e-300])), (0, -1.0)):
+            with pytest.raises(ValueError, match="radius must be nonnegative"):
+                project_to_ball(np.zeros((n, 2, 2)), radius)
+
 
 class TestLagged:
     def test_matches_hand_built_windows(self):

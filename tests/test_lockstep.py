@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from seqprecond import harness as H
 from seqprecond.learners import (
     RegressionLearner,
+    Rows,
     SpectralLearner,
     lagged,
     ogd,
@@ -270,6 +271,25 @@ def test_one_learner_serves_streams_of_any_width():
         assert Ws[0].shape == (2, d_out, d_in)
         for W, w in zip(Ws, want_W):
             np.testing.assert_allclose(W, w, rtol=TOL, atol=TOL)
+
+
+def test_rows_step_the_cells_of_their_gathered_features():
+    # cells 1 and 2 read one stream, cell 3 sits between them in memory
+    rng = np.random.default_rng(11)
+    T, d, index = 30, 2, np.array([2, 0, 0, 1, 2])
+    u, y = 3 * rng.standard_normal((3, T, d)), rng.standard_normal((3, T, d))
+    X, L = lagged(u, 3), lagged(-y, 2, 1)
+    W0, lags = np.zeros((5, 3, d, d)), np.tile([-0.5, 0.2], (5, 1))
+    lr, radius = np.array([0.1, 0.5, 1.0, 0.0, 3.0]), np.array([0.3, 0.3, 1.0, 0.3, 10.0])
+    want = ogd([(X[index], W0, lr, radius), (L[index], lags, lr / 10, None)], y[index])
+    got = ogd([(Rows(X, index), W0, lr, radius), (Rows(L, index), lags, lr / 10, None)], y[index])
+    np.testing.assert_array_equal(got[0], want[0])
+    for W, w in zip(got[1], want[1]):
+        np.testing.assert_array_equal(W, w)
+    for cell, stream in enumerate(index):
+        blocks = [(X[stream], W0[cell], lr[cell], radius[cell]),
+                  (L[stream], lags[cell], lr[cell] / 10, None)]
+        np.testing.assert_array_equal(got[0][cell], ogd(blocks, y[stream])[0])
 
 
 def reference_experiment(spec):
