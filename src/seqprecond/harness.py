@@ -174,12 +174,8 @@ def validate_spec(spec: ExperimentSpec) -> None:
     if spec.variant == "custom" and not spec.custom_coeffs:
         raise ValueError("custom variant requires custom_coeffs")
     c = resolve_coefficients(spec)
-    if spec.algo == "spectral" and spec.csv_path is None:  # a CSV's horizon is known at run time
-        bank_horizon = spec.horizon - c.degree - 1
-        if not 0 <= spec.filter_count <= bank_horizon:
-            raise ValueError(f"filter_count must lie in [0, horizon - degree - 1] = "
-                             f"[0, {bank_horizon}] for coefficients of degree {c.degree}, "
-                             f"got {spec.filter_count}")
+    if spec.csv_path is None and (error := _bank_error(spec, spec.horizon)):
+        raise error  # a CSV's horizon is known at run time: `_run` checks it there
     if spec.oracle_comparator:
         if spec.csv_path is not None or spec.generator.kind != "lds":
             raise ValueError("oracle comparator needs a generated linear system")
@@ -193,6 +189,14 @@ def validate_spec(spec: ExperimentSpec) -> None:
                              f"variant {spec.variant!r} gives degree 0")
     if spec.csv_path is not None and spec.n_runs != 1:
         raise ValueError(f"a CSV spec holds one trajectory: n_runs must be 1, got {spec.n_runs}")
+
+
+def _bank_error(spec: ExperimentSpec, T: int) -> ValueError | None:
+    """The error of a spectral spec whose filter_count does not fit horizon T."""
+    n = resolve_coefficients(spec).degree
+    if spec.algo == "spectral" and not 0 <= spec.filter_count <= T - n - 1:
+        return ValueError(f"filter_count must lie in [0, horizon - degree - 1] = [0, {T - n - 1}] "
+                          f"for coefficients of degree {n}, got {spec.filter_count}")
 
 
 def resolve_coefficients(spec: ExperimentSpec) -> CoefficientVector:
@@ -474,8 +478,9 @@ def _run(specs: list, workers: int = 1) -> list:
                 continue
             traj = data[key][0][0]
             T, d_in, d_out = traj.horizon, traj.inputs.shape[1], traj.outputs.shape[1]
-            if spec.window > T:
-                results[i] = ValueError(f"window {spec.window} exceeds data horizon {T}")
+            results[i] = (ValueError(f"window {spec.window} exceeds data horizon {T}")
+                          if spec.window > T else _bank_error(spec, T))
+            if results[i] is not None:
                 continue
         group = (spec.algo, T, d_in, d_out)
         if spec.algo == "spectral":

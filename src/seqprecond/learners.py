@@ -7,23 +7,20 @@ the lag coefficients c_1..c_n, an input window u_{t-j} against matrices
 Q_j and, for spectral filtering, the deep input past filtered by a bank
 against matrices M_j.  A block (X, W0, lr0, radius) is the whole
 configuration of its weights: `ogd` steps every block along the ℓ1
-subgradient at rate lr0/sqrt(t), with sign(0) = 0, and projects the taps
-of a block with a radius onto the spectral-norm ball (an SVD, only when
-a Frobenius norm exceeds the radius).  Rate 0 holds a block fixed, so the
-fixed lag coefficients, the learned ones and a fixed comparator differ
-only in their rates.  Leading cell axes on the streams, weights, rates and
-radii run many independent recursions, such as the (spec, rate, run)
-cells of a sweep, in lockstep: one pass per step over all of them, with
-streams that many cells read stored once (`Rows`).  A non-finite
-prediction is returned as computed, for the caller to judge.  The learner
-classes only size radii and rates and assemble blocks, taking d_in and
-d_out from the (u, y) streams of `blocks(u, y)`; `.run(inputs, outputs)`
-processes a whole stream (there is no per-sample `.step`).
+subgradient at rate lr0/sqrt(t), with sign(0) = 0, and keeps the taps of
+a block with a radius in the spectral-norm ball.  Rate 0 holds a block
+fixed, so fixed lag coefficients, learned ones and a fixed comparator
+differ only in their rates, and a fixed block costs no work per step.
+Leading cell axes run many independent recursions, such as the (spec,
+rate, run) cells of a sweep, in lockstep, with streams that many cells
+read stored once (`Rows`).  The learner classes only size radii and rates
+and assemble blocks from the (u, y) streams of `blocks(u, y)`;
+`.run(inputs, outputs)` processes a whole stream.
 """
 
 from __future__ import annotations
 
-from math import ceil, log, log2, prod, sqrt
+from math import ceil, isfinite, log, log2, prod, sqrt
 from typing import NamedTuple
 
 import numpy as np
@@ -133,65 +130,67 @@ def ogd(blocks, targets):
     Each block is (X, W0, lr0, radius): features X of shape
     (..., T, taps, d_in) against weights (..., taps, d_out, d_in), or lag
     features (..., T, taps, d_out) against one scalar weight per tap,
-    (..., taps).  Targets have shape (..., T, d_out).  The leading `...`
-    are cell axes: every cell is its own recursion.  A block's features
-    and weights carry as many cell axes as each other, of size 1 where
-    cells share them, and the targets, the rate lr0 and the radius
-    broadcast against them.  Features given as `Rows` carry their cell
-    axes on the index.  Step t predicts the sum over blocks of
-    sum_j W_j x_{t,j}; then, with s = sign(prediction - target), every
-    block moves by -lr0/sqrt(t) times its subgradient and the taps of a
-    block with a radius are projected onto that spectral-norm ball, all
-    cells at once.
+    (..., taps), with no radius.  Targets have shape (..., T, d_out).  The
+    leading `...` are cell axes: every cell is its own recursion.  A block's
+    features and weights carry as many cell axes as each other, of size 1
+    where cells share them, and the targets, the rate lr0 and the radius
+    broadcast against them.  Features given as `Rows` carry their cell axes
+    on the index.  Step t predicts the sum over blocks of sum_j W_j x_{t,j};
+    then, with s = sign(prediction - target), every block moves by
+    -lr0/sqrt(t) times its subgradient and the taps of a block with a
+    radius are projected onto that spectral-norm ball.
 
-    The update is masked per cell: a zero s or rate leaves that cell's
-    weights as they are, and so does a non-finite prediction, so a failed
-    cell is out of the update; `project_to_ball` keeps its non-finite
-    weights out of the SVD.  The schedule advances on every step.  When no
-    block has a nonzero rate the update work is skipped, so rate 0
-    evaluates fixed weights.
+    The update is masked per cell: a zero s or rate, or a non-finite
+    prediction, leaves that cell's weights as they are, and the schedule
+    advances on every step.  A block whose every rate is 0 never moves, so
+    its term is summed for all steps before the loop; with every block
+    fixed no loop runs.  A block is tested against its ball only from the
+    first step at which a bound on its taps' norms may exceed a radius, and
+    projected only at steps where an updated cell's tap does.
 
-    Inside, the cells lie on one trailing lane axis, so every sum over
-    taps and channels runs in tap order, one cell per lane, whatever the
-    number of cells.  A cell's results therefore do not depend on which
-    other cells share the call, and trailing taps with zero features and
-    zero weights change nothing, bit for bit.  (One cell runs as two
-    identical lanes: with a single lane numpy would fold the taps into
-    its inner loop and sum them in another order.)
+    Inside, the cells lie on one trailing lane axis, so every sum over taps
+    and channels runs in tap order, one cell per lane, and the blocks'
+    terms add in block order: a cell's results do not depend on which other
+    cells share the call, and trailing taps with zero features and zero
+    weights change nothing, bit for bit.
 
-    Returns the (..., T, d_out) predictions as computed, non-finite rows
-    included, and the final weights; a failed cell leaves the others'
-    results as they would be without it.
+    Returns the C-contiguous (..., T, d_out) predictions as computed,
+    non-finite rows included, and the final weights.
     """
 
-    def split(a, core):
-        """(cell shape, own shape, array, index) of features."""
-        if isinstance(a, Rows):
-            streams = np.asarray(a.streams, dtype=float)
-            return np.shape(a.index), streams.shape[1:], streams, np.asarray(a.index)
-        a = np.asarray(a, dtype=float)
-        return a.shape[: a.ndim - core], a.shape[a.ndim - core :], a, None
+    def rows(a):
+        """Features as `Rows`: a plain array is one stream per cell of its
+        own cell axes.  Streams are read in place, views included."""
+        if not isinstance(a, Rows):
+            a = np.asarray(a, dtype=float)
+            shape = a.shape[:-3]
+            a = Rows(a.reshape(prod(shape), *a.shape[-3:]), np.arange(prod(shape)).reshape(shape))
+        return Rows(np.asarray(a.streams, dtype=float), np.asarray(a.index))
 
     y = np.asarray(targets, dtype=float)
     T, d_out = y.shape[-2:]
     Xs, W0s, lrs, radii, matrix = [], [], [], [], []
     for X, W0, lr0, radius in blocks:
-        X, W0 = split(X, 3), np.asarray(W0, dtype=float)
-        if X[1][0] != T:
+        X, W0 = rows(X), np.asarray(W0, dtype=float)
+        if X.streams.shape[1] != T:
             raise ValueError(f"every feature block needs {T} rows, one per target")
-        if W0.ndim - len(X[0]) not in (3, 1):
-            raise ValueError(f"weights {W0.shape} do not fit features {X[0] + X[1]}")
+        if W0.ndim - X.index.ndim not in (3, 1):
+            raise ValueError(f"weights {W0.shape} do not fit features "
+                             f"{X.index.shape + X.streams.shape[1:]}")
+        if radius is not None and W0.ndim - X.index.ndim == 1:
+            raise ValueError("a lag block takes no radius")
         Xs.append(X)
         W0s.append(W0)
         lrs.append(np.asarray(lr0, dtype=float))
         radii.append(None if radius is None else np.asarray(radius, dtype=float))
-        matrix.append(W0.ndim - len(X[0]) == 3)
+        matrix.append(W0.ndim - X.index.ndim == 3)
     cells = np.broadcast_shapes(
-        y.shape[:-2], *(X[0] for X in Xs), *(W.shape[: len(X[0])] for W, X in zip(W0s, Xs)),
+        y.shape[:-2], *(X.index.shape for X in Xs),
+        *(W.shape[: X.index.ndim] for W, X in zip(W0s, Xs)),
         *(lr.shape for lr in lrs), *(r.shape for r in radii if r is not None),
     )
     n = prod(cells)
-    lanes = max(n, 2)
+    lanes = max(n, 2)  # with one lane numpy would fold the taps into its inner loop
 
     def lanes_first(a, core):
         """A view of a with its cell axes flattened onto a leading lane axis."""
@@ -203,60 +202,106 @@ def ogd(blocks, targets):
         """A copy of a with its cell axes flattened onto a trailing lane axis."""
         return np.array(np.moveaxis(lanes_first(a, core), 0, -1), order="C")
 
-    def streams(parts):
-        """(array, lane index or None) with time first and lanes or streams
-        last: step t reads a[t], or a[t] at the index, one column per
-        lane.  Streams are read in place, views included."""
-        _, own, a, index = parts
-        if index is None:
-            return lanes_last(a, len(own)), None
-        return np.moveaxis(a, 0, -1), lanes_last(index, 0)
-
-    Xs = [streams(X) for X in Xs]  # (T, taps, d, lanes or streams)
-    # targets and predictions stay lanes first: step t reads and writes one
-    # column per lane, and no sum runs over them
-    Y = lanes_first(y, 2)
+    # time first and streams last: step t reads X[t] at the lane index
+    Xs = [(np.moveaxis(a, 0, -1), np.arange(len(a))[lanes_last(index, 0)]) for a, index in Xs]
     Ws = [lanes_last(W, 3 if m else 1) for W, m in zip(W0s, matrix)]
+    Y = lanes_first(y, 2).transpose(1, 2, 0)  # a view: step t reads Y[t], (d_out, lanes)
+    P, root = np.zeros((T, d_out, lanes)), np.sqrt(np.arange(1.0, T + 1.0))  # predictions, sqrt(t)
+
+    def fixed_term(b, out):
+        """Block b's term at every step, into out, summed from 0 tap by tap and
+        channel by channel as the step's einsum sums it; lag rows go straight to tmp."""
+        (X, index), W, m = Xs[b], Ws[b], matrix[b]
+        out, tmp = np.zeros((T, d_out, lanes)) if out is None else out, np.empty((T, d_out, lanes))
+        for j in range(W.shape[0]):
+            for i in range(W.shape[2] if m else 1):
+                x = np.take(X[:, j, i, None] if m else X[:, j], index, axis=-1,
+                            out=None if m else tmp, mode="clip")
+                out += np.multiply(x, W[j, :, i] if m else W[j], out=tmp)
+        return out
+
+    def crossing(b, lr, radius):
+        """The first step after which a tap of block b may leave its ball, or T: a tap's
+        norm is at most max_j |W0_j| + sum_t |lr0/sqrt(t)| sqrt(d_out) max_j |x_{t,j}|."""
+        (X, index), W = Xs[b], Ws[b]
+        sq = np.zeros((T, X.shape[-1]))
+        for j in range(X.shape[1]):
+            np.maximum(sq, np.einsum("tis,tis->ts", X[:, j], X[:, j]), out=sq)
+        bound = np.sqrt(sq, out=sq).take(index, axis=1)
+        bound *= np.abs(lr) * sqrt(d_out)
+        bound /= root[:, None]
+        np.cumsum(bound, axis=0, out=bound)
+        bound += np.sqrt(np.einsum("joil,joil->jl", W, W)).max(axis=0, initial=0.0)
+        # Rounding, u = eps/2, p = d_out d_in entries a tap: two roundings an
+        # update put a tap's norm at most (1 + u)^(2T) over the exact bound,
+        # project_to_ball's norm adds (p/2 + 1)u, and the computed bound may fall
+        # (T + p + 8)u short, its sum of T terms included.  Twice these
+        # first-order terms covers the higher ones.
+        bound *= 1.0 + (6 * T + 3 * W.shape[1] * W.shape[2] + 18) * np.finfo(float).eps / 2
+        inside = (bound <= radius).all(axis=1)
+        return T if inside.all() else int(inside.argmin())
+
+    # 0 + B0 + B1 + ... adds the blocks' terms in block order and its first
+    # two terms commute, so a fixed second block may go first.  The fixed
+    # blocks before the first moving one go straight into the predictions.
+    order, moving = list(range(len(Xs))), [bool(lr.any()) for lr in lrs]
+    if len(order) > 1 and moving[0] and not moving[1]:
+        order[:2] = 1, 0
+    lead = next((k for k, b in enumerate(order) if moving[b]), len(order))
+    plan = []  # the terms that step t adds: (block, its fixed term or None)
+    for k, b in enumerate(order):
+        F = None if moving[b] else fixed_term(b, P if k == 0 else None)
+        if 0 < k < lead:
+            P += F
+        elif k >= lead:
+            plan.append((b, F))
     steps = []
-    for b, lr in enumerate(lrs):
-        if lr.any():
-            lr = lanes_last(lr, 0)
-            radius = None if radii[b] is None else lanes_last(radii[b], 0)[:, None]
-            steps.append((b, lr, lr != 0, radius))
-    preds = np.empty((lanes, T, d_out))
-    for t in range(T):
-        xs = [X[t] if index is None else X[t].take(index, axis=-1) for X, index in Xs]
-        pred = np.zeros((d_out, lanes))
-        for W, x, m in zip(Ws, xs, matrix):
-            if m:
-                pred = pred + np.einsum("joil,jil->ol", W, x)
-            else:
-                pred = pred + np.einsum("jl,jol->ol", W, x)
-        preds[:, t] = pred.T
-        if not steps:
-            continue
-        live = np.isfinite(pred).all(axis=0)
-        s = np.where(live, np.sign(pred - Y[:, t].T), 0.0)
-        active = s.any(axis=0)
-        if not active.any():
-            continue
-        root = sqrt(t + 1)
-        for b, lr, nonzero, radius in steps:
+    for b in (b for b, F in plan if F is None):
+        lr = lanes_last(lrs[b], 0)
+        radius = radii[b] if radii[b] is None else lanes_last(radii[b], 0)
+        cross = T if radius is None else crossing(b, lr, radius)  # before the rate table
+        steps.append((b, lr / root[:, None], None if lr.all() else lr != 0, radius, cross,
+                      np.empty_like(Ws[b])))
+    xs = [np.empty(X.shape[1:-1] + (lanes,)) for X, _ in Xs]  # step t's features
+    acc, s, coef = np.empty((3, d_out, lanes))  # a block's term, the signs, rate times signs
+    (active, mask), flat = np.empty((2, lanes), dtype=bool), s.reshape(-1)
+    for t in range(T if steps else 0):
+        p = P[t]
+        for b, F in plan:
+            if F is not None:
+                p += F[t]
+                continue
+            X, index = Xs[b]
+            x = np.take(X[t], index, axis=-1, out=xs[b], mode="clip")
+            p += np.einsum("joil,jil->ol" if matrix[b] else "jl,jol->ol", Ws[b], x, out=acc)
+        np.subtract(p, Y[t], out=s)
+        if not isfinite(np.dot(flat, flat)):  # a non-finite prediction, or a huge residual
+            s[:, ~np.isfinite(p).all(axis=0)] = 0.0
+        np.sign(s, out=s)
+        np.logical_or.reduce(s, axis=0, out=active)
+        for b, rate, nonzero, radius, cross, grad in steps:
             W, x = Ws[b], xs[b]
+            live = active if nonzero is None else np.logical_and(active, nonzero, out=mask)
             if matrix[b]:
-                grad = s[None, :, None, :] * x[:, None, :, :]
+                np.multiply(np.multiply(s, rate[t], out=coef)[None, :, None], x[:, None], out=grad)
             else:
-                grad = np.einsum("jol,ol->jl", x, s)
-            step = W - (lr / root) * grad
-            if radius is not None:
-                step = project_to_ball(step.transpose(3, 0, 1, 2), radius).transpose(1, 2, 3, 0)
-            np.copyto(W, step, where=active & nonzero)
+                np.einsum("jol,ol->jl", x, s, out=grad)
+                grad *= rate[t]
+            if t < cross:
+                np.subtract(W, grad, out=W, where=live)
+                continue
+            step = np.subtract(W, grad, out=grad)
+            norms = np.sqrt(np.einsum("joil,joil->jl", step, step))
+            if ((norms > radius) & live).any():
+                step = project_to_ball(step.transpose(3, 0, 1, 2), radius[:, None])
+                step = step.transpose(1, 2, 3, 0)
+            np.copyto(W, step, where=live)
 
     def cells_first(a):
         a = np.moveaxis(a[..., :n], -1, 0)
         return np.ascontiguousarray(a.reshape(cells + a.shape[1:]))
 
-    return preds[:n].reshape(cells + (T, d_out)), [cells_first(W) for W in Ws]
+    return cells_first(P), [cells_first(W) for W in Ws]
 
 
 def _cells(W, x: np.ndarray, core: int) -> np.ndarray:

@@ -205,7 +205,7 @@ def build_filter_bank(horizon: int, sector: ComplexSector, k: int) -> FilterBank
     non-negligible is made positive, so the bank is reproducible bit for
     bit on one platform.
     """
-    if not 0 <= k <= horizon:
+    if 1 <= horizon <= MAX_HORIZON and not 0 <= k <= horizon:  # build_gram names a bad horizon
         raise ValueError(f"need 0 <= k <= {horizon}, got k={k}")
     Z = build_gram(horizon, sector)
     # Z is positive semidefinite, so its trace bounds its top eigenvalue

@@ -213,6 +213,23 @@ class TestFilters:
         assert run_cli("filters", "--T", "20") == 1
         assert "--out and/or --report" in capsys.readouterr().err
 
+    def test_bad_horizon_is_named_before_the_filter_count(self, tmp_path, capsys):
+        assert run_cli("filters", "--T", "0", "--out", str(tmp_path / "bank.json")) == 1
+        assert capsys.readouterr().err == "error: horizon must be >= 1\n"
+        assert not (tmp_path / "bank.json").exists()
+
+
+@pytest.fixture()
+def short_csv(tmp_path):
+    """A 30-row trajectory: a spectral bank of degree 5 holds at most 24 filters."""
+    path = tmp_path / "short.csv"
+    assert run_cli("gen-data", "--T", "30", "--dh", "5", "--tau", "0.05", "--out", str(path)) == 0
+    return path
+
+
+FILTER_COUNT_ERROR = ("filter_count must lie in [0, horizon - degree - 1] = [0, 24] "
+                      "for coefficients of degree 5, got 28")
+
 
 # configs of the wrong shape or type, and a word their error line must name
 BAD_CONFIGS = [
@@ -324,6 +341,14 @@ class TestRunCommand:
         assert run_cli(*argv) == 1
         assert "learned variant is defined for regression only" in capsys.readouterr().err
 
+    def test_csv_spectral_filter_count_is_named(self, tmp_path, short_csv, capsys):
+        # the CSV's horizon is known only when it is read, so the check runs then
+        cfg = self.make_config(tmp_path, generator=None, n_runs=1, window=5, degree=5,
+                               csv_path=str(short_csv), filter_count=28)
+        assert run_cli("run", "--algo", "spectral", "--config", str(cfg)) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {FILTER_COUNT_ERROR}\n" and captured.out == ""
+
     def test_missing_config_file(self, tmp_path, capsys):
         assert run_cli("run", "--config", str(tmp_path / "nope.json")) == 1
         assert "error:" in capsys.readouterr().err
@@ -381,6 +406,18 @@ class TestSweepCommand:
         payload = json.loads(captured.out)
         assert "failure" in payload[1]
         assert "failed" in captured.err
+
+    def test_csv_spectral_filter_count_fails_only_its_entry(self, tmp_path, short_csv, capsys):
+        csv_entry = self.base_entry(algo="spectral", generator=None, window=5, degree=5,
+                                    csv_path=str(short_csv))
+        entries = [self.base_entry(), dict(csv_entry, filter_count=28),
+                   dict(csv_entry, filter_count=3)]
+        assert run_cli("sweep", "--config", str(self.write_sweep(tmp_path, entries))) == 1
+        captured = capsys.readouterr()
+        payload = json.loads(captured.out)
+        assert payload[1]["failure"]["error"] == FILTER_COUNT_ERROR
+        assert "failure" not in payload[0] and "failure" not in payload[2]
+        assert captured.err.count("failed") == 1
 
     @pytest.mark.parametrize("bad, named", BAD_CONFIGS)
     def test_bad_entry_type_is_one_error_line(self, tmp_path, capsys, bad, named):

@@ -1,5 +1,7 @@
 """Online learners: feature blocks, the OGD recursion, projections, regret, comparators."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -11,6 +13,7 @@ from seqprecond.spectral import build_filter_bank
 from seqprecond.learners import (
     DEFAULT_DOMAIN_BOUND,
     RegressionLearner,
+    Rows,
     SpectralLearner,
     deep_past,
     lagged,
@@ -317,6 +320,46 @@ class TestRegressionUpdate:
             want = sum(Q[j] @ u[t - j] for j in range(2) if t - j >= 0)
             want = want - sum(c.coeffs[i] * y[t - i] for i in (1, 2) if t - i >= 0)
             np.testing.assert_allclose(preds[t], want, rtol=0, atol=1e-12)
+
+
+class TestOgdOutput:
+    @pytest.mark.parametrize("rate", [0.0, 0.1], ids=["fixed", "moving"])
+    @pytest.mark.parametrize("cells", [(), (2, 3)], ids=["one-cell", "six-cells"])
+    def test_predictions_and_weights_are_c_contiguous(self, rate, cells):
+        # harness._report takes its means along the last axis, and numpy
+        # sums pairwise only along contiguous rows: predictions returned as
+        # a transposed view would move the means in their last digits
+        rng = np.random.default_rng(8)
+        T, d_in, d_out = 9, 2, 3
+        y = rng.standard_normal((*cells, T, d_out))
+        blocks = [(rng.standard_normal((*cells, T, 2, d_in)), np.zeros((*cells, 2, d_out, d_in)),
+                   rate, 1.0),
+                  (lagged(-y, 2, 1), np.full((*cells, 2), 0.5), rate, None)]
+        preds, Ws = ogd(blocks, y)
+        assert preds.shape == y.shape and preds.flags.c_contiguous
+        assert all(W.flags.c_contiguous for W in Ws)
+
+    def test_memory_stays_near_the_predictions(self):
+        # the desk call's shape: 5 runs x 3 rates at T=2000, d=1, each run's
+        # windows stored once (Rows), a moving input block with a ball and
+        # fixed lag coefficients; numpy reports its allocations to tracemalloc
+        rng = np.random.default_rng(0)
+        T, runs, c = 2000, 5, chebyshev_monic(5)
+        u, y = rng.standard_normal((runs, T, 1)), rng.standard_normal((runs, T, 1))
+        index = np.tile(np.arange(runs), 3)
+        targets = y[index]
+        blocks = [(Rows(lagged(u, 5), index), np.zeros((15, 5, 1, 1)),
+                   np.repeat([1e-3, 1e-2, 1e-1], runs), DEFAULT_DOMAIN_BOUND * c.l1),
+                  (Rows(lagged(-y, 5, 1), index), np.tile(c.coeffs[1:], (15, 1)), 0.0, None)]
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            preds, _ = ogd(blocks, targets)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert preds.nbytes == 8 * T * 15
+        assert peak <= 4 * preds.nbytes
 
 
 class TestTildeExpand:

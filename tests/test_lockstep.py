@@ -16,6 +16,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from seqprecond import harness as H
+from seqprecond import learners
 from seqprecond.learners import (
     RegressionLearner,
     Rows,
@@ -244,6 +245,101 @@ def test_diverging_cell_is_named_and_leaves_the_others_to_finish():
     for cell, lr in enumerate(rates):
         alone, _ = ogd([(X[0], np.zeros((2, 3, 3)), lr, 1e300)], y[0])
         np.testing.assert_array_equal(preds[cell], alone)
+
+
+# ---------------------------------------------------------------------------
+# the paths a step skips: fixed blocks, and the ball before it can bind
+
+
+def assert_cells_match(blocks, y, preds, Ws, cells):
+    """Every cell of a batch against its own reference recursion."""
+    for cell in np.ndindex(*cells):
+        mine = [(X.streams[X.index[cell]] if isinstance(X, Rows) else cell_of(X, cell),
+                 cell_of(W0, cell), float(cell_of(np.asarray(lr0), cell)),
+                 radius if radius is None else float(cell_of(np.asarray(radius), cell)))
+                for X, W0, lr0, radius in blocks]
+        want, want_W = reference_ogd(mine, cell_of(y, cell))
+        np.testing.assert_allclose(preds[cell], want, rtol=TOL, atol=TOL)
+        for W, w in zip(Ws, want_W):
+            np.testing.assert_allclose(W[cell], w, rtol=TOL, atol=TOL)
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_ball_crossed_midway_clips_one_cell_and_spares_the_other(d, monkeypatch):
+    # Positive features and targets far below every prediction keep each
+    # sign at +1, so each tap moves outward at every step almost as fast as
+    # the bound on its norm grows: max |x| and |x| differ by under 10%.
+    # Cell 0's radius is that bound at T/2, so its ball binds soon after
+    # the bound crosses it; cell 1's is ten times the bound at T.
+    rng = np.random.default_rng(d)
+    T, taps, lr = 200, 3, 0.05
+    X = 1.0 + 0.1 * rng.random((1, T, taps, d))
+    y = np.full((1, T, d), -1e3)
+    bound = np.cumsum(lr / np.sqrt(np.arange(1, T + 1)) * sqrt(d)
+                      * np.linalg.norm(X[0], axis=-1).max(axis=-1))
+    radius = np.array([bound[T // 2], 10 * bound[-1]])
+    calls = []
+
+    def counted(M, r):
+        calls.append(1)
+        return project_to_ball(M, r)
+
+    monkeypatch.setattr(learners, "project_to_ball", counted)
+    blocks = [(X, np.zeros((1, taps, d, d)), lr, radius)]
+    preds, Ws = ogd(blocks, y)
+    monkeypatch.undo()
+    assert_cells_match(blocks, y, preds, Ws, (2,))
+    norms = [np.linalg.norm(W, 2) for W in Ws[0][0]]
+    np.testing.assert_allclose(max(norms), radius[0], rtol=TOL)  # a tap ends on the ball
+    assert max(np.linalg.norm(W, 2) for W in Ws[0][1]) < radius[1] / 5
+    # a projection is called only at steps where some norm exceeds its radius
+    assert 0 < len(calls) <= T - T // 2
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_fixed_block_between_two_moving_blocks(d):
+    # the spectral block order: input window, fixed lag coefficients, deep
+    # past; the fixed block's features are rows that two cells share
+    rng = np.random.default_rng(10 + d)
+    T, cells = 40, 3
+    u, y = rng.standard_normal((cells, T, d)), rng.standard_normal((cells, T, d))
+    rates = np.array([0.05, 0.5, 0.0])  # the last cell holds every block still
+    lags = rng.uniform(-0.9, 0.9, (cells, 3))
+    blocks = [(lagged(u, 2), rng.normal(scale=0.3, size=(cells, 2, d, d)), rates, 0.8),
+              (Rows(lagged(-y, 3, 1), np.array([1, 0, 1])), lags, 0.0, None),
+              (rng.standard_normal((cells, T, 4, d)),
+               rng.normal(scale=0.3, size=(cells, 4, d, d)), rates, 0.5)]
+    preds, Ws = ogd(blocks, y)
+    assert_cells_match(blocks, y, preds, Ws, (cells,))
+    np.testing.assert_array_equal(Ws[1], lags)
+    np.testing.assert_array_equal(Ws[0][2], blocks[0][1][2])
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_rate_zero_cells_outside_the_ball_keep_their_weights(d):
+    rng = np.random.default_rng(20 + d)
+    T, rates = 50, np.array([0.0, 0.3, 0.0, 2.0])
+    X, y = rng.standard_normal((4, T, 2, d)), rng.standard_normal((4, T, d))
+    W0 = rng.normal(scale=0.3, size=(4, 2, d, d))
+    W0[[0, 2]] *= 10 / np.linalg.norm(W0[[0, 2]], axis=(-2, -1), keepdims=True)
+    blocks = [(X, W0, rates, 1.0)]
+    preds, Ws = ogd(blocks, y)
+    np.testing.assert_array_equal(Ws[0][[0, 2]], W0[[0, 2]])
+    assert_cells_match(blocks, y, preds, Ws, (4,))
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_moving_block_with_zero_taps(d):
+    rng = np.random.default_rng(30 + d)
+    T, rates = 30, np.array([0.1, 0.5])
+    u, y = rng.standard_normal((2, T, d)), rng.standard_normal((2, T, d))
+    blocks = [(Rows(np.zeros((1, T, 0, d)), np.zeros(2, dtype=int)), np.zeros((2, 0, d, d)),
+               rates, 0.5),
+              (lagged(u, 2), np.zeros((2, 2, d, d)), rates, 0.5),
+              (lagged(-y, 2, 1), np.tile([-0.5, 0.2], (2, 1)), rates / 10, None)]
+    preds, Ws = ogd(blocks, y)
+    assert Ws[0].shape == (2, 0, d, d)
+    assert_cells_match(blocks, y, preds, Ws, (2,))
 
 
 # ---------------------------------------------------------------------------
