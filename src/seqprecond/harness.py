@@ -15,11 +15,11 @@ case, so there is one learning path.  Specs with one data key (the CSV
 path, or generator, horizon, master seed and n_runs) share one load or
 simulation.  Specs with one group key (algo, T, d_in, d_out, and for
 spectral the bank's T', beta and k) step all their (spec, rate, run)
-cells in one `ogd` call, padded to the group's most taps with zero
-features and zero weights.  A cell's results do not depend on the cells
-beside it, so every report is bit for bit the spec's own.  With several
-workers and several groups, each group is one task of a process pool.
-Nothing outlives the call.
+cells in one `ogd` call, from one `learners.feature_blocks` layout with
+a tap count per cell over one window stream per trajectory.  A cell's
+results do not depend on the cells beside it, so every report is bit for
+bit the spec's own.  With several workers and several groups, each group
+is one task of a process pool.  Nothing outlives the call.
 """
 
 from __future__ import annotations
@@ -187,6 +187,10 @@ def validate_spec(spec: ExperimentSpec) -> None:
         if c.degree == 0:
             raise ValueError(f"oracle comparator needs coefficients of degree >= 1; "
                              f"variant {spec.variant!r} gives degree 0")
+    if spec.num_taps is not None and spec.algo == "spectral":
+        raise ValueError(f"num_taps: a spectral spec reads degree + 1 taps, got {spec.num_taps}")
+    if spec.num_taps not in (None, c.degree) and spec.oracle_comparator:
+        raise ValueError(f"num_taps: the oracle reads degree {c.degree} taps, got {spec.num_taps}")
     if spec.csv_path is not None and spec.n_runs != 1:
         raise ValueError(f"a CSV spec holds one trajectory: n_runs must be 1, got {spec.n_runs}")
 
@@ -278,83 +282,41 @@ def _grid(spec: ExperimentSpec) -> list:
     return list(spec.lr_grid)
 
 
-def _windows(x: np.ndarray, taps: np.ndarray, lag: int, traj: np.ndarray) -> learners.Rows:
-    """Each cell's `lagged` window of its trajectory x[traj[cell]], with
-    taps[cell] taps: one stream per (trajectory, tap count) that cells
-    use, padded with zero taps to the most.  Padded streams are stored
-    lane-major, as `ogd` reads them; without padding they are a view."""
-    counts, which = np.unique(taps, return_inverse=True)
-    if len(counts) == 1:
-        return learners.Rows(learners.lagged(x, int(counts[0]), lag), traj)
-    n = len(x)
-    lanes = np.zeros((x.shape[1], int(counts[-1]), x.shape[2], len(counts) * n))
-    for i, k in enumerate(counts.tolist()):
-        lanes[:, :k, :, i * n : (i + 1) * n] = np.moveaxis(learners.lagged(x, k, lag), 0, -1)
-    return learners.Rows(np.moveaxis(lanes, -1, 0), which * n + traj)
-
-
 def _group_predictions(specs: list, data: dict) -> np.ndarray:
     """The (cells, T, d_out) predictions of one group, from one `ogd` call.
     Cells are (spec, rate, run), flat, with specs in order, rates major and
-    runs minor.  Each cell has its own rates, radii, lag coefficients and
-    initial weights.  Features are built once per distinct trajectory
-    (and tap count), and a cell with fewer input taps or lag coefficients
-    than the group's most is padded with zero features and zero weights,
-    which change nothing."""
+    runs minor; each has its run's trajectory, its spec learner's taps, lag
+    coefficients and radii, its rates and, for the oracle, its run's weights."""
     keys = list(dict.fromkeys(map(_data_key, specs)))
     first = dict(zip(keys, np.cumsum([0] + [len(data[k][0]) for k in keys]).tolist()))
     trajs = [traj for k in keys for traj in data[k][0]]
     u = np.stack([traj.inputs for traj in trajs])
     y = np.stack([traj.outputs for traj in trajs])
-    T, d_out, d_in = *y.shape[1:], u.shape[-1]
-    spectral = specs[0].algo == "spectral"
+    T, spectral = y.shape[1], specs[0].algo == "spectral"
     if spectral:
         n = resolve_coefficients(specs[0]).degree  # one bank horizon, so one degree
         bank = build_filter_bank(T - n - 1, ComplexSector(specs[0].beta), specs[0].filter_count)
-    traj, lr, lr_lag, taps, radius, radius_m, lags, init = [], [], [], [], [], [], [], []
+    cells = []  # (trajectory, model rate, coefficient rate, learner, initial weights)
     for spec in specs:
-        c, grid, runs = resolve_coefficients(spec), _grid(spec), spec.n_runs
-        cells = len(grid) * runs
-        traj.append(first[_data_key(spec)] + np.tile(np.arange(runs), len(grid)))
-        # (model, coefficient) rates; the oracle's one grid point holds both at 0
-        rates = np.array([g if isinstance(g, tuple) else (g or 0.0, 0.0) for g in grid])
-        lr.append(rates[:, 0].repeat(runs))
-        lr_lag.append(rates[:, 1].repeat(runs))
+        c, key = resolve_coefficients(spec), _data_key(spec)
         if spectral:
             learner = learners.SpectralLearner(c, bank, total_horizon=T, norm_bound=spec.norm_bound,
                                                kappa_bound=spec.kappa_bound)
-            taps.append(np.full(cells, n + 1))
-            radius.append(np.full(cells, learner.R_Q))
-            radius_m.append(np.full(cells, learner.R_M))
-            lag = learners.tilde_expand(c).coeffs[1:]
         else:
-            num_taps = spec.num_taps if spec.num_taps is not None else max(spec.degree, 1)
-            learner = learners.RegressionLearner(
-                c, num_taps=None if spec.oracle_comparator else num_taps,
-                domain_bound=spec.domain_bound,
-            )
-            taps.append(np.full(cells, learner.num_taps))
-            radius.append(np.full(cells, learner.radius))
-            lag = c.coeffs[1:]
-        lags += [lag] * cells
-        if spec.oracle_comparator:
-            init += [learners.oracle_weights(s, c) for s in data[_data_key(spec)][1]]
-        else:
-            init += [None] * cells
-    traj, lr, lr_lag, taps, radius = map(np.concatenate, (traj, lr, lr_lag, taps, radius))
-    lag_taps = np.array([len(lag) for lag in lags])
-    W_lag = np.zeros((len(traj), lag_taps.max()))
-    Q0 = np.zeros((len(traj), taps.max(), d_out, d_in))
-    for cell, (lag, Q) in enumerate(zip(lags, init)):
-        W_lag[cell, : len(lag)] = lag
-        if Q is not None:
-            Q0[cell, : len(Q)] = Q
-    blocks = [(_windows(u, taps, 0, traj), Q0, lr, radius),
-              (_windows(-y, lag_taps, 1, traj), W_lag, lr_lag, None)]
-    if spectral:
-        deep = learners.Rows(learners.deep_past(bank, u, n, T), traj)
-        blocks.append((deep, np.zeros((len(traj), bank.k, d_out, d_in)), lr,
-                       np.concatenate(radius_m)))
+            taps = spec.num_taps if spec.num_taps is not None else max(spec.degree, 1)
+            learner = learners.RegressionLearner(c, num_taps=c.degree if spec.oracle_comparator
+                                                 else taps, domain_bound=spec.domain_bound)
+        for point in _grid(spec):  # the oracle's one point holds both rates at 0
+            rates = point if isinstance(point, tuple) else (point or 0.0, 0.0)
+            for run, system in enumerate(data[key][1]):
+                init = learners.oracle_weights(system, c) if spec.oracle_comparator else None
+                cells.append((first[key] + run, *rates, learner, init))
+    traj, lr, lr_lag, owners, init = map(list, zip(*cells))
+    blocks = learners.feature_blocks(
+        u, y, [o.num_taps for o in owners], [o.lags for o in owners], lr, lr_lag,
+        [o.R_Q if spectral else o.radius for o in owners], index=traj, init=init,
+        deep=(bank, n, T, [o.R_M for o in owners]) if spectral else None,
+    )
     with np.errstate(over="ignore", invalid="ignore"):  # a diverged cell is recorded
         return learners.ogd(blocks, y[traj])[0]
 

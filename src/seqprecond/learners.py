@@ -13,9 +13,10 @@ fixed, so fixed lag coefficients, learned ones and a fixed comparator
 differ only in their rates, and a fixed block costs no work per step.
 Leading cell axes run many independent recursions, such as the (spec,
 rate, run) cells of a sweep, in lockstep, with streams that many cells
-read stored once (`Rows`).  The learner classes only size radii and rates
-and assemble blocks from the (u, y) streams of `blocks(u, y)`;
-`.run(inputs, outputs)` processes a whole stream.
+read stored once (`Rows`).  `feature_blocks` lays out the blocks of one
+learner, or of cells with their own taps, lag coefficients, rates and
+radii; the learner classes size radii and rates and call it from
+`blocks(u, y)`, and `.run(inputs, outputs)` processes a whole stream.
 """
 
 from __future__ import annotations
@@ -80,9 +81,7 @@ def lagged(x: np.ndarray, taps: int, lag: int = 0) -> np.ndarray:
     """
     x = np.asarray(x, dtype=float)
     *cells, T, d = x.shape
-    if taps == 0:
-        return np.zeros((*cells, T, 0, d))
-    padded = np.concatenate([np.zeros((*cells, taps - 1 + lag, d)), x], axis=-2)
+    padded = np.concatenate([np.zeros((*cells, max(taps - 1 + lag, 0), d)), x], axis=-2)
     windows = sliding_window_view(padded, taps, axis=-2)[..., :T, :, :]  # oldest first
     return windows[..., ::-1].swapaxes(-1, -2)
 
@@ -118,10 +117,12 @@ def deep_past(bank: FilterBank, u: np.ndarray, n: int, T: int) -> np.ndarray:
 class Rows(NamedTuple):
     """Features that cells share: cell c reads streams[index[c]], so a
     stream is stored once however many cells read it.  `index` carries the
-    cell axes, `streams` one leading stream axis."""
+    cell axes, `streams` one leading stream axis.  With `taps`, cell c
+    reads the first taps[c] taps of its stream and zeros past them."""
 
     streams: np.ndarray
     index: np.ndarray
+    taps: np.ndarray | None = None
 
 
 def ogd(blocks, targets):
@@ -165,7 +166,8 @@ def ogd(blocks, targets):
             a = np.asarray(a, dtype=float)
             shape = a.shape[:-3]
             a = Rows(a.reshape(prod(shape), *a.shape[-3:]), np.arange(prod(shape)).reshape(shape))
-        return Rows(np.asarray(a.streams, dtype=float), np.asarray(a.index))
+        streams = np.asarray(a.streams, dtype=float)
+        return Rows(streams, np.asarray(a.index), streams.shape[2] if a.taps is None else a.taps)
 
     y = np.asarray(targets, dtype=float)
     T, d_out = y.shape[-2:]
@@ -202,32 +204,41 @@ def ogd(blocks, targets):
         """A copy of a with its cell axes flattened onto a trailing lane axis."""
         return np.array(np.moveaxis(lanes_first(a, core), 0, -1), order="C")
 
+    # the taps each lane reads, and where it reads zeros past them, (taps, 1, lanes), or None
+    reads = [lanes_last(np.minimum(X.taps, X.streams.shape[2]), 0) for X in Xs]
+    pads = [np.arange(X.streams.shape[2])[:, None, None] >= r
+            if (r < X.streams.shape[2]).any() else None for X, r in zip(Xs, reads)]
     # time first and streams last: step t reads X[t] at the lane index
-    Xs = [(np.moveaxis(a, 0, -1), np.arange(len(a))[lanes_last(index, 0)]) for a, index in Xs]
+    Xs = [(np.moveaxis(a, 0, -1), np.arange(len(a))[lanes_last(index, 0)]) for a, index, _ in Xs]
     Ws = [lanes_last(W, 3 if m else 1) for W, m in zip(W0s, matrix)]
     Y = lanes_first(y, 2).transpose(1, 2, 0)  # a view: step t reads Y[t], (d_out, lanes)
-    P, root = np.zeros((T, d_out, lanes)), np.sqrt(np.arange(1.0, T + 1.0))  # predictions, sqrt(t)
+    root = np.sqrt(np.arange(1.0, T + 1.0))  # sqrt(t)
 
     def fixed_term(b, out):
         """Block b's term at every step, into out, summed from 0 tap by tap and
         channel by channel as the step's einsum sums it; lag rows go straight to tmp."""
-        (X, index), W, m = Xs[b], Ws[b], matrix[b]
+        (X, index), W, m, pad = Xs[b], Ws[b], matrix[b], pads[b]
         out, tmp = np.zeros((T, d_out, lanes)) if out is None else out, np.empty((T, d_out, lanes))
         for j in range(W.shape[0]):
             for i in range(W.shape[2] if m else 1):
                 x = np.take(X[:, j, i, None] if m else X[:, j], index, axis=-1,
                             out=None if m else tmp, mode="clip")
+                if pad is not None:
+                    np.copyto(x, 0.0, where=pad[j])
                 out += np.multiply(x, W[j, :, i] if m else W[j], out=tmp)
         return out
 
     def crossing(b, lr, radius):
         """The first step after which a tap of block b may leave its ball, or T: a tap's
-        norm is at most max_j |W0_j| + sum_t |lr0/sqrt(t)| sqrt(d_out) max_j |x_{t,j}|."""
+        norm is at most max_j |W0_j| + sum_t |lr0/sqrt(t)| sqrt(d_out) max_j |x_{t,j}|,
+        the max over the taps that the lane reads."""
         (X, index), W = Xs[b], Ws[b]
-        sq = np.zeros((T, X.shape[-1]))
+        sq, bound = np.zeros((T, X.shape[-1])), np.zeros((T, lanes))
         for j in range(X.shape[1]):
             np.maximum(sq, np.einsum("tis,tis->ts", X[:, j], X[:, j]), out=sq)
-        bound = np.sqrt(sq, out=sq).take(index, axis=1)
+            last = reads[b] == j + 1  # the lanes that read taps 0..j
+            bound[:, last] = sq[:, index[last]]
+        np.sqrt(bound, out=bound)
         bound *= np.abs(lr) * sqrt(d_out)
         bound /= root[:, None]
         np.cumsum(bound, axis=0, out=bound)
@@ -248,6 +259,10 @@ def ogd(blocks, targets):
     if len(order) > 1 and moving[0] and not moving[1]:
         order[:2] = 1, 0
     lead = next((k for k, b in enumerate(order) if moving[b]), len(order))
+    # each moving ball's first step at which it may bind, before the predictions exist
+    crossings = [crossing(b, lanes_last(lr, 0), lanes_last(radius, 0)) if m and radius is not None
+                 else T for b, (lr, radius, m) in enumerate(zip(lrs, radii, moving))]
+    P = np.zeros((T, d_out, lanes))  # the predictions
     plan = []  # the terms that step t adds: (block, its fixed term or None)
     for k, b in enumerate(order):
         F = None if moving[b] else fixed_term(b, P if k == 0 else None)
@@ -259,8 +274,7 @@ def ogd(blocks, targets):
     for b in (b for b, F in plan if F is None):
         lr = lanes_last(lrs[b], 0)
         radius = radii[b] if radii[b] is None else lanes_last(radii[b], 0)
-        cross = T if radius is None else crossing(b, lr, radius)  # before the rate table
-        steps.append((b, lr / root[:, None], None if lr.all() else lr != 0, radius, cross,
+        steps.append((b, lr / root[:, None], None if lr.all() else lr != 0, radius, crossings[b],
                       np.empty_like(Ws[b])))
     xs = [np.empty(X.shape[1:-1] + (lanes,)) for X, _ in Xs]  # step t's features
     acc, s, coef = np.empty((3, d_out, lanes))  # a block's term, the signs, rate times signs
@@ -273,6 +287,8 @@ def ogd(blocks, targets):
                 continue
             X, index = Xs[b]
             x = np.take(X[t], index, axis=-1, out=xs[b], mode="clip")
+            if pads[b] is not None:
+                np.copyto(x, 0.0, where=pads[b])
             p += np.einsum("joil,jil->ol" if matrix[b] else "jl,jol->ol", Ws[b], x, out=acc)
         np.subtract(p, Y[t], out=s)
         if not isfinite(np.dot(flat, flat)):  # a non-finite prediction, or a huge residual
@@ -296,6 +312,7 @@ def ogd(blocks, targets):
                 step = project_to_ball(step.transpose(3, 0, 1, 2), radius[:, None])
                 step = step.transpose(1, 2, 3, 0)
             np.copyto(W, step, where=live)
+    steps = plan = rate = F = None  # the rate tables and fixed terms go before the copies
 
     def cells_first(a):
         a = np.moveaxis(a[..., :n], -1, 0)
@@ -304,17 +321,47 @@ def ogd(blocks, targets):
     return cells_first(P), [cells_first(W) for W in Ws]
 
 
-def _cells(W, x: np.ndarray, core: int) -> np.ndarray:
-    """W with leading size-1 axes for the cell axes of a (..., T, d) stream
-    x that it lacks, `core` being the number of its own trailing axes."""
-    W = np.asarray(W, dtype=float)
-    return W.reshape((1,) * max(0, x.ndim - 2 + core - W.ndim) + W.shape)
+def feature_blocks(u, y, taps, lags, lr, lr_lag, radius, *, index=None, init=None, deep=None):
+    """The `ogd` blocks of preconditioned regression and spectral filtering:
+    the input window u_t..u_{t-taps+1} against maps Q_j from `init` (or 0)
+    at rate lr in the ball of the given radius, the lag coefficients
+    c_1..c_n (`lags`) against -y_{t-1}..-y_{t-n} at rate lr_lag, and with
+    deep = (bank, m, total_horizon, R_M) the bank's filters of the inputs
+    older than u_{t-m} against maps M_j from 0 at rate lr, radius R_M.
 
+    Without an index, the parameters are one learner's and the leading
+    axes of the (..., T, d) streams are cell axes.  With an index (cells,),
+    cell c reads stream index[c] of u (S, T, d_in) and y (S, T, d_out),
+    every parameter holds one entry per cell (init: an array or None), and
+    the features are `Rows` at the most taps of any cell.
+    """
+    u, y = np.asarray(u, dtype=float), np.asarray(y, dtype=float)
+    shape = (y.shape[-1], u.shape[-1])
+    if index is None:  # one learner: a stream's leading axes are its cells
+        k, counts = taps, None
+        W_lag = np.reshape(lags, (1,) * (y.ndim - 2) + np.shape(lags))
+        Q0 = np.zeros((k, *shape)) if init is None else np.asarray(init, dtype=float)
+        if Q0.shape[-3:] != (k, *shape):
+            raise ValueError(f"init shape {Q0.shape} does not fit the streams' {(k, *shape)}")
+        Q0 = Q0.reshape((1,) * (u.ndim + 1 - Q0.ndim) + Q0.shape)
+    else:
+        cells, k, counts = len(index), max(taps, default=0), [len(lag) for lag in lags]
+        Q0, W_lag = np.zeros((cells, k, *shape)), np.zeros((cells, max(counts, default=0)))
+        for cell, (lag, Q) in enumerate(zip(lags, [None] * cells if init is None else init)):
+            W_lag[cell, : len(lag)] = lag
+            if Q is not None:
+                Q0[cell, : len(Q)] = Q
 
-def _lag_block(c: CoefficientVector, y: np.ndarray, lr0: float):
-    """c_1..c_n against -y_{t-1}..-y_{t-n}; c_0 = 1 is not a weight, so it
-    stays pinned, and the block is never projected."""
-    return lagged(-y, c.degree, 1), _cells(c.coeffs[1:], y, 1), lr0, None
+    def rows(X, count=None):
+        return X if index is None else Rows(X, index, count)
+
+    blocks = [(rows(lagged(u, k), taps), Q0, lr, radius),
+              (rows(lagged(-y, W_lag.shape[-1], 1), counts), W_lag, lr_lag, None)]
+    if deep is not None:
+        bank, n, horizon, R_M = deep
+        blocks.append((rows(deep_past(bank, u, n, horizon)),
+                       np.zeros((*Q0.shape[:-3], bank.k, *shape)), lr, R_M))
+    return blocks
 
 
 # ---------------------------------------------------------------------------
@@ -332,8 +379,8 @@ def tilde_expand(c: CoefficientVector) -> CoefficientVector:
 
 
 class RegressionLearner:
-    """Preconditioned regression: lag coefficients c_1..c_n plus learned
-    input maps Q_j in the ball of radius domain_bound * ||c||_1.
+    """Preconditioned regression: lag coefficients c_1..c_n (`lags`) plus
+    num_taps learned input maps Q_j in the ball of radius domain_bound * ||c||_1.
 
     The default rate is D/G with D = 2 radius m and G = m sqrt(d_out).
     The lag coefficients step from c at rate lr_coeffs0, by default 0, so
@@ -358,7 +405,7 @@ class RegressionLearner:
         self.init_Q = None if init_Q is None else np.array(init_Q, dtype=float)
         if self.init_Q is not None and self.init_Q.shape[-3:-2] != (self.num_taps,):
             raise ValueError(f"init_Q shape {self.init_Q.shape} needs {self.num_taps} taps")
-        self.c = c
+        self.c, self.lags = c, c.coeffs[1:]
         self.radius = domain_bound * c.l1
         self.lr0 = lr0
         self.lr_coeffs0 = lr_coeffs0
@@ -366,15 +413,9 @@ class RegressionLearner:
     def blocks(self, u: np.ndarray, y: np.ndarray) -> list:
         """The input window and the lag coefficients, for (..., T, d)
         streams whose leading axes are cell axes of `ogd`."""
-        shape = (self.num_taps, y.shape[-1], u.shape[-1])
-        Q0 = np.zeros(shape) if self.init_Q is None else self.init_Q
-        if Q0.shape[-3:] != shape:
-            raise ValueError(f"init_Q shape {Q0.shape} does not fit the streams' {shape}")
         lr0 = 2.0 * self.radius / sqrt(y.shape[-1]) if self.lr0 is None else self.lr0
-        return [
-            (lagged(u, self.num_taps), _cells(Q0, u, 3), lr0, self.radius),
-            _lag_block(self.c, y, self.lr_coeffs0),
-        ]
+        return feature_blocks(u, y, self.num_taps, self.lags, lr0, self.lr_coeffs0, self.radius,
+                              init=self.init_Q)
 
     def run(self, inputs, outputs) -> np.ndarray:
         u, y = _as_time_major(inputs), _as_time_major(outputs)
@@ -383,8 +424,8 @@ class RegressionLearner:
 
 class SpectralLearner:
     """Preconditioned spectral filtering: the lag coefficients of
-    (1 - x^2) p(x), n+1 input taps Q_j and k filter maps M_j of the deep
-    past, all stepping at one rate.
+    (1 - x^2) p(x) (`lags`), num_taps = n+1 input taps Q_j and k filter
+    maps M_j of the deep past, all stepping at one rate.
 
     R_Q bounds the truncated-window maps by norm_bound * ||c||_1; R_M
     bounds the filter maps by the sector sup of p times the horizon-
@@ -403,7 +444,7 @@ class SpectralLearner:
         lr0: float | None = None,
     ):
         T, beta = total_horizon, bank.sector.beta
-        self.c = c
+        self.c, self.num_taps, self.lags = c, c.degree + 1, tilde_expand(c).coeffs[1:]
         self.bank = bank
         self.total_horizon = T
         self.R_Q = norm_bound * c.l1
@@ -414,16 +455,12 @@ class SpectralLearner:
     def blocks(self, u: np.ndarray, y: np.ndarray) -> list:
         """Input window, lag coefficients and deep past, for (..., T, d)
         streams whose leading axes are cell axes of `ogd`."""
-        n, k, shape = self.c.degree, self.bank.k, (y.shape[-1], u.shape[-1])
+        n, k = self.c.degree, self.bank.k
         G = (n + k) * sqrt(y.shape[-1])
         default = (n * self.R_Q + k * self.R_M) / G if G > 0 else 0.0
         lr0 = default if self.lr0 is None else self.lr0
-        return [
-            (lagged(u, n + 1), _cells(np.zeros((n + 1, *shape)), u, 3), lr0, self.R_Q),
-            _lag_block(tilde_expand(self.c), y, 0.0),
-            (deep_past(self.bank, u, n, self.total_horizon),
-             _cells(np.zeros((k, *shape)), u, 3), lr0, self.R_M),
-        ]
+        return feature_blocks(u, y, self.num_taps, self.lags, lr0, 0.0, self.R_Q,
+                              deep=(self.bank, n, self.total_horizon, self.R_M))
 
     def run(self, inputs, outputs) -> np.ndarray:
         u, y = _as_time_major(inputs), _as_time_major(outputs)

@@ -252,6 +252,7 @@ BAD_CONFIGS = [
     pytest.param({"generator": {"basis_cond": 0.5}}, "generator.basis_cond", id="basis_cond-low"),
     pytest.param({"master_seed": -1}, "master_seed", id="master_seed-negative"),
     pytest.param({"num_taps": -1}, "num_taps", id="num_taps-negative"),
+    pytest.param({"algo": "spectral", "num_taps": 9}, "num_taps", id="num_taps-spectral"),
     pytest.param({"domain_bound": -1}, "domain_bound", id="domain_bound-negative"),
     pytest.param({"norm_bound": -1}, "norm_bound", id="norm_bound-negative"),
     pytest.param({"kappa_bound": -1}, "kappa_bound", id="kappa_bound-negative"),

@@ -160,6 +160,10 @@ class TestValidateSpec:
             (dict(beta=1.5), r"beta must lie in \[0, 1\], got 1\.5"),
             (dict(algo="spectral", filter_count=-1), r"filter_count must lie in .* = \[0, 116\]"),
             (dict(algo="spectral", filter_count=117), r"degree 3, got 117"),
+            (dict(algo="spectral", num_taps=9), r"num_taps: a spectral spec reads degree \+ 1"),
+            (dict(algo="spectral", num_taps=4), "spectral spec reads degree .* got 4"),
+            (dict(oracle_comparator=True, num_taps=7), "num_taps: the oracle reads degree 3 .* 7"),
+            (dict(oracle_comparator=True, num_taps=0), "num_taps: the oracle .* got 0"),
         ],
     )
     def test_rejections_name_the_problem(self, overrides, fragment):
@@ -173,6 +177,9 @@ class TestValidateSpec:
 
     def test_good_spec_passes(self):
         H.validate_spec(tiny_spec())
+
+    def test_oracle_takes_num_taps_at_its_degree(self):
+        H.validate_spec(tiny_spec(oracle_comparator=True, num_taps=3))
 
     def test_filter_count_bound_is_inclusive_and_waits_for_a_csv(self):
         # 120 - 3 - 1 = 116 filters fit a generated spec; a CSV's horizon
@@ -680,6 +687,31 @@ class TestLockstepSweep:
         assert sorted(loads, key=lambda load: load[0].d_in) == [
             (shared[0].generator, 150, 9), (d3.generator, 150, 9)]
         assert calls == [27, 9, 9]  # (spec, rate, run) cells of each group
+
+
+def test_one_window_stream_per_trajectory(monkeypatch):
+    # the desk sweep's shape at small T: input taps 5, 5, 10 and 3 and lag
+    # coefficients 0, 5, 10 and 3 over one data key step in one call whose
+    # input and lag blocks each store one stream per run
+    calls, ogd = [], H.learners.ogd
+
+    def capturing_ogd(blocks, targets):
+        calls.append(blocks)
+        return ogd(blocks, targets)
+
+    monkeypatch.setattr(H.learners, "ogd", capturing_ogd)
+    base = dict(generator=TINY_GEN, n_runs=4, horizon=120, window=30, master_seed=2)
+    specs = [H.ExperimentSpec(variant=variant, degree=degree, **base)
+             for variant, degree in (("none", 5), ("chebyshev", 5), ("chebyshev", 10),
+                                     ("learned", 3))]
+    reports = H.sweep(specs)
+    (blocks,) = calls
+    (window, _, _, _), (lags, _, _, _) = blocks
+    assert len(window.streams) == len(lags.streams) == 4
+    assert window.streams.shape[2] == lags.streams.shape[2] == 10
+    monkeypatch.undo()
+    for spec, report in zip(specs, reports):
+        assert H.report_to_json(report) == H.report_to_json(H.run_experiment(spec))
 
 
 class TestVerify:

@@ -16,6 +16,7 @@ from seqprecond.learners import (
     Rows,
     SpectralLearner,
     deep_past,
+    feature_blocks,
     lagged,
     ogd,
     oracle_weights,
@@ -359,7 +360,58 @@ class TestOgdOutput:
         finally:
             tracemalloc.stop()
         assert preds.nbytes == 8 * T * 15
-        assert peak <= 4 * preds.nbytes
+        assert peak <= 3 * preds.nbytes
+
+
+class TestFeatureBlocks:
+    @pytest.mark.parametrize("d", [1, 3])
+    @pytest.mark.parametrize("lag_rate", [0.0, 0.05], ids=["fixed-lags", "moving-lags"])
+    def test_cells_read_zeros_past_their_tap_count(self, d, lag_rate):
+        # one stream per run at the most taps; each cell steps bit for bit as
+        # on a stream whose taps past its own count are zero, and its weights
+        # there, nonzero and inside the ball here, neither move nor count
+        rng = np.random.default_rng(d)
+        T, index = 60, np.array([0, 1, 0, 1, 0])
+        taps, lag_taps = np.array([4, 2, 0, 3, 1]), np.array([3, 3, 1, 0, 2])
+        rates = np.array([0.1, 0.5, 0.0, 1.0, 0.2])
+        u, y = rng.standard_normal((2, T, d)), rng.standard_normal((2, T, d))
+        W0, lags = rng.normal(scale=0.05, size=(5, 4, d, d)), rng.uniform(-0.5, 0.5, (5, 3))
+
+        def padded(X, counts):
+            return np.where((np.arange(X.shape[2]) < counts[:, None])[:, None, :, None],
+                            X[index], 0.0)
+
+        X, L = lagged(u, 4), lagged(-y, 3, 1)
+        got = ogd([(Rows(X, index, taps), W0, rates, 0.4),
+                   (Rows(L, index, lag_taps), lags, lag_rate * rates, None)], y[index])
+        want = ogd([(padded(X, taps), W0, rates, 0.4),
+                    (padded(L, lag_taps), lags, lag_rate * rates, None)], y[index])
+        np.testing.assert_array_equal(got[0], want[0])
+        for W, w in zip(got[1], want[1]):
+            np.testing.assert_array_equal(W, w)
+        np.testing.assert_array_equal(got[1][0][1, 2:], W0[1, 2:])  # past cell 1's 2 taps
+        np.testing.assert_array_equal(got[1][1][3], lags[3])  # cell 3 reads no lags
+
+    def test_cells_with_their_own_layouts_match_their_learners(self):
+        # one call over every cell's parameters gives each learner's own run
+        rng = np.random.default_rng(6)
+        T, d_in, d_out = 40, 2, 2
+        u, y = rng.standard_normal((3, T, d_in)), rng.standard_normal((3, T, d_out))
+        cells = [RegressionLearner(chebyshev_monic(2), num_taps=4, lr0=0.1),
+                 RegressionLearner(cv(1.0), num_taps=1, lr0=0.5, domain_bound=0.05),
+                 RegressionLearner(chebyshev_monic(3), num_taps=2, lr0=0.05, lr_coeffs0=0.01),
+                 RegressionLearner(chebyshev_monic(2), lr0=0.0,
+                                   init_Q=rng.standard_normal((2, d_out, d_in)))]
+        index = np.array([2, 0, 1, 0])
+        blocks = feature_blocks(
+            u, y, [c.num_taps for c in cells], [c.lags for c in cells],
+            np.array([c.lr0 for c in cells]), np.array([c.lr_coeffs0 for c in cells]),
+            np.array([c.radius for c in cells]), index=index, init=[c.init_Q for c in cells],
+        )
+        assert [len(X.streams) for X, _, _, _ in blocks] == [3, 3]
+        preds, _ = ogd(blocks, y[index])
+        for cell, (learner, run) in enumerate(zip(cells, index)):
+            np.testing.assert_array_equal(preds[cell], learner.run(u[run], y[run]))
 
 
 class TestTildeExpand:
