@@ -14,6 +14,11 @@ A of shape (R, d_h, d_h), keeping only the current states between steps.
 Each run's trajectory is bit for bit the one it gets alone, and its noise
 comes from its own seed, added after the loop.  `simulate_lds` and
 `simulate_nonlinear` are the single-run case.
+
+A system's conjugate pairs are drawn in batches: `Generator.uniform(a, b)`
+is a + (b - a) * `random()`, so one `random(2m)` call scaled the same way
+gives the next m attempts of a scalar rejection loop.  The points are the
+loop's, and the generator is left where the loop leaves it.
 """
 
 from __future__ import annotations
@@ -23,7 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 _EIG_TOL = 1e-9
-_MAX_REJECT = 100_000
+_MAX_REJECT = 100_000  # attempts per conjugate pair
+_MAX_BATCH = 1 << 13  # attempts drawn at once, 128 KiB of doubles
 
 
 @dataclass(frozen=True)
@@ -52,6 +58,8 @@ class LinearSystem:
         eigs = np.asarray(self.eigenvalues, dtype=complex)
         if eigs.shape != (d,):
             raise ValueError(f"expected {d} eigenvalues, got shape {eigs.shape}")
+        if not np.all(np.isfinite(eigs)):
+            raise ValueError("eigenvalues contain non-finite entries")
         if np.abs(eigs).max() > 1.0 + _EIG_TOL:
             raise ValueError(
                 f"marginal stability ceiling violated: max |eig| = {np.abs(eigs).max()}"
@@ -134,14 +142,27 @@ class Trajectory:
 
 
 def _require_conjugate_closed(eigs: np.ndarray) -> None:
-    """A real matrix forces the spectrum to pair each z with conj(z)."""
-    pending = [z for z in eigs if abs(z.imag) > _EIG_TOL]
-    while pending:
-        z = pending.pop()
-        gaps = [abs(w - np.conj(z)) for w in pending]
-        if not gaps or min(gaps) > _EIG_TOL * (1 + abs(z)):
+    """A real matrix forces the spectrum to pair each z with conj(z).
+
+    Greedy, last entry first: each unpaired z takes the first-nearest
+    conj(z) among the unpaired entries before it, and fails when that is
+    farther than _EIG_TOL (1 + |z|).  Gaps are hypot(re, im) as abs() of a
+    complex scalar computes them, so finite entries pair exactly as a
+    one-at-a-time search pairs them.
+    """
+    pending = eigs[np.abs(eigs.imag) > _EIG_TOL]
+    re, im = pending.real, pending.imag
+    bound = _EIG_TOL * (1 + np.hypot(re, im))
+    paired = np.zeros(len(pending), dtype=bool)
+    for i in range(len(pending) - 1, -1, -1):
+        if paired[i]:
+            continue
+        gaps = np.hypot(re[:i] - re[i], im[:i] + im[i])  # |w - conj(z)|
+        gaps[paired[:i]] = np.inf
+        j = int(gaps.argmin()) if i else 0
+        if i == 0 or gaps[j] > bound[i]:
             raise ValueError("eigenvalues do not come in conjugate pairs")
-        pending.pop(int(np.argmin(gaps)))
+        paired[j] = True
 
 
 def _as_time_major(arr) -> np.ndarray:
@@ -220,27 +241,49 @@ def system_from_eigenvalues(
     return _assemble(upper, reals, d_in, d_out, rng, basis_cond, noise_sigma)
 
 
-def _sample_pair(
-    rng: np.random.Generator, lo: float, hi: float, tau: float
-) -> complex:
-    """One point, uniform on {lo <= |z| <= hi, 0 < Im z <= min(tau, hi)}."""
+def _sample_pairs(rng: np.random.Generator, n: int, lo: float, hi: float, tau: float):
+    """n points, uniform on {lo <= |z| <= hi, 0 < Im z <= min(tau, hi)}.
+
+    They are the points of n scalar draws in turn, and the generator is left
+    where those leave it.  A scalar draw on the arc lo == hi takes an angle,
+    rng.uniform(0, tmax), and a coin, rng.uniform() < 0.5.  Otherwise it
+    tries x = rng.uniform(-hi, hi), y = rng.uniform(0, min(tau, hi)) until a
+    point lands, at most _MAX_REJECT times.  Here each batch of attempts is
+    one random() call, and the batch that ends the sampling is redrawn from
+    its saved state up to the doubles the scalar draws would have used.
+    """
     cap = min(tau, hi)
-    if lo == hi:
-        # degenerate annulus: sample the arc of the circle |z| = lo
+    if lo == hi:  # degenerate annulus: sample the arc of the circle |z| = lo
         tmax = np.arcsin(min(cap / lo, 1.0)) if lo > 0 else 0.0
-        if tmax <= 0:
+        if n and tmax <= 0:
             raise ValueError("infeasible eigenvalue constraints: empty arc")
-        theta = rng.uniform(0.0, tmax)
-        if rng.uniform() < 0.5:
-            theta = np.pi - theta
+        draws = rng.random((n, 2))
+        theta = tmax * draws[:, 0]
+        theta = np.where(draws[:, 1] < 0.5, np.pi - theta, theta)
         return lo * np.exp(1j * theta)
-    for _ in range(_MAX_REJECT):
-        x = rng.uniform(-hi, hi)
-        y = rng.uniform(0.0, cap)
-        z = complex(x, y)
-        if y > 0 and lo <= abs(z) <= hi:
-            return z
-    raise ValueError("infeasible eigenvalue constraints: rejection sampling failed")
+    points = np.empty(n, dtype=complex)
+    got, start, done, size = 0, 0, 0, 16 * n  # start: the attempt the current point began at
+    while got < n:
+        state, size = rng.bit_generator.state, min(size, _MAX_BATCH)
+        draws = rng.random((size, 2))
+        x = -hi + (hi - -hi) * draws[:, 0]
+        y = cap * draws[:, 1]
+        r = np.hypot(x, y)  # abs(complex(x, y))
+        end = None  # the attempts of this batch that the scalar draws use
+        for h in np.flatnonzero((y > 0) & (lo <= r) & (r <= hi))[: n - got] + done:
+            if h - start >= _MAX_REJECT:
+                break
+            points[got], got, start = complex(x[h - done], y[h - done]), got + 1, h + 1
+            end = start - done
+        failed = got < n and done + size - start >= _MAX_REJECT
+        if failed or got == n:
+            end = start + _MAX_REJECT - done if failed else end
+            rng.bit_generator.state = state
+            rng.random(out=draws.reshape(-1)[: 2 * end])
+        if failed:
+            raise ValueError("infeasible eigenvalue constraints: rejection sampling failed")
+        done, size = done + size, 2 * size
+    return points
 
 
 def check_system_args(
@@ -278,7 +321,10 @@ def sample_system(
 
     tau_thresh = 0 gives an all-real spectrum with magnitudes uniform in
     [radius_lo, radius_hi] and random signs; otherwise eigenvalues come in
-    conjugate pairs (plus one real when d_h is odd).
+    conjugate pairs (plus one real when d_h is odd).  The pairs are drawn
+    in batches from the same generator stream as a scalar rejection loop,
+    so a seed gives the same system, and a `Generator` passed as the seed is
+    left in the same state.
     """
     check_system_args(d_h, d_in, d_out, tau_thresh, radius_lo, radius_hi, noise_sigma, basis_cond)
     rng = np.random.default_rng(seed)
@@ -290,10 +336,7 @@ def sample_system(
         upper = np.array([], dtype=complex)
         reals = np.array([real_draw() for _ in range(d_h)])
     else:
-        n_pairs = d_h // 2
-        upper = np.array(
-            [_sample_pair(rng, radius_lo, radius_hi, tau_thresh) for _ in range(n_pairs)]
-        )
+        upper = _sample_pairs(rng, d_h // 2, radius_lo, radius_hi, tau_thresh)
         reals = np.array([real_draw()] if d_h % 2 else [])
     return _assemble(upper, reals, d_in, d_out, rng, basis_cond, noise_sigma)
 

@@ -318,7 +318,7 @@ def _group_predictions(specs: list, data: dict) -> np.ndarray:
         deep=(bank, n, T, [o.R_M for o in owners]) if spectral else None,
     )
     with np.errstate(over="ignore", invalid="ignore"):  # a diverged cell is recorded
-        return learners.ogd(blocks, y[traj])[0]
+        return learners.ogd(blocks, learners.Rows(y, traj))[0]
 
 
 def _report(spec: ExperimentSpec, grid: list, preds: np.ndarray, data) -> MetricsReport:

@@ -13,7 +13,9 @@ fixed, so fixed lag coefficients, learned ones and a fixed comparator
 differ only in their rates, and a fixed block costs no work per step.
 Leading cell axes run many independent recursions, such as the (spec,
 rate, run) cells of a sweep, in lockstep, with streams that many cells
-read stored once (`Rows`).  `feature_blocks` lays out the blocks of one
+read stored once (`Rows`), gathered onto the cells a chunk of steps at
+a time; a step's products are reduced in tap order, so a cell's results
+are the same in any batch.  `feature_blocks` lays out the blocks of one
 learner, or of cells with their own taps, lag coefficients, rates and
 radii; the learner classes size radii and rates and call it from
 `blocks(u, y)`, and `.run(inputs, outputs)` processes a whole stream.
@@ -35,6 +37,11 @@ from seqprecond.spectral import FilterBank
 # system is unknown; generous on purpose, the learning rate grid matters
 # more than the projection radius in practice.
 DEFAULT_DOMAIN_BOUND = 10.0
+
+# Steps whose features and targets `ogd` gathers at once.  On 2 shared
+# vCPUs the desk call took the same time at 8 to 256; 64 keeps each buffer
+# at 64/T of the predictions per tap.
+_CHUNK = 64
 
 
 # ---------------------------------------------------------------------------
@@ -115,9 +122,9 @@ def deep_past(bank: FilterBank, u: np.ndarray, n: int, T: int) -> np.ndarray:
 
 
 class Rows(NamedTuple):
-    """Features that cells share: cell c reads streams[index[c]], so a
-    stream is stored once however many cells read it.  `index` carries the
-    cell axes, `streams` one leading stream axis.  With `taps`, cell c
+    """Features or targets that cells share: cell c reads streams[index[c]],
+    so a stream is stored once however many cells read it.  `index` carries
+    the cell axes, `streams` one leading stream axis.  With `taps`, cell c
     reads the first taps[c] taps of its stream and zeros past them."""
 
     streams: np.ndarray
@@ -135,11 +142,11 @@ def ogd(blocks, targets):
     leading `...` are cell axes: every cell is its own recursion.  A block's
     features and weights carry as many cell axes as each other, of size 1
     where cells share them, and the targets, the rate lr0 and the radius
-    broadcast against them.  Features given as `Rows` carry their cell axes
-    on the index.  Step t predicts the sum over blocks of sum_j W_j x_{t,j};
-    then, with s = sign(prediction - target), every block moves by
-    -lr0/sqrt(t) times its subgradient and the taps of a block with a
-    radius are projected onto that spectral-norm ball.
+    broadcast against them.  Features and targets given as `Rows` carry
+    their cell axes on the index.  Step t predicts the sum over blocks of
+    sum_j W_j x_{t,j}; then, with s = sign(prediction - target), every
+    block moves by -lr0/sqrt(t) times its subgradient and the taps of a
+    block with a radius are projected onto that spectral-norm ball.
 
     The update is masked per cell: a zero s or rate, or a non-finite
     prediction, leaves that cell's weights as they are, and the schedule
@@ -149,28 +156,33 @@ def ogd(blocks, targets):
     first step at which a bound on its taps' norms may exceed a radius, and
     projected only at steps where an updated cell's tap does.
 
-    Inside, the cells lie on one trailing lane axis, so every sum over taps
-    and channels runs in tap order, one cell per lane, and the blocks'
-    terms add in block order: a cell's results do not depend on which other
-    cells share the call, and trailing taps with zero features and zero
-    weights change nothing, bit for bit.
+    Inside, the cells lie on one trailing lane axis, at least two lanes
+    wide.  The moving blocks' features and the targets are gathered onto
+    the lanes a chunk of steps at a time, into buffers that the steps read.
+    A step's products W_j x_{t,j} are reduced over taps and channels with
+    the lanes as numpy's inner loop, so every sum runs in tap order, one
+    cell per lane, and the blocks' terms add in block order: a cell's
+    results do not depend on which other cells share the call, and trailing
+    taps with zero features and zero weights change nothing, bit for bit.
 
     Returns the C-contiguous (..., T, d_out) predictions as computed,
     non-finite rows included, and the final weights.
     """
 
-    def rows(a):
-        """Features as `Rows`: a plain array is one stream per cell of its
-        own cell axes.  Streams are read in place, views included."""
+    def rows(a, core=3):
+        """Features, or targets (core 2), as `Rows`: a plain array is one
+        stream per cell of its own cell axes.  Streams are read in place,
+        views included."""
         if not isinstance(a, Rows):
             a = np.asarray(a, dtype=float)
-            shape = a.shape[:-3]
-            a = Rows(a.reshape(prod(shape), *a.shape[-3:]), np.arange(prod(shape)).reshape(shape))
+            shape = a.shape[: a.ndim - core]
+            a = Rows(a.reshape(prod(shape), *a.shape[-core:]),
+                     np.arange(prod(shape)).reshape(shape))
         streams = np.asarray(a.streams, dtype=float)
         return Rows(streams, np.asarray(a.index), streams.shape[2] if a.taps is None else a.taps)
 
-    y = np.asarray(targets, dtype=float)
-    T, d_out = y.shape[-2:]
+    y = rows(targets, 2)
+    T, d_out = y.streams.shape[1:]
     Xs, W0s, lrs, radii, matrix = [], [], [], [], []
     for X, W0, lr0, radius in blocks:
         X, W0 = rows(X), np.asarray(W0, dtype=float)
@@ -187,7 +199,7 @@ def ogd(blocks, targets):
         radii.append(None if radius is None else np.asarray(radius, dtype=float))
         matrix.append(W0.ndim - X.index.ndim == 3)
     cells = np.broadcast_shapes(
-        y.shape[:-2], *(X.index.shape for X in Xs),
+        y.index.shape, *(X.index.shape for X in Xs),
         *(W.shape[: X.index.ndim] for W, X in zip(W0s, Xs)),
         *(lr.shape for lr in lrs), *(r.shape for r in radii if r is not None),
     )
@@ -209,14 +221,14 @@ def ogd(blocks, targets):
     pads = [np.arange(X.streams.shape[2])[:, None, None] >= r
             if (r < X.streams.shape[2]).any() else None for X, r in zip(Xs, reads)]
     # time first and streams last: step t reads X[t] at the lane index
-    Xs = [(np.moveaxis(a, 0, -1), np.arange(len(a))[lanes_last(index, 0)]) for a, index, _ in Xs]
+    *Xs, Ys = [(np.moveaxis(a, 0, -1), np.arange(len(a))[lanes_last(index, 0)])
+               for a, index, _ in Xs + [y]]
     Ws = [lanes_last(W, 3 if m else 1) for W, m in zip(W0s, matrix)]
-    Y = lanes_first(y, 2).transpose(1, 2, 0)  # a view: step t reads Y[t], (d_out, lanes)
     root = np.sqrt(np.arange(1.0, T + 1.0))  # sqrt(t)
 
     def fixed_term(b, out):
         """Block b's term at every step, into out, summed from 0 tap by tap and
-        channel by channel as the step's einsum sums it; lag rows go straight to tmp."""
+        channel by channel as a step sums it; lag rows go straight to tmp."""
         (X, index), W, m, pad = Xs[b], Ws[b], matrix[b], pads[b]
         out, tmp = np.zeros((T, d_out, lanes)) if out is None else out, np.empty((T, d_out, lanes))
         for j in range(W.shape[0]):
@@ -270,38 +282,56 @@ def ogd(blocks, targets):
             P += F
         elif k >= lead:
             plan.append((b, F))
-    steps = []
-    for b in (b for b, F in plan if F is None):
+    # step t's targets and moving features, gathered a chunk of steps at a
+    # time: (stream, lane index, pad mask or None, chunk buffer)
+    ys = np.empty((min(T, _CHUNK), d_out, lanes))
+    gathers = [(*Ys, None, ys)]
+    terms, steps = [], []  # what step t adds, block by block; the moving blocks' updates
+    for b, F in plan:
+        if F is not None:
+            terms.append((F, None, None, None, None))
+            continue
+        (X, index), W, m = Xs[b], Ws[b], matrix[b]
+        x = np.empty((len(ys), *X.shape[1:-1], lanes))
+        gathers.append((X, index, pads[b], x))
+        x = x[:, :, None] if m else x  # x[k]: (taps, 1, d_in, lanes) or (taps, d_out, lanes)
+        # W_j x_j for every tap j, summed over taps and channels in tap order
+        Wx = W if m else W[:, None]
+        terms.append((None, Wx, x, np.empty(np.broadcast_shapes(Wx.shape, x.shape[1:])),
+                      (0, 2) if m else 0))
         lr = lanes_last(lrs[b], 0)
         radius = radii[b] if radii[b] is None else lanes_last(radii[b], 0)
-        steps.append((b, lr / root[:, None], None if lr.all() else lr != 0, radius, crossings[b],
-                      np.empty_like(Ws[b])))
-    xs = [np.empty(X.shape[1:-1] + (lanes,)) for X, _ in Xs]  # step t's features
+        steps.append((W, x, m, lr / root[:, None], None if lr.all() else lr != 0, radius,
+                      crossings[b], np.empty_like(W)))
     acc, s, coef = np.empty((3, d_out, lanes))  # a block's term, the signs, rate times signs
     (active, mask), flat = np.empty((2, lanes), dtype=bool), s.reshape(-1)
+    coefs = coef[None, :, None]  # against x[k] of a matrix block
     for t in range(T if steps else 0):
+        k = t % _CHUNK
+        if k == 0:
+            for X, index, pad, buf in gathers:
+                chunk = buf[: T - t]
+                np.take(X[t : t + len(chunk)], index, axis=-1, out=chunk, mode="clip")
+                if pad is not None:
+                    np.copyto(chunk, 0.0, where=pad)
         p = P[t]
-        for b, F in plan:
+        for F, W, x, products, axes in terms:
             if F is not None:
                 p += F[t]
                 continue
-            X, index = Xs[b]
-            x = np.take(X[t], index, axis=-1, out=xs[b], mode="clip")
-            if pads[b] is not None:
-                np.copyto(x, 0.0, where=pads[b])
-            p += np.einsum("joil,jil->ol" if matrix[b] else "jl,jol->ol", Ws[b], x, out=acc)
-        np.subtract(p, Y[t], out=s)
+            p += np.add.reduce(np.multiply(W, x[k], out=products), axis=axes, out=acc)
+        np.subtract(p, ys[k], out=s)
         if not isfinite(np.dot(flat, flat)):  # a non-finite prediction, or a huge residual
             s[:, ~np.isfinite(p).all(axis=0)] = 0.0
         np.sign(s, out=s)
         np.logical_or.reduce(s, axis=0, out=active)
-        for b, rate, nonzero, radius, cross, grad in steps:
-            W, x = Ws[b], xs[b]
+        for W, x, m, rate, nonzero, radius, cross, grad in steps:
             live = active if nonzero is None else np.logical_and(active, nonzero, out=mask)
-            if matrix[b]:
-                np.multiply(np.multiply(s, rate[t], out=coef)[None, :, None], x[:, None], out=grad)
+            if m:
+                np.multiply(s, rate[t], out=coef)
+                np.multiply(coefs, x[k], out=grad)
             else:
-                np.einsum("jol,ol->jl", x, s, out=grad)
+                np.einsum("jol,ol->jl", x[k], s, out=grad)
                 grad *= rate[t]
             if t < cross:
                 np.subtract(W, grad, out=W, where=live)
@@ -312,7 +342,7 @@ def ogd(blocks, targets):
                 step = project_to_ball(step.transpose(3, 0, 1, 2), radius[:, None])
                 step = step.transpose(1, 2, 3, 0)
             np.copyto(W, step, where=live)
-    steps = plan = rate = F = None  # the rate tables and fixed terms go before the copies
+    steps = plan = terms = rate = F = None  # the rate tables and fixed terms go before the copies
 
     def cells_first(a):
         a = np.moveaxis(a[..., :n], -1, 0)

@@ -1,10 +1,21 @@
-"""System sampling and simulation against brute-force closed forms."""
+"""System sampling and simulation against brute-force closed forms.
+
+`_sample_pair` and `conjugate_closed_reference` are the scalar rejection
+loop and the list search that `dynsys` replaced with batched draws and a
+masked search: the batched sampler must give their points and leave the
+generator where they leave it, and the check must decide as the list
+search decides.
+"""
+
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from seqprecond import dynsys
 from seqprecond.dynsys import (
     LinearSystem,
     NonlinearSystem,
@@ -148,6 +159,187 @@ class TestSampleSystem:
             sample_system(4, 1, 1, 0.1, 0.0, 0.9, seed=0, basis_cond=basis_cond)
 
 
+def _sample_pair(rng: np.random.Generator, lo: float, hi: float, tau: float) -> complex:
+    """One point, uniform on {lo <= |z| <= hi, 0 < Im z <= min(tau, hi)}."""
+    cap = min(tau, hi)
+    if lo == hi:
+        # degenerate annulus: sample the arc of the circle |z| = lo
+        tmax = np.arcsin(min(cap / lo, 1.0)) if lo > 0 else 0.0
+        if tmax <= 0:
+            raise ValueError("infeasible eigenvalue constraints: empty arc")
+        theta = rng.uniform(0.0, tmax)
+        if rng.uniform() < 0.5:
+            theta = np.pi - theta
+        return lo * np.exp(1j * theta)
+    for _ in range(dynsys._MAX_REJECT):
+        x = rng.uniform(-hi, hi)
+        y = rng.uniform(0.0, cap)
+        z = complex(x, y)
+        if y > 0 and lo <= abs(z) <= hi:
+            return z
+    raise ValueError("infeasible eigenvalue constraints: rejection sampling failed")
+
+
+def scalar_pairs(rng, n, lo, hi, tau):
+    return np.array([_sample_pair(rng, lo, hi, tau) for _ in range(n)], dtype=complex)
+
+
+def conjugate_closed_reference(eigs: np.ndarray) -> None:
+    """A real matrix forces the spectrum to pair each z with conj(z)."""
+    pending = [z for z in eigs if abs(z.imag) > dynsys._EIG_TOL]
+    while pending:
+        z = pending.pop()
+        gaps = [abs(w - np.conj(z)) for w in pending]
+        if not gaps or min(gaps) > dynsys._EIG_TOL * (1 + abs(z)):
+            raise ValueError("eigenvalues do not come in conjugate pairs")
+        pending.pop(int(np.argmin(gaps)))
+
+
+BIT_GENERATORS = [np.random.PCG64, np.random.MT19937, np.random.Philox, np.random.SFC64]
+# (radius_lo, radius_hi, tau): the default generator's annulus, a thin one
+# that takes several batches, a disc, and the arc lo == hi
+ANNULI = [(0.9, 1.0, 0.01), (0.99, 1.0, 0.5), (0.0, 0.5, 1.0), (0.95, 0.95, 0.01)]
+
+
+def assert_same_stream(a: np.random.Generator, b: np.random.Generator):
+    assert a.random() == b.random()
+    assert a.integers(1 << 40) == b.integers(1 << 40)
+
+
+class TestBatchedPairs:
+    @pytest.mark.parametrize("bit_generator", BIT_GENERATORS, ids=lambda g: g.__name__)
+    @pytest.mark.parametrize("lo, hi, tau", ANNULI)
+    @pytest.mark.parametrize("n", [0, 25])
+    def test_points_and_stream_match_the_scalar_loop(self, bit_generator, lo, hi, tau, n):
+        got_rng, want_rng = (np.random.Generator(bit_generator(7 + n)) for _ in range(2))
+        got = dynsys._sample_pairs(got_rng, n, lo, hi, tau)
+        want = scalar_pairs(want_rng, n, lo, hi, tau)
+        assert got.dtype == complex and got.tobytes() == want.tobytes()
+        assert_same_stream(got_rng, want_rng)
+
+    @pytest.mark.parametrize("lo, hi, tau", ANNULI[:3])
+    def test_points_and_stream_match_across_many_small_batches(self, lo, hi, tau, monkeypatch):
+        # seven attempts a batch: points land, and the sampling ends, on batch edges
+        monkeypatch.setattr(dynsys, "_MAX_BATCH", 7)
+        for seed in range(20):
+            got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = dynsys._sample_pairs(got_rng, 6, lo, hi, tau)
+            assert got.tobytes() == scalar_pairs(want_rng, 6, lo, hi, tau).tobytes()
+            assert_same_stream(got_rng, want_rng)
+
+    @pytest.mark.parametrize("batch", [5, 1 << 13])
+    def test_a_failed_pair_leaves_the_stream_where_the_loop_does(self, batch, monkeypatch):
+        # 40 attempts a pair in an annulus that takes about 30: some seeds
+        # fail at a later pair, after earlier pairs landed
+        monkeypatch.setattr(dynsys, "_MAX_REJECT", 40)
+        monkeypatch.setattr(dynsys, "_MAX_BATCH", batch)
+        outcomes = set()
+        for seed in range(30):
+            got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            try:
+                want = scalar_pairs(want_rng, 4, 0.98, 1.0, 1.0)
+            except ValueError as exc:
+                with pytest.raises(ValueError, match=str(exc)):
+                    dynsys._sample_pairs(got_rng, 4, 0.98, 1.0, 1.0)
+                outcomes.add("failed")
+            else:
+                assert dynsys._sample_pairs(got_rng, 4, 0.98, 1.0, 1.0).tobytes() == want.tobytes()
+                outcomes.add("landed")
+            assert_same_stream(got_rng, want_rng)
+        assert outcomes == {"failed", "landed"}
+
+    @pytest.mark.parametrize("bit_generator", BIT_GENERATORS, ids=lambda g: g.__name__)
+    @pytest.mark.parametrize("d_h", [1, 7, 50])
+    def test_a_callers_generator_ends_where_the_scalar_loop_leaves_it(
+            self, bit_generator, d_h, monkeypatch):
+        got_rng, want_rng = (np.random.Generator(bit_generator(d_h)) for _ in range(2))
+        got = sample_system(d_h, 1, 2, 0.01, 0.9, 1.0, seed=got_rng)
+        monkeypatch.setattr(dynsys, "_sample_pairs", scalar_pairs)
+        want = sample_system(d_h, 1, 2, 0.01, 0.9, 1.0, seed=want_rng)
+        for name in ("A", "B", "C", "eigenvalues"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+        assert_same_stream(got_rng, want_rng)
+
+    def test_rejection_failure_is_fast_and_small(self):
+        # an annulus 1e-12 wide: every one of the pair's 100,000 attempts misses
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            with pytest.raises(ValueError, match="rejection sampling failed"):
+                sample_system(4, 1, 1, 0.5, 1 - 1e-12, 1.0, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert time.perf_counter() - start < 1.0
+        assert peak < 2 << 20  # bytes: batches of 8192 attempts, not 100,000
+
+    def test_empty_arc_raises_only_when_a_pair_is_drawn(self):
+        with pytest.raises(ValueError, match="empty arc"):
+            sample_system(2, 1, 1, 0.5, 0.0, 0.0, seed=0)
+        assert sample_system(1, 1, 1, 0.5, 0.0, 0.0, seed=0).eigenvalues[0] == 0
+
+
+def conjugate_cases(data):
+    """Eigenvalues whose conjugates sit exactly, just inside or just
+    outside the tolerance, twice over, or nowhere, in any order."""
+    tol = dynsys._EIG_TOL
+    kinds = data.draw(st.lists(st.lists(st.sampled_from(["exact", "inside", "outside", "edge"]),
+                                        max_size=2), max_size=6), label="partners")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    eigs = []
+    for partners in kinds:
+        z = complex(rng.uniform(-1, 1), rng.choice([-1, 1]) * rng.choice([2 * tol, 1e-3, 0.5]))
+        eigs.append(z)
+        for kind in partners:
+            scale = {"exact": 0.0, "inside": 1 - 1e-6, "outside": 1 + 1e-6, "edge": 1.0}[kind]
+            gap = scale * tol * (1 + abs(z)) * np.exp(2j * np.pi * rng.random())
+            eigs.append(z.conjugate() + gap)
+    eigs += list(rng.uniform(-1, 1, rng.integers(0, 3)))
+    return np.array(eigs, dtype=complex)[rng.permutation(len(eigs))]
+
+
+@given(st.data())
+def test_conjugate_check_decides_as_the_list_search(data):
+    eigs = conjugate_cases(data)
+    try:
+        conjugate_closed_reference(eigs)
+    except ValueError:
+        with pytest.raises(ValueError, match="conjugate pairs"):
+            dynsys._require_conjugate_closed(eigs)
+    else:
+        dynsys._require_conjugate_closed(eigs)
+
+
+TOL_AT_HALF = dynsys._EIG_TOL * 1.5  # the tolerance about z = 0.5j
+
+
+@pytest.mark.parametrize("eigs, closed", [
+    # conj(0.5j) at exactly the tolerance, then one ulp past it
+    ([TOL_AT_HALF - 0.5j, 0.5j], True),
+    ([np.nextafter(TOL_AT_HALF, 1) - 0.5j, 0.5j], False),
+    # two candidates tie for 0.5j; it takes the first, which leaves the
+    # third entry, the first candidate's conjugate, without a partner
+    ([0.9 * TOL_AT_HALF - 0.5j, -0.9 * TOL_AT_HALF - 0.5j, 0.9 * TOL_AT_HALF + 0.5j, 0.5j], False),
+    ([-0.9 * TOL_AT_HALF - 0.5j, 0.9 * TOL_AT_HALF - 0.5j, 0.9 * TOL_AT_HALF + 0.5j, 0.5j], True),
+], ids=["at-the-tolerance", "one-ulp-past", "tie-first-strands", "tie-first-pairs"])
+def test_conjugate_check_at_the_tolerance_and_on_ties(eigs, closed):
+    eigs = np.array(eigs, dtype=complex)
+    for check in (conjugate_closed_reference, dynsys._require_conjugate_closed):
+        if closed:
+            check(eigs)
+        else:
+            with pytest.raises(ValueError, match="conjugate pairs"):
+                check(eigs)
+
+
+def test_conjugate_check_of_sampled_spectra():
+    for seed in range(10):
+        eigs = sample_system(50, 1, 1, 0.01, 0.9, 1.0, seed).eigenvalues
+        dynsys._require_conjugate_closed(eigs)
+        with pytest.raises(ValueError, match="conjugate pairs"):
+            dynsys._require_conjugate_closed(eigs[1:])
+
+
 class TestSystemFromEigenvalues:
     def test_prescribed_real_spectrum(self):
         eigs = [0.1, 0.5, 0.9]
@@ -171,6 +363,12 @@ class TestInvariants:
                 np.array([[1.5]]), np.eye(1), np.eye(1),
                 np.array([1.5 + 0j]), 1.0,
             )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(np.nan, 0.5)])
+    def test_non_finite_eigenvalue_rejected(self, bad):
+        scalar = scalar_system()
+        with pytest.raises(ValueError, match="eigenvalues contain non-finite"):
+            LinearSystem(scalar.A, scalar.B, scalar.C, np.array([bad], dtype=complex), 1.0)
 
     def test_kappa_below_one_rejected(self):
         with pytest.raises(ValueError, match="kappa"):

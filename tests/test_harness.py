@@ -674,7 +674,7 @@ class TestLockstepSweep:
             return make_runs(g, horizon, seeds)
 
         def counted_ogd(blocks, targets):
-            calls.append(len(targets))
+            calls.append(len(targets.index))  # one stream per trajectory, as Rows
             return ogd(blocks, targets)
 
         monkeypatch.setattr(H, "_make_runs", counted_make_runs)

@@ -348,7 +348,7 @@ class TestOgdOutput:
         T, runs, c = 2000, 5, chebyshev_monic(5)
         u, y = rng.standard_normal((runs, T, 1)), rng.standard_normal((runs, T, 1))
         index = np.tile(np.arange(runs), 3)
-        targets = y[index]
+        targets = Rows(y, index)  # each run's targets stored once, as its windows are
         blocks = [(Rows(lagged(u, 5), index), np.zeros((15, 5, 1, 1)),
                    np.repeat([1e-3, 1e-2, 1e-1], runs), DEFAULT_DOMAIN_BOUND * c.l1),
                   (Rows(lagged(-y, 5, 1), index), np.tile(c.coeffs[1:], (15, 1)), 0.0, None)]

@@ -343,6 +343,56 @@ def test_moving_block_with_zero_taps(d):
 
 
 # ---------------------------------------------------------------------------
+# features and targets gathered a chunk of steps at a time
+
+
+CHUNK = learners._CHUNK
+
+
+@pytest.mark.parametrize("T", [1, CHUNK // 2, CHUNK, CHUNK + 1, 2 * CHUNK + 3])
+@pytest.mark.parametrize("layout", ["rates-by-runs", "one-cell"])
+def test_chunk_boundaries_match_the_reference(T, layout):
+    # every part a chunk gathers, at d_in = d_out = 3: input windows read to
+    # each cell's own tap count (pads), a moving lag block with its own
+    # counts, a deep block of 8 taps, and the targets, as Rows or plain;
+    # one cell runs on numpy's two lanes
+    rng = np.random.default_rng([T, len(layout)])
+    d, rates = 3, np.repeat([0.01, 1.0], 2)
+    index = np.tile([2, 0], 2)  # stream 1 is never read
+    taps, lag_taps = np.array([4, 2, 0, 3]), np.array([3, 0, 2, 1])
+    if layout == "one-cell":
+        rates, index, taps, lag_taps = rates[3:], index[3:], taps[3:], lag_taps[3:]
+    cells = len(index)
+    u, y = rng.standard_normal((3, T, d)), rng.standard_normal((3, T, d))
+    X, L, D = lagged(u, 4), lagged(-y, 3, 1), 0.3 * rng.standard_normal((3, T, 8, d))
+    W0, lags = rng.normal(scale=0.1, size=(cells, 4, d, d)), rng.uniform(-0.5, 0.5, (cells, 3))
+    blocks = [(Rows(X, index, taps), W0, rates, 0.6),
+              (Rows(L, index, lag_taps), lags, rates / 10, None),
+              (Rows(D, index), np.zeros((cells, 8, d, d)), rates, 0.4)]
+    preds, Ws = ogd(blocks, Rows(y, index))
+    assert preds.shape == (cells, T, d)
+    plain, plain_Ws = ogd(blocks, y[index])
+    np.testing.assert_array_equal(plain, preds)
+    for W, w in zip(plain_Ws, Ws):
+        np.testing.assert_array_equal(W, w)
+    errors = {"got": np.zeros(len(np.unique(rates))), "want": np.zeros(len(np.unique(rates)))}
+    for cell, stream in enumerate(index):
+        mine = [(np.where(np.arange(4)[:, None] < taps[cell], X[stream], 0.0), W0[cell],
+                 rates[cell], 0.6),
+                (np.where(np.arange(3)[:, None] < lag_taps[cell], L[stream], 0.0), lags[cell],
+                 rates[cell] / 10, None),
+                (D[stream], np.zeros((8, d, d)), rates[cell], 0.4)]
+        want, want_W = reference_ogd(mine, y[stream])
+        np.testing.assert_allclose(preds[cell], want, rtol=TOL, atol=TOL)
+        for W, w in zip(Ws, want_W):
+            np.testing.assert_allclose(W[cell], w, rtol=TOL, atol=TOL)
+        point = np.searchsorted(np.unique(rates), rates[cell])
+        errors["got"][point] += np.abs(preds[cell] - y[stream]).mean()
+        errors["want"][point] += np.abs(want - y[stream]).mean()
+    assert errors["got"].argmin() == errors["want"].argmin()
+
+
+# ---------------------------------------------------------------------------
 # the grid search, cell by cell over the reference
 
 
