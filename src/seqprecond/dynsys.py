@@ -4,16 +4,19 @@ A linear system evolves as x_t = A x_{t-1} + B u_t, y_t = C x_t + noise
 with x_0 = 0, so y_1 already carries the instantaneous C B u_1 term.
 Transition matrices are built from a sampled eigenvalue multiset: complex
 values in conjugate pairs become 2x2 rotation-scaling blocks, the block
-diagonal is conjugated by a random well-conditioned basis, and the basis
-condition number is recorded as kappa.
+diagonal is conjugated by a random well-conditioned basis Q diag(scale),
+Q orthogonal, and its condition number max(scale) / min(scale) is
+recorded as kappa.
 
 The runs of an experiment are simulated together: `simulate_lds_runs` and
 `simulate_nonlinear_runs` stack R systems of one shape and step their
 states x of shape (R, d_h, 1) through one recursion, x = A x + B u_t with
-A of shape (R, d_h, d_h), keeping only the current states between steps.
-Each run's trajectory is bit for bit the one it gets alone, and its noise
-comes from its own seed, added after the loop.  `simulate_lds` and
-`simulate_nonlinear` are the single-run case.
+A of shape (R, d_h, d_h), 64 steps at a time: the products with u_t are
+one batched matmul before the steps and the readout one after them, so a
+step does one matmul (two for the nonlinear systems), and only a chunk's
+states are held.  Each run's trajectory is bit for bit the one it gets
+alone, and its noise comes from its own seed, added after the loop.
+`simulate_lds` and `simulate_nonlinear` are the single-run case.
 
 A system's conjugate pairs are drawn in batches: `Generator.uniform(a, b)`
 is a + (b - a) * `random()`, so one `random(2m)` call scaled the same way
@@ -30,6 +33,7 @@ import numpy as np
 _EIG_TOL = 1e-9
 _MAX_REJECT = 100_000  # attempts per conjugate pair
 _MAX_BATCH = 1 << 13  # attempts drawn at once, 128 KiB of doubles
+_CHUNK = 64  # steps whose input products a simulation takes at once
 
 
 @dataclass(frozen=True)
@@ -208,9 +212,9 @@ def _assemble(
     d_h = blocks.shape[0]
     Q = _haar_orthogonal(d_h, rng)
     scale = basis_cond ** rng.uniform(0.0, 1.0, size=d_h)
-    P = Q * scale  # column scaling, cond(P) = max(scale)/min(scale)
+    P = Q * scale  # column scaling of an orthogonal Q
     A = P @ blocks @ np.linalg.inv(P)
-    kappa = float(np.linalg.cond(P))
+    kappa = float(scale.max() / scale.min())  # cond(P), without its SVD
     B = rng.standard_normal((d_h, d_in)) / np.sqrt(d_h)
     C = rng.standard_normal((d_out, d_h)) / np.sqrt(d_h)
     eigs = np.concatenate([eigs_upper, np.conj(eigs_upper), reals.astype(complex)])
@@ -392,18 +396,36 @@ def _trajectories(systems, u: np.ndarray, y: np.ndarray, seeds) -> list[Trajecto
     return [Trajectory(u_r, y_r) for u_r, y_r in zip(u, y)]
 
 
+def _chunks(u: np.ndarray):
+    """The (R, T, d_in) inputs _CHUNK steps at a time, as (start, inputs)
+    with the inputs (steps, R, d_in, 1): item [k, r] is run r's u_t."""
+    steps_first = u.transpose(1, 0, 2)[..., None]
+    for t0 in range(0, u.shape[1], _CHUNK):
+        yield t0, steps_first[t0 : t0 + _CHUNK]
+
+
 def simulate_lds_runs(systems, inputs, seeds) -> list[Trajectory]:
     """Roll every run's linear system forward from x_0 = 0 over its inputs,
     all runs in one stacked recursion.  The systems must share their
     shapes and the inputs their length; run r's noise is drawn from
-    seeds[r]."""
+    seeds[r].
+
+    Per chunk of _CHUNK steps, one batched matmul writes B u_t for every
+    step into the chunk's state buffer, each step adds A x_{t-1} into its
+    row, and one batched matmul reads C x_t out of the chunk.  Each item
+    goes through the per-step product's BLAS kernel with its operands, so
+    the trajectories are bit for bit those of x = A x + B u_t, y_t = C x,
+    one step at a time, and only a chunk's states are held."""
     (A, B, C), u = _stack(systems, ("A", "B", "C"), inputs, seeds)
     R, T = u.shape[:2]
     y = np.empty((R, T, C.shape[1]))
-    x = np.zeros((R, A.shape[1], 1))
-    for t in range(T):
-        x = A @ x + B @ u[:, t, :, None]
-        y[:, t] = (C @ x)[..., 0]
+    x, Ax = np.zeros((R, A.shape[1], 1)), np.empty((R, A.shape[1], 1))
+    for t0, u_chunk in _chunks(u):
+        X = np.matmul(B, u_chunk)  # B u_t, then x_t, (steps, R, d_h, 1)
+        for x_t in X:
+            x_t += np.matmul(A, x, out=Ax)
+            x = x_t
+        y[:, t0 : t0 + len(X)] = np.matmul(C, X)[..., 0].transpose(1, 0, 2)
     return _trajectories(systems, u, y, seeds)
 
 
@@ -415,21 +437,30 @@ def simulate_lds(sys: LinearSystem, inputs: np.ndarray, seed=None) -> Trajectory
 def simulate_nonlinear_runs(systems, inputs, seeds) -> list[Trajectory]:
     """Roll every run's two-layer nonlinear system forward from x_0 = 0,
     all runs in one stacked recursion as in `simulate_lds_runs`.  The
-    systems must also share their activation."""
+    systems must also share their activation.  Per chunk of steps, B1 u_t
+    and B2 u_t are one batched matmul each and the readout one more; a
+    step does A1 x_{t-1} plus B1 u_t, the activation in place, and adds
+    A2 times that into the row that holds B2 u_t."""
     (A1, B1, A2, B2, C), u = _stack(systems, ("A1", "B1", "A2", "B2", "C"), inputs, seeds)
     for r, nl in enumerate(systems):
         if nl.activation != systems[0].activation:
             raise ValueError(
                 f"run {r}: activation {nl.activation!r}, run 0 has {systems[0].activation!r}"
             )
-    act = np.tanh if systems[0].activation == "tanh" else (lambda v: v)
+    tanh = systems[0].activation == "tanh"
     R, T = u.shape[:2]
     y = np.empty((R, T, C.shape[1]))
-    x = np.zeros((R, A1.shape[1], 1))
-    for t in range(T):
-        u_t = u[:, t, :, None]
-        x = A2 @ act(A1 @ x + B1 @ u_t) + B2 @ u_t
-        y[:, t] = (C @ x)[..., 0]
+    x, h, Ah = np.zeros((3, R, A1.shape[1], 1))
+    for t0, u_chunk in _chunks(u):
+        B1u, X = np.matmul(B1, u_chunk), np.matmul(B2, u_chunk)  # X: B2 u_t, then x_t
+        for B1u_t, x_t in zip(B1u, X):
+            np.matmul(A1, x, out=h)
+            h += B1u_t
+            if tanh:
+                np.tanh(h, out=h)
+            x_t += np.matmul(A2, h, out=Ah)
+            x = x_t
+        y[:, t0 : t0 + len(X)] = np.matmul(C, X)[..., 0].transpose(1, 0, 2)
     return _trajectories(systems, u, y, seeds)
 
 

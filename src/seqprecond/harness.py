@@ -25,6 +25,7 @@ is one task of a process pool.  Nothing outlives the call.
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import json
 import math
@@ -124,16 +125,25 @@ class MetricsReport:
     meta: dict = field(default_factory=dict)
 
 
+@functools.cache
+def _field_kinds(cls) -> tuple:
+    """(name, annotation, takes a bool, the kinds isinstance accepts) for
+    each field of a spec dataclass, resolved once per class."""
+    hints, kinds = typing.get_type_hints(cls), []
+    for f in fields(cls):
+        allowed = typing.get_args(hints[f.name]) or (hints[f.name],)
+        kinds.append((f.name, f.type, bool in allowed,
+                      tuple({int: numbers.Integral, float: numbers.Real}.get(t, t) for t in allowed)))
+    return tuple(kinds)
+
+
 def _check_field_types(obj, prefix: str = "") -> None:
     """Check each field of a spec dataclass against its annotation, naming
     the field.  A bool is no int or float here; a float takes any real."""
-    hints = typing.get_type_hints(type(obj))
-    for f in fields(obj):
-        value = getattr(obj, f.name)
-        allowed = typing.get_args(hints[f.name]) or (hints[f.name],)
-        kinds = tuple({int: numbers.Integral, float: numbers.Real}.get(t, t) for t in allowed)
-        if not isinstance(value, kinds) or isinstance(value, bool) and bool not in allowed:
-            raise ValueError(f"{prefix}{f.name}: expected {f.type}, "
+    for name, annotation, takes_bool, kinds in _field_kinds(type(obj)):
+        value = getattr(obj, name)
+        if not isinstance(value, kinds) or isinstance(value, bool) and not takes_bool:
+            raise ValueError(f"{prefix}{name}: expected {annotation}, "
                              f"got {type(value).__name__} {value!r}")
 
 

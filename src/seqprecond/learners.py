@@ -152,9 +152,12 @@ def ogd(blocks, targets):
     prediction, leaves that cell's weights as they are, and the schedule
     advances on every step.  A block whose every rate is 0 never moves, so
     its term is summed for all steps before the loop; with every block
-    fixed no loop runs.  A block is tested against its ball only from the
-    first step at which a bound on its taps' norms may exceed a radius, and
-    projected only at steps where an updated cell's tap does.
+    fixed no loop runs.  A block is tested against its ball only at steps
+    where a bound on its taps' norms may exceed a radius, and projected only
+    at steps where an updated cell's tap does.  The bound is the taps'
+    largest norm plus the most the updates since can add; it starts from
+    the initial weights and restarts from the taps' norms after each test
+    that finds every tap inside.
 
     Inside, the cells lie on one trailing lane axis, at least two lanes
     wide.  The moving blocks' features and the targets are gathered onto
@@ -240,11 +243,11 @@ def ogd(blocks, targets):
                 out += np.multiply(x, W[j, :, i] if m else W[j], out=tmp)
         return out
 
-    def crossing(b, lr, radius):
-        """The first step after which a tap of block b may leave its ball, or T: a tap's
-        norm is at most max_j |W0_j| + sum_t |lr0/sqrt(t)| sqrt(d_out) max_j |x_{t,j}|,
+    def reach(b, lr):
+        """Block b's cumulative growth bound, (T, lanes): row t bounds how far a tap's
+        norm can move over steps 0..t, sum_s |lr0/sqrt(s)| sqrt(d_out) max_j |x_{s,j}|,
         the max over the taps that the lane reads."""
-        (X, index), W = Xs[b], Ws[b]
+        X, index = Xs[b]
         sq, bound = np.zeros((T, X.shape[-1])), np.zeros((T, lanes))
         for j in range(X.shape[1]):
             np.maximum(sq, np.einsum("tis,tis->ts", X[:, j], X[:, j]), out=sq)
@@ -253,16 +256,35 @@ def ogd(blocks, targets):
         np.sqrt(bound, out=bound)
         bound *= np.abs(lr) * sqrt(d_out)
         bound /= root[:, None]
-        np.cumsum(bound, axis=0, out=bound)
-        bound += np.sqrt(np.einsum("joil,joil->jl", W, W)).max(axis=0, initial=0.0)
-        # Rounding, u = eps/2, p = d_out d_in entries a tap: two roundings an
+        return np.cumsum(bound, axis=0, out=bound)
+
+    def crossing(W, C, radius, t):
+        """The first step after t at which a tap of W may leave its ball, or T: after
+        step s > t a tap's norm is at most the taps' largest norm now plus C[s] - C[t].
+        The bound grows with s, so a doubling search then bisection finds it."""
+        cur = np.sqrt(np.einsum("joil,joil->jl", W, W)).max(axis=0, initial=0.0)
+        base = C[t] if t >= 0 else 0.0
+        # Rounding, u = eps/2, p = d_out d_in entries a tap, to first order:
+        # cur may fall (p/2 + 1)u short of the taps' norm, two roundings an
         # update put a tap's norm at most (1 + u)^(2T) over the exact bound,
-        # project_to_ball's norm adds (p/2 + 1)u, and the computed bound may fall
-        # (T + p + 8)u short, its sum of T terms included.  Twice these
-        # first-order terms covers the higher ones.
-        bound *= 1.0 + (6 * T + 3 * W.shape[1] * W.shape[2] + 18) * np.finfo(float).eps / 2
-        inside = (bound <= radius).all(axis=1)
-        return T if inside.all() else int(inside.argmin())
+        # project_to_ball's norm adds (p/2 + 1)u, a computed increment may
+        # fall (p + 8)u short, and C[s] - C[t] may fall u of itself plus
+        # Tu (C[s] + C[t]) short of the increments' sum over (t, s].  That is
+        # at most (2T + 2p + 10)u (cur + C[s] - C[t]) + Tu (C[s] + C[t]), so
+        # (3T + 2p + 10)u (cur + C[s] + C[t]); twice it covers the higher
+        # orders and the bound's own roundings.
+        slack = (6 * T + 4 * W.shape[1] * W.shape[2] + 24) * np.finfo(float).eps / 2
+
+        def binds(s):
+            return (cur + (C[s] - base) + slack * (cur + C[s] + base) > radius).any()
+
+        lo, hi = t, t + 1  # no step in (t, lo] binds; hi binds, or is T
+        while hi < T and not binds(hi):
+            lo, hi = hi, min(T, 2 * hi - t)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if binds(mid) else (mid, hi)
+        return hi
 
     # 0 + B0 + B1 + ... adds the blocks' terms in block order and its first
     # two terms commute, so a fixed second block may go first.  The fixed
@@ -271,9 +293,17 @@ def ogd(blocks, targets):
     if len(order) > 1 and moving[0] and not moving[1]:
         order[:2] = 1, 0
     lead = next((k for k, b in enumerate(order) if moving[b]), len(order))
-    # each moving ball's first step at which it may bind, before the predictions exist
-    crossings = [crossing(b, lanes_last(lr, 0), lanes_last(radius, 0)) if m and radius is not None
-                 else T for b, (lr, radius, m) in enumerate(zip(lrs, radii, moving))]
+    # each moving ball's radius per lane (inf at rate 0: such a lane never
+    # moves), growth bound and first step at which it may bind, before the
+    # predictions exist; a ball that never binds keeps no bound
+    balls = [(None, None, T)] * len(Xs)
+    for b in range(len(Xs)):
+        if moving[b] and radii[b] is not None:
+            lr = lanes_last(lrs[b], 0)
+            radius, C = np.where(lr != 0, lanes_last(radii[b], 0), np.inf), reach(b, lr)
+            cross = crossing(Ws[b], C, radius, -1)
+            balls[b] = radius, C if cross < T else None, cross
+    C = None
     P = np.zeros((T, d_out, lanes))  # the predictions
     plan = []  # the terms that step t adds: (block, its fixed term or None)
     for k, b in enumerate(order):
@@ -286,7 +316,9 @@ def ogd(blocks, targets):
     # time: (stream, lane index, pad mask or None, chunk buffer)
     ys = np.empty((min(T, _CHUNK), d_out, lanes))
     gathers = [(*Ys, None, ys)]
-    terms, steps = [], []  # what step t adds, block by block; the moving blocks' updates
+    # what step t adds, block by block; the moving blocks' updates and the next
+    # step at which each one tests its ball
+    terms, steps, crosses = [], [], []
     for b, F in plan:
         if F is not None:
             terms.append((F, None, None, None, None))
@@ -299,10 +331,10 @@ def ogd(blocks, targets):
         Wx = W if m else W[:, None]
         terms.append((None, Wx, x, np.empty(np.broadcast_shapes(Wx.shape, x.shape[1:])),
                       (0, 2) if m else 0))
-        lr = lanes_last(lrs[b], 0)
-        radius = radii[b] if radii[b] is None else lanes_last(radii[b], 0)
-        steps.append((W, x, m, lr / root[:, None], None if lr.all() else lr != 0, radius,
-                      crossings[b], np.empty_like(W)))
+        lr, (radius, C, cross) = lanes_last(lrs[b], 0), balls[b]
+        steps.append((W, x, m, lr / root[:, None], None if lr.all() else lr != 0, radius, C,
+                      np.empty_like(W)))
+        crosses.append(cross)
     acc, s, coef = np.empty((3, d_out, lanes))  # a block's term, the signs, rate times signs
     (active, mask), flat = np.empty((2, lanes), dtype=bool), s.reshape(-1)
     coefs = coef[None, :, None]  # against x[k] of a matrix block
@@ -325,7 +357,7 @@ def ogd(blocks, targets):
             s[:, ~np.isfinite(p).all(axis=0)] = 0.0
         np.sign(s, out=s)
         np.logical_or.reduce(s, axis=0, out=active)
-        for W, x, m, rate, nonzero, radius, cross, grad in steps:
+        for i, (W, x, m, rate, nonzero, radius, C, grad) in enumerate(steps):
             live = active if nonzero is None else np.logical_and(active, nonzero, out=mask)
             if m:
                 np.multiply(s, rate[t], out=coef)
@@ -333,16 +365,19 @@ def ogd(blocks, targets):
             else:
                 np.einsum("jol,ol->jl", x[k], s, out=grad)
                 grad *= rate[t]
-            if t < cross:
+            if t < crosses[i]:
                 np.subtract(W, grad, out=W, where=live)
                 continue
             step = np.subtract(W, grad, out=grad)
             norms = np.sqrt(np.einsum("joil,joil->jl", step, step))
             if ((norms > radius) & live).any():
                 step = project_to_ball(step.transpose(3, 0, 1, 2), radius[:, None])
-                step = step.transpose(1, 2, 3, 0)
-            np.copyto(W, step, where=live)
-    steps = plan = terms = rate = F = None  # the rate tables and fixed terms go before the copies
+                np.copyto(W, step.transpose(1, 2, 3, 0), where=live)
+            else:  # every tap inside: re-arm from the taps' norms now
+                np.copyto(W, step, where=live)
+                crosses[i] = crossing(W, C, radius, t)
+    # the rate tables, fixed terms and growth bounds go before the copies
+    steps = plan = terms = rate = F = balls = C = None
 
     def cells_first(a):
         a = np.moveaxis(a[..., :n], -1, 0)

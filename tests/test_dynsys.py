@@ -130,6 +130,18 @@ class TestSampleSystem:
         ortho = sample_system(10, 1, 1, 0.1, 0.3, 0.9, seed=4, basis_cond=1.0)
         assert ortho.kappa == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("d_h", [1, 2, 7, 50])
+    def test_kappa_is_the_condition_number_of_the_basis(self, d_h):
+        # replay the basis from the seed: the orthogonal Q, then the column
+        # scales; their ratio is cond(Q diag(scale)) to rounding
+        eigs = np.full(d_h, 0.5)
+        for seed in range(20):
+            sys = system_from_eigenvalues(eigs, 1, 1, seed, basis_cond=30.0)
+            rng = np.random.default_rng(seed)
+            Q = dynsys._haar_orthogonal(d_h, rng)
+            P = Q * 30.0 ** rng.uniform(0.0, 1.0, size=d_h)
+            assert sys.kappa == pytest.approx(np.linalg.cond(P), rel=1e-12)
+
     def test_determinism(self):
         a = sample_system(6, 2, 2, 0.1, 0.2, 0.9, seed=42)
         b = sample_system(6, 2, 2, 0.1, 0.2, 0.9, seed=42)
@@ -491,6 +503,31 @@ def reference_nonlinear(nl: NonlinearSystem, u: np.ndarray, seed) -> np.ndarray:
     return y
 
 
+CHUNK = dynsys._CHUNK
+
+
+def check_runs_against_their_loops(kind, R, d_h, d_in, d_out, T, sigma, seed):
+    """Simulate R runs in one stack; each must equal its own loop bitwise."""
+    sys_seeds, input_seeds, noise_seeds = (
+        np.random.SeedSequence(seed).generate_state(3 * R).reshape(3, R)
+    )
+    if kind == "lds":
+        systems = [sample_system(d_h, d_in, d_out, 0.1, 0.5, 1.0, s, noise_sigma=sigma)
+                   for s in sys_seeds]
+        simulate, reference = simulate_lds_runs, reference_lds
+    else:
+        systems = [sample_nonlinear_system(d_h, d_in, d_out, 0.1, 0.5, 1.0, s,
+                                           noise_sigma=sigma, activation=kind)
+                   for s in sys_seeds]
+        simulate, reference = simulate_nonlinear_runs, reference_nonlinear
+    inputs = [gaussian_inputs(T, d_in, s) for s in input_seeds]
+    runs = simulate(systems, inputs, list(noise_seeds))
+    assert len(runs) == R
+    for sys, u, noise_seed, traj in zip(systems, inputs, noise_seeds, runs):
+        assert np.array_equal(traj.inputs, u)
+        assert np.array_equal(traj.outputs, reference(sys, u, noise_seed))
+
+
 class TestStackedRuns:
     @given(
         kind=st.sampled_from(["lds", "tanh", "identity"]),
@@ -504,21 +541,15 @@ class TestStackedRuns:
         sys_seeds, input_seeds, noise_seeds = (
             np.random.SeedSequence(seed).generate_state(3 * R).reshape(3, R)
         )
-        if kind == "lds":
-            systems = [sample_system(d_h, d_in, d_out, 0.1, 0.5, 1.0, s, noise_sigma=sigma)
-                       for s in sys_seeds]
-            simulate, reference = simulate_lds_runs, reference_lds
-        else:
-            systems = [sample_nonlinear_system(d_h, d_in, d_out, 0.1, 0.5, 1.0, s,
-                                               noise_sigma=sigma, activation=kind)
-                       for s in sys_seeds]
-            simulate, reference = simulate_nonlinear_runs, reference_nonlinear
-        inputs = [gaussian_inputs(T, d_in, s) for s in input_seeds]
-        runs = simulate(systems, inputs, list(noise_seeds))
-        assert len(runs) == R
-        for sys, u, noise_seed, traj in zip(systems, inputs, noise_seeds, runs):
-            assert np.array_equal(traj.inputs, u)
-            assert np.array_equal(traj.outputs, reference(sys, u, noise_seed))
+        check_runs_against_their_loops(kind, R, d_h, d_in, d_out, T, sigma, seed)
+
+    @pytest.mark.parametrize("T", [1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1])
+    @pytest.mark.parametrize("kind", ["lds", "tanh", "identity"])
+    @pytest.mark.parametrize("R, d_h, d_in, d_out", [(1, 1, 1, 1), (5, 6, 3, 2), (3, 5, 2, 3)])
+    def test_chunk_edges_match_the_loop_bit_for_bit(self, T, kind, R, d_h, d_in, d_out):
+        # a simulation takes its input products a chunk of steps at a time,
+        # so the lengths around a chunk's edge carry a state across it
+        check_runs_against_their_loops(kind, R, d_h, d_in, d_out, T, 0.3, T * R + d_h)
 
     def test_mismatched_runs_are_rejected_by_run(self):
         small = sample_system(3, 1, 1, 0.1, 0.5, 1.0, 0)

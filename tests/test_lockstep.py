@@ -26,7 +26,8 @@ from seqprecond.learners import (
     oracle_weights,
     project_to_ball,
 )
-from seqprecond.poly import ComplexSector, CoefficientVector
+from seqprecond.dynsys import gaussian_inputs, sample_system, simulate_lds
+from seqprecond.poly import ComplexSector, CoefficientVector, chebyshev_monic
 from seqprecond.spectral import build_filter_bank
 
 TOL = 1e-12
@@ -390,6 +391,79 @@ def test_chunk_boundaries_match_the_reference(T, layout):
         errors["got"][point] += np.abs(preds[cell] - y[stream]).mean()
         errors["want"][point] += np.abs(want - y[stream]).mean()
     assert errors["got"].argmin() == errors["want"].argmin()
+
+
+def count_ball_work(monkeypatch):
+    """Record, in order, each norm of a block's taps that `ogd` computes
+    ("norm": a tested step, or a crossing from the norms now) and each call
+    that projects ("project")."""
+    events, einsum, project = [], np.einsum, learners.project_to_ball
+
+    def norms(subscripts, *operands, **kwargs):
+        if subscripts == "joil,joil->jl":
+            events.append("norm")
+        return einsum(subscripts, *operands, **kwargs)
+
+    def projection(*args):
+        events.append("project")
+        return project(*args)
+
+    monkeypatch.setattr(np, "einsum", norms)
+    monkeypatch.setattr(learners, "project_to_ball", projection)
+    return events
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_a_ball_that_binds_after_a_re_arm_matches_the_reference(monkeypatch, d):
+    # the targets alternate for 150 steps, so the taps swing about 0 while
+    # their growth bound passes the radius: the ball is tested, found slack
+    # and re-armed from the small norms; then constant targets push the taps
+    # straight out, and the ball binds (a norm clip at d=1, an SVD at d=3).
+    # A cell at rate 0 starts outside the ball, and neither moves nor holds
+    # the test on.
+    rng = np.random.default_rng(d)
+    T, radius, rates = 300, 0.8 * d, np.array([0.0, 0.02, 0.05, 0.2])
+    u = 1.0 + 0.1 * rng.standard_normal((T, d))
+    y = np.where(np.arange(T)[:, None] < 150, 5.0 * (-1.0) ** np.arange(T)[:, None], 5.0)
+    y = y + 0.1 * rng.standard_normal((T, d))
+    X, W0 = lagged(u, 2), np.zeros((4, 2, d, d))
+    W0[0] = 2.0 * radius / d
+    events = count_ball_work(monkeypatch)
+    preds, (W,) = ogd([(X[None], W0, rates, radius)], y)
+    monkeypatch.undo()
+    # the first crossing, then tested steps that found every tap inside and
+    # the crossings re-armed from them, all before the ball binds: 18 norms,
+    # where a bound that only grew tested about 195 steps before it bound
+    assert 3 <= events.index("project") <= 30
+    np.testing.assert_array_equal(W[0], W0[0])
+    errors = {"got": [], "want": []}
+    for cell, rate in enumerate(rates):
+        want, (want_W,) = reference_ogd([(X, W0[cell], rate, radius)], y)
+        np.testing.assert_allclose(preds[cell], want, rtol=TOL, atol=TOL)
+        np.testing.assert_allclose(W[cell], want_W, rtol=TOL, atol=TOL)
+        errors["got"].append(np.abs(preds[cell] - y).mean())
+        errors["want"].append(np.abs(want - y).mean())
+    assert np.argmin(errors["got"]) == np.argmin(errors["want"])
+
+
+def test_a_spectral_call_tests_its_balls_at_a_few_steps(monkeypatch):
+    # the perfbench spectral call's shape at T=300: one LDS run, its three
+    # rates as cells, window and deep-past balls that never bind.  The
+    # window's growth bound passes R_Q early on; re-armed from the taps'
+    # norms after each test, the balls are tested at a handful of steps,
+    # where a bound that only grew tested the window ball at 188 of them
+    T, c = 300, chebyshev_monic(5)
+    bank = build_filter_bank(T - c.degree - 1, ComplexSector(0.1), 8)
+    system = sample_system(10, 1, 1, 0.01, 0.9, 1.0, 0, noise_sigma=0.1)
+    traj = simulate_lds(system, gaussian_inputs(T, 1, 1), 2)
+    learner = SpectralLearner(c, bank, total_horizon=T, lr0=np.array([1e-3, 1e-2, 1e-1]))
+    blocks = learner.blocks(traj.inputs, traj.outputs)
+    events = count_ball_work(monkeypatch)
+    _, Ws = ogd(blocks, traj.outputs)
+    monkeypatch.undo()
+    assert "project" not in events
+    assert len(events) <= 12
+    assert np.sqrt((Ws[0] ** 2).sum(axis=(-2, -1))).max() < learner.R_Q / 2
 
 
 # ---------------------------------------------------------------------------

@@ -295,7 +295,7 @@ class TestValidateBank:
     @pytest.fixture
     def wide(self):
         # three blocks of the certificate, the last one partial
-        horizon = 600
+        horizon = 2 * _BLOCK + _BLOCK // 3
         assert 2 * _BLOCK < horizon < 3 * _BLOCK
         return build_gram(horizon, ComplexSector(0.1)), self.no_filters(horizon, 0.1)
 
