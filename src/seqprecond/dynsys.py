@@ -236,11 +236,9 @@ def system_from_eigenvalues(
     eigs = np.asarray(eigenvalues, dtype=complex)
     if basis_cond < 1.0:
         raise ValueError("basis_cond must be >= 1")
+    _require_conjugate_closed(eigs)
     upper = eigs[eigs.imag > _EIG_TOL]
-    lower = eigs[eigs.imag < -_EIG_TOL]
     reals = eigs[np.abs(eigs.imag) <= _EIG_TOL].real
-    if len(upper) != len(lower):
-        raise ValueError("complex eigenvalues must come in conjugate pairs")
     rng = np.random.default_rng(seed)
     return _assemble(upper, reals, d_in, d_out, rng, basis_cond, noise_sigma)
 

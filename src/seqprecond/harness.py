@@ -45,7 +45,7 @@ from seqprecond.poly import (
     differencing,
     legendre_monic,
 )
-from seqprecond.spectral import DEFAULT_FILTER_COUNT, build_filter_bank
+from seqprecond.spectral import DEFAULT_FILTER_COUNT, MAX_HORIZON, build_filter_bank
 
 VARIANTS = ("none", "chebyshev", "legendre", "differencing", "learned", "custom")
 ALGOS = ("regression", "spectral")
@@ -206,8 +206,13 @@ def validate_spec(spec: ExperimentSpec) -> None:
 
 
 def _bank_error(spec: ExperimentSpec, T: int) -> ValueError | None:
-    """The error of a spectral spec whose filter_count does not fit horizon T."""
+    """The error of a spectral spec whose filter bank, over T - degree - 1
+    steps, does not fit horizon T: a bank horizon outside [1, MAX_HORIZON],
+    or a filter_count past it."""
     n = resolve_coefficients(spec).degree
+    if spec.algo == "spectral" and not 1 <= T - n - 1 <= MAX_HORIZON:
+        return ValueError(f"a spectral filter bank spans horizon - degree - 1 steps, which must "
+                          f"lie in [1, {MAX_HORIZON}]: horizon {T} and degree {n} give {T - n - 1}")
     if spec.algo == "spectral" and not 0 <= spec.filter_count <= T - n - 1:
         return ValueError(f"filter_count must lie in [0, horizon - degree - 1] = [0, {T - n - 1}] "
                           f"for coefficients of degree {n}, got {spec.filter_count}")

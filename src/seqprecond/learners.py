@@ -10,12 +10,13 @@ configuration of its weights: `ogd` steps every block along the ℓ1
 subgradient at rate lr0/sqrt(t), with sign(0) = 0, and keeps the taps of
 a block with a radius in the spectral-norm ball.  Rate 0 holds a block
 fixed, so fixed lag coefficients, learned ones and a fixed comparator
-differ only in their rates, and a fixed block costs no work per step.
-Leading cell axes run many independent recursions, such as the (spec,
-rate, run) cells of a sweep, in lockstep, with streams that many cells
-read stored once (`Rows`), gathered onto the cells a chunk of steps at
-a time; a step's products are reduced in tap order, so a cell's results
-are the same in any batch.  `feature_blocks` lays out the blocks of one
+differ only in their rates; a fixed block before every moving one is
+summed for a chunk of steps at once, outside the per-step loop.  Leading
+cell axes run many independent recursions, such as the (spec, rate, run)
+cells of a sweep, in lockstep, with streams that many cells read stored
+once (`Rows`), gathered onto the cells a chunk of steps at a time; a
+block's products are reduced in tap order, so a cell's results are the
+same in any batch.  `feature_blocks` lays out the blocks of one
 learner, or of cells with their own taps, lag coefficients, rates and
 radii; the learner classes size radii and rates and call it from
 `blocks(u, y)`, and `.run(inputs, outputs)` processes a whole stream.
@@ -150,23 +151,25 @@ def ogd(blocks, targets):
 
     The update is masked per cell: a zero s or rate, or a non-finite
     prediction, leaves that cell's weights as they are, and the schedule
-    advances on every step.  A block whose every rate is 0 never moves, so
-    its term is summed for all steps before the loop; with every block
-    fixed no loop runs.  A block is tested against its ball only at steps
-    where a bound on its taps' norms may exceed a radius, and projected only
-    at steps where an updated cell's tap does.  The bound is the taps'
-    largest norm plus the most the updates since can add; it starts from
-    the initial weights and restarts from the taps' norms after each test
-    that finds every tap inside.
+    advances on every step.  A block whose every rate is 0 never moves; the
+    fixed blocks before the first moving one add their terms for a chunk of
+    steps at once, and with every block fixed no step runs.  A block is
+    tested against its ball only at steps where a bound on its taps' norms
+    may exceed a radius, and projected only at steps where an updated
+    cell's tap does.  The bound is the taps' largest norm plus the most the
+    updates since can add; it starts from the initial weights and restarts
+    from the taps' norms after each test that finds every tap inside.
 
     Inside, the cells lie on one trailing lane axis, at least two lanes
-    wide.  The moving blocks' features and the targets are gathered onto
-    the lanes a chunk of steps at a time, into buffers that the steps read.
-    A step's products W_j x_{t,j} are reduced over taps and channels with
-    the lanes as numpy's inner loop, so every sum runs in tap order, one
-    cell per lane, and the blocks' terms add in block order: a cell's
-    results do not depend on which other cells share the call, and trailing
-    taps with zero features and zero weights change nothing, bit for bit.
+    wide.  Every block's features, and the targets, are gathered onto the
+    lanes a chunk of steps at a time, into buffers that the chunk and its
+    steps read.  A block's products W_j x_{t,j}, for one step or for a
+    chunk's steps at once, are reduced over taps and channels with the
+    lanes as numpy's inner loop, so every sum runs tap-major, channel-minor,
+    one cell per lane, and the blocks' terms add in block order: a cell's
+    results do not depend on which other cells share the call, and
+    trailing taps with zero features and zero weights change nothing, bit
+    for bit.
 
     Returns the C-contiguous (..., T, d_out) predictions as computed,
     non-finite rows included, and the final weights.
@@ -229,20 +232,6 @@ def ogd(blocks, targets):
     Ws = [lanes_last(W, 3 if m else 1) for W, m in zip(W0s, matrix)]
     root = np.sqrt(np.arange(1.0, T + 1.0))  # sqrt(t)
 
-    def fixed_term(b, out):
-        """Block b's term at every step, into out, summed from 0 tap by tap and
-        channel by channel as a step sums it; lag rows go straight to tmp."""
-        (X, index), W, m, pad = Xs[b], Ws[b], matrix[b], pads[b]
-        out, tmp = np.zeros((T, d_out, lanes)) if out is None else out, np.empty((T, d_out, lanes))
-        for j in range(W.shape[0]):
-            for i in range(W.shape[2] if m else 1):
-                x = np.take(X[:, j, i, None] if m else X[:, j], index, axis=-1,
-                            out=None if m else tmp, mode="clip")
-                if pad is not None:
-                    np.copyto(x, 0.0, where=pad[j])
-                out += np.multiply(x, W[j, :, i] if m else W[j], out=tmp)
-        return out
-
     def reach(b, lr):
         """Block b's cumulative growth bound, (T, lanes): row t bounds how far a tap's
         norm can move over steps 0..t, sum_s |lr0/sqrt(s)| sqrt(d_out) max_j |x_{s,j}|,
@@ -288,96 +277,87 @@ def ogd(blocks, targets):
 
     # 0 + B0 + B1 + ... adds the blocks' terms in block order and its first
     # two terms commute, so a fixed second block may go first.  The fixed
-    # blocks before the first moving one go straight into the predictions.
+    # blocks before the first moving one add their terms a chunk at a time.
     order, moving = list(range(len(Xs))), [bool(lr.any()) for lr in lrs]
     if len(order) > 1 and moving[0] and not moving[1]:
         order[:2] = 1, 0
     lead = next((k for k, b in enumerate(order) if moving[b]), len(order))
-    # each moving ball's radius per lane (inf at rate 0: such a lane never
-    # moves), growth bound and first step at which it may bind, before the
-    # predictions exist; a ball that never binds keeps no bound
-    balls = [(None, None, T)] * len(Xs)
-    for b in range(len(Xs)):
-        if moving[b] and radii[b] is not None:
-            lr = lanes_last(lrs[b], 0)
-            radius, C = np.where(lr != 0, lanes_last(radii[b], 0), np.inf), reach(b, lr)
-            cross = crossing(Ws[b], C, radius, -1)
-            balls[b] = radius, C if cross < T else None, cross
-    C = None
-    P = np.zeros((T, d_out, lanes))  # the predictions
-    plan = []  # the terms that step t adds: (block, its fixed term or None)
+    # every block's chunk of features, and the targets if a block moves:
+    # (stream, lane index, pad mask or None, chunk buffer)
+    ys, gathers = np.empty((min(T, _CHUNK), d_out, lanes)), []
+    # the terms of a chunk (lead) and of a step, (W, x, products, axes) each;
+    # the moving blocks' updates and the next step at which each tests its ball
+    lead_terms, terms, steps, crosses = [], [], [], []
     for k, b in enumerate(order):
-        F = None if moving[b] else fixed_term(b, P if k == 0 else None)
-        if 0 < k < lead:
-            P += F
-        elif k >= lead:
-            plan.append((b, F))
-    # step t's targets and moving features, gathered a chunk of steps at a
-    # time: (stream, lane index, pad mask or None, chunk buffer)
-    ys = np.empty((min(T, _CHUNK), d_out, lanes))
-    gathers = [(*Ys, None, ys)]
-    # what step t adds, block by block; the moving blocks' updates and the next
-    # step at which each one tests its ball
-    terms, steps, crosses = [], [], []
-    for b, F in plan:
-        if F is not None:
-            terms.append((F, None, None, None, None))
-            continue
-        (X, index), W, m = Xs[b], Ws[b], matrix[b]
+        (X, index), W, m, lr = Xs[b], Ws[b], matrix[b], lanes_last(lrs[b], 0)
+        # a moving ball's radius per lane (inf at rate 0: such a lane never moves),
+        # growth bound and first crossing; one that never binds keeps no bound
+        radius, C, cross = None, None, T
+        if moving[b] and radii[b] is not None:
+            radius, C = np.where(lr != 0, lanes_last(radii[b], 0), np.inf), reach(b, lr)
+            cross = crossing(W, C, radius, -1)
+            C = C if cross < T else None
         x = np.empty((len(ys), *X.shape[1:-1], lanes))
         gathers.append((X, index, pads[b], x))
         x = x[:, :, None] if m else x  # x[k]: (taps, 1, d_in, lanes) or (taps, d_out, lanes)
-        # W_j x_j for every tap j, summed over taps and channels in tap order
-        Wx = W if m else W[:, None]
-        terms.append((None, Wx, x, np.empty(np.broadcast_shapes(Wx.shape, x.shape[1:])),
-                      (0, 2) if m else 0))
-        lr, (radius, C, cross) = lanes_last(lrs[b], 0), balls[b]
-        steps.append((W, x, m, lr / root[:, None], None if lr.all() else lr != 0, radius, C,
-                      np.empty_like(W)))
-        crosses.append(cross)
+        # W_j x_j for every tap j, of a chunk or of a step, summed over taps and
+        # channels in tap order; a chunk's lag products overwrite its features
+        Wx, axes = (W, (-4, -2)) if m else (W[:, None], -3)
+        shape = np.broadcast_shapes(Wx.shape, x.shape[1:])
+        if k < lead:
+            lead_terms.append((Wx, x, np.empty((len(ys), *shape)) if m else x, axes))
+        else:
+            terms.append((Wx, x, np.empty(shape), axes))
+        if moving[b]:
+            steps.append((W, x, m, lr / root[:, None], None if lr.all() else lr != 0,
+                          radius, C, np.empty_like(W)))
+            crosses.append(cross)
+    if steps:
+        gathers.append((*Ys, None, ys))
+    P, accs = np.zeros((T, d_out, lanes)), np.empty_like(ys)  # the predictions, chunk sums
     acc, s, coef = np.empty((3, d_out, lanes))  # a block's term, the signs, rate times signs
     (active, mask), flat = np.empty((2, lanes), dtype=bool), s.reshape(-1)
     coefs = coef[None, :, None]  # against x[k] of a matrix block
-    for t in range(T if steps else 0):
-        k = t % _CHUNK
-        if k == 0:
-            for X, index, pad, buf in gathers:
-                chunk = buf[: T - t]
-                np.take(X[t : t + len(chunk)], index, axis=-1, out=chunk, mode="clip")
-                if pad is not None:
-                    np.copyto(chunk, 0.0, where=pad)
-        p = P[t]
-        for F, W, x, products, axes in terms:
-            if F is not None:
-                p += F[t]
-                continue
-            p += np.add.reduce(np.multiply(W, x[k], out=products), axis=axes, out=acc)
-        np.subtract(p, ys[k], out=s)
-        if not isfinite(np.dot(flat, flat)):  # a non-finite prediction, or a huge residual
-            s[:, ~np.isfinite(p).all(axis=0)] = 0.0
-        np.sign(s, out=s)
-        np.logical_or.reduce(s, axis=0, out=active)
-        for i, (W, x, m, rate, nonzero, radius, C, grad) in enumerate(steps):
-            live = active if nonzero is None else np.logical_and(active, nonzero, out=mask)
-            if m:
-                np.multiply(s, rate[t], out=coef)
-                np.multiply(coefs, x[k], out=grad)
-            else:
-                np.einsum("jol,ol->jl", x[k], s, out=grad)
-                grad *= rate[t]
-            if t < crosses[i]:
-                np.subtract(W, grad, out=W, where=live)
-                continue
-            step = np.subtract(W, grad, out=grad)
-            norms = np.sqrt(np.einsum("joil,joil->jl", step, step))
-            if ((norms > radius) & live).any():
-                step = project_to_ball(step.transpose(3, 0, 1, 2), radius[:, None])
-                np.copyto(W, step.transpose(1, 2, 3, 0), where=live)
-            else:  # every tap inside: re-arm from the taps' norms now
-                np.copyto(W, step, where=live)
-                crosses[i] = crossing(W, C, radius, t)
-    # the rate tables, fixed terms and growth bounds go before the copies
-    steps = plan = terms = rate = F = balls = C = None
+    for t0 in range(0, T, _CHUNK):
+        c = min(_CHUNK, T - t0)
+        for X, index, pad, buf in gathers:
+            np.take(X[t0 : t0 + c], index, axis=-1, out=buf[:c], mode="clip")
+            if pad is not None:
+                np.copyto(buf[:c], 0.0, where=pad)
+        chunk = P[t0 : t0 + c]
+        for W, x, products, axes in lead_terms:
+            chunk += np.add.reduce(np.multiply(W, x[:c], out=products[:c]), axis=axes,
+                                   out=accs[:c])
+        for k in range(c if steps else 0):
+            t, p = t0 + k, chunk[k]
+            for W, x, products, axes in terms:
+                p += np.add.reduce(np.multiply(W, x[k], out=products), axis=axes, out=acc)
+            np.subtract(p, ys[k], out=s)
+            if not isfinite(np.dot(flat, flat)):  # a non-finite prediction, or a huge residual
+                s[:, ~np.isfinite(p).all(axis=0)] = 0.0
+            np.sign(s, out=s)
+            np.logical_or.reduce(s, axis=0, out=active)
+            for i, (W, x, m, rate, nonzero, radius, C, grad) in enumerate(steps):
+                live = active if nonzero is None else np.logical_and(active, nonzero, out=mask)
+                if m:
+                    np.multiply(s, rate[t], out=coef)
+                    np.multiply(coefs, x[k], out=grad)
+                else:
+                    np.einsum("jol,ol->jl", x[k], s, out=grad)
+                    grad *= rate[t]
+                if t < crosses[i]:
+                    np.subtract(W, grad, out=W, where=live)
+                    continue
+                step = np.subtract(W, grad, out=grad)
+                norms = np.sqrt(np.einsum("joil,joil->jl", step, step))
+                if ((norms > radius) & live).any():
+                    step = project_to_ball(step.transpose(3, 0, 1, 2), radius[:, None])
+                    np.copyto(W, step.transpose(1, 2, 3, 0), where=live)
+                else:  # every tap inside: re-arm from the taps' norms now
+                    np.copyto(W, step, where=live)
+                    crosses[i] = crossing(W, C, radius, t)
+    # the rate tables and growth bounds go before the copies
+    steps = rate = C = None
 
     def cells_first(a):
         a = np.moveaxis(a[..., :n], -1, 0)

@@ -360,8 +360,11 @@ class TestSystemFromEigenvalues:
         np.testing.assert_allclose(got, eigs, atol=1e-10)
 
     def test_conjugates_required(self):
-        with pytest.raises(ValueError, match="conjugate"):
-            system_from_eigenvalues([0.3 + 0.4j, 0.5], 1, 1, seed=0)
+        # the second: an upper and a lower entry that are not each other's
+        # conjugate must not pass as a pair rebuilt from the upper one
+        for eigs in ([0.3 + 0.4j, 0.5], [0.5 + 0.1j, 0.3 - 0.2j]):
+            with pytest.raises(ValueError, match="conjugate"):
+                system_from_eigenvalues(eigs, 1, 1, seed=0)
 
     def test_pair_accepted_either_order(self):
         sys = system_from_eigenvalues([0.3 - 0.4j, 0.3 + 0.4j], 1, 1, seed=0)

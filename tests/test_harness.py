@@ -164,6 +164,9 @@ class TestValidateSpec:
             (dict(algo="spectral", num_taps=4), "spectral spec reads degree .* got 4"),
             (dict(oracle_comparator=True, num_taps=7), "num_taps: the oracle reads degree 3 .* 7"),
             (dict(oracle_comparator=True, num_taps=0), "num_taps: the oracle .* got 0"),
+            (dict(algo="spectral", horizon=2, window=1, degree=1, filter_count=0),
+             r"must lie in \[1, 8192\]: horizon 2 and degree 1 give 0"),
+            (dict(algo="spectral", horizon=9000, degree=1), "horizon 9000 and degree 1 give 8998"),
         ],
     )
     def test_rejections_name_the_problem(self, overrides, fragment):
@@ -519,6 +522,19 @@ class TestSweep:
         assert isinstance(results[1], H.SweepFailure)
         assert results[1].config_hash == H.spec_hash(bad)
         assert results[1].error
+
+    def test_short_csv_fails_only_its_spectral_spec(self, tmp_path):
+        # 4 rows leave a degree-3 bank 4 - 3 - 1 = 0 steps; the CSV's horizon
+        # is known once it is read, so the run names it and the other spec runs
+        path = tmp_path / "short.csv"
+        path.write_text("t,u_0,y_0\n1,0.5,2.0\n2,0.25,-4.0\n3,1.5,8.0\n4,-1.0,0.5\n")
+        bad = H.ExperimentSpec(algo="spectral", csv_path=str(path), window=2, degree=3,
+                               filter_count=0, master_seed=0)
+        good = tiny_spec(n_runs=1)
+        results = H.sweep([good, bad])
+        assert isinstance(results[0], H.MetricsReport)
+        assert isinstance(results[1], H.SweepFailure)
+        assert results[1].error.endswith("horizon 4 and degree 3 give 0")
 
     def test_pool_records_failures_like_the_serial_path(self, tmp_path):
         bad = H.ExperimentSpec(csv_path=str(tmp_path / "missing.csv"), window=5, master_seed=0)

@@ -351,24 +351,28 @@ CHUNK = learners._CHUNK
 
 
 @pytest.mark.parametrize("T", [1, CHUNK // 2, CHUNK, CHUNK + 1, 2 * CHUNK + 3])
-@pytest.mark.parametrize("layout", ["rates-by-runs", "one-cell"])
+@pytest.mark.parametrize("layout", ["rates-by-runs", "one-cell", "fixed-lag", "all-fixed"])
 def test_chunk_boundaries_match_the_reference(T, layout):
     # every part a chunk gathers, at d_in = d_out = 3: input windows read to
-    # each cell's own tap count (pads), a moving lag block with its own
-    # counts, a deep block of 8 taps, and the targets, as Rows or plain;
-    # one cell runs on numpy's two lanes
+    # each cell's own tap count (pads), a lag block with its own counts, a
+    # deep block of 8 taps, and the targets, as Rows or plain; one cell runs
+    # on numpy's two lanes; a fixed lag block goes first and, like every
+    # block of an all-fixed call, adds its term a chunk at a time
     rng = np.random.default_rng([T, len(layout)])
     d, rates = 3, np.repeat([0.01, 1.0], 2)
     index = np.tile([2, 0], 2)  # stream 1 is never read
     taps, lag_taps = np.array([4, 2, 0, 3]), np.array([3, 0, 2, 1])
     if layout == "one-cell":
         rates, index, taps, lag_taps = rates[3:], index[3:], taps[3:], lag_taps[3:]
+    lag_rates = 0.0 * rates if layout in ("fixed-lag", "all-fixed") else rates / 10
+    if layout == "all-fixed":
+        rates = lag_rates
     cells = len(index)
     u, y = rng.standard_normal((3, T, d)), rng.standard_normal((3, T, d))
     X, L, D = lagged(u, 4), lagged(-y, 3, 1), 0.3 * rng.standard_normal((3, T, 8, d))
     W0, lags = rng.normal(scale=0.1, size=(cells, 4, d, d)), rng.uniform(-0.5, 0.5, (cells, 3))
     blocks = [(Rows(X, index, taps), W0, rates, 0.6),
-              (Rows(L, index, lag_taps), lags, rates / 10, None),
+              (Rows(L, index, lag_taps), lags, lag_rates, None),
               (Rows(D, index), np.zeros((cells, 8, d, d)), rates, 0.4)]
     preds, Ws = ogd(blocks, Rows(y, index))
     assert preds.shape == (cells, T, d)
@@ -381,7 +385,7 @@ def test_chunk_boundaries_match_the_reference(T, layout):
         mine = [(np.where(np.arange(4)[:, None] < taps[cell], X[stream], 0.0), W0[cell],
                  rates[cell], 0.6),
                 (np.where(np.arange(3)[:, None] < lag_taps[cell], L[stream], 0.0), lags[cell],
-                 rates[cell] / 10, None),
+                 lag_rates[cell], None),
                 (D[stream], np.zeros((8, d, d)), rates[cell], 0.4)]
         want, want_W = reference_ogd(mine, y[stream])
         np.testing.assert_allclose(preds[cell], want, rtol=TOL, atol=TOL)
@@ -391,6 +395,51 @@ def test_chunk_boundaries_match_the_reference(T, layout):
         errors["got"][point] += np.abs(preds[cell] - y[stream]).mean()
         errors["want"][point] += np.abs(want - y[stream]).mean()
     assert errors["got"].argmin() == errors["want"].argmin()
+
+
+def tap_major_sum(blocks, cells, T, d_out):
+    """Each fixed block's term summed from 0, tap by tap and channel by
+    channel, then the terms summed from 0 in block order."""
+    preds = np.zeros((cells, T, d_out))
+    for X, W, _, _ in blocks:
+        X = np.where(np.arange(X.streams.shape[2])[:, None] < X.taps[:, None, None, None],
+                     X.streams[X.index], 0.0)  # (cells, T, taps, channels)
+        term = np.zeros((cells, T, d_out))
+        for j in range(X.shape[2]):
+            if W.ndim == 2:  # lag
+                term += X[:, :, j] * W[:, None, j, None]
+                continue
+            for i in range(X.shape[3]):
+                term += X[:, :, j, i, None] * W[:, None, j, :, i]
+        preds += term
+    return preds
+
+
+@pytest.mark.parametrize("T", [1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 2])
+@pytest.mark.parametrize("d", [1, 3])
+@pytest.mark.parametrize("layout", ["lag", "oracle"])
+def test_fixed_terms_are_tap_major_sums_bit_for_bit(T, d, layout):
+    # with every block fixed, each block's products are reduced a chunk at
+    # a time, tap-major and channel-minor: the predictions have the bits of
+    # sums from 0 in that order.  Cell 2 reads no taps against negative
+    # weights, so its products are all -0.0 and its predictions +0.0.  The
+    # oracle comparator's layout is an input window, then lag coefficients.
+    rng = np.random.default_rng([T, d, len(layout)])
+    cells, index = 3, np.array([1, 0, 1])
+    u, y = rng.standard_normal((2, T, d)), rng.standard_normal((2, T, d))
+    lags = rng.uniform(-0.9, 0.9, (cells, 4))
+    lags[2] = -np.abs(lags[2])
+    blocks = [(Rows(lagged(-y, 4, 1), index, np.array([4, 2, 0])), lags, 0.0, None)]
+    if layout == "oracle":
+        W0 = rng.normal(size=(cells, 5, d, d))
+        W0[2] = -np.abs(W0[2])
+        blocks.insert(0, (Rows(lagged(u, 5), index, np.array([5, 3, 0])), W0, 0.0, 1.0))
+    preds, Ws = ogd(blocks, Rows(y, index))
+    want = tap_major_sum(blocks, cells, T, d)
+    np.testing.assert_array_equal(preds.view(np.int64), want.view(np.int64))
+    assert not np.signbit(preds[2]).any()
+    for W, (_, W0, _, _) in zip(Ws, blocks):
+        np.testing.assert_array_equal(W, W0)
 
 
 def count_ball_work(monkeypatch):
