@@ -1,4 +1,4 @@
-"""Synthetic linear and two-layer nonlinear dynamical systems.
+"""Synthetic linear and two-layer tanh dynamical systems.
 
 A linear system evolves as x_t = A x_{t-1} + B u_t, y_t = C x_t + noise
 with x_0 = 0, so y_1 already carries the instantaneous C B u_1 term.
@@ -6,7 +6,8 @@ Transition matrices are built from a sampled eigenvalue multiset: complex
 values in conjugate pairs become 2x2 rotation-scaling blocks, the block
 diagonal is conjugated by a random well-conditioned basis Q diag(scale),
 Q orthogonal, and its condition number max(scale) / min(scale) is
-recorded as kappa.
+recorded as kappa.  A two-layer system x_t = A2 tanh(A1 x_{t-1} + B1 u_t)
++ B2 u_t checks each layer's matrices as a linear system checks its own.
 
 The runs of an experiment are simulated together: `simulate_lds_runs` and
 `simulate_nonlinear_runs` stack R systems of one shape and step their
@@ -46,19 +47,8 @@ class LinearSystem:
     noise_sigma: float = 0.0
 
     def __post_init__(self):
-        A = np.asarray(self.A, dtype=float)
-        B = np.asarray(self.B, dtype=float)
-        C = np.asarray(self.C, dtype=float)
+        A, B, C = _check_layer(self.A, self.B, self.C, ("A", "B", "C"))
         d = A.shape[0]
-        if A.shape != (d, d):
-            raise ValueError(f"A must be square, got {A.shape}")
-        if B.ndim != 2 or B.shape[0] != d:
-            raise ValueError(f"B must be ({d}, d_in), got {B.shape}")
-        if C.ndim != 2 or C.shape[1] != d:
-            raise ValueError(f"C must be (d_out, {d}), got {C.shape}")
-        for name, M in (("A", A), ("B", B), ("C", C)):
-            if not np.all(np.isfinite(M)):
-                raise ValueError(f"{name} contains non-finite entries")
         eigs = np.asarray(self.eigenvalues, dtype=complex)
         if eigs.shape != (d,):
             raise ValueError(f"expected {d} eigenvalues, got shape {eigs.shape}")
@@ -73,10 +63,8 @@ class LinearSystem:
             raise ValueError(f"kappa must be >= 1, got {self.kappa}")
         if self.noise_sigma < 0:
             raise ValueError("noise_sigma must be nonnegative")
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "B", B)
-        object.__setattr__(self, "C", C)
-        object.__setattr__(self, "eigenvalues", eigs)
+        for name, M in (("A", A), ("B", B), ("C", C), ("eigenvalues", eigs)):
+            object.__setattr__(self, name, M)
 
     @property
     def d_hidden(self) -> int:
@@ -93,9 +81,11 @@ class LinearSystem:
 
 @dataclass(frozen=True)
 class NonlinearSystem:
-    """Two recurrent layers with an activation between them.
+    """Two recurrent layers with a tanh between them.
 
-    x_t = A2 act(A1 x_{t-1} + B1 u_t) + B2 u_t, y_t = C x_t + noise.
+    x_t = A2 tanh(A1 x_{t-1} + B1 u_t) + B2 u_t, y_t = C x_t + noise.
+    Each layer's matrices pass the checks of a `LinearSystem`'s, and the
+    layers share d_h and d_in.
     """
 
     A1: np.ndarray
@@ -104,13 +94,18 @@ class NonlinearSystem:
     B2: np.ndarray
     C: np.ndarray
     noise_sigma: float = 0.0
-    activation: str = "tanh"
 
     def __post_init__(self):
-        if self.activation not in ("tanh", "identity"):
-            raise ValueError(f"unknown activation {self.activation!r}")
+        A1, B1, C = _check_layer(self.A1, self.B1, self.C, ("A1", "B1", "C"))
+        if np.shape(self.A2) != A1.shape:
+            raise ValueError(f"A2 must be {A1.shape} like A1, got {np.shape(self.A2)}")
+        A2, B2, _ = _check_layer(self.A2, self.B2, C, ("A2", "B2", "C"))
+        if B2.shape != B1.shape:
+            raise ValueError(f"B2 must be {B1.shape} like B1, got {B2.shape}")
         if self.noise_sigma < 0:
             raise ValueError("noise_sigma must be nonnegative")
+        for name, M in (("A1", A1), ("B1", B1), ("A2", A2), ("B2", B2), ("C", C)):
+            object.__setattr__(self, name, M)
 
     @property
     def d_hidden(self) -> int:
@@ -143,6 +138,25 @@ class Trajectory:
     @property
     def horizon(self) -> int:
         return self.inputs.shape[0]
+
+
+def _check_layer(A, B, C, names: tuple[str, str, str]):
+    """One layer's transition, input and readout matrices as float arrays:
+    A square, B with A's d rows and C with d columns, every entry finite.
+    An error names the matrix by its field name in `names`."""
+    A, B, C = (np.asarray(M, dtype=float) for M in (A, B, C))
+    a, b, c = names
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise ValueError(f"{a} must be square, got {A.shape}")
+    d = A.shape[0]
+    if B.ndim != 2 or B.shape[0] != d:
+        raise ValueError(f"{b} must be ({d}, d_in), got {B.shape}")
+    if C.ndim != 2 or C.shape[1] != d:
+        raise ValueError(f"{c} must be (d_out, {d}), got {C.shape}")
+    for name, M in zip(names, (A, B, C)):
+        if not np.all(np.isfinite(M)):
+            raise ValueError(f"{name} contains non-finite entries")
+    return A, B, C
 
 
 def _require_conjugate_closed(eigs: np.ndarray) -> None:
@@ -434,18 +448,11 @@ def simulate_lds(sys: LinearSystem, inputs: np.ndarray, seed=None) -> Trajectory
 
 def simulate_nonlinear_runs(systems, inputs, seeds) -> list[Trajectory]:
     """Roll every run's two-layer nonlinear system forward from x_0 = 0,
-    all runs in one stacked recursion as in `simulate_lds_runs`.  The
-    systems must also share their activation.  Per chunk of steps, B1 u_t
-    and B2 u_t are one batched matmul each and the readout one more; a
-    step does A1 x_{t-1} plus B1 u_t, the activation in place, and adds
-    A2 times that into the row that holds B2 u_t."""
+    all runs in one stacked recursion as in `simulate_lds_runs`.  Per
+    chunk of steps, B1 u_t and B2 u_t are one batched matmul each and the
+    readout one more; a step does A1 x_{t-1} plus B1 u_t, tanh in place,
+    and adds A2 times that into the row that holds B2 u_t."""
     (A1, B1, A2, B2, C), u = _stack(systems, ("A1", "B1", "A2", "B2", "C"), inputs, seeds)
-    for r, nl in enumerate(systems):
-        if nl.activation != systems[0].activation:
-            raise ValueError(
-                f"run {r}: activation {nl.activation!r}, run 0 has {systems[0].activation!r}"
-            )
-    tanh = systems[0].activation == "tanh"
     R, T = u.shape[:2]
     y = np.empty((R, T, C.shape[1]))
     x, h, Ah = np.zeros((3, R, A1.shape[1], 1))
@@ -454,8 +461,7 @@ def simulate_nonlinear_runs(systems, inputs, seeds) -> list[Trajectory]:
         for B1u_t, x_t in zip(B1u, X):
             np.matmul(A1, x, out=h)
             h += B1u_t
-            if tanh:
-                np.tanh(h, out=h)
+            np.tanh(h, out=h)
             x_t += np.matmul(A2, h, out=Ah)
             x = x_t
         y[:, t0 : t0 + len(X)] = np.matmul(C, X)[..., 0].transpose(1, 0, 2)
@@ -479,20 +485,10 @@ def sample_nonlinear_system(
     seed,
     noise_sigma: float = 0.0,
     basis_cond: float = 10.0,
-    activation: str = "tanh",
 ) -> NonlinearSystem:
     """Sample both layers with the same eigenvalue control as sample_system."""
-    ss = np.random.SeedSequence(seed)
-    s1, s2 = ss.spawn(2)
-    layer1 = sample_system(
-        d_h, d_in, d_out, tau_thresh, radius_lo, radius_hi, s1,
-        basis_cond=basis_cond,
+    layer1, layer2 = (
+        sample_system(d_h, d_in, d_out, tau_thresh, radius_lo, radius_hi, s, basis_cond=basis_cond)
+        for s in np.random.SeedSequence(seed).spawn(2)
     )
-    layer2 = sample_system(
-        d_h, d_in, d_out, tau_thresh, radius_lo, radius_hi, s2,
-        basis_cond=basis_cond,
-    )
-    return NonlinearSystem(
-        A1=layer1.A, B1=layer1.B, A2=layer2.A, B2=layer2.B, C=layer1.C,
-        noise_sigma=noise_sigma, activation=activation,
-    )
+    return NonlinearSystem(layer1.A, layer1.B, layer2.A, layer2.B, layer1.C, noise_sigma)

@@ -168,6 +168,8 @@ def validate_spec(spec: ExperimentSpec) -> None:
             raise ValueError(f"{name} must be >= 0, got {value}")
     if not 0 <= spec.beta <= 1:
         raise ValueError(f"beta must lie in [0, 1], got {spec.beta}")
+    if spec.algo == "spectral" and spec.beta == 0:
+        raise ValueError("beta must be > 0 on a spectral spec: at 0 its Gram matrix is all zero")
     if not (1 <= spec.window <= spec.horizon):
         raise ValueError(f"need 1 <= window <= horizon, got W={spec.window}, T={spec.horizon}")
     if not spec.oracle_comparator and len(spec.lr_grid) == 0:
@@ -623,13 +625,13 @@ def _parse_header(header: list[str]) -> tuple[int, int]:
 
 def ingest_csv(path: str) -> dynsys.Trajectory:
     """Parse a trajectory CSV, validating schema, continuity, and finiteness."""
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:  # skips a byte-order mark
         reader = csv.reader(fh)
         try:
-            header = next(reader)
+            header = [h.strip() for h in next(reader)]
         except StopIteration:
             raise ValueError("empty CSV") from None
-        d_in, d_out = _parse_header([h.strip() for h in header])
+        d_in, d_out = _parse_header(header)
         us, ys = [], []
         expected_t = None
         for lineno, row in enumerate(reader, start=2):

@@ -167,6 +167,7 @@ class TestValidateSpec:
             (dict(algo="spectral", horizon=2, window=1, degree=1, filter_count=0),
              r"must lie in \[1, 8192\]: horizon 2 and degree 1 give 0"),
             (dict(algo="spectral", horizon=9000, degree=1), "horizon 9000 and degree 1 give 8998"),
+            (dict(algo="spectral", beta=0.0), r"^beta must be > 0 on a spectral spec"),
         ],
     )
     def test_rejections_name_the_problem(self, overrides, fragment):
@@ -180,6 +181,7 @@ class TestValidateSpec:
 
     def test_good_spec_passes(self):
         H.validate_spec(tiny_spec())
+        H.validate_spec(tiny_spec(beta=0.0))  # a regression spec ignores beta
 
     def test_oracle_takes_num_taps_at_its_degree(self):
         H.validate_spec(tiny_spec(oracle_comparator=True, num_taps=3))
@@ -460,6 +462,23 @@ class TestCsvExchange:
         path.write_text("t,u_0,y_0\n1,0.5,0.2\n2,abc,0.1\n")
         with pytest.raises(ValueError, match="row 3, column u_0: not a number 'abc'"):
             H.ingest_csv(str(path))
+
+    def test_bad_cell_names_its_stripped_column(self, tmp_path):
+        path = tmp_path / "spaced.csv"
+        path.write_text("t, u_0, y_0\n1,0.5,0.2\n2,0.1,abc\n")
+        with pytest.raises(ValueError) as err:
+            H.ingest_csv(str(path))
+        assert str(err.value) == "row 3, column y_0: not a number 'abc'"
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        text = "t,u_0,y_0\n1,0.5,0.2\n2,0.1,-4.0\n"
+        plain, marked = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes() == b"\xef\xbb\xbf" + plain.read_bytes()
+        want, got = H.ingest_csv(str(plain)), H.ingest_csv(str(marked))
+        np.testing.assert_array_equal(got.inputs, want.inputs)
+        np.testing.assert_array_equal(got.outputs, want.outputs)
 
     def test_short_row_rejected(self, tmp_path):
         path = tmp_path / "short.csv"
