@@ -30,7 +30,6 @@ from seqprecond.learners import (
     RegressionLearner,
     SpectralLearner,
     oracle_weights,
-    select_degree,
 )
 from seqprecond.poly import (
     CoefficientVector,
@@ -71,7 +70,6 @@ __all__ = [
     "reconstruct_prediction",
     "run_experiment",
     "sample_system",
-    "select_degree",
     "simulate_lds",
     "sup_on_sector",
     "sweep",

@@ -17,7 +17,7 @@ one batched matmul before the steps and the readout one after them, so a
 step does one matmul (two for the nonlinear systems), and only a chunk's
 states are held.  Each run's trajectory is bit for bit the one it gets
 alone, and its noise comes from its own seed, added after the loop.
-`simulate_lds` and `simulate_nonlinear` are the single-run case.
+`simulate_lds` is the single-run case.
 
 A system's conjugate pairs are drawn in batches: `Generator.uniform(a, b)`
 is a + (b - a) * `random()`, so one `random(2m)` call scaled the same way
@@ -307,7 +307,7 @@ def check_system_args(
 ) -> None:
     """Reject an argument of `sample_system` out of range, naming it after
     `prefix` by its `harness.GeneratorConfig` field name (tau is
-    tau_thresh).  A NaN is out of every range."""
+    tau_thresh).  A NaN or an infinity is out of every range."""
     for name, value in (("d_h", d_h), ("d_in", d_in), ("d_out", d_out)):
         if not value >= 1:
             raise ValueError(f"{prefix}{name} must be >= 1, got {value}")
@@ -319,6 +319,9 @@ def check_system_args(
             raise ValueError(f"{prefix}{name} must be >= 0, got {value}")
     if not basis_cond >= 1:
         raise ValueError(f"{prefix}basis_cond must be >= 1, got {basis_cond}")
+    for name, value in (("tau", tau), ("noise_sigma", noise_sigma), ("basis_cond", basis_cond)):
+        if not value < np.inf:
+            raise ValueError(f"{prefix}{name} must be finite, got {value}")
 
 
 def sample_system(
@@ -466,13 +469,6 @@ def simulate_nonlinear_runs(systems, inputs, seeds) -> list[Trajectory]:
             x = x_t
         y[:, t0 : t0 + len(X)] = np.matmul(C, X)[..., 0].transpose(1, 0, 2)
     return _trajectories(systems, u, y, seeds)
-
-
-def simulate_nonlinear(
-    nl: NonlinearSystem, inputs: np.ndarray, seed=None
-) -> Trajectory:
-    """Roll the two-layer nonlinear system forward from x_0 = 0."""
-    return simulate_nonlinear_runs([nl], [inputs], [seed])[0]
 
 
 def sample_nonlinear_system(

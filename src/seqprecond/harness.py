@@ -170,8 +170,8 @@ def validate_spec(spec: ExperimentSpec) -> None:
         raise ValueError(f"beta must lie in [0, 1], got {spec.beta}")
     if spec.algo == "spectral" and spec.beta == 0:
         raise ValueError("beta must be > 0 on a spectral spec: at 0 its Gram matrix is all zero")
-    if not (1 <= spec.window <= spec.horizon):
-        raise ValueError(f"need 1 <= window <= horizon, got W={spec.window}, T={spec.horizon}")
+    if not spec.window >= 1:
+        raise ValueError(f"window must be >= 1, got {spec.window}")
     if not spec.oracle_comparator and len(spec.lr_grid) == 0:
         raise ValueError("learning-rate grid must be nonempty")
     for name in ("lr_grid", "lr_grid_coeffs"):
@@ -185,9 +185,12 @@ def validate_spec(spec: ExperimentSpec) -> None:
         raise ValueError(f"lr_grid_coeffs applies to the learned variant, not {spec.variant!r}")
     if spec.variant == "custom" and not spec.custom_coeffs:
         raise ValueError("custom variant requires custom_coeffs")
+    if spec.csv_path is None and (error := _fit_error(spec, spec.horizon)):
+        raise error  # a CSV's horizon is its length: `_run` checks it once the file is read
     c = resolve_coefficients(spec)
-    if spec.csv_path is None and (error := _bank_error(spec, spec.horizon)):
-        raise error  # a CSV's horizon is known at run time: `_run` checks it there
+    with np.errstate(over="ignore"):  # a norm past the float range is named, not warned about
+        if not math.isfinite(c.l1):
+            raise ValueError(f"custom_coeffs: their l1 norm {c.l1} is not finite")
     if spec.oracle_comparator:
         if spec.csv_path is not None or spec.generator.kind != "lds":
             raise ValueError("oracle comparator needs a generated linear system")
@@ -207,17 +210,36 @@ def validate_spec(spec: ExperimentSpec) -> None:
         raise ValueError(f"a CSV spec holds one trajectory: n_runs must be 1, got {spec.n_runs}")
 
 
-def _bank_error(spec: ExperimentSpec, T: int) -> ValueError | None:
-    """The error of a spectral spec whose filter bank, over T - degree - 1
-    steps, does not fit horizon T: a bank horizon outside [1, MAX_HORIZON],
-    or a filter_count past it."""
-    n = resolve_coefficients(spec).degree
-    if spec.algo == "spectral" and not 1 <= T - n - 1 <= MAX_HORIZON:
+def _fit_error(spec: ExperimentSpec, T: int) -> ValueError | None:
+    """The first way in which a spec does not fit T steps of data, or None:
+    a window or more input taps than T (a tap past T reads only zeros), or
+    a filter bank whose T - degree - 1 steps `build_filter_bank` refuses."""
+    if spec.window > T:
+        return ValueError(f"window {spec.window} exceeds data horizon {T}")
+    if spec.algo == "regression":
+        taps, name = _input_taps(spec), "num_taps" if spec.num_taps is not None else "degree"
+        return None if taps <= T else ValueError(f"{name}: the spec reads {taps} input taps, "
+                                                 f"more than the data horizon {T}")
+    m, _, k = _bank_shape(spec, T)
+    n = T - m - 1
+    if not 1 <= m <= MAX_HORIZON:
         return ValueError(f"a spectral filter bank spans horizon - degree - 1 steps, which must "
-                          f"lie in [1, {MAX_HORIZON}]: horizon {T} and degree {n} give {T - n - 1}")
-    if spec.algo == "spectral" and not 0 <= spec.filter_count <= T - n - 1:
-        return ValueError(f"filter_count must lie in [0, horizon - degree - 1] = [0, {T - n - 1}] "
-                          f"for coefficients of degree {n}, got {spec.filter_count}")
+                          f"lie in [1, {MAX_HORIZON}]: horizon {T} and degree {n} give {m}")
+    if not 0 <= k <= m:
+        return ValueError(f"filter_count must lie in [0, horizon - degree - 1] = [0, {m}] "
+                          f"for coefficients of degree {n}, got {k}")
+
+
+def _bank_shape(spec: ExperimentSpec, T: int) -> tuple:
+    """A spectral spec's bank over T steps: (T - degree - 1, beta, filter_count)."""
+    return T - resolve_coefficients(spec).degree - 1, spec.beta, spec.filter_count
+
+
+def _input_taps(spec: ExperimentSpec) -> int:
+    """A regression spec's input taps: the oracle's degree, num_taps, or max(degree, 1)."""
+    if spec.oracle_comparator:
+        return resolve_coefficients(spec).degree
+    return spec.num_taps if spec.num_taps is not None else max(spec.degree, 1)
 
 
 def resolve_coefficients(spec: ExperimentSpec) -> CoefficientVector:
@@ -310,9 +332,9 @@ def _group_predictions(specs: list, data: dict) -> np.ndarray:
     u = np.stack([traj.inputs for traj in trajs])
     y = np.stack([traj.outputs for traj in trajs])
     T, spectral = y.shape[1], specs[0].algo == "spectral"
-    if spectral:
-        n = resolve_coefficients(specs[0]).degree  # one bank horizon, so one degree
-        bank = build_filter_bank(T - n - 1, ComplexSector(specs[0].beta), specs[0].filter_count)
+    if spectral:  # one bank, so one degree
+        m, beta, k = _bank_shape(specs[0], T)
+        n, bank = T - m - 1, build_filter_bank(m, ComplexSector(beta), k)
     cells = []  # (trajectory, model rate, coefficient rate, learner, initial weights)
     for spec in specs:
         c, key = resolve_coefficients(spec), _data_key(spec)
@@ -320,9 +342,8 @@ def _group_predictions(specs: list, data: dict) -> np.ndarray:
             learner = learners.SpectralLearner(c, bank, total_horizon=T, norm_bound=spec.norm_bound,
                                                kappa_bound=spec.kappa_bound)
         else:
-            taps = spec.num_taps if spec.num_taps is not None else max(spec.degree, 1)
-            learner = learners.RegressionLearner(c, num_taps=c.degree if spec.oracle_comparator
-                                                 else taps, domain_bound=spec.domain_bound)
+            learner = learners.RegressionLearner(c, num_taps=_input_taps(spec),
+                                                 domain_bound=spec.domain_bound)
         for point in _grid(spec):  # the oracle's one point holds both rates at 0
             rates = point if isinstance(point, tuple) else (point or 0.0, 0.0)
             for run, system in enumerate(data[key][1]):
@@ -350,27 +371,31 @@ def _report(spec: ExperimentSpec, grid: list, preds: np.ndarray, data) -> Metric
         meta["spectra"] = [dynsys.spectrum_summary(s) for s in systems]
     labels = [list(lr) if isinstance(lr, tuple) else lr for lr in grid]
     preds = preds.reshape(len(grid), *y.shape)
-    with np.errstate(over="ignore", invalid="ignore"):  # a diverged cell is recorded below
+    finite = np.isfinite(preds).all(axis=-1)
+    grid_results = []
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite number is named below
         errs = np.abs(preds - y).sum(axis=-1)
         finals = errs[..., -spec.window :].mean(axis=-1).tolist()
         fulls = errs.mean(axis=-1).tolist()
-    finite = np.isfinite(preds).all(axis=-1)
-
-    grid_results = []
-    for lr, ok, f, fu in zip(labels, finite, finals, fulls):
-        if ok.all():
-            grid_results.append({"lr": lr, "mean": float(np.mean(f)), "std": float(np.std(f)),
-                                 "mean_full_horizon": float(np.mean(fu)),
-                                 "per_run_final_errors": f, "per_run_full_errors": fu})
-        else:
-            run = int(np.argmin(ok.all(axis=-1)))  # the first diverged run
-            step = int(np.argmin(ok[run]))  # and its first non-finite step
-            grid_results.append({"lr": lr, "diverged": {"run": run, "step": step}})
+        for lr, ok, f, fu in zip(labels, finite, finals, fulls):
+            if ok.all():
+                grid_results.append({"lr": lr, "mean": float(np.mean(f)), "std": float(np.std(f)),
+                                     "mean_full_horizon": float(np.mean(fu)),
+                                     "per_run_final_errors": f, "per_run_full_errors": fu})
+            else:
+                run = int(np.argmin(ok.all(axis=-1)))  # the first diverged run
+                step = int(np.argmin(ok[run]))  # and its first non-finite step
+                grid_results.append({"lr": lr, "diverged": {"run": run, "step": step}})
     finished = [g for g in grid_results if "diverged" not in g]
     if not finished:
         failed = grid_results[0]["diverged"]
         raise ValueError(f"non-finite prediction at step {failed['step']} of {T} "
                          f"(lr={labels[0]}, run {failed['run']})")
+    for g in finished:  # a run's non-finite error makes its mean non-finite
+        for name, what in (("mean", "mean of the final-window"), ("std", "std of the final-window"),
+                           ("mean_full_horizon", "mean of the full-horizon")):
+            if not math.isfinite(g[name]):
+                raise ValueError(f"{what} errors at lr={g['lr']} is not finite")
 
     def tie_key(entry):
         lr = entry["lr"]
@@ -440,8 +465,8 @@ def _run(specs: list, workers: int = 1) -> list:
     task per group.  Each data key is loaded once.  A CSV is read here,
     since its horizon and widths decide its group; a generated key is
     loaded here when several groups read it, else in its group's task.
-    A load failure, or a window longer than the data, fails only the
-    specs that read that data.
+    A load failure, or a spec that does not fit the file's length
+    (`_fit_error`), fails only the specs that read that data.
     """
     results = [None] * len(specs)
     data, groups = {}, {}
@@ -457,13 +482,12 @@ def _run(specs: list, workers: int = 1) -> list:
                 continue
             traj = data[key][0][0]
             T, d_in, d_out = traj.horizon, traj.inputs.shape[1], traj.outputs.shape[1]
-            results[i] = (ValueError(f"window {spec.window} exceeds data horizon {T}")
-                          if spec.window > T else _bank_error(spec, T))
+            results[i] = _fit_error(spec, T)
             if results[i] is not None:
                 continue
         group = (spec.algo, T, d_in, d_out)
         if spec.algo == "spectral":
-            group += (T - resolve_coefficients(spec).degree - 1, spec.beta, spec.filter_count)
+            group += _bank_shape(spec, T)
         groups.setdefault(group, []).append(i)
     groups = list(groups.values())
     readers = Counter(key for members in groups for key in {_data_key(specs[i]) for i in members})
@@ -583,18 +607,12 @@ def sweep_table_csv(reports: list) -> str:
 
 def write_trajectory_csv(traj: dynsys.Trajectory, path: str) -> None:
     """Schema: t,u_0..u_{din-1},y_0..y_{dout-1}; full float precision."""
-    d_in = traj.inputs.shape[1]
-    d_out = traj.outputs.shape[1]
+    d_in, d_out = traj.inputs.shape[1], traj.outputs.shape[1]
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(
-            ["t"] + [f"u_{i}" for i in range(d_in)] + [f"y_{i}" for i in range(d_out)]
-        )
-        for t in range(traj.horizon):
-            row = [t + 1]
-            row += [repr(float(v)) for v in traj.inputs[t]]
-            row += [repr(float(v)) for v in traj.outputs[t]]
-            w.writerow(row)
+        w.writerow(["t"] + [f"u_{i}" for i in range(d_in)] + [f"y_{i}" for i in range(d_out)])
+        for t, (u_t, y_t) in enumerate(zip(traj.inputs, traj.outputs), start=1):
+            w.writerow([t] + [repr(float(v)) for v in (*u_t, *y_t)])
 
 
 def _parse_header(header: list[str]) -> tuple[int, int]:
@@ -644,27 +662,20 @@ def ingest_csv(path: str) -> dynsys.Trajectory:
             except ValueError:
                 raise ValueError(f"row {lineno}: non-integer t {row[0]!r}") from None
             if expected_t is not None and t != expected_t:
-                raise ValueError(
-                    f"row {lineno}: non-contiguous t (expected {expected_t}, got {t})"
-                )
+                raise ValueError(f"row {lineno}: non-contiguous t (expected {expected_t}, got {t})")
             expected_t = t + 1
             vals = []
             for j, cell in enumerate(row[1:], start=1):
                 try:
                     v = float(cell)
                 except ValueError:
-                    raise ValueError(
-                        f"row {lineno}, column {header[j]}: not a number {cell!r}"
-                    ) from None
+                    raise ValueError(f"row {lineno}, column {header[j]}: "
+                                     f"not a number {cell!r}") from None
                 if not math.isfinite(v):
-                    raise ValueError(
-                        f"row {lineno}, column {header[j]}: non-finite value"
-                    )
+                    raise ValueError(f"row {lineno}, column {header[j]}: non-finite value")
                 vals.append(v)
             us.append(vals[:d_in])
             ys.append(vals[d_in:])
     if not us:
         raise ValueError("CSV contains no data rows")
-    u = np.array(us)
-    y = np.array(ys)
-    return dynsys.Trajectory(u, y)
+    return dynsys.Trajectory(np.array(us), np.array(ys))

@@ -24,7 +24,7 @@ radii; the learner classes size radii and rates and call it from
 
 from __future__ import annotations
 
-from math import ceil, isfinite, log, log2, prod, sqrt
+from math import isfinite, log, prod, sqrt
 from typing import NamedTuple
 
 import numpy as np
@@ -513,7 +513,7 @@ class SpectralLearner:
 
 
 # ---------------------------------------------------------------------------
-# comparator weights and degree selection
+# comparator weights
 
 
 def oracle_weights(sys: LinearSystem, c: CoefficientVector) -> np.ndarray:
@@ -533,9 +533,3 @@ def oracle_weights(sys: LinearSystem, c: CoefficientVector) -> np.ndarray:
         for i in range(s + 1):
             out[s] += c.coeffs[i] * powers[s - i]
     return out
-
-
-def select_degree(T: int, d_out: int) -> int:
-    """Horizon-driven Chebyshev degree, clamped to [1, 20]."""
-    raw = ceil((10.0 / 13.0) * log2((8.0 / (3.0 * sqrt(d_out))) * T**1.5))
-    return min(20, max(1, raw))

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -419,6 +420,24 @@ class TestSweepCommand:
         assert payload[1]["failure"]["error"] == FILTER_COUNT_ERROR
         assert "failure" not in payload[0] and "failure" not in payload[2]
         assert captured.err.count("failed") == 1
+
+    def test_a_non_finite_report_fails_only_its_entry(self, tmp_path, capsys):
+        # errors near 1e200 overflow the std: that entry fails naming the
+        # number, the good entry is written, and no RuntimeWarning is printed
+        bad = self.base_entry(variant="custom", custom_coeffs=[1.0, 1e200, 1e200],
+                              generator=None, n_runs=2, horizon=50, window=10)
+        cfg = self.write_sweep(tmp_path, [bad, self.base_entry()])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run_cli("sweep", "--config", str(cfg)) == 1
+        assert [w.message for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        captured = capsys.readouterr()
+        failure, report = json.loads(captured.out)
+        error = "std of the final-window errors at lr=0.001 is not finite"
+        assert failure == {"failure": {"config_hash": failure["failure"]["config_hash"],
+                                       "error": error}}
+        assert report["variant"] == "chebyshev"
+        assert captured.err == f"failed {failure['failure']['config_hash']}: {error}\n"
 
     @pytest.mark.parametrize("bad, named", BAD_CONFIGS)
     def test_bad_entry_type_is_one_error_line(self, tmp_path, capsys, bad, named):

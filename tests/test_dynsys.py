@@ -25,7 +25,6 @@ from seqprecond.dynsys import (
     sample_system,
     simulate_lds,
     simulate_lds_runs,
-    simulate_nonlinear,
     simulate_nonlinear_runs,
     system_from_eigenvalues,
 )
@@ -444,12 +443,12 @@ class TestNonlinear:
         z = np.zeros((3, 3))
         nl = NonlinearSystem(z, np.zeros((3, 1)), z.copy(), np.zeros((3, 1)),
                              np.zeros((1, 3)))
-        traj = simulate_nonlinear(nl, gaussian_inputs(10, 1, 0))
+        traj = simulate_nonlinear_runs([nl], [gaussian_inputs(10, 1, 0)], [None])[0]
         assert np.all(traj.outputs == 0)
 
     def test_tanh_bounded_state_effect(self):
         nl = sample_nonlinear_system(4, 1, 1, 0.1, 0.5, 1.0, seed=3)
-        traj = simulate_nonlinear(nl, gaussian_inputs(200, 1, 4))
+        traj = simulate_nonlinear_runs([nl], [gaussian_inputs(200, 1, 4)], [None])[0]
         assert np.all(np.isfinite(traj.outputs))
 
     @staticmethod
@@ -483,13 +482,14 @@ class TestNonlinear:
         nl = NonlinearSystem([[0]], [[1]], [[0]], [[1]], [[1]])
         for name in ("A1", "B1", "A2", "B2", "C"):
             assert getattr(nl, name).dtype == float
-        np.testing.assert_array_equal(simulate_nonlinear(nl, [1.0, 2.0]).outputs, [[1.0], [2.0]])
+        traj = simulate_nonlinear_runs([nl], [[1.0, 2.0]], [None])[0]
+        np.testing.assert_array_equal(traj.outputs, [[1.0], [2.0]])
 
     def test_golden_trajectory(self):
         nl = sample_nonlinear_system(3, 1, 1, 0.1, 0.3, 0.8, seed=2024,
                                      basis_cond=2.0)
         u = gaussian_inputs(6, 1, 7)
-        got = simulate_nonlinear(nl, u).outputs[:, 0]
+        got = simulate_nonlinear_runs([nl], [u], [None])[0].outputs[:, 0]
         np.testing.assert_allclose(got, GOLDEN_NONLINEAR, rtol=0, atol=1e-12)
 
 

@@ -168,6 +168,19 @@ class TestValidateSpec:
              r"must lie in \[1, 8192\]: horizon 2 and degree 1 give 0"),
             (dict(algo="spectral", horizon=9000, degree=1), "horizon 9000 and degree 1 give 8998"),
             (dict(algo="spectral", beta=0.0), r"^beta must be > 0 on a spectral spec"),
+            (
+                dict(generator=H.GeneratorConfig(noise_sigma=float("inf"))),
+                r"^generator\.noise_sigma must be finite, got inf$",
+            ),
+            (
+                dict(generator=H.GeneratorConfig(basis_cond=float("inf"))),
+                r"^generator\.basis_cond must be finite, got inf$",
+            ),
+            (dict(generator=H.GeneratorConfig(tau=float("inf"))), r"^generator\.tau .* finite"),
+            (
+                dict(variant="custom", custom_coeffs=(1.0, 1e308, 1e308)),
+                r"^custom_coeffs: their l1 norm inf is not finite$",
+            ),
         ],
     )
     def test_rejections_name_the_problem(self, overrides, fragment):
@@ -191,6 +204,33 @@ class TestValidateSpec:
         # is known only when it is read, so its check waits for the run
         H.validate_spec(tiny_spec(algo="spectral", filter_count=116))
         H.validate_spec(H.ExperimentSpec(algo="spectral", csv_path="x.csv", filter_count=10**6))
+
+    @pytest.mark.parametrize("overrides, named, taps", [
+        (dict(variant="none", degree=10**8), "degree", 10**8),
+        (dict(variant="differencing", degree=10**8), "degree", 10**8),
+        (dict(num_taps=10**9), "num_taps", 10**9),
+    ])
+    def test_input_taps_past_the_horizon_are_rejected(self, overrides, named, taps):
+        # a tap past T reads zeros at every step; such a spec would build
+        # windows and weights of that many taps for every cell
+        with pytest.raises(ValueError, match=f"^{named}: the spec reads {taps} input taps, "
+                                             f"more than the data horizon 2000$"):
+            H.validate_spec(H.ExperimentSpec(**overrides))
+
+    def test_input_taps_up_to_the_horizon_pass(self):
+        H.validate_spec(tiny_spec(num_taps=120))
+        H.validate_spec(tiny_spec(variant="none", degree=120))
+        with pytest.raises(ValueError, match="^num_taps: the spec reads 121 input taps"):
+            H.validate_spec(tiny_spec(num_taps=121))
+        oracle = tiny_spec(oracle_comparator=True, variant="custom",
+                           custom_coeffs=(1.0,) + (0.0,) * 120 + (-0.5,))
+        with pytest.raises(ValueError, match="^degree: the spec reads 121 input taps"):
+            H.validate_spec(oracle)
+
+    def test_a_csv_spec_reads_no_horizon(self):
+        # the window is checked against the file's length, when it is read
+        H.validate_spec(H.ExperimentSpec(csv_path="x.csv", horizon=200, window=300))
+        H.validate_spec(H.ExperimentSpec(csv_path="x.csv", num_taps=10**9))
 
     def test_n_runs_default_follows_the_data(self):
         # 1 on a CSV spec, 20 otherwise; a spec that sets it hashes as before
@@ -392,6 +432,52 @@ class TestRunExperiment:
         )
         with pytest.raises(ValueError, match="exceeds data horizon"):
             H.run_experiment(spec)
+
+    def test_a_csv_spec_runs_whatever_its_horizon_field(self, tmp_path):
+        # the run reads the file's 400 rows, never the spec's horizon
+        system = sample_system(d_h=5, d_in=1, d_out=1, tau_thresh=0.05, radius_lo=0.5,
+                               radius_hi=0.9, seed=3)
+        path = str(tmp_path / "long.csv")
+        H.write_trajectory_csv(simulate_lds(system, gaussian_inputs(400, 1, seed=4)), path)
+        base = dict(csv_path=path, window=300, degree=3, master_seed=0)
+        short, default = (H.run_experiment(H.ExperimentSpec(horizon=200, **base)),
+                          H.run_experiment(H.ExperimentSpec(**base)))
+        assert short.config_hash != default.config_hash
+        assert dataclasses.replace(short, config_hash=default.config_hash) == default
+        assert short.horizon == 400
+
+    def test_a_csv_spec_with_taps_past_its_rows_fails_alone(self, tiny_csv):
+        _, path = tiny_csv  # 40 rows
+        base = dict(csv_path=path, window=10, degree=2, master_seed=0)
+        results = H.sweep([H.ExperimentSpec(num_taps=41, **base), tiny_spec(n_runs=1),
+                           H.ExperimentSpec(num_taps=40, **base)])
+        assert isinstance(results[0], H.SweepFailure)
+        assert results[0].error == ("num_taps: the spec reads 41 input taps, "
+                                    "more than the data horizon 40")
+        assert all(isinstance(r, H.MetricsReport) for r in results[1:])
+
+    def test_taps_past_the_horizon_fail_before_any_data_is_made(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(H, "_make_runs", lambda *args: calls.append(args))
+        for bad in (dict(variant="none", degree=10**8), dict(num_taps=10**9)):
+            with pytest.raises(ValueError, match="more than the data horizon 120"):
+                H.sweep([tiny_spec(), tiny_spec(**bad)])
+        assert calls == []
+
+    @pytest.mark.parametrize("overrides", [
+        dict(variant="custom", custom_coeffs=(1.0, 1e200, 1e200)),
+        dict(generator=H.GeneratorConfig(noise_sigma=1e300)),
+    ], ids=["coefficients", "noise"])
+    def test_a_non_finite_aggregate_fails_naming_it(self, overrides):
+        # finite predictions whose errors near 1e200 overflow the std: the
+        # report would not be JSON, so the spec fails, naming the number,
+        # and numpy's overflow is not warned about
+        spec = H.ExperimentSpec(horizon=50, window=10, n_runs=2, **overrides)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError) as exc:
+                H.run_experiment(spec)
+        assert str(exc.value) == "std of the final-window errors at lr=0.001 is not finite"
 
     def test_spectral_algo_runs_and_reports(self):
         rep = H.run_experiment(

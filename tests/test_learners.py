@@ -21,7 +21,6 @@ from seqprecond.learners import (
     ogd,
     oracle_weights,
     project_to_ball,
-    select_degree,
     tilde_expand,
 )
 
@@ -704,17 +703,3 @@ def test_first_non_finite_prediction_is_named():
     X[3] = np.inf
     preds, _ = ogd([(X, np.full((1, 1, 1), 0.5), 0.0, None)], np.zeros((5, 1)))
     np.testing.assert_array_equal(preds[:, 0], [0.5, 0.5, 0.5, np.inf, 0.5])
-
-
-class TestSelectDegree:
-    def test_frozen_values(self):
-        assert select_degree(2000, 1) == 14
-        assert select_degree(100, 1) == 9
-
-    def test_clamped(self):
-        assert select_degree(10**9, 1) == 20
-        assert select_degree(1, 10_000) == 1
-
-    def test_monotone_in_horizon(self):
-        degs = [select_degree(T, 1) for T in (10, 100, 1000, 10_000)]
-        assert degs == sorted(degs)
