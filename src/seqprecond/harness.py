@@ -212,13 +212,19 @@ def validate_spec(spec: ExperimentSpec) -> None:
 
 def _fit_error(spec: ExperimentSpec, T: int) -> ValueError | None:
     """The first way in which a spec does not fit T steps of data, or None:
-    a window or more input taps than T (a tap past T reads only zeros), or
-    a filter bank whose T - degree - 1 steps `build_filter_bank` refuses."""
+    a window, more input taps or more lagged targets than T (a tap or lag
+    past T reads only zeros), or a filter bank whose T - degree - 1 steps
+    `build_filter_bank` refuses."""
     if spec.window > T:
         return ValueError(f"window {spec.window} exceeds data horizon {T}")
     if spec.algo == "regression":
         taps, name = _input_taps(spec), "num_taps" if spec.num_taps is not None else "degree"
-        return None if taps <= T else ValueError(f"{name}: the spec reads {taps} input taps, "
+        if taps > T:
+            return ValueError(f"{name}: the spec reads {taps} input taps, "
+                              f"more than the data horizon {T}")
+        lags = resolve_coefficients(spec).degree
+        name = "custom_coeffs" if spec.variant == "custom" else "degree"
+        return None if lags <= T else ValueError(f"{name}: the spec reads {lags} lagged targets, "
                                                  f"more than the data horizon {T}")
     m, _, k = _bank_shape(spec, T)
     n = T - m - 1

@@ -18,6 +18,10 @@ import numpy as np
 # structure and downstream convolutions are numerically meaningless.
 MAX_DEGREE = 60
 
+# Grid rows per block of sup_on_sector: 16 rows of the default 513 angles
+# keep each complex array of Horner's scheme at 131 KB
+_RADII = 16
+
 
 @dataclass(frozen=True)
 class CoefficientVector:
@@ -143,8 +147,9 @@ def eval_complex(c, z):
     return acc
 
 
-def sector_grid(sector: ComplexSector, grid_density: int = 512) -> np.ndarray:
-    """Polar grid on the sector with grid_density subdivisions per axis.
+def sector_grid(sector: ComplexSector, grid_density: int = 512, radii=slice(None)) -> np.ndarray:
+    """Polar grid on the sector with grid_density subdivisions per axis, or
+    the rows of it at the radii that `radii` selects.
 
     Radii are i/density and angles are beta * (2 j / density - 1), so the
     grid at density d is an exact subset of the grid at any multiple of d;
@@ -155,10 +160,13 @@ def sector_grid(sector: ComplexSector, grid_density: int = 512) -> np.ndarray:
     d = int(grid_density)
     r = np.arange(d + 1) / d
     theta = sector.beta * (2 * np.arange(d + 1) / d - 1)
-    return r[:, None] * np.exp(1j * theta[None, :])
+    return r[radii, None] * np.exp(1j * theta[None, :])
 
 
 def sup_on_sector(c, sector: ComplexSector, grid_density: int = 512) -> float:
-    """Max of |p(z)| over a polar grid of the sector."""
-    z = sector_grid(sector, grid_density)
-    return float(np.abs(eval_complex(c, z)).max())
+    """Max of |p(z)| over a polar grid of the sector, _RADII radii at a time."""
+    # below density 1, one block, which sector_grid refuses
+    starts = range(0, max(int(grid_density), 0) + 1, _RADII)
+    blocks = (sector_grid(sector, grid_density, slice(i, i + _RADII)) for i in starts)
+    # np.max, unlike max, keeps a NaN wherever it lies
+    return float(np.max([np.abs(eval_complex(c, z)).max() for z in blocks]))

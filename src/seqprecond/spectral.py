@@ -12,24 +12,26 @@ decays fast, so a handful of top eigenvectors span the profiles of every
 admissible mode; projections of past inputs onto them are a compact
 sufficient statistic for long-memory prediction.
 
-`build_gram` evaluates S once on the 2T'+3 differences and the
+`_gram_panels` evaluates S once on the 2T'+3 differences and the
 denominators once on the 2T'-1 sums, then reads them as Toeplitz and
-Hankel views, doing the operations of `_gram` in the same order, so the
-matrix is equal bit for bit to the closed form at a fraction of its cost;
-the second term is subtracted in place, by blocks of _BLOCK = 128 rows.
-`build_filter_bank` needs only the top k eigenpairs.  The matrix is
-numerically low-rank (at T'=1994 and beta=0.1, 93 of its 1994 eigenvalues
-lie above 1e-14 times the largest), so a block Krylov basis grown from a
-fixed-seed start holds them after a few dozen to a couple of hundred
-vectors; Rayleigh-Ritz on that basis gives the pairs, with numpy alone.
+Hankel views, doing the operations of `_gram` in the same order, so every
+entry is equal bit for bit to the closed form at a fraction of its cost.
+It builds the lower triangle only, as column panels Z[j0:, j0:j0+_BLOCK]
+with _BLOCK = 128: T'^2/2 + 64 T' doubles, about half of Z.  `build_gram`
+writes the panels, one at a time, into both triangles of a dense matrix.
+`build_filter_bank` holds only the panels, applies Z through them, and
+needs only the top k eigenpairs.  The matrix is numerically low-rank (at
+T'=1994 and beta=0.1, 93 of its 1994 eigenvalues lie above 1e-14 times
+the largest), so a block Krylov basis grown from a fixed-seed start holds
+them after a few dozen to a couple of hundred vectors; Rayleigh-Ritz on
+that basis gives the pairs, with numpy alone.
 Nonnegativity of the whole spectrum to -1e-10 is certified without
 computing it: Z + 1e-10 I has a Cholesky factor exactly when its smallest
-eigenvalue is positive.  The factor overwrites Z's lower triangle by
-blocks of _BLOCK columns, so the bank holds one copy of Z throughout.  A
-narrower block makes the certificate cheaper (each block inverts its
-diagonal factor and multiplies the panel below by it), but at 1994 blocks
-of 64 or 96 put the factor 1.27e-12 and 1.36e-12 from LAPACK's, where 128
-keeps it within 7.4e-13.
+eigenvalue is positive.  The factor overwrites the panels, so the bank
+holds half of Z throughout.  A narrower block makes the certificate
+cheaper (each panel inverts its diagonal factor and multiplies the rows
+below by it), but at 1994 panels of 64 or 96 columns put the factor
+1.26e-12 and 1.33e-12 from LAPACK's, where 128 keeps it within 7.4e-13.
 """
 
 from __future__ import annotations
@@ -41,8 +43,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from seqprecond.poly import ComplexSector
 
-# Beyond this the dense Gram matrix and its eigendecomposition stop being
-# a desk-scale object (8192^2 doubles is already half a gigabyte).
+# Beyond this the Gram matrix stops being a desk-scale object: at 8192 the
+# bank's panels hold 273 MB, and a dense `build_gram` 537 MB.
 MAX_HORIZON = 8192
 
 DEFAULT_FILTER_COUNT = 24
@@ -56,8 +58,8 @@ _RESIDUAL_TOL = 1e-14
 _ANGLE_TOL = 1e-8
 _GAP_FLOOR = 1e-10
 
-# Rows per block of build_gram, columns per block of the Cholesky certificate
-# (see the module docstring)
+# Columns per panel of the Gram matrix and of its Cholesky certificate (see
+# the module docstring)
 _BLOCK = 128
 
 
@@ -84,14 +86,14 @@ def gram_entry(j: int, k: int, sector: ComplexSector) -> float:
     return float(_gram(j, k, sector.beta))
 
 
-def build_gram(horizon: int, sector: ComplexSector) -> np.ndarray:
-    """Dense symmetric Gram matrix of size horizon x horizon."""
+def _gram_panels(horizon: int, sector: ComplexSector):
+    """The lower triangle of the Gram matrix as column panels
+    Z[j0:, j0:j0 + _BLOCK], each built when it is drawn.  A panel's first
+    column is horizon - len(panel)."""
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     if horizon > MAX_HORIZON:
-        raise ValueError(
-            f"horizon {horizon} exceeds the memory guard {MAX_HORIZON}"
-        )
+        raise ValueError(f"horizon {horizon} exceeds the memory guard {MAX_HORIZON}")
     # S on m = j - k - 2 .. j - k + 2 over every row and column: the
     # differences horizon+1 down to -(horizon+1), descending, so that the
     # windows reversed give Toeplitz rows (row j, column k reads m = j - k)
@@ -105,11 +107,39 @@ def build_gram(horizon: int, sector: ComplexSector) -> np.ndarray:
     def hankel(x):
         return sliding_window_view(x, horizon)
 
-    G = toeplitz(S[2:-2]) * hankel(1.0 / (jk + 2) + 1.0 / (jk + 6))
+    sine, scale = toeplitz(S[2:-2]), hankel(1.0 / (jk + 2) + 1.0 / (jk + 6))
     shift, denom = toeplitz(S_shift), hankel(jk + 4)
-    for r in range(0, horizon, _BLOCK):
-        G[r : r + _BLOCK] -= shift[r : r + _BLOCK] / denom[r : r + _BLOCK]
+
+    def panel(j0):
+        cols = slice(j0, j0 + _BLOCK)
+        P = sine[j0:, cols] * scale[j0:, cols]
+        P -= shift[j0:, cols] / denom[j0:, cols]
+        return P
+
+    return map(panel, range(0, horizon, _BLOCK))
+
+
+def build_gram(horizon: int, sector: ComplexSector) -> np.ndarray:
+    """Dense symmetric Gram matrix of size horizon x horizon."""
+    panels = _gram_panels(horizon, sector)
+    G = np.empty((horizon, horizon))
+    for P in panels:
+        j0 = horizon - len(P)
+        G[j0:, j0 : j0 + _BLOCK] = P
+        G[j0 : j0 + _BLOCK, j0:] = P.T
+        del P  # so that the next panel is built without it
     return G
+
+
+def _gram_product(panels: list, V: np.ndarray) -> np.ndarray:
+    """V @ Z for the symmetric Z held as its lower panels."""
+    out = np.zeros(V.shape)
+    for P in panels:
+        j0 = V.shape[1] - len(P)
+        j1 = j0 + P.shape[1]
+        out[:, j0:j1] += V[:, j0:] @ P
+        out[:, j1:] += V[:, j0:j1] @ P[j1 - j0 :].T
+    return out
 
 
 @dataclass(frozen=True)
@@ -129,9 +159,9 @@ class FilterBank:
         return self.filters.shape[1]
 
 
-def _top_eigenpairs(Z: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The k largest eigenvalues of symmetric Z, descending, and their
-    eigenvectors as rows.
+def _top_eigenpairs(panels: list, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The k largest eigenvalues of the symmetric Z held as its lower
+    panels, descending, and their eigenvectors as rows.
 
     Block Krylov with full reorthogonalisation: starting from a fixed-seed
     block of random vectors, each step applies Z to the newest block,
@@ -152,7 +182,7 @@ def _top_eigenpairs(Z: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     reaches the size of Z is the dense solve, so it stops there without
     the rule, and every k from 0 to the size takes this one path.
     """
-    n = Z.shape[0]
+    n = len(panels[0])
     b = min(max(_KRYLOV_BLOCK, -(-k // _KRYLOV_STEPS)), n)
     # one basis vector per row; rows past the basis are never written, so
     # they take no memory
@@ -162,7 +192,7 @@ def _top_eigenpairs(Z: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     m, new = 0, b
     while True:
         blk = slice(m, m + new)
-        ZV = V[blk] @ Z
+        ZV = _gram_product(panels, V[blk])
         H[blk, : m + new] = ZV @ V[: m + new].T  # lower triangle of V Z V^T
         m += new
         if m == n:
@@ -210,49 +240,51 @@ def build_filter_bank(horizon: int, sector: ComplexSector, k: int) -> FilterBank
     non-negligible is made positive, so the bank is reproducible bit for
     bit on one platform.
     """
-    if 1 <= horizon <= MAX_HORIZON and not 0 <= k <= horizon:  # build_gram names a bad horizon
+    if 1 <= horizon <= MAX_HORIZON and not 0 <= k <= horizon:  # _gram_panels names a bad horizon
         raise ValueError(f"need 0 <= k <= {horizon}, got k={k}")
-    Z = build_gram(horizon, sector)
+    panels = list(_gram_panels(horizon, sector))
     # Z is positive semidefinite, so its trace bounds its top eigenvalue
-    if np.trace(Z) <= horizon * 1e-15:
+    if sum(np.trace(P) for P in panels) <= horizon * 1e-15:
         raise ValueError(
             "degenerate filter bank: Gram matrix is numerically zero "
             "(zero-measure sector?)"
         )
-    w, F = _top_eigenpairs(Z, k)
+    w, F = _top_eigenpairs(panels, k)
     for row in F:
         nz = np.flatnonzero(np.abs(row) > 1e-12 * np.abs(row).max())
         if nz.size and row[nz[0]] < 0:
             row *= -1.0
     bank = FilterBank(eigenvalues=w, filters=F, sector=sector)
-    _validate_bank(Z, bank)
+    _validate_bank(panels, bank)
     return bank
 
 
-def _validate_bank(Z: np.ndarray, bank: FilterBank) -> None:
-    """Check the bank against its Gram matrix Z, and consume Z: the
-    nonnegativity certificate overwrites Z's lower triangle with the
-    Cholesky factor of Z + 1e-10 I, allocating only column blocks of Z."""
+def _validate_bank(panels: list, bank: FilterBank) -> None:
+    """Check the bank against its Gram matrix Z, held as its lower panels,
+    and consume them: the nonnegativity certificate overwrites each panel
+    with the same columns of the Cholesky factor of Z + 1e-10 I."""
     F, w = bank.filters, bank.eigenvalues
     if bank.k:
         gram = F @ F.T
         if np.abs(gram - np.eye(bank.k)).max() > 1e-10:
             raise ValueError("filters are not orthonormal to 1e-10")
-        resid = Z @ F.T - F.T * w
+        resid = _gram_product(panels, F) - w[:, None] * F
         if np.abs(resid).max() > 1e-8 * w[0]:
             raise ValueError("eigenpair residual exceeds 1e-8 * largest eigenvalue")
-    Z.flat[:: bank.horizon + 1] += 1e-10
     try:
         # Z + 1e-10 I is positive definite exactly when every eigenvalue of
         # Z exceeds -1e-10; Cholesky certifies it at a fraction of eigvalsh.
-        # Left-looking by block columns: take off the product of the factor
-        # rows to the left, factor the diagonal block, and multiply the
-        # panel below by that factor's inverse, transposed.
-        for j0 in range(0, bank.horizon, _BLOCK):
-            j1 = j0 + _BLOCK
-            Z[j0:, j0:j1] -= Z[j0:, :j0] @ Z[j0:j1, :j0].T
-            L = Z[j0:j1, j0:j1] = np.linalg.cholesky(Z[j0:j1, j0:j1])
-            Z[j1:, j0:j1] = Z[j1:, j0:j1] @ np.linalg.inv(L).T
+        # Left-looking by panels: take off the product of the factor rows
+        # in each panel to the left, factor the diagonal block, and
+        # multiply the rows below by that factor's inverse, transposed.
+        for J, P in enumerate(panels):
+            b = P.shape[1]
+            P[:b].flat[:: b + 1] += 1e-10
+            for Q in panels[:J]:
+                R = Q[-len(P) :]  # the factor's rows j0.. in Q's columns
+                P -= R @ R[:b].T
+            L = P[:b] = np.linalg.cholesky(P[:b])
+            P[b:] = P[b:] @ np.linalg.inv(L).T
         nonnegative = True
     except np.linalg.LinAlgError:
         nonnegative = False

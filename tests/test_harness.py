@@ -181,6 +181,16 @@ class TestValidateSpec:
                 dict(variant="custom", custom_coeffs=(1.0, 1e308, 1e308)),
                 r"^custom_coeffs: their l1 norm inf is not finite$",
             ),
+            (
+                dict(variant="custom", custom_coeffs=(1.0,) + (0.0,) * 10**5, num_taps=1,
+                     horizon=50, window=10, n_runs=1),
+                r"^custom_coeffs: the spec reads 100000 lagged targets, "
+                r"more than the data horizon 50$",
+            ),
+            (
+                dict(degree=55, num_taps=1, horizon=50, window=10),
+                r"^degree: the spec reads 55 lagged targets, more than the data horizon 50$",
+            ),
         ],
     )
     def test_rejections_name_the_problem(self, overrides, fragment):
@@ -226,6 +236,14 @@ class TestValidateSpec:
                            custom_coeffs=(1.0,) + (0.0,) * 120 + (-0.5,))
         with pytest.raises(ValueError, match="^degree: the spec reads 121 input taps"):
             H.validate_spec(oracle)
+
+    def test_lags_up_to_the_horizon_pass(self):
+        # a lag past T reads zeros at every step, as a tap past T does
+        H.validate_spec(tiny_spec(variant="custom", custom_coeffs=(1.0,) + (0.0,) * 120,
+                                  num_taps=1))
+        with pytest.raises(ValueError, match="^custom_coeffs: the spec reads 121 lagged targets"):
+            H.validate_spec(tiny_spec(variant="custom", custom_coeffs=(1.0,) + (0.0,) * 121,
+                                      num_taps=1))
 
     def test_a_csv_spec_reads_no_horizon(self):
         # the window is checked against the file's length, when it is read
@@ -455,6 +473,16 @@ class TestRunExperiment:
         assert results[0].error == ("num_taps: the spec reads 41 input taps, "
                                     "more than the data horizon 40")
         assert all(isinstance(r, H.MetricsReport) for r in results[1:])
+
+    def test_a_csv_spec_with_lags_past_its_rows_fails_alone(self, tiny_csv):
+        _, path = tiny_csv  # 40 rows
+        base = dict(csv_path=path, window=10, variant="custom", num_taps=2, master_seed=0)
+        results = H.sweep([H.ExperimentSpec(custom_coeffs=(1.0,) + (0.0,) * 40 + (-0.5,), **base),
+                           H.ExperimentSpec(custom_coeffs=(1.0,) + (0.0,) * 39 + (-0.5,), **base)])
+        assert isinstance(results[0], H.SweepFailure)
+        assert results[0].error == ("custom_coeffs: the spec reads 41 lagged targets, "
+                                    "more than the data horizon 40")
+        assert isinstance(results[1], H.MetricsReport)
 
     def test_taps_past_the_horizon_fail_before_any_data_is_made(self, monkeypatch):
         calls = []

@@ -1,5 +1,6 @@
 """Coefficient generation: exact oracles, sector bounds, growth bounds."""
 
+import tracemalloc
 from fractions import Fraction
 from math import comb, factorial
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from seqprecond.poly import (
+    _RADII,
     MAX_DEGREE,
     CoefficientVector,
     ComplexSector,
@@ -178,3 +180,24 @@ class TestSector:
         # exact-subset property: coarse suprema never exceed refined ones
         assert s64 <= s128
         assert s64 <= s192
+
+    # d + 1 radii: one block, a whole number of blocks, a partial last block
+    @pytest.mark.parametrize("d", [1, _RADII - 1, 4 * _RADII - 1, 4 * _RADII + 2, 512])
+    @pytest.mark.parametrize("beta", [0.0, 0.02, 0.5, 1.0])
+    @pytest.mark.parametrize("c", [[1.0], [1.0, -0.9], chebyshev_monic(5).coeffs,
+                                   legendre_monic(9).coeffs, [1.0, 3.0, -2.5, 0.25, 7.0]])
+    def test_sup_by_blocks_of_radii_is_the_grid_max_bit_for_bit(self, c, beta, d):
+        sector = ComplexSector(beta)
+        assert sup_on_sector(c, sector, d) == np.abs(eval_complex(c, sector_grid(sector, d))).max()
+
+    def test_sup_holds_no_grid_sized_array(self):
+        # the whole default grid is 513 x 513 complex values, 4.2 MB
+        c = chebyshev_monic(5)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            sup_on_sector(c, ComplexSector(0.1))
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20

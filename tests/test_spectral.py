@@ -1,7 +1,11 @@
 """Sector Gram matrix: closed form vs quadrature, eigendecay, filter bank."""
 
 import dataclasses
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +13,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy.integrate import dblquad
 
+import seqprecond
 from seqprecond import invariants
 from seqprecond.poly import ComplexSector
 from seqprecond.spectral import (
@@ -16,6 +21,8 @@ from seqprecond.spectral import (
     MAX_HORIZON,
     FilterBank,
     _gram,
+    _gram_panels,
+    _gram_product,
     _validate_bank,
     build_filter_bank,
     build_gram,
@@ -33,6 +40,23 @@ def gram_by_quadrature(j: int, k: int, beta: float) -> float:
 
     val, _ = dblquad(f, 0.0, 1.0, -beta, beta, epsabs=1e-12, epsrel=1e-12)
     return val
+
+
+def panels_of(Z: np.ndarray) -> list:
+    """The lower column panels of a dense symmetric Z, as the bank holds them."""
+    return [Z[j0:, j0 : j0 + _BLOCK].copy() for j0 in range(0, len(Z), _BLOCK)]
+
+
+def traced_peak(fn, *args):
+    """fn(*args) and the peak of its allocations, which numpy reports to
+    tracemalloc."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
 
 
 def diagonal_closed_form(j: int, beta: float) -> float:
@@ -128,6 +152,25 @@ class TestBuildGram:
             build_gram(1994, ComplexSector(0.1)), _gram(idx[:, None], idx[None, :], 0.1)
         )
 
+    @pytest.mark.parametrize("horizon", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1, 1994])
+    def test_panels_are_the_lower_block_triangle_bit_for_bit(self, horizon):
+        Z = build_gram(horizon, ComplexSector(0.1))
+        panels = list(_gram_panels(horizon, ComplexSector(0.1)))
+        starts = range(0, horizon, _BLOCK)
+        assert len(panels) == len(starts)
+        for j0, P in zip(starts, panels):
+            np.testing.assert_array_equal(P, Z[j0:, j0 : j0 + _BLOCK])
+
+    @given(st.integers(1, 300), st.integers(1, 40), st.floats(0.0, 1.0, exclude_min=True),
+           st.integers(0, 2**32 - 1))
+    @example(_BLOCK, 1, 0.1, 0)
+    @example(_BLOCK + 1, 40, 0.1, 0)
+    def test_panel_product_matches_the_dense_product(self, horizon, rows, beta, seed):
+        V = np.random.default_rng(seed).standard_normal((rows, horizon))
+        dense = V @ build_gram(horizon, ComplexSector(beta))
+        got = _gram_product(list(_gram_panels(horizon, ComplexSector(beta))), V)
+        assert np.abs(got - dense).max() <= 1e-14 * np.abs(dense).max()
+
     def test_exactly_symmetric(self):
         Z = build_gram(128, ComplexSector(0.07))
         assert np.abs(Z - Z.T).max() == 0.0
@@ -209,9 +252,13 @@ DENSE_CASES = [
     # divide-and-conquer eigh of the projected matrix is off by 1e-11
     (400, 0.05, 24),
     # k > _KRYLOV_BLOCK * _KRYLOV_STEPS widens the block; at k = horizon
-    # the basis fills before any stopping-rule check
+    # the basis fills before any stopping-rule check.  300 and _BLOCK + 1
+    # end in a partial panel, the latter in one of a single column
+    (300, 0.1, 0),
     (300, 0.1, 100),
     (300, 0.1, 300),
+    (_BLOCK + 1, 0.1, 0),
+    (_BLOCK + 1, 0.1, _BLOCK + 1),
     (1994, 0.1, 24),
     (1994, 1.0, 24),
 ]
@@ -268,14 +315,14 @@ class TestValidateBank:
     def test_rejects_non_orthonormal_filters(self, valid):
         Z, bank = valid
         with pytest.raises(ValueError, match="orthonormal"):
-            _validate_bank(Z, dataclasses.replace(bank, filters=bank.filters * (1 + 1e-6)))
+            _validate_bank(panels_of(Z), dataclasses.replace(bank, filters=bank.filters * (1 + 1e-6)))
 
     def test_rejects_a_bad_residual(self, valid):
         # swapped filters stay orthonormal but no longer match their eigenvalues
         Z, bank = valid
         swapped = bank.filters[[1, 0, 2, 3]]
         with pytest.raises(ValueError, match="residual"):
-            _validate_bank(Z, dataclasses.replace(bank, filters=swapped))
+            _validate_bank(panels_of(Z), dataclasses.replace(bank, filters=swapped))
 
     def test_rejects_a_negative_eigenvalue(self, valid):
         # move the smallest eigenvalue of Z to -1e-8, leaving the top pairs
@@ -285,7 +332,7 @@ class TestValidateBank:
         Z_bad = Z - (w[0] + 1e-8) * np.outer(v, v)
         assert np.linalg.eigvalsh(Z_bad)[0] == pytest.approx(-1e-8, rel=1e-6)
         with pytest.raises(ValueError, match="nonnegative to 1e-10"):
-            _validate_bank(Z_bad, bank)
+            _validate_bank(panels_of(Z_bad), bank)
 
     @staticmethod
     def no_filters(horizon, beta):
@@ -306,11 +353,11 @@ class TestValidateBank:
         Z_bad = Z - (w[0] + 1e-8) * np.outer(v, v)
         assert np.linalg.eigvalsh(Z_bad)[0] == pytest.approx(-1e-8, rel=1e-6)
         with pytest.raises(ValueError, match="nonnegative to 1e-10"):
-            _validate_bank(Z_bad, bank)
+            _validate_bank(panels_of(Z_bad), bank)
 
     def test_rejects_a_negative_direction_in_the_last_block(self, wide):
-        # v lives on the last block's indices, so every leading block of Z
-        # is unchanged and the failing pivot lies in the last block
+        # v lives on the last, partial panel's indices, so every leading
+        # block of Z is unchanged and the failing pivot lies in that panel
         Z, bank = wide
         last = slice(2 * _BLOCK, None)
         w, V = np.linalg.eigh(Z[last, last])
@@ -321,37 +368,64 @@ class TestValidateBank:
         head = Z_bad[: 2 * _BLOCK, : 2 * _BLOCK] + 1e-10 * np.eye(2 * _BLOCK)
         np.linalg.cholesky(head)
         with pytest.raises(ValueError, match="nonnegative to 1e-10"):
-            _validate_bank(Z_bad, bank)
+            _validate_bank(panels_of(Z_bad), bank)
 
     @pytest.mark.parametrize("beta", [0.1, 1.0])
     def test_accepts_the_gram_matrix_at_1994(self, dense_solve, beta):
-        Z = dense_solve(1994, beta)[2].copy()
-        _validate_bank(Z, self.no_filters(1994, beta))
+        Z = dense_solve(1994, beta)[2]
+        _validate_bank(panels_of(Z), self.no_filters(1994, beta))
 
     def test_leaves_lapacks_cholesky_factor_in_the_lower_triangle(self, dense_solve):
         Z = dense_solve(1994, 0.1)[2]
         expected = np.linalg.cholesky(Z + 1e-10 * np.eye(len(Z)))
-        factor = Z.copy()
-        _validate_bank(factor, self.no_filters(1994, 0.1))
+        panels = panels_of(Z)
+        _validate_bank(panels, self.no_filters(1994, 0.1))
+        factor = np.zeros_like(Z)
+        for P in panels:
+            j0 = len(Z) - len(P)
+            factor[j0:, j0 : j0 + _BLOCK] = P
         assert np.abs(np.tril(factor) - expected).max() <= 1e-12
 
-    def test_holds_one_copy_of_the_gram_matrix(self, dense_solve):
-        # numpy reports its array allocations to tracemalloc; the Gram build
-        # allocates Z and row blocks of it, the certificate column blocks
-        spectrum, F, _ = dense_solve(1994, 0.1)
+
+Z_BYTES = 8 * 1994**2  # the dense Gram matrix at the spectral run's horizon
+
+
+class TestMemory:
+    def test_the_panels_hold_the_lower_triangle(self):
+        # n^2 / 2 + 64 n doubles (0.53 of Z), and one panel's temporary
+        _, peak = traced_peak(lambda: list(_gram_panels(1994, ComplexSector(0.1))))
+        assert peak <= 0.6 * Z_BYTES
+
+    def test_the_certificate_allocates_one_panel_at_a_time(self, dense_solve):
+        spectrum, F, Z = dense_solve(1994, 0.1)
         bank = FilterBank(spectrum[:24], F[:24], ComplexSector(0.1))
-        z_bytes = 8 * 1994**2
+        panels = panels_of(Z)
+        _, peak = traced_peak(_validate_bank, panels, bank)
+        assert peak <= 0.1 * Z_BYTES
 
-        def traced_peak(fn, *args):
-            tracemalloc.start()
-            try:
-                start = tracemalloc.get_traced_memory()[0]
-                result = fn(*args)
-                return result, tracemalloc.get_traced_memory()[1] - start
-            finally:
-                tracemalloc.stop()
+    def test_the_dense_matrix_is_built_one_panel_at_a_time(self):
+        _, peak = traced_peak(build_gram, 1994, ComplexSector(0.1))
+        assert peak <= 1.25 * Z_BYTES
 
-        Z, gram_peak = traced_peak(build_gram, 1994, ComplexSector(0.1))
-        assert gram_peak <= 1.25 * z_bytes
-        _, check_peak = traced_peak(_validate_bank, Z, bank)
-        assert check_peak <= 0.25 * z_bytes
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+    def test_the_bank_grows_the_resident_set_by_less_than_the_dense_matrix(self):
+        # tracemalloc would count _top_eigenpairs' n x n basis and projected
+        # matrix at full size, though their rows never written take no
+        # memory; the resident set counts only the pages touched.  Its high
+        # mark is read as VmHWM: a child's ru_maxrss starts at the mark of
+        # the process that forked it, here the whole test session's.  One
+        # product first, so that BLAS has allocated its buffers.
+        code = ("import re, numpy as np\n"
+                "from seqprecond.poly import ComplexSector\n"
+                "from seqprecond.spectral import build_filter_bank\n"
+                "def high_mark():\n"
+                "    with open('/proc/self/status') as f:\n"
+                "        return int(re.search(r'VmHWM:\\s+(\\d+) kB', f.read()).group(1))\n"
+                "a = np.ones((256, 256)); a @ a\n"
+                "before = high_mark()\n"
+                "build_filter_bank(1994, ComplexSector(0.1), 24)\n"
+                "print(high_mark() - before)\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(seqprecond.__file__).parents[1]))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True)
+        assert 1024 * int(out.stdout) <= 1.0 * Z_BYTES
