@@ -12,18 +12,18 @@ from seqprecond.dynsys import (
     NonlinearSystem,
     Trajectory,
     gaussian_inputs,
+    ingest_csv,
     sample_system,
     simulate_lds,
     system_from_eigenvalues,
+    write_trajectory_csv,
 )
 from seqprecond.harness import (
     ExperimentSpec,
     GeneratorConfig,
     MetricsReport,
-    ingest_csv,
     run_experiment,
     sweep,
-    write_trajectory_csv,
 )
 from seqprecond.invariants import verify
 from seqprecond.learners import (

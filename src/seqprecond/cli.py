@@ -43,18 +43,19 @@ def _build_parser() -> _Parser:
     p.add_argument("--json", action="store_true", help="machine-readable output")
     p.add_argument("--out", help="write JSON here instead of stdout")
 
+    g, spec = harness.GeneratorConfig(), harness.ExperimentSpec()
     p = sub.add_parser("gen-data", help="sample a system and write a trajectory CSV")
-    p.add_argument("--kind", choices=["lds", "nonlinear"], default="lds")
-    p.add_argument("--T", type=int, default=2000, help="horizon")
-    p.add_argument("--dh", type=int, default=50, help="hidden dimension")
-    p.add_argument("--din", type=int, default=1)
-    p.add_argument("--dout", type=int, default=1)
-    p.add_argument("--tau", type=float, default=0.01, help="imaginary-part cap")
-    p.add_argument("--L", type=float, default=0.9, help="eigenvalue radius lower bound")
-    p.add_argument("--U", type=float, default=1.0, help="eigenvalue radius upper bound")
-    p.add_argument("--sigma", type=float, default=0.1, help="observation noise scale")
-    p.add_argument("--basis-cond", type=float, default=10.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--kind", choices=harness.GENERATOR_KINDS, default=g.kind)
+    p.add_argument("--T", type=int, default=spec.horizon, help="horizon")
+    p.add_argument("--dh", type=int, default=g.d_h, help="hidden dimension")
+    p.add_argument("--din", type=int, default=g.d_in)
+    p.add_argument("--dout", type=int, default=g.d_out)
+    p.add_argument("--tau", type=float, default=g.tau, help="imaginary-part cap")
+    p.add_argument("--L", type=float, default=g.radius_lo, help="eigenvalue radius lower bound")
+    p.add_argument("--U", type=float, default=g.radius_hi, help="eigenvalue radius upper bound")
+    p.add_argument("--sigma", type=float, default=g.noise_sigma, help="observation noise scale")
+    p.add_argument("--basis-cond", type=float, default=g.basis_cond)
+    p.add_argument("--seed", type=int, default=spec.master_seed)
     p.add_argument("--out", required=True, help="destination CSV")
 
     p = sub.add_parser("precond", help="convolve a trajectory's outputs with coefficients")
@@ -123,7 +124,7 @@ def _cmd_gen_data(args) -> int:
         basis_cond=args.basis_cond,
     )
     (traj,), _ = harness._make_runs(g, args.T, harness.derive_seeds(args.seed, 1))
-    harness.write_trajectory_csv(traj, args.out)
+    dynsys.write_trajectory_csv(traj, args.out)
     print(f"wrote {args.T} steps ({args.kind}, seed {args.seed}) to {args.out}")
     return 0
 
@@ -140,10 +141,8 @@ def _load_coeffs(path: str) -> CoefficientVector:
 
 def _cmd_precond(args) -> int:
     c = _load_coeffs(args.coeffs)
-    traj = harness.ingest_csv(args.infile)
-    transformed = convolve(traj.outputs, c)
-    out_traj = dynsys.Trajectory(traj.inputs, transformed)
-    harness.write_trajectory_csv(out_traj, args.out)
+    traj = dynsys.ingest_csv(args.infile)
+    dynsys.write_trajectory_csv(dynsys.Trajectory(traj.inputs, convolve(traj.outputs, c)), args.out)
     print(f"wrote preconditioned outputs (degree {c.degree}) to {args.out}")
     return 0
 

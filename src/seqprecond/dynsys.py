@@ -1,4 +1,4 @@
-"""Synthetic linear and two-layer tanh dynamical systems.
+"""Synthetic linear and two-layer tanh systems, and the trajectory CSV format.
 
 A linear system evolves as x_t = A x_{t-1} + B u_t, y_t = C x_t + noise
 with x_0 = 0, so y_1 already carries the instantaneous C B u_1 term.
@@ -23,10 +23,16 @@ A system's conjugate pairs are drawn in batches: `Generator.uniform(a, b)`
 is a + (b - a) * `random()`, so one `random(2m)` call scaled the same way
 gives the next m attempts of a scalar rejection loop.  The points are the
 loop's, and the generator is left where the loop leaves it.
+
+A trajectory's CSV is one header, `_header`'s for writer and reader alike,
+and a row per step from t = 1 at full precision: it reads back bit for bit.
 """
 
 from __future__ import annotations
 
+import csv
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -138,6 +144,66 @@ class Trajectory:
     @property
     def horizon(self) -> int:
         return self.inputs.shape[0]
+
+
+def _header(d_in: int, d_out: int) -> list[str]:
+    """The columns of a trajectory CSV: t,u_0..u_{d_in-1},y_0..y_{d_out-1}."""
+    return ["t"] + [f"u_{i}" for i in range(d_in)] + [f"y_{i}" for i in range(d_out)]
+
+
+def write_trajectory_csv(traj: Trajectory, path: str) -> None:
+    """One row per step t = 1..T under `_header`; full float precision."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(_header(traj.inputs.shape[1], traj.outputs.shape[1]))
+        for t, (u_t, y_t) in enumerate(zip(traj.inputs, traj.outputs), start=1):
+            w.writerow([t] + [repr(float(v)) for v in (*u_t, *y_t)])
+
+
+def ingest_csv(path: str) -> Trajectory:
+    """Parse a trajectory CSV, validating schema, continuity, and finiteness:
+    the header must be `_header(d_in, d_out)`, with d_in its `u_` columns."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:  # skips a byte-order mark
+        reader = csv.reader(fh)
+        if (header := next(reader, None)) is None:
+            raise ValueError("empty CSV")
+        header = [h.strip() for h in header]
+        if header[:1] != ["t"]:
+            raise ValueError("malformed header: first column must be 't'")
+        n_u = sum(h.startswith("u_") for h in header)
+        d_in, d_out = max(n_u, 1), max(len(header) - 1 - n_u, 1)
+        for want, got in itertools.zip_longest(_header(d_in, d_out), header,
+                                               fillvalue="(end of header)"):  # header never longer
+            if got != want:
+                raise ValueError(f"malformed header: expected column {want!r}, found {got!r}")
+        us, ys, expected_t = [], [], None
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != 1 + d_in + d_out:
+                raise ValueError(f"row {lineno}: expected {1 + d_in + d_out} cells")
+            try:
+                t = int(row[0])
+            except ValueError:
+                raise ValueError(f"row {lineno}: non-integer t {row[0]!r}") from None
+            if expected_t is not None and t != expected_t:
+                raise ValueError(f"row {lineno}: non-contiguous t (expected {expected_t}, got {t})")
+            expected_t = t + 1
+            vals = []
+            for j, cell in enumerate(row[1:], start=1):
+                try:
+                    v = float(cell)
+                except ValueError:
+                    raise ValueError(f"row {lineno}, column {header[j]}: "
+                                     f"not a number {cell!r}") from None
+                if not math.isfinite(v):
+                    raise ValueError(f"row {lineno}, column {header[j]}: non-finite value")
+                vals.append(v)
+            us.append(vals[:d_in])
+            ys.append(vals[d_in:])
+    if not us:
+        raise ValueError("CSV contains no data rows")
+    return Trajectory(np.array(us), np.array(ys))
 
 
 def _check_layer(A, B, C, names: tuple[str, str, str]):

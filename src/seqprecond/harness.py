@@ -1,14 +1,15 @@
-"""Experiment orchestration: data, grid search, metrics, sweeps, CSV exchange.
+"""Experiment orchestration: data, grid search, metrics, sweeps.
 
 Every run's randomness derives from the master seed through a single
 documented split: SeedSequence(master_seed).generate_state(3 N) yields one
 (system, inputs, noise) seed triple per run, so any table cell can be
 regenerated in isolation.  An experiment samples each run's system and
 inputs from its triple, then simulates all its runs once, in one stacked
-recursion (`dynsys.simulate_lds_runs`).  Reports are a pure function of
-the experiment configuration and serialize to byte-identical JSON on
-repeat runs on one platform.  The desk-scale acceptance criteria that
-pin these experiments are defined in `seqprecond.invariants`.
+recursion (`dynsys.simulate_lds_runs`); a CSV spec's one run is read by
+`dynsys.ingest_csv`.  Reports are a pure function of the experiment
+configuration and serialize to byte-identical JSON on repeat runs on one
+platform.  The desk-scale acceptance criteria that pin these experiments
+are defined in `seqprecond.invariants`.
 
 `sweep` runs many specs in lockstep, and `run_experiment` is its one-spec
 case, so there is one learning path.  Specs with one data key (the CSV
@@ -24,7 +25,6 @@ is one task of a process pool.  Nothing outlives the call.
 
 from __future__ import annotations
 
-import csv
 import functools
 import hashlib
 import json
@@ -49,15 +49,21 @@ from seqprecond.spectral import DEFAULT_FILTER_COUNT, MAX_HORIZON, build_filter_
 
 VARIANTS = ("none", "chebyshev", "legendre", "differencing", "learned", "custom")
 ALGOS = ("regression", "spectral")
+GENERATOR_KINDS = ("lds", "nonlinear")
 
 DEFAULT_LR_GRID = (1e-3, 1e-2, 1e-1)
+
+# Beyond this a run stops being a desk-scale object: its data, its cells'
+# predictions and `ogd`'s working set of about 3x those (measured: 0.155 MB
+# a cell at T = 2000, d_out = 3) put 1 GB at about 7000 such cells.
+MAX_RUN_BYTES = 10**9
 
 
 @dataclass(frozen=True)
 class GeneratorConfig:
     """Synthetic data source; defaults are the desk-scale protocol."""
 
-    kind: str = "lds"  # lds | nonlinear
+    kind: str = "lds"  # one of GENERATOR_KINDS
     d_h: int = 50
     d_in: int = 1
     d_out: int = 1
@@ -152,7 +158,7 @@ def validate_spec(spec: ExperimentSpec) -> None:
     g = spec.generator
     if g is not None:
         _check_field_types(g, "generator.")
-        if g.kind not in ("lds", "nonlinear"):
+        if g.kind not in GENERATOR_KINDS:
             raise ValueError(f"unknown generator kind {g.kind!r}")
         dynsys.check_system_args(g.d_h, g.d_in, g.d_out, g.tau, g.radius_lo, g.radius_hi,
                                  g.noise_sigma, g.basis_cond, "generator.")
@@ -185,8 +191,8 @@ def validate_spec(spec: ExperimentSpec) -> None:
         raise ValueError(f"lr_grid_coeffs applies to the learned variant, not {spec.variant!r}")
     if spec.variant == "custom" and not spec.custom_coeffs:
         raise ValueError("custom variant requires custom_coeffs")
-    if spec.csv_path is None and (error := _fit_error(spec, spec.horizon)):
-        raise error  # a CSV's horizon is its length: `_run` checks it once the file is read
+    if spec.csv_path is None and (error := _fit_error(spec, spec.horizon, g.d_in, g.d_out)):
+        raise error  # a CSV's horizon and widths are its own: `_run` checks them once it is read
     c = resolve_coefficients(spec)
     with np.errstate(over="ignore"):  # a norm past the float range is named, not warned about
         if not math.isfinite(c.l1):
@@ -210,11 +216,11 @@ def validate_spec(spec: ExperimentSpec) -> None:
         raise ValueError(f"a CSV spec holds one trajectory: n_runs must be 1, got {spec.n_runs}")
 
 
-def _fit_error(spec: ExperimentSpec, T: int) -> ValueError | None:
-    """The first way in which a spec does not fit T steps of data, or None:
-    a window, more input taps or more lagged targets than T (a tap or lag
-    past T reads only zeros), or a filter bank whose T - degree - 1 steps
-    `build_filter_bank` refuses."""
+def _fit_error(spec: ExperimentSpec, T: int, d_in: int, d_out: int) -> ValueError | None:
+    """The first way in which a spec does not fit T steps of d_in inputs and
+    d_out outputs, or None: a window, input taps or lagged targets past T (a
+    tap or lag past T reads only zeros), a filter bank of T - degree - 1
+    steps that `build_filter_bank` refuses, or a run over MAX_RUN_BYTES."""
     if spec.window > T:
         return ValueError(f"window {spec.window} exceeds data horizon {T}")
     if spec.algo == "regression":
@@ -224,16 +230,24 @@ def _fit_error(spec: ExperimentSpec, T: int) -> ValueError | None:
                               f"more than the data horizon {T}")
         lags = resolve_coefficients(spec).degree
         name = "custom_coeffs" if spec.variant == "custom" else "degree"
-        return None if lags <= T else ValueError(f"{name}: the spec reads {lags} lagged targets, "
-                                                 f"more than the data horizon {T}")
-    m, _, k = _bank_shape(spec, T)
-    n = T - m - 1
-    if not 1 <= m <= MAX_HORIZON:
-        return ValueError(f"a spectral filter bank spans horizon - degree - 1 steps, which must "
-                          f"lie in [1, {MAX_HORIZON}]: horizon {T} and degree {n} give {m}")
-    if not 0 <= k <= m:
-        return ValueError(f"filter_count must lie in [0, horizon - degree - 1] = [0, {m}] "
-                          f"for coefficients of degree {n}, got {k}")
+        if lags > T:
+            return ValueError(f"{name}: the spec reads {lags} lagged targets, "
+                              f"more than the data horizon {T}")
+    else:
+        m, _, k = _bank_shape(spec, T)
+        n = T - m - 1
+        if not 1 <= m <= MAX_HORIZON:
+            return ValueError(f"a spectral filter bank spans horizon - degree - 1 steps, "
+                              f"which must lie in [1, {MAX_HORIZON}]: horizon {T} and degree "
+                              f"{n} give {m}")
+        if not 0 <= k <= m:
+            return ValueError(f"filter_count must lie in [0, horizon - degree - 1] = [0, {m}] "
+                              f"for coefficients of degree {n}, got {k}")
+    k = spec.filter_count if spec.algo == "spectral" else 0  # deep-past features per input
+    size = 8 * T * spec.n_runs * (d_in + d_out + 3 * len(_grid(spec)) * d_out + k * d_in)
+    if size > MAX_RUN_BYTES:  # data, predictions and `ogd`'s 3x, in ints that do not overflow
+        return ValueError(f"n_runs {spec.n_runs} and horizon {T}: the run would hold about "
+                          f"{size // 10**6} MB, over MAX_RUN_BYTES ({MAX_RUN_BYTES // 10**6} MB)")
 
 
 def _bank_shape(spec: ExperimentSpec, T: int) -> tuple:
@@ -309,7 +323,7 @@ def _load(spec: ExperimentSpec):
     loading them raised."""
     try:
         if spec.csv_path is not None:
-            return [ingest_csv(spec.csv_path)], [None]  # one file, one run
+            return [dynsys.ingest_csv(spec.csv_path)], [None]  # one file, one run
         return _make_runs(spec.generator, spec.horizon,
                           derive_seeds(spec.master_seed, spec.n_runs))
     except Exception as exc:  # noqa: BLE001 - the failure of every spec that reads it
@@ -471,8 +485,8 @@ def _run(specs: list, workers: int = 1) -> list:
     task per group.  Each data key is loaded once.  A CSV is read here,
     since its horizon and widths decide its group; a generated key is
     loaded here when several groups read it, else in its group's task.
-    A load failure, or a spec that does not fit the file's length
-    (`_fit_error`), fails only the specs that read that data.
+    A load failure, or a spec that does not fit the file's length and
+    widths (`_fit_error`), fails only the specs that read that data.
     """
     results = [None] * len(specs)
     data, groups = {}, {}
@@ -488,7 +502,7 @@ def _run(specs: list, workers: int = 1) -> list:
                 continue
             traj = data[key][0][0]
             T, d_in, d_out = traj.horizon, traj.inputs.shape[1], traj.outputs.shape[1]
-            results[i] = _fit_error(spec, T)
+            results[i] = _fit_error(spec, T, d_in, d_out)
             if results[i] is not None:
                 continue
         group = (spec.algo, T, d_in, d_out)
@@ -515,8 +529,8 @@ def _run(specs: list, workers: int = 1) -> list:
             for fut, (members, _) in zip(futures, tasks):
                 try:
                     outcomes.append(fut.result())
-                except Exception as exc:  # noqa: BLE001 - a lost worker fails its group
-                    outcomes.append([exc] * len(members))
+                except Exception as exc:  # noqa: BLE001 - a lost worker breaks the pool,
+                    outcomes.append([exc] * len(members))  # so every unfinished group fails
     for members, outcome in zip(groups, outcomes):
         for i, result in zip(members, outcome):
             results[i] = result
@@ -570,7 +584,8 @@ def sweep(specs: list[ExperimentSpec], workers: int = 1) -> list:
     `SweepFailure`, and the rest of its group still reports.  The unit of
     the process pool is a group: with workers > 1 and several groups,
     each group is one task of a pool of at most that many workers;
-    otherwise everything runs in this process.  Results come back in
+    otherwise everything runs in this process.  A worker that dies breaks
+    the pool, failing every group not yet finished.  Results come back in
     input order.
     """
     if workers < 1:
@@ -605,83 +620,3 @@ def sweep_table_csv(reports: list) -> str:
         line = [f"{tag} {row[2]}".rstrip()] + [cells.get((row, col), "") for col in cols]
         lines.append(",".join(line))
     return "\n".join(lines) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# CSV exchange format
-
-
-def write_trajectory_csv(traj: dynsys.Trajectory, path: str) -> None:
-    """Schema: t,u_0..u_{din-1},y_0..y_{dout-1}; full float precision."""
-    d_in, d_out = traj.inputs.shape[1], traj.outputs.shape[1]
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t"] + [f"u_{i}" for i in range(d_in)] + [f"y_{i}" for i in range(d_out)])
-        for t, (u_t, y_t) in enumerate(zip(traj.inputs, traj.outputs), start=1):
-            w.writerow([t] + [repr(float(v)) for v in (*u_t, *y_t)])
-
-
-def _parse_header(header: list[str]) -> tuple[int, int]:
-    if not header or header[0] != "t":
-        raise ValueError("malformed header: first column must be 't'")
-    d_in = 0
-    pos = 1
-    while pos < len(header) and header[pos] == f"u_{d_in}":
-        d_in += 1
-        pos += 1
-    d_out = 0
-    while pos < len(header) and header[pos] == f"y_{d_out}":
-        d_out += 1
-        pos += 1
-    if pos != len(header) or d_in == 0 or d_out == 0:
-        if d_in == 0:
-            expected = "u_0"
-        elif pos < len(header) and header[pos].startswith("u"):
-            expected = f"u_{d_in}"
-        else:
-            expected = f"y_{d_out}"
-        bad = header[pos] if pos < len(header) else "(end of header)"
-        raise ValueError(
-            f"malformed header: expected column {expected!r}, found {bad!r}"
-        )
-    return d_in, d_out
-
-
-def ingest_csv(path: str) -> dynsys.Trajectory:
-    """Parse a trajectory CSV, validating schema, continuity, and finiteness."""
-    with open(path, newline="", encoding="utf-8-sig") as fh:  # skips a byte-order mark
-        reader = csv.reader(fh)
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise ValueError("empty CSV") from None
-        d_in, d_out = _parse_header(header)
-        us, ys = [], []
-        expected_t = None
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 1 + d_in + d_out:
-                raise ValueError(f"row {lineno}: expected {1 + d_in + d_out} cells")
-            try:
-                t = int(row[0])
-            except ValueError:
-                raise ValueError(f"row {lineno}: non-integer t {row[0]!r}") from None
-            if expected_t is not None and t != expected_t:
-                raise ValueError(f"row {lineno}: non-contiguous t (expected {expected_t}, got {t})")
-            expected_t = t + 1
-            vals = []
-            for j, cell in enumerate(row[1:], start=1):
-                try:
-                    v = float(cell)
-                except ValueError:
-                    raise ValueError(f"row {lineno}, column {header[j]}: "
-                                     f"not a number {cell!r}") from None
-                if not math.isfinite(v):
-                    raise ValueError(f"row {lineno}, column {header[j]}: non-finite value")
-                vals.append(v)
-            us.append(vals[:d_in])
-            ys.append(vals[d_in:])
-    if not us:
-        raise ValueError("CSV contains no data rows")
-    return dynsys.Trajectory(np.array(us), np.array(ys))

@@ -16,7 +16,7 @@ import pytest
 import seqprecond
 from seqprecond import dynsys, harness, invariants
 from seqprecond.cli import _build_parser, main
-from seqprecond.harness import ingest_csv
+from seqprecond.dynsys import ingest_csv
 from seqprecond.invariants import VerifyResult
 from seqprecond.poly import chebyshev_monic
 from seqprecond.precond import convolve
@@ -129,6 +129,25 @@ class TestGenData:
             generator=g, n_runs=2, horizon=60, window=10, master_seed=4, lr_grid=(1e-2,),
         ))
         assert [len(runs) for runs in simulated] == [2]  # one call for both runs
+        assert np.array_equal(written.inputs, simulated[0][0].inputs)
+        assert np.array_equal(written.outputs, simulated[0][0].outputs)
+
+    def test_defaults_are_the_default_spec(self, tmp_path, monkeypatch):
+        # with no flag but --out, run 0 of the default generator at the
+        # default horizon and master seed
+        path = tmp_path / "default.csv"
+        assert run_cli("gen-data", "--out", str(path)) == 0
+        written = ingest_csv(str(path))
+
+        real, simulated = dynsys.simulate_lds_runs, []
+
+        def spy(*args, **kwargs):
+            simulated.append(real(*args, **kwargs))
+            return simulated[-1]
+
+        monkeypatch.setattr(dynsys, "simulate_lds_runs", spy)
+        harness.run_experiment(harness.ExperimentSpec(n_runs=2, lr_grid=(1e-2,)))
+        assert [len(runs) for runs in simulated] == [2]
         assert np.array_equal(written.inputs, simulated[0][0].inputs)
         assert np.array_equal(written.outputs, simulated[0][0].outputs)
 
@@ -515,6 +534,7 @@ def test_choices_come_from_their_source():
     assert _choices("run", "algo") == harness.ALGOS
     assert _choices("run", "precond") == harness.VARIANTS
     assert _choices("verify", "suite") == ("all", *invariants.SUITES)
+    assert _choices("gen-data", "kind") == harness.GENERATOR_KINDS
 
 
 class TestTopLevel:

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 from seqprecond import harness as H
 from seqprecond.cli import main
-from seqprecond.dynsys import gaussian_inputs, sample_system, simulate_lds
+from seqprecond.dynsys import gaussian_inputs, sample_system, simulate_lds, write_trajectory_csv
 
 INF, NAN = math.inf, math.nan
 EXTREME = st.one_of(
@@ -115,8 +115,8 @@ def workdir(tmp_path_factory):
     path = tmp_path_factory.mktemp("contract")
     system = sample_system(d_h=4, d_in=2, d_out=1, tau_thresh=0.05, radius_lo=0.5,
                            radius_hi=0.99, seed=1)
-    H.write_trajectory_csv(simulate_lds(system, gaussian_inputs(40, 2, seed=2), seed=3),
-                           str(path / "traj.csv"))
+    write_trajectory_csv(simulate_lds(system, gaussian_inputs(40, 2, seed=2), seed=3),
+                         str(path / "traj.csv"))
     return path
 
 

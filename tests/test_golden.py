@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 
 from seqprecond import harness as H
-from seqprecond.dynsys import gaussian_inputs, sample_system, simulate_lds
+from seqprecond.dynsys import gaussian_inputs, sample_system, simulate_lds, write_trajectory_csv
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 CSV_NAME = "golden.csv"  # relative, so the spec hash does not depend on where it lives
@@ -53,7 +53,7 @@ def write_csv(directory) -> None:
     system = sample_system(d_h=8, d_in=2, d_out=1, tau_thresh=0.05, radius_lo=0.8,
                            radius_hi=0.99, seed=21, noise_sigma=0.05)
     traj = simulate_lds(system, gaussian_inputs(200, 2, seed=22), seed=23)
-    H.write_trajectory_csv(traj, os.path.join(directory, CSV_NAME))
+    write_trajectory_csv(traj, os.path.join(directory, CSV_NAME))
 
 
 def report(name: str) -> dict:

@@ -2,6 +2,8 @@
 
 import dataclasses
 import json
+import multiprocessing
+import os
 import warnings
 from concurrent.futures import Future
 
@@ -9,7 +11,14 @@ import numpy as np
 import pytest
 
 from seqprecond import harness as H
-from seqprecond.dynsys import gaussian_inputs, sample_system, simulate_lds
+from seqprecond.dynsys import (
+    Trajectory,
+    gaussian_inputs,
+    ingest_csv,
+    sample_system,
+    simulate_lds,
+    write_trajectory_csv,
+)
 from seqprecond.invariants import SUITES, verify
 from seqprecond.learners import RegressionLearner
 from seqprecond.poly import chebyshev_monic, differencing, legendre_monic
@@ -55,7 +64,7 @@ def tiny_csv(tmp_path_factory):
     )
     traj = simulate_lds(sys_, gaussian_inputs(40, 2, seed=4))
     path = tmp_path_factory.mktemp("csv") / "traj.csv"
-    H.write_trajectory_csv(traj, str(path))
+    write_trajectory_csv(traj, str(path))
     return traj, str(path)
 
 
@@ -191,6 +200,12 @@ class TestValidateSpec:
                 dict(degree=55, num_taps=1, horizon=50, window=10),
                 r"^degree: the spec reads 55 lagged targets, more than the data horizon 50$",
             ),
+            (
+                dict(n_runs=10**9, horizon=2000),
+                r"^n_runs 1000000000 and horizon 2000: the run would hold about 176000000 MB, "
+                r"over MAX_RUN_BYTES \(1000 MB\)$",
+            ),
+            (dict(n_runs=20, horizon=10**12), r"^n_runs 20 and horizon 1000000000000: .* MB, over"),
         ],
     )
     def test_rejections_name_the_problem(self, overrides, fragment):
@@ -205,6 +220,13 @@ class TestValidateSpec:
     def test_good_spec_passes(self):
         H.validate_spec(tiny_spec())
         H.validate_spec(tiny_spec(beta=0.0))  # a regression spec ignores beta
+
+    def test_the_size_guard_admits_a_thousand_cells(self):
+        # a learned 5 x 5 grid over 40 runs with d_in = d_out = 3 at T = 2000
+        # is 1000 cells, estimated at 148 MB; nothing is run
+        grid = (1e-4, 1e-3, 1e-2, 1e-1, 1.0)
+        H.validate_spec(H.ExperimentSpec(variant="learned", lr_grid=grid, lr_grid_coeffs=grid,
+                                         n_runs=40, generator=H.GeneratorConfig(d_in=3, d_out=3)))
 
     def test_oracle_takes_num_taps_at_its_degree(self):
         H.validate_spec(tiny_spec(oracle_comparator=True, num_taps=3))
@@ -400,13 +422,13 @@ class TestRunExperiment:
     def test_csv_is_read_once_per_experiment(self, tiny_csv, monkeypatch):
         _, path = tiny_csv
         calls = []
-        ingest = H.ingest_csv
+        ingest = H.dynsys.ingest_csv
 
         def counted(*args, **kwargs):
             calls.append(args)
             return ingest(*args, **kwargs)
 
-        monkeypatch.setattr(H, "ingest_csv", counted)
+        monkeypatch.setattr(H.dynsys, "ingest_csv", counted)
         rep = H.run_experiment(
             H.ExperimentSpec(csv_path=path, n_runs=1, window=10, degree=2, master_seed=0)
         )
@@ -456,7 +478,7 @@ class TestRunExperiment:
         system = sample_system(d_h=5, d_in=1, d_out=1, tau_thresh=0.05, radius_lo=0.5,
                                radius_hi=0.9, seed=3)
         path = str(tmp_path / "long.csv")
-        H.write_trajectory_csv(simulate_lds(system, gaussian_inputs(400, 1, seed=4)), path)
+        write_trajectory_csv(simulate_lds(system, gaussian_inputs(400, 1, seed=4)), path)
         base = dict(csv_path=path, window=300, degree=3, master_seed=0)
         short, default = (H.run_experiment(H.ExperimentSpec(horizon=200, **base)),
                           H.run_experiment(H.ExperimentSpec(**base)))
@@ -516,16 +538,22 @@ class TestRunExperiment:
 
 
 class TestCsvExchange:
-    def test_round_trip_is_exact(self, tiny_csv):
-        traj, path = tiny_csv
-        back = H.ingest_csv(path)
-        np.testing.assert_array_equal(back.inputs, traj.inputs)
-        np.testing.assert_array_equal(back.outputs, traj.outputs)
+    @pytest.mark.parametrize("d_out", [1, 2, 3])
+    @pytest.mark.parametrize("d_in", [1, 2, 3])
+    def test_round_trip_is_exact(self, tmp_path, d_in, d_out):
+        # values across the float range, so every digit of each repr counts
+        rng = np.random.default_rng(10 * d_in + d_out)
+        u, y = (rng.standard_normal((30, d)) * 10.0 ** rng.integers(-300, 300, (30, d))
+                for d in (d_in, d_out))
+        path = str(tmp_path / "traj.csv")
+        write_trajectory_csv(Trajectory(u, y), path)
+        back = ingest_csv(path)
+        assert np.array_equal(back.inputs, u) and np.array_equal(back.outputs, y)
 
     def test_handcrafted_rows(self, tmp_path):
         path = tmp_path / "hand.csv"
         path.write_text("t,u_0,u_1,y_0\n1,0.5,-1.0,2.0\n2,0.25,0.0,-4.0\n3,1.5,2.5,8.0\n")
-        traj = H.ingest_csv(str(path))
+        traj = ingest_csv(str(path))
         np.testing.assert_array_equal(
             traj.inputs, [[0.5, -1.0], [0.25, 0.0], [1.5, 2.5]]
         )
@@ -534,7 +562,7 @@ class TestCsvExchange:
     def test_blank_lines_are_skipped(self, tmp_path):
         path = tmp_path / "blank.csv"
         path.write_text("t,u_0,y_0\n1,0.5,2.0\n\n2,0.25,-4.0\n\n")
-        assert H.ingest_csv(str(path)).horizon == 2
+        assert ingest_csv(str(path)).horizon == 2
 
     @pytest.mark.parametrize(
         "header, fragment",
@@ -544,44 +572,46 @@ class TestCsvExchange:
             ("t,y_0,u_0", "expected column 'u_0'"),
             ("t,u_0", "expected column 'y_0'"),
             ("t,u_0,y_0,extra", "expected column 'y_1'"),
+            ("t,u_0,y_0,u_1", "^malformed header: expected column 'u_1', found 'y_0'$"),
+            ("t,u_0,y_0,y_0", "^malformed header: expected column 'y_1', found 'y_0'$"),
         ],
     )
     def test_malformed_headers(self, tmp_path, header, fragment):
         path = tmp_path / "bad.csv"
         path.write_text(header + "\n1,0.0,0.0\n")
         with pytest.raises(ValueError, match=fragment):
-            H.ingest_csv(str(path))
+            ingest_csv(str(path))
 
     def test_non_contiguous_t_names_row(self, tmp_path):
         path = tmp_path / "gap.csv"
         path.write_text("t,u_0,y_0\n1,0.5,0.2\n3,0.1,0.0\n")
         with pytest.raises(ValueError, match=r"row 3: non-contiguous t \(expected 2, got 3\)"):
-            H.ingest_csv(str(path))
+            ingest_csv(str(path))
 
     def test_non_integer_t(self, tmp_path):
         path = tmp_path / "floatt.csv"
         path.write_text("t,u_0,y_0\n1.5,0.5,0.2\n")
         with pytest.raises(ValueError, match="non-integer t"):
-            H.ingest_csv(str(path))
+            ingest_csv(str(path))
 
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
     def test_non_finite_cell_names_row_and_column(self, tmp_path, cell):
         path = tmp_path / "nan.csv"
         path.write_text(f"t,u_0,y_0\n1,0.5,{cell}\n")
         with pytest.raises(ValueError, match="row 2, column y_0: non-finite"):
-            H.ingest_csv(str(path))
+            ingest_csv(str(path))
 
     def test_unparsable_cell_names_row_and_column(self, tmp_path):
         path = tmp_path / "abc.csv"
         path.write_text("t,u_0,y_0\n1,0.5,0.2\n2,abc,0.1\n")
         with pytest.raises(ValueError, match="row 3, column u_0: not a number 'abc'"):
-            H.ingest_csv(str(path))
+            ingest_csv(str(path))
 
     def test_bad_cell_names_its_stripped_column(self, tmp_path):
         path = tmp_path / "spaced.csv"
         path.write_text("t, u_0, y_0\n1,0.5,0.2\n2,0.1,abc\n")
         with pytest.raises(ValueError) as err:
-            H.ingest_csv(str(path))
+            ingest_csv(str(path))
         assert str(err.value) == "row 3, column y_0: not a number 'abc'"
 
     def test_byte_order_mark_is_skipped(self, tmp_path):
@@ -590,7 +620,7 @@ class TestCsvExchange:
         plain.write_text(text, encoding="utf-8")
         marked.write_text(text, encoding="utf-8-sig")
         assert marked.read_bytes() == b"\xef\xbb\xbf" + plain.read_bytes()
-        want, got = H.ingest_csv(str(plain)), H.ingest_csv(str(marked))
+        want, got = ingest_csv(str(plain)), ingest_csv(str(marked))
         np.testing.assert_array_equal(got.inputs, want.inputs)
         np.testing.assert_array_equal(got.outputs, want.outputs)
 
@@ -598,17 +628,17 @@ class TestCsvExchange:
         path = tmp_path / "short.csv"
         path.write_text("t,u_0,y_0\n1,0.5\n")
         with pytest.raises(ValueError, match="row 2: expected 3 cells"):
-            H.ingest_csv(str(path))
+            ingest_csv(str(path))
 
     def test_empty_and_header_only_files(self, tmp_path):
         empty = tmp_path / "empty.csv"
         empty.write_text("")
         with pytest.raises(ValueError, match="empty CSV"):
-            H.ingest_csv(str(empty))
+            ingest_csv(str(empty))
         header_only = tmp_path / "head.csv"
         header_only.write_text("t,u_0,y_0\n")
         with pytest.raises(ValueError, match="no data rows"):
-            H.ingest_csv(str(header_only))
+            ingest_csv(str(header_only))
 
 
 
@@ -637,6 +667,8 @@ class TestSweep:
         (dict(generator=H.GeneratorConfig(basis_cond=0.5)), "generator.basis_cond"),
         (dict(master_seed=-1), "master_seed"),
         (dict(algo="spectral", filter_count=200), "filter_count"),
+        (dict(n_runs=10**9), "n_runs 1000000000 and horizon 120"),
+        (dict(horizon=10**12), "n_runs 3 and horizon 1000000000000"),
     ])
     def test_out_of_range_spec_stops_the_sweep_before_any_data(self, bad, fragment, monkeypatch):
         calls = []
@@ -668,6 +700,25 @@ class TestSweep:
         assert isinstance(results[0], H.MetricsReport)
         assert isinstance(results[1], H.SweepFailure)
         assert results[1].error.endswith("horizon 4 and degree 3 give 0")
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="only a forked worker sees the patched harness")
+    def test_a_lost_worker_fails_its_group_and_the_sweep_returns(self, monkeypatch):
+        # the worker that loads the horizon-121 group's data dies; that breaks
+        # the pool, and a group that has not finished may fail with it
+        make_runs = H._make_runs
+
+        def dying(g, horizon, seeds):
+            if horizon == 121:
+                os._exit(1)
+            return make_runs(g, horizon, seeds)
+
+        monkeypatch.setattr(H, "_make_runs", dying)
+        specs = [tiny_spec(n_runs=1, horizon=120 + s) for s in range(3)]
+        lost = H.sweep(specs, workers=2)[1]
+        assert isinstance(lost, H.SweepFailure)
+        assert lost.config_hash == H.spec_hash(specs[1])
+        assert "terminated abruptly" in lost.error
 
     def test_pool_records_failures_like_the_serial_path(self, tmp_path):
         bad = H.ExperimentSpec(csv_path=str(tmp_path / "missing.csv"), window=5, master_seed=0)
@@ -776,7 +827,7 @@ def lockstep_specs(tmp_path):
     system = sample_system(d_h=5, d_in=1, d_out=1, tau_thresh=0.05,
                            radius_lo=0.5, radius_hi=0.9, seed=3)
     csv_path = str(tmp_path / "traj.csv")
-    H.write_trajectory_csv(simulate_lds(system, gaussian_inputs(150, 1, seed=4)), csv_path)
+    write_trajectory_csv(simulate_lds(system, gaussian_inputs(150, 1, seed=4)), csv_path)
     base = dict(generator=gen, n_runs=3, horizon=150, window=40, master_seed=5)
     return [
         H.ExperimentSpec(variant="none", degree=5, **base),
