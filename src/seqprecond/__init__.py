@@ -25,7 +25,6 @@ from seqprecond.harness import (
     run_experiment,
     sweep,
 )
-from seqprecond.invariants import verify
 from seqprecond.learners import (
     RegressionLearner,
     SpectralLearner,
@@ -44,6 +43,17 @@ from seqprecond.precond import convolve, reconstruct_prediction
 from seqprecond.spectral import FilterBank, build_filter_bank, build_gram
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    """`verify` loads `seqprecond.invariants`, which only the acceptance
+    criteria need, when it is first asked for."""
+    if name == "verify":
+        from seqprecond.invariants import verify
+
+        return verify
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "CoefficientVector",

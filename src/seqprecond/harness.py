@@ -20,7 +20,9 @@ cells in one `ogd` call, from one `learners.feature_blocks` layout with
 a tap count per cell over one window stream per trajectory.  A cell's
 results do not depend on the cells beside it, so every report is bit for
 bit the spec's own.  With several workers and several groups, each group
-is one task of a process pool.  Nothing outlives the call.
+runs in a child forked for it, at most `workers` at once, which sends
+its reports back through a pipe; a child that dies fails its own group
+alone.  Every child is reaped before the call returns.
 """
 
 from __future__ import annotations
@@ -30,9 +32,11 @@ import hashlib
 import json
 import math
 import numbers
+import os
+import pickle
+import select
 import typing
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -52,6 +56,17 @@ ALGOS = ("regression", "spectral")
 GENERATOR_KINDS = ("lds", "nonlinear")
 
 DEFAULT_LR_GRID = (1e-3, 1e-2, 1e-1)
+
+# The acceptance criteria by suite.  `seqprecond.invariants` defines them;
+# they are named here so that `usp verify --suite` offers the suites
+# without loading it.
+SUITES = {
+    "poly": ("chebyshev_sector_decay", "coefficient_growth_exact"),
+    "spectral": ("gram_closed_form", "gram_eigendecay"),
+    "learners": ("oracle_weights_per_step", "ogd_regret", "average_error_decays_with_horizon"),
+    "precond": ("identities_and_determinism",),
+    "harness": ("desk_scale_improvement", "degree_degradation"),
+}
 
 # Beyond this a run stops being a desk-scale object: its data, its cells'
 # predictions and `ogd`'s working set of about 3x those (measured: 0.155 MB
@@ -475,18 +490,88 @@ def _run_group(specs: list, data: dict) -> list:
     return [results[i] for i in range(len(specs))]
 
 
+def _sendable(outcome: list) -> list:
+    """A group's outcome with each exception that does not survive
+    pickling replaced by a RuntimeError naming it."""
+    sendable = []
+    for result in outcome:
+        if isinstance(result, Exception):
+            try:
+                pickle.loads(pickle.dumps(result))
+            except Exception:  # noqa: BLE001 - sent by its name and message instead
+                result = RuntimeError(f"{type(result).__name__}: {result}")
+        sendable.append(result)
+    return sendable
+
+
+def _run_forked(tasks: list, workers: int) -> list:
+    """Each task's `_run_group` outcome, each from a child forked for it,
+    at most `workers` alive at once.  A child inherits its task by fork
+    and writes its pickled outcome to a pipe, which this process drains
+    as it fills, so no outcome is too large to send.  A child that dies
+    fails its own group alone, naming its exit status or signal.  Every
+    child is reaped before this returns or raises."""
+    outcomes, alive, started = [None] * len(tasks), {}, 0  # alive: pipe -> task, pid, chunks
+    poller = select.poll()
+    try:
+        while started < len(tasks) or alive:
+            while started < len(tasks) and len(alive) < workers:
+                r, w = os.pipe()
+                try:
+                    pid = os.fork()
+                except OSError:
+                    os.close(r)
+                    os.close(w)
+                    raise
+                if pid == 0:  # the child: run the task, send its outcome, exit
+                    status = 1
+                    try:
+                        os.close(r)
+                        with os.fdopen(w, "wb") as out:
+                            out.write(pickle.dumps(_sendable(_run_group(*tasks[started]))))
+                        status = 0
+                    finally:
+                        os._exit(status)
+                os.close(w)
+                alive[r], started = (started, pid, []), started + 1
+                poller.register(r, select.POLLIN)
+            for r, _ in poller.poll():
+                if chunk := os.read(r, 1 << 16):
+                    alive[r][2].append(chunk)
+                    continue
+                i, pid, chunks = alive.pop(r)
+                poller.unregister(r)
+                os.close(r)
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                if code == 0 and chunks:
+                    outcomes[i] = pickle.loads(b"".join(chunks))
+                else:
+                    how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
+                    lost = RuntimeError(f"the process running this group was "
+                                        f"terminated abruptly ({how})")
+                    outcomes[i] = [lost] * len(tasks[i][0])
+    finally:  # on an error here, stop and reap the children still running
+        for r, (_, pid, _) in alive.items():
+            os.close(r)
+            os.kill(pid, 9)  # SIGKILL
+            os.waitpid(pid, 0)
+    return outcomes
+
+
 def _run(specs: list, workers: int = 1) -> list:
     """Each validated spec's report, or the exception it failed with, in
     input order.
 
     Specs are grouped by (algo, T, d_in, d_out) and, for spectral, by the
     filter bank (T', beta, k).  Each group is one `_run_group` task: in
-    this process when there is one group or one worker, else one pool
-    task per group.  Each data key is loaded once.  A CSV is read here,
-    since its horizon and widths decide its group; a generated key is
-    loaded here when several groups read it, else in its group's task.
-    A load failure, or a spec that does not fit the file's length and
-    widths (`_fit_error`), fails only the specs that read that data.
+    this process when there is one group or one worker, or where
+    `os.fork` does not exist, else in a forked child per group, at most
+    `workers` at once (`_run_forked`).  Each data key is loaded once.  A
+    CSV is read here, since its horizon and widths decide its group; a
+    generated key is loaded here when several groups read it, else in its
+    group's task.  A load failure, or a spec that does not fit the file's
+    length and widths (`_fit_error`), fails only the specs that read that
+    data.
     """
     results = [None] * len(specs)
     data, groups = {}, {}
@@ -519,18 +604,10 @@ def _run(specs: list, workers: int = 1) -> list:
                 data[key] = _load(specs[i])
         tasks.append(([specs[i] for i in members],
                       {_data_key(specs[i]): data.get(_data_key(specs[i])) for i in members}))
-    if workers == 1 or len(tasks) <= 1:
+    if workers == 1 or len(tasks) <= 1 or not hasattr(os, "fork"):
         outcomes = [_run_group(*task) for task in tasks]
     else:
-        # the fork start method launches every worker at the first submit
-        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-            futures = [pool.submit(_run_group, *task) for task in tasks]
-            outcomes = []
-            for fut, (members, _) in zip(futures, tasks):
-                try:
-                    outcomes.append(fut.result())
-                except Exception as exc:  # noqa: BLE001 - a lost worker breaks the pool,
-                    outcomes.append([exc] * len(members))  # so every unfinished group fails
+        outcomes = _run_forked(tasks, workers)
     for members, outcome in zip(groups, outcomes):
         for i, result in zip(members, outcome):
             results[i] = result
@@ -581,12 +658,13 @@ def sweep(specs: list[ExperimentSpec], workers: int = 1) -> list:
     group whose (spec, rate, run) cells step in one `ogd` recursion; each
     spec's report is bit for bit its `run_experiment` report.  A spec that
     fails, on its data or because every grid point diverged, is a
-    `SweepFailure`, and the rest of its group still reports.  The unit of
-    the process pool is a group: with workers > 1 and several groups,
-    each group is one task of a pool of at most that many workers;
-    otherwise everything runs in this process.  A worker that dies breaks
-    the pool, failing every group not yet finished.  Results come back in
-    input order.
+    `SweepFailure`, and the rest of its group still reports.  With
+    workers > 1 and several groups, each group runs in a child process
+    forked for it, at most `workers` at once; otherwise, and where
+    `os.fork` does not exist, everything runs in this process.  A child
+    that dies fails its own group alone, as a `SweepFailure` that says it
+    was terminated abruptly and gives its exit status or signal.  No
+    child outlives the call.  Results come back in input order.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")

@@ -2,8 +2,9 @@
 
 Each criterion is a function that returns its detail line and raises
 `AssertionError` against the tolerance or time limit pinned here.  `SUITES`
-groups them by the module whose claim they pin; `verify` runs one suite or
-all of them for `usp verify` and `tests/test_acceptance.py`.
+(`harness.SUITES`) groups them by the module whose claim they pin; `verify`
+runs one suite or all of them for `usp verify` and
+`tests/test_acceptance.py`.
 """
 
 from __future__ import annotations
@@ -300,13 +301,7 @@ def degree_degradation(runs=desk_runs) -> str:
     return _verdict(cheb10.mean > cheb5.mean, detail)
 
 
-SUITES = {
-    "poly": ("chebyshev_sector_decay", "coefficient_growth_exact"),
-    "spectral": ("gram_closed_form", "gram_eigendecay"),
-    "learners": ("oracle_weights_per_step", "ogd_regret", "average_error_decays_with_horizon"),
-    "precond": ("identities_and_determinism",),
-    "harness": ("desk_scale_improvement", "degree_degradation"),
-}
+SUITES = harness.SUITES  # named there, so that the CLI offers them without this module
 
 
 @dataclass(frozen=True)

@@ -552,23 +552,39 @@ class TestTopLevel:
         assert "invalid choice" in capsys.readouterr().err
 
 
-def loaded_scipy(code):
-    """The scipy modules loaded after running `code` in a fresh interpreter."""
+def loaded(code, *packages):
+    """The modules of `packages` loaded after running `code` in a fresh interpreter."""
     env = dict(os.environ, PYTHONPATH=str(Path(seqprecond.__file__).parents[1]))
-    code = f"import sys\n{code}\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    code = (f"import sys\n{code}\nprint(sorted(m for m in sys.modules "
+            f"if any(m == p or m.startswith(p + '.') for p in {packages!r})))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     return out.stdout.strip().splitlines()[-1]
 
 
 def test_importing_the_cli_loads_no_scipy():
-    assert loaded_scipy("import seqprecond.cli") == "[]"
+    assert loaded("import seqprecond.cli", "scipy") == "[]"
 
 
 def test_building_a_filter_bank_loads_no_scipy(tmp_path):
     out = tmp_path / "bank.json"
     code = f"from seqprecond.cli import main\nmain(['filters', '--T', '300', '--k', '8', '--out', {str(out)!r}])"
-    assert loaded_scipy(code) == "[]"
+    assert loaded(code, "scipy") == "[]"
     assert json.loads(out.read_text())["k"] == 8
+
+
+def test_a_run_loads_neither_child_processes_nor_the_criteria(tmp_path):
+    # only `usp sweep --workers N` starts processes, and only `usp verify`
+    # runs the criteria
+    cold = ("concurrent.futures", "multiprocessing", "seqprecond.invariants")
+    config, out = tmp_path / "config.json", tmp_path / "report.json"
+    config.write_text(json.dumps({"generator": {"d_h": 4}, "n_runs": 1, "horizon": 50, "window": 10}))
+    assert loaded("import seqprecond.cli", *cold) == "[]"
+    code = (f"from seqprecond.cli import main\n"
+            f"assert main(['run', '--config', {str(config)!r}, '--out', {str(out)!r}]) == 0")
+    assert loaded(code, *cold) == "[]"
+    assert json.loads(out.read_text())["n_runs"] == 1
+    assert seqprecond.verify is invariants.verify
+    assert "verify" in seqprecond.__all__
 
 
 def test_src_imports_only_the_standard_library_and_numpy():

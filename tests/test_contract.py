@@ -11,7 +11,10 @@ For every drawn list of specs:
   the same from `run_experiment` as from its entry in `sweep(workers=1)`;
 - every report writes as strict JSON;
 - `usp run` on the spec's JSON config exits 0 with a report, else 1.
-A pool of two workers runs once, over a fixed list of the drawn specs.
+Every valid spec drawn then runs in one `sweep(workers=2)`, where its
+outcome is the same again: a drawn list is mostly one group, which runs
+in this process, while all of them together make dozens of groups, each
+in a forked child.
 """
 
 import json
@@ -159,6 +162,5 @@ def test_run_contract(workdir):
             for s, _ in drawn]  # the valid specs cover every setting
     assert [set(column) for column in zip(*seen)] == [
         set(H.ALGOS), set(H.VARIANTS), {False, True}, {"lds", "nonlinear", csv}]
-    fixed = drawn[:: max(1, len(drawn) // 6)]  # one pool run, over a fixed list
-    pooled = H.sweep([spec for spec, _ in fixed], workers=2)
-    assert [outcome(r) for r in pooled] == [want for _, want in fixed]
+    pooled = H.sweep([spec for spec, _ in drawn], workers=2)
+    assert [outcome(r) for r in pooled] == [want for _, want in drawn]

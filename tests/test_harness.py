@@ -2,10 +2,10 @@
 
 import dataclasses
 import json
-import multiprocessing
 import os
+import pickle
+import signal
 import warnings
-from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -24,6 +24,14 @@ from seqprecond.learners import RegressionLearner
 from seqprecond.poly import chebyshev_monic, differencing, legendre_monic
 
 TINY_GEN = H.GeneratorConfig(d_h=6, tau=0.05)
+FORKS = pytest.mark.skipif(not hasattr(os, "fork"), reason="groups run in forked children only")
+
+
+class NeedsTwo(Exception):
+    """Pickles, but its one pickled argument cannot rebuild it."""
+
+    def __init__(self, a, b):
+        super().__init__(f"{a} and {b}")
 
 
 def tiny_spec(**overrides):
@@ -701,11 +709,10 @@ class TestSweep:
         assert isinstance(results[1], H.SweepFailure)
         assert results[1].error.endswith("horizon 4 and degree 3 give 0")
 
-    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
-                        reason="only a forked worker sees the patched harness")
+    @FORKS
     def test_a_lost_worker_fails_its_group_and_the_sweep_returns(self, monkeypatch):
-        # the worker that loads the horizon-121 group's data dies; that breaks
-        # the pool, and a group that has not finished may fail with it
+        # the child that loads the horizon-121 group's data dies; only that
+        # group fails, and the other two report as they would alone
         make_runs = H._make_runs
 
         def dying(g, horizon, seeds):
@@ -713,12 +720,15 @@ class TestSweep:
                 os._exit(1)
             return make_runs(g, horizon, seeds)
 
-        monkeypatch.setattr(H, "_make_runs", dying)
         specs = [tiny_spec(n_runs=1, horizon=120 + s) for s in range(3)]
-        lost = H.sweep(specs, workers=2)[1]
+        alone = [H.report_to_json(H.run_experiment(specs[i])) for i in (0, 2)]
+        monkeypatch.setattr(H, "_make_runs", dying)
+        first, lost, last = H.sweep(specs, workers=2)
         assert isinstance(lost, H.SweepFailure)
         assert lost.config_hash == H.spec_hash(specs[1])
         assert "terminated abruptly" in lost.error
+        assert lost.error.endswith("(exit status 1)")
+        assert [H.report_to_json(first), H.report_to_json(last)] == alone
 
     def test_pool_records_failures_like_the_serial_path(self, tmp_path):
         bad = H.ExperimentSpec(csv_path=str(tmp_path / "missing.csv"), window=5, master_seed=0)
@@ -730,34 +740,135 @@ class TestSweep:
         assert (pooled[1].config_hash, pooled[1].error) == (H.spec_hash(bad), serial[1].error)
         assert "missing.csv" in pooled[1].error
 
+    @FORKS
     @pytest.mark.parametrize("workers, n_specs, cap", [(10000, 3, 3), (2, 3, 2)])
     def test_pool_starts_no_more_workers_than_specs(self, workers, n_specs, cap, monkeypatch):
-        # a recorder in place of the pool: it keeps the worker count it is
-        # given and runs each task inline, so no process starts
-        class InlinePool:
-            def __init__(self, max_workers):
-                started.append(max_workers)
+        # one child per group, and never more alive than the cap
+        fork, waitpid = os.fork, os.waitpid
+        started, alive, most = [], set(), []
 
-            def __enter__(self):
-                return self
+        def counting_fork():
+            pid = fork()
+            if pid:
+                started.append(pid)
+                alive.add(pid)
+                most.append(len(alive))
+            return pid
 
-            def __exit__(self, *exc):
-                pass
+        def counting_waitpid(pid, options):
+            reaped = waitpid(pid, options)
+            alive.discard(reaped[0])
+            return reaped
 
-            def submit(self, fn, *args):
-                fut = Future()
-                fut.set_result(fn(*args))
-                return fut
-
-        started = []
-        monkeypatch.setattr(H, "ProcessPoolExecutor", InlinePool)
-        # a pool task is a group; distinct horizons make each spec its own group
+        monkeypatch.setattr(os, "fork", counting_fork)
+        monkeypatch.setattr(os, "waitpid", counting_waitpid)
+        # distinct horizons make each spec its own group
         specs = [tiny_spec(n_runs=1, master_seed=s, horizon=120 + s) for s in range(n_specs)]
         pooled = H.sweep(specs, workers=workers)
-        assert started == [cap]
+        assert (len(started), max(most), alive) == (n_specs, cap, set())
         assert [H.report_to_json(r) for r in pooled] == [
             H.report_to_json(H.run_experiment(spec)) for spec in specs
         ]
+
+    @FORKS
+    def test_an_outcome_larger_than_a_pipe_comes_back_intact(self):
+        # 900 runs' errors and spectra pickle to more than a pipe's 64 KiB,
+        # so the child's write blocks until this process drains the pipe
+        specs = [tiny_spec(n_runs=900, horizon=40, window=10, lr_grid=(0.01,)),
+                 tiny_spec(n_runs=1)]
+        serial = H.sweep(specs, workers=1)
+        assert len(pickle.dumps(serial[0])) > 64 * 1024
+        assert [H.report_to_json(r) for r in H.sweep(specs, workers=2)] == [
+            H.report_to_json(r) for r in serial
+        ]
+
+    @FORKS
+    @pytest.mark.parametrize("local", [True, False], ids=["local-class", "needs-two"])
+    def test_an_exception_that_cannot_be_pickled_fails_only_its_group(self, local, monkeypatch):
+        class Local(Exception):  # pickle cannot find a local class by name
+            pass
+
+        def failing(g, horizon, seeds):
+            if horizon == 121:
+                raise Local("no data") if local else NeedsTwo("no", "data")
+            return make_runs(g, horizon, seeds)
+
+        make_runs = H._make_runs
+        specs = [tiny_spec(n_runs=1, horizon=120 + s) for s in range(2)]
+        alone = H.report_to_json(H.run_experiment(specs[0]))
+        monkeypatch.setattr(H, "_make_runs", failing)
+        ok, failed = H.sweep(specs, workers=2)
+        assert H.report_to_json(ok) == alone
+        name = "Local: no data" if local else "NeedsTwo: no and data"
+        assert failed == H.SweepFailure(H.spec_hash(specs[1]), name)
+
+    @FORKS
+    @pytest.mark.parametrize("death, how", [
+        (lambda: None, None),
+        (lambda: os._exit(3), "(exit status 3)"),
+        (lambda: os.kill(os.getpid(), signal.SIGKILL), f"(killed by signal {signal.SIGKILL})"),
+    ], ids=["lives", "exits", "is-killed"])
+    def test_no_child_outlives_the_sweep(self, death, how, monkeypatch):
+        def dying(g, horizon, seeds):
+            if horizon == 121:
+                death()
+            return make_runs(g, horizon, seeds)
+
+        make_runs = H._make_runs
+        monkeypatch.setattr(H, "_make_runs", dying)
+        specs = [tiny_spec(n_runs=1, horizon=120 + s) for s in range(3)]
+        results = H.sweep(specs, workers=2)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        kinds = [type(r) for r in results]
+        if how is None:
+            assert kinds == [H.MetricsReport] * 3
+        else:
+            assert kinds == [H.MetricsReport, H.SweepFailure, H.MetricsReport]
+            assert results[1].error.endswith(f"terminated abruptly {how}")
+
+    @FORKS
+    def test_an_error_in_this_process_stops_and_reaps_every_child(self, monkeypatch):
+        # the first child to finish makes reading its status fail; the
+        # children still running are killed and reaped, and the error raises
+        def broken(status):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(os, "waitstatus_to_exitcode", broken)
+        specs = [tiny_spec(n_runs=1, horizon=120 + s) for s in range(3)]
+        with pytest.raises(KeyboardInterrupt):
+            H.sweep(specs, workers=3)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @FORKS
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts open descriptors")
+    def test_a_failed_fork_closes_its_pipe_and_reaps_the_children(self, monkeypatch):
+        fork, forks = os.fork, []
+
+        def second_fails():
+            forks.append(None)
+            if len(forks) == 2:
+                raise BlockingIOError("fork: resource temporarily unavailable")
+            return fork()
+
+        monkeypatch.setattr(os, "fork", second_fails)
+        specs = [tiny_spec(n_runs=1, horizon=120 + s) for s in range(3)]
+        open_fds = sorted(os.listdir("/proc/self/fd"))
+        with pytest.raises(BlockingIOError):
+            H.sweep(specs, workers=3)
+        assert sorted(os.listdir("/proc/self/fd")) == open_fds
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_without_fork_the_groups_run_in_this_process(self, monkeypatch):
+        specs = [tiny_spec(n_runs=1, horizon=120 + s) for s in range(3)]
+        serial = [H.report_to_json(r) for r in H.sweep(specs, workers=1)]
+        run_group, calls = H._run_group, []
+        monkeypatch.setattr(H, "_run_group", lambda *task: calls.append(task) or run_group(*task))
+        monkeypatch.delattr(os, "fork", raising=False)
+        assert [H.report_to_json(r) for r in H.sweep(specs, workers=2)] == serial
+        assert len(calls) == 3
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_pool_records_a_diverging_spec_like_the_serial_path(self):
