@@ -21,8 +21,9 @@ a tap count per cell over one window stream per trajectory.  A cell's
 results do not depend on the cells beside it, so every report is bit for
 bit the spec's own.  With several workers and several groups, each group
 runs in a child forked for it, at most `workers` at once, which sends
-its reports back through a pipe; a child that dies fails its own group
-alone.  Every child is reaped before the call returns.
+back its reports and failures' messages (`_message`), so a failure reads
+the same at every worker count; a child that dies fails its group alone.
+Every child is reaped before the call returns.
 """
 
 from __future__ import annotations
@@ -356,11 +357,11 @@ def _grid(spec: ExperimentSpec) -> list:
     return list(spec.lr_grid)
 
 
-def _group_predictions(specs: list, data: dict) -> np.ndarray:
-    """The (cells, T, d_out) predictions of one group, from one `ogd` call.
-    Cells are (spec, rate, run), flat, with specs in order, rates major and
-    runs minor; each has its run's trajectory, its spec learner's taps, lag
-    coefficients and radii, its rates and, for the oracle, its run's weights."""
+def _group_predictions(specs: list, data: dict) -> list:
+    """Each spec's (len(grid) * n_runs, T, d_out) predictions, as views of
+    one `ogd` call over (spec, rate, run) cells: specs in order, rates
+    major, runs minor.  A cell has its run's trajectory, its spec learner's
+    taps, lag coefficients and radii, its rates and its oracle weights."""
     keys = list(dict.fromkeys(map(_data_key, specs)))
     first = dict(zip(keys, np.cumsum([0] + [len(data[k][0]) for k in keys]).tolist()))
     trajs = [traj for k in keys for traj in data[k][0]]
@@ -370,7 +371,7 @@ def _group_predictions(specs: list, data: dict) -> np.ndarray:
     if spectral:  # one bank, so one degree
         m, beta, k = _bank_shape(specs[0], T)
         n, bank = T - m - 1, build_filter_bank(m, ComplexSector(beta), k)
-    cells = []  # (trajectory, model rate, coefficient rate, learner, initial weights)
+    cells, ends = [], []  # (trajectory, model rate, coefficient rate, learner, initial weights)
     for spec in specs:
         c, key = resolve_coefficients(spec), _data_key(spec)
         if spectral:
@@ -384,6 +385,7 @@ def _group_predictions(specs: list, data: dict) -> np.ndarray:
             for run, system in enumerate(data[key][1]):
                 init = learners.oracle_weights(system, c) if spec.oracle_comparator else None
                 cells.append((first[key] + run, *rates, learner, init))
+        ends.append(len(cells))
     traj, lr, lr_lag, owners, init = map(list, zip(*cells))
     blocks = learners.feature_blocks(
         u, y, [o.num_taps for o in owners], [o.lags for o in owners], lr, lr_lag,
@@ -391,15 +393,15 @@ def _group_predictions(specs: list, data: dict) -> np.ndarray:
         deep=(bank, n, T, [o.R_M for o in owners]) if spectral else None,
     )
     with np.errstate(over="ignore", invalid="ignore"):  # a diverged cell is recorded
-        return learners.ogd(blocks, learners.Rows(y, traj))[0]
+        return np.split(learners.ogd(blocks, learners.Rows(y, traj))[0], ends[:-1])
 
 
-def _report(spec: ExperimentSpec, grid: list, preds: np.ndarray, data) -> MetricsReport:
+def _report(spec: ExperimentSpec, preds: np.ndarray, data) -> MetricsReport:
     """A spec's report from its cells' (len(grid) * n_runs, T, d_out)
     predictions and its runs and systems."""
     runs, systems = data
     y = np.stack([traj.outputs for traj in runs])
-    c = resolve_coefficients(spec)
+    c, grid = resolve_coefficients(spec), _grid(spec)
     T = y.shape[-2]
     meta = {"coefficient_l1": c.l1, "seed_derivation": "SeedSequence(master).generate_state(3N)"}
     if systems[0] is not None:
@@ -465,52 +467,42 @@ def _run_group(specs: list, data: dict) -> list:
     """Each spec's report, or the exception it failed with, for the specs
     of one group: all their cells step in one `ogd` call.  `data` maps
     each data key to its runs and systems, a load failure, or None for a
-    key that only this group reads, which is loaded here."""
+    key that only this group reads, which is loaded here.  A load failure
+    fails its specs, and a failed `ogd` call fails the group's others."""
     data = dict(data)
     for spec in specs:
         if data[_data_key(spec)] is None:
             data[_data_key(spec)] = _load(spec)
-    results = {i: data[_data_key(spec)] for i, spec in enumerate(specs)
-               if isinstance(data[_data_key(spec)], Exception)}
-    live = [i for i in range(len(specs)) if i not in results]
+    loaded = [spec for spec in specs if not isinstance(data[_data_key(spec)], Exception)]
     try:
-        if live:
-            preds = _group_predictions([specs[i] for i in live], data)
-    except Exception as exc:  # noqa: BLE001 - every live spec of the group fails with it
-        return [results.get(i, exc) for i in range(len(specs))]
-    start = 0
-    for i in live:
-        spec, grid = specs[i], _grid(specs[i])
-        cells = slice(start, start + len(grid) * spec.n_runs)
-        start = cells.stop
-        try:
-            results[i] = _report(spec, grid, preds[cells], data[_data_key(spec)])
-        except Exception as exc:  # noqa: BLE001 - that spec's failure alone
-            results[i] = exc
-    return [results[i] for i in range(len(specs))]
-
-
-def _sendable(outcome: list) -> list:
-    """A group's outcome with each exception that does not survive
-    pickling replaced by a RuntimeError naming it."""
-    sendable = []
-    for result in outcome:
-        if isinstance(result, Exception):
+        preds = iter(_group_predictions(loaded, data) if loaded else ())
+    except Exception as exc:  # noqa: BLE001 - every loaded spec of the group fails with it
+        return [data[k] if isinstance(data[k], Exception) else exc for k in map(_data_key, specs)]
+    outcomes = []
+    for spec in specs:
+        outcome = data[_data_key(spec)]  # its runs and systems, or its load failure
+        if not isinstance(outcome, Exception):
             try:
-                pickle.loads(pickle.dumps(result))
-            except Exception:  # noqa: BLE001 - sent by its name and message instead
-                result = RuntimeError(f"{type(result).__name__}: {result}")
-        sendable.append(result)
-    return sendable
+                outcome = _report(spec, next(preds), outcome)
+            except Exception as exc:  # noqa: BLE001 - that spec's failure alone
+                outcome = exc
+        outcomes.append(outcome)
+    return outcomes
+
+
+def _message(exc: BaseException) -> str:
+    """A failure's text: its message, or its type's name if that is empty."""
+    return str(exc) or type(exc).__name__
 
 
 def _run_forked(tasks: list, workers: int) -> list:
-    """Each task's `_run_group` outcome, each from a child forked for it,
-    at most `workers` alive at once.  A child inherits its task by fork
-    and writes its pickled outcome to a pipe, which this process drains
-    as it fills, so no outcome is too large to send.  A child that dies
-    fails its own group alone, naming its exit status or signal.  Every
-    child is reaped before this returns or raises."""
+    """Each task's `_run_group` outcome, with every failure as its
+    `_message`, each from a child forked for it, at most `workers` alive
+    at once.  A child inherits its task by fork and pickles its outcome to
+    a pipe, which this process drains as it fills, so no outcome is too
+    large to send.  A child that dies fails its own group alone, naming
+    its exit status or signal.  Every child is reaped before this returns
+    or raises."""
     outcomes, alive, started = [None] * len(tasks), {}, 0  # alive: pipe -> task, pid, chunks
     poller = select.poll()
     try:
@@ -524,14 +516,14 @@ def _run_forked(tasks: list, workers: int) -> list:
                     os.close(w)
                     raise
                 if pid == 0:  # the child: run the task, send its outcome, exit
-                    status = 1
                     try:
                         os.close(r)
                         with os.fdopen(w, "wb") as out:
-                            out.write(pickle.dumps(_sendable(_run_group(*tasks[started]))))
-                        status = 0
+                            pickle.dump([x if isinstance(x, MetricsReport) else _message(x)
+                                         for x in _run_group(*tasks[started])], out)
+                        os._exit(0)
                     finally:
-                        os._exit(status)
+                        os._exit(1)
                 os.close(w)
                 alive[r], started = (started, pid, []), started + 1
                 poller.register(r, select.POLLIN)
@@ -547,8 +539,7 @@ def _run_forked(tasks: list, workers: int) -> list:
                     outcomes[i] = pickle.loads(b"".join(chunks))
                 else:
                     how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
-                    lost = RuntimeError(f"the process running this group was "
-                                        f"terminated abruptly ({how})")
+                    lost = f"the process running this group was terminated abruptly ({how})"
                     outcomes[i] = [lost] * len(tasks[i][0])
     finally:  # on an error here, stop and reap the children still running
         for r, (_, pid, _) in alive.items():
@@ -559,8 +550,8 @@ def _run_forked(tasks: list, workers: int) -> list:
 
 
 def _run(specs: list, workers: int = 1) -> list:
-    """Each validated spec's report, or the exception it failed with, in
-    input order.
+    """Each validated spec's report, or the exception it failed with (from
+    a child, a RuntimeError carrying its `_message`), in input order.
 
     Specs are grouped by (algo, T, d_in, d_out) and, for spectral, by the
     filter bank (T', beta, k).  Each group is one `_run_group` task: in
@@ -604,13 +595,11 @@ def _run(specs: list, workers: int = 1) -> list:
                 data[key] = _load(specs[i])
         tasks.append(([specs[i] for i in members],
                       {_data_key(specs[i]): data.get(_data_key(specs[i])) for i in members}))
-    if workers == 1 or len(tasks) <= 1 or not hasattr(os, "fork"):
-        outcomes = [_run_group(*task) for task in tasks]
-    else:
-        outcomes = _run_forked(tasks, workers)
+    serial = workers == 1 or len(tasks) <= 1 or not hasattr(os, "fork")
+    outcomes = [_run_group(*task) for task in tasks] if serial else _run_forked(tasks, workers)
     for members, outcome in zip(groups, outcomes):
-        for i, result in zip(members, outcome):
-            results[i] = result
+        for i, result in zip(members, outcome):  # a child's failure comes as its message
+            results[i] = RuntimeError(result) if isinstance(result, str) else result
     return results
 
 
@@ -658,13 +647,14 @@ def sweep(specs: list[ExperimentSpec], workers: int = 1) -> list:
     group whose (spec, rate, run) cells step in one `ogd` recursion; each
     spec's report is bit for bit its `run_experiment` report.  A spec that
     fails, on its data or because every grid point diverged, is a
-    `SweepFailure`, and the rest of its group still reports.  With
-    workers > 1 and several groups, each group runs in a child process
-    forked for it, at most `workers` at once; otherwise, and where
-    `os.fork` does not exist, everything runs in this process.  A child
-    that dies fails its own group alone, as a `SweepFailure` that says it
-    was terminated abruptly and gives its exit status or signal.  No
-    child outlives the call.  Results come back in input order.
+    `SweepFailure` with the exception's message, or its type's name when
+    that is empty, at every worker count; the rest of its group still
+    reports.  With workers > 1 and several groups, each group runs in a
+    child process forked for it, at most `workers` at once; otherwise,
+    and where `os.fork` does not exist, everything runs in this process.
+    A child that dies fails its own group alone, as a `SweepFailure` that
+    says it was terminated abruptly and gives its exit status or signal.
+    No child outlives the call.  Results come back in input order.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -672,7 +662,7 @@ def sweep(specs: list[ExperimentSpec], workers: int = 1) -> list:
         raise ValueError("sweep needs at least one spec")
     for spec in specs:
         validate_spec(spec)
-    return [SweepFailure(spec_hash(spec), str(r)) if isinstance(r, Exception) else r
+    return [SweepFailure(spec_hash(spec), _message(r)) if isinstance(r, Exception) else r
             for spec, r in zip(specs, _run(specs, workers))]
 
 

@@ -15,7 +15,7 @@ import pytest
 
 import seqprecond
 from seqprecond import dynsys, harness, invariants
-from seqprecond.cli import _build_parser, main
+from seqprecond.cli import _COMMANDS, _build_parser, main
 from seqprecond.dynsys import ingest_csv
 from seqprecond.invariants import VerifyResult
 from seqprecond.poly import chebyshev_monic
@@ -428,6 +428,18 @@ class TestSweepCommand:
         assert "failure" in payload[1]
         assert "failed" in captured.err
 
+    def test_a_failure_without_a_message_is_named_by_its_type(self, tmp_path, capsys, monkeypatch):
+        def failing(g, horizon, seeds):
+            raise MemoryError()
+
+        monkeypatch.setattr(harness, "_make_runs", failing)
+        cfg = self.write_sweep(tmp_path, [self.base_entry()])
+        assert run_cli("sweep", "--config", str(cfg)) == 1
+        captured = capsys.readouterr()
+        (payload,) = json.loads(captured.out)
+        assert payload["failure"]["error"] == "MemoryError"
+        assert captured.err == f"failed {payload['failure']['config_hash']}: MemoryError\n"
+
     def test_csv_spectral_filter_count_fails_only_its_entry(self, tmp_path, short_csv, capsys):
         csv_entry = self.base_entry(algo="spectral", generator=None, window=5, degree=5,
                                     csv_path=str(short_csv))
@@ -550,6 +562,19 @@ class TestTopLevel:
     def test_unknown_subcommand_is_usage_error(self, capsys):
         assert run_cli("frobnicate") == 1
         assert "invalid choice" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, config, fragment", [
+    ("sweep", {"experiments": [5]}, "experiment 0: must be a JSON object, got 5"),
+    ("run", [{"degree": 3}], "run config must be a JSON object"),
+    ("sweep", "experiments", "sweep config must be a list of experiment objects"),
+], ids=["sweep-entry", "run-config", "sweep-config"])
+def test_a_config_of_the_wrong_shape_is_named(tmp_path, command, config, fragment):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    args = _build_parser().parse_args([command, "--config", str(path)])
+    with pytest.raises(ValueError, match=fragment):
+        _COMMANDS[command](args)
 
 
 def loaded(code, *packages):

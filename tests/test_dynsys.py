@@ -615,3 +615,22 @@ GOLDEN_NONLINEAR = np.array([
     -0.10461712792148535,
     -0.27079773618088393,
 ])
+
+
+@pytest.mark.parametrize("make, fragment", [
+    (lambda: LinearSystem(np.eye(2), np.ones((2, 1)), np.ones((1, 2)),
+                          np.zeros(3, dtype=complex), 1.0),
+     r"expected 2 eigenvalues, got shape \(3,\)"),
+    (lambda: scalar_system(sigma=-0.1), "noise_sigma must be nonnegative"),
+    (lambda: NonlinearSystem(**TestNonlinear.layers(), noise_sigma=-0.1),
+     "noise_sigma must be nonnegative"),
+    (lambda: dynsys._as_time_major(np.zeros((2, 3, 4))),
+     r"expected a \(T, channels\) array, got shape \(2, 3, 4\)"),
+    (lambda: system_from_eigenvalues([0.5], 1, 1, seed=0, basis_cond=0.5),
+     "basis_cond must be >= 1"),
+    (lambda: gaussian_inputs(0, 1, seed=0), "T and d_in must be positive"),
+], ids=["eigenvalue-shape", "linear-noise", "nonlinear-noise", "3-d-series", "basis-cond",
+        "no-steps"])
+def test_an_argument_out_of_range_is_named(make, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        make()

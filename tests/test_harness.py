@@ -799,8 +799,59 @@ class TestSweep:
         monkeypatch.setattr(H, "_make_runs", failing)
         ok, failed = H.sweep(specs, workers=2)
         assert H.report_to_json(ok) == alone
-        name = "Local: no data" if local else "NeedsTwo: no and data"
-        assert failed == H.SweepFailure(H.spec_hash(specs[1]), name)
+        assert failed == H.sweep(specs, workers=1)[1]
+        assert failed == H.SweepFailure(H.spec_hash(specs[1]), "no data" if local else "no and data")
+
+    @pytest.mark.parametrize("error, text", [
+        (ValueError("bad rows"), "bad rows"),
+        (MemoryError(), "MemoryError"),
+    ], ids=["value-error", "no-message"])
+    def test_a_failure_reads_the_same_at_every_worker_count(self, error, text, monkeypatch):
+        # a failure is its message, or its type's name when it has none;
+        # `run_experiment` raises the exception itself
+        def failing(g, horizon, seeds):
+            if horizon == 121:
+                raise error
+            return make_runs(g, horizon, seeds)
+
+        make_runs = H._make_runs
+        specs = [tiny_spec(n_runs=1, horizon=120 + s) for s in range(2)]
+        alone = H.report_to_json(H.run_experiment(specs[0]))
+        monkeypatch.setattr(H, "_make_runs", failing)
+        want = H.SweepFailure(H.spec_hash(specs[1]), text)
+        for workers in (1, 2):
+            ok, failed = H.sweep(specs, workers=workers)
+            assert (H.report_to_json(ok), failed) == (alone, want)
+        with pytest.raises(type(error)) as raised:
+            H.run_experiment(specs[1])
+        assert raised.value is error
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_failed_ogd_call_fails_its_group_past_the_load_failures(self, workers, monkeypatch):
+        # the horizon-121 group holds a spec whose data does not load and
+        # one whose data does; its `ogd` call fails, so the first keeps its
+        # load failure, the second reads the call's, and the other group reports
+        def failing_load(g, horizon, seeds):
+            if seeds == H.derive_seeds(8, 1):
+                raise ValueError("no data")
+            return make_runs(g, horizon, seeds)
+
+        def failing_call(specs, data):
+            if specs[0].horizon == 121:
+                raise RuntimeError("bank broke")
+            return group_predictions(specs, data)
+
+        make_runs, group_predictions = H._make_runs, H._group_predictions
+        ok, unloaded, loaded = specs = [tiny_spec(n_runs=1, horizon=120),
+                                        tiny_spec(n_runs=1, horizon=121, master_seed=8),
+                                        tiny_spec(n_runs=1, horizon=121)]
+        alone = H.report_to_json(H.run_experiment(ok))
+        monkeypatch.setattr(H, "_make_runs", failing_load)
+        monkeypatch.setattr(H, "_group_predictions", failing_call)
+        report, *failed = H.sweep(specs, workers=workers)
+        assert H.report_to_json(report) == alone
+        assert failed == [H.SweepFailure(H.spec_hash(unloaded), "no data"),
+                          H.SweepFailure(H.spec_hash(loaded), "bank broke")]
 
     @FORKS
     @pytest.mark.parametrize("death, how", [

@@ -703,3 +703,15 @@ def test_first_non_finite_prediction_is_named():
     X[3] = np.inf
     preds, _ = ogd([(X, np.full((1, 1, 1), 0.5), 0.0, None)], np.zeros((5, 1)))
     np.testing.assert_array_equal(preds[:, 0], [0.5, 0.5, 0.5, np.inf, 0.5])
+
+
+@pytest.mark.parametrize("make, fragment", [
+    (lambda: ogd([(np.ones((4, 1, 1)), np.zeros((1, 1)), 0.1, None)], np.zeros((4, 1))),
+     r"weights \(1, 1\) do not fit features \(4, 1, 1\)"),
+    (lambda: ogd([(np.ones((4, 2, 1)), np.zeros(2), 0.1, 1.0)], np.zeros((4, 1))),
+     "a lag block takes no radius"),
+    (lambda: RegressionLearner(cv(1.0, -0.5), num_taps=-1), "num_taps must be nonnegative"),
+], ids=["misfit-weights", "lag-radius", "negative-taps"])
+def test_an_argument_out_of_range_is_named(make, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        make()

@@ -201,3 +201,14 @@ class TestSector:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
+
+
+@pytest.mark.parametrize("make, error, fragment", [
+    (lambda: CoefficientVector(np.array([])), ValueError, "nonempty 1-d array"),
+    (lambda: CoefficientVector(np.eye(2)), ValueError, "nonempty 1-d array"),
+    (lambda: chebyshev_monic(2.0), TypeError, "degree must be an integer, got float"),
+    (lambda: sector_grid(ComplexSector(0.5), 0), ValueError, "grid_density must be >= 1"),
+], ids=["empty-vector", "2-d-vector", "float-degree", "no-grid"])
+def test_an_argument_out_of_range_is_named(make, error, fragment):
+    with pytest.raises(error, match=fragment):
+        make()
