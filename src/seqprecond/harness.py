@@ -8,8 +8,8 @@ inputs from its triple, then simulates all its runs once, in one stacked
 recursion (`dynsys.simulate_lds_runs`); a CSV spec's one run is read by
 `dynsys.ingest_csv`.  Reports are a pure function of the experiment
 configuration and serialize to byte-identical JSON on repeat runs on one
-platform.  The desk-scale acceptance criteria that pin these experiments
-are defined in `seqprecond.invariants`.
+platform at one BLAS thread count.  The desk-scale acceptance criteria
+that pin these experiments are defined in `seqprecond.invariants`.
 
 `sweep` runs many specs in lockstep, and `run_experiment` is its one-spec
 case, so there is one learning path.  Specs with one data key (the CSV

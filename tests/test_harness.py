@@ -5,7 +5,10 @@ import json
 import os
 import pickle
 import signal
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -332,6 +335,26 @@ class TestRunExperiment:
     def test_byte_identical_reports(self, tiny_report):
         again = H.run_experiment(tiny_spec())
         assert H.report_to_json(again) == H.report_to_json(tiny_report)
+
+    def test_reports_are_byte_identical_at_one_blas_thread_count(self):
+        # The bank here (T' = 1997) comes out of OpenBLAS with other last
+        # bits at 1 and 2 threads, and so do the reports, but not their
+        # chosen rate
+        code = ("from seqprecond import harness as H\n"
+                "spec = H.ExperimentSpec(algo='spectral', degree=2, n_runs=2)\n"
+                "print(H.report_to_json(H.run_experiment(spec)))\n")
+        src = str(Path(H.__file__).parents[1])
+
+        def start(threads):
+            env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=str(threads))
+            return subprocess.Popen([sys.executable, "-c", code], env=env, text=True,
+                                    stdout=subprocess.PIPE)
+
+        runs = [start(threads) for threads in (2, 2, 1)]
+        reports = [run.communicate()[0] for run in runs]
+        assert [run.returncode for run in runs] == [0, 0, 0]
+        assert reports[0] == reports[1]
+        assert len({json.loads(r)["chosen_lr"] for r in reports}) == 1
 
     def test_winner_minimizes_grid_mean(self, tiny_report):
         r = tiny_report
