@@ -233,13 +233,9 @@ def _cmd_sweep(args) -> int:
     if args.table == "csv":
         _emit(harness.sweep_table_csv(results), args.out)
     else:
-        payload = [
-            json.loads(harness.report_to_json(r))
-            if isinstance(r, harness.MetricsReport)
-            else {"failure": dataclasses.asdict(r)}
-            for r in results
-        ]
-        _emit(json.dumps(payload, sort_keys=True, indent=2), args.out)
+        payload = [dataclasses.asdict(r) if isinstance(r, harness.MetricsReport)
+                   else {"failure": dataclasses.asdict(r)} for r in results]
+        _emit(json.dumps(payload, sort_keys=True, indent=2, allow_nan=False), args.out)
     failures = [r for r in results if isinstance(r, harness.SweepFailure)]
     if failures:
         for f in failures:

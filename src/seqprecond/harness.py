@@ -347,14 +347,15 @@ def _load(spec: ExperimentSpec):
 
 
 def _grid(spec: ExperimentSpec) -> list:
-    """The spec's grid points: rates, (model, coefficient) rate pairs for
-    the learned variant, or [None] for the oracle comparator."""
+    """The spec's grid points as (model rate, coefficient rate) pairs: (lr,
+    0.0) for each rate, every pair for the learned variant, or one (0.0,
+    0.0) for the oracle comparator, which holds its weights and lags."""
     if spec.oracle_comparator:
-        return [None]
+        return [(0.0, 0.0)]
     if spec.variant == "learned":
         coeff_grid = spec.lr_grid_coeffs if spec.lr_grid_coeffs else spec.lr_grid
         return [(m, cc) for m in spec.lr_grid for cc in coeff_grid]
-    return list(spec.lr_grid)
+    return [(lr, 0.0) for lr in spec.lr_grid]
 
 
 def _group_predictions(specs: list, data: dict) -> list:
@@ -380,8 +381,7 @@ def _group_predictions(specs: list, data: dict) -> list:
         else:
             learner = learners.RegressionLearner(c, num_taps=_input_taps(spec),
                                                  domain_bound=spec.domain_bound)
-        for point in _grid(spec):  # the oracle's one point holds both rates at 0
-            rates = point if isinstance(point, tuple) else (point or 0.0, 0.0)
+        for rates in _grid(spec):
             for run, system in enumerate(data[key][1]):
                 init = learners.oracle_weights(system, c) if spec.oracle_comparator else None
                 cells.append((first[key] + run, *rates, learner, init))
@@ -406,7 +406,8 @@ def _report(spec: ExperimentSpec, preds: np.ndarray, data) -> MetricsReport:
     meta = {"coefficient_l1": c.l1, "seed_derivation": "SeedSequence(master).generate_state(3N)"}
     if systems[0] is not None:
         meta["spectra"] = [dynsys.spectrum_summary(s) for s in systems]
-    labels = [list(lr) if isinstance(lr, tuple) else lr for lr in grid]
+    labels = [None if spec.oracle_comparator else list(point) if spec.variant == "learned"
+              else point[0] for point in grid]
     preds = preds.reshape(len(grid), *y.shape)
     finite = np.isfinite(preds).all(axis=-1)
     grid_results = []
@@ -423,22 +424,17 @@ def _report(spec: ExperimentSpec, preds: np.ndarray, data) -> MetricsReport:
                 run = int(np.argmin(ok.all(axis=-1)))  # the first diverged run
                 step = int(np.argmin(ok[run]))  # and its first non-finite step
                 grid_results.append({"lr": lr, "diverged": {"run": run, "step": step}})
-    finished = [g for g in grid_results if "diverged" not in g]
+    finished = [(g, point) for g, point in zip(grid_results, grid) if "diverged" not in g]
     if not finished:
         failed = grid_results[0]["diverged"]
         raise ValueError(f"non-finite prediction at step {failed['step']} of {T} "
                          f"(lr={labels[0]}, run {failed['run']})")
-    for g in finished:  # a run's non-finite error makes its mean non-finite
+    for g, _ in finished:  # a run's non-finite error makes its mean non-finite
         for name, what in (("mean", "mean of the final-window"), ("std", "std of the final-window"),
                            ("mean_full_horizon", "mean of the full-horizon")):
             if not math.isfinite(g[name]):
                 raise ValueError(f"{what} errors at lr={g['lr']} is not finite")
-
-    def tie_key(entry):
-        lr = entry["lr"]
-        return (entry["mean"], tuple(lr) if isinstance(lr, list) else (lr,))
-
-    winner = min(finished, key=tie_key)
+    winner = min(finished, key=lambda e: (e[0]["mean"], e[1]))[0]  # ties go to the smaller rates
     return MetricsReport(
         algo=spec.algo,
         variant=spec.variant,
@@ -466,12 +462,12 @@ def _report(spec: ExperimentSpec, preds: np.ndarray, data) -> MetricsReport:
 def _run_group(specs: list, data: dict) -> list:
     """Each spec's report, or the exception it failed with, for the specs
     of one group: all their cells step in one `ogd` call.  `data` maps
-    each data key to its runs and systems, a load failure, or None for a
-    key that only this group reads, which is loaded here.  A load failure
-    fails its specs, and a failed `ogd` call fails the group's others."""
+    data keys to their runs and systems or a load failure; a key of these
+    specs that it lacks is loaded here, into a copy.  A load failure fails
+    its specs, and a failed `ogd` call fails the group's others."""
     data = dict(data)
     for spec in specs:
-        if data[_data_key(spec)] is None:
+        if _data_key(spec) not in data:
             data[_data_key(spec)] = _load(spec)
     loaded = [spec for spec in specs if not isinstance(data[_data_key(spec)], Exception)]
     try:
@@ -587,14 +583,11 @@ def _run(specs: list, workers: int = 1) -> list:
         groups.setdefault(group, []).append(i)
     groups = list(groups.values())
     readers = Counter(key for members in groups for key in {_data_key(specs[i]) for i in members})
-    tasks = []
-    for members in groups:
-        for i in members:
-            key = _data_key(specs[i])
-            if key not in data and readers[key] > 1:
-                data[key] = _load(specs[i])
-        tasks.append(([specs[i] for i in members],
-                      {_data_key(specs[i]): data.get(_data_key(specs[i])) for i in members}))
+    for spec in specs:
+        key = _data_key(spec)
+        if key not in data and readers[key] > 1:
+            data[key] = _load(spec)
+    tasks = [([specs[i] for i in members], data) for members in groups]
     serial = workers == 1 or len(tasks) <= 1 or not hasattr(os, "fork")
     outcomes = [_run_group(*task) for task in tasks] if serial else _run_forked(tasks, workers)
     for members, outcome in zip(groups, outcomes):

@@ -1,9 +1,11 @@
 """Monic polynomial coefficient vectors used to precondition sequences.
 
-Coefficients are generated by exact integer/rational recurrences and
-converted to floats once, at the boundary.  A coefficient vector
-``c = (c_0, ..., c_n)`` is stored in descending powers, so it represents
-``p(x) = c_0 x^n + c_1 x^{n-1} + ... + c_n`` with ``c_0 = 1``.
+Each family is one exact three-term recurrence in rationals,
+p_{k+1} = x p_k - gamma_k p_{k-1}, whose coefficients gamma_k alone
+identify it; the result is converted to floats once, at the boundary.
+A coefficient vector ``c = (c_0, ..., c_n)`` is stored in descending
+powers, so it represents ``p(x) = c_0 x^n + c_1 x^{n-1} + ... + c_n``
+with ``c_0 = 1``.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-# Beyond this degree the exact recurrences still work (Python ints do not
+# Beyond this degree the exact recurrence still works (Python ints do not
 # overflow) but the float conversion loses the coefficients' dyadic
 # structure and downstream convolutions are numerically meaningless.
 MAX_DEGREE = 60
@@ -71,42 +73,30 @@ def _check_degree(n: int) -> None:
         raise ValueError(f"degree {n} exceeds the supported maximum {MAX_DEGREE}")
 
 
-def chebyshev_exact(n: int) -> list[Fraction]:
-    """Exact coefficients of the monic Chebyshev polynomial T_n / 2^(n-1).
-
-    Uses the integer three-term recurrence T_{k+1} = 2 x T_k - T_{k-1};
-    the single rational division happens at the end.
-    """
+def _monic(n: int, gamma) -> list[Fraction]:
+    """Exact coefficients of the monic orthogonal polynomial of degree n
+    whose family has recurrence coefficients gamma(k): p_0 = 1, p_1 = x,
+    p_{k+1} = x p_k - gamma(k) p_{k-1}."""
     _check_degree(n)
-    if n == 0:
-        return [Fraction(1)]
-    prev, cur = [1], [1, 0]  # T_0, T_1 in descending powers
-    for _ in range(2, n + 1):
-        nxt = [2 * c for c in cur] + [0]
+    prev, cur = [], [Fraction(1)]  # p_{-1} = 0 and p_0
+    for k in range(n):
+        nxt, g = cur + [Fraction(0)], gamma(k)
         for i, c in enumerate(prev):
-            nxt[i + 2] -= c
+            nxt[i + 2] -= g * c
         prev, cur = cur, nxt
-    scale = Fraction(1, 2 ** (n - 1))
-    return [c * scale for c in cur]
+    return cur
+
+
+def chebyshev_exact(n: int) -> list[Fraction]:
+    """Exact coefficients of the monic Chebyshev polynomial T_n / 2^(n-1),
+    with gamma_1 = 1/2 and gamma_k = 1/4 for k >= 2."""
+    return _monic(n, lambda k: Fraction(1, 2 if k == 1 else 4))
 
 
 def legendre_exact(n: int) -> list[Fraction]:
-    """Exact coefficients of the monic Legendre polynomial.
-
-    Bonnet recurrence (k+1) P_{k+1} = (2k+1) x P_k - k P_{k-1}, carried out
-    in rationals, then normalized by the leading coefficient.
-    """
-    _check_degree(n)
-    if n == 0:
-        return [Fraction(1)]
-    prev, cur = [Fraction(1)], [Fraction(1), Fraction(0)]
-    for k in range(1, n):
-        nxt = [Fraction(2 * k + 1, k + 1) * c for c in cur] + [Fraction(0)]
-        for i, c in enumerate(prev):
-            nxt[i + 2] -= Fraction(k, k + 1) * c
-        prev, cur = cur, nxt
-    lead = cur[0]
-    return [c / lead for c in cur]
+    """Exact coefficients of the monic Legendre polynomial, with
+    gamma_k = k^2 / (4 k^2 - 1)."""
+    return _monic(n, lambda k: Fraction(k * k, 4 * k * k - 1))
 
 
 def _to_vector(exact: list[Fraction]) -> CoefficientVector:

@@ -339,10 +339,15 @@ class TestRunExperiment:
     def test_reports_are_byte_identical_at_one_blas_thread_count(self):
         # The bank here (T' = 1997) comes out of OpenBLAS with other last
         # bits at 1 and 2 threads, and so do the reports, but not their
-        # chosen rate
+        # chosen rate.  From d_h = 100 up, the sampled systems do too.
         code = ("from seqprecond import harness as H\n"
-                "spec = H.ExperimentSpec(algo='spectral', degree=2, n_runs=2)\n"
-                "print(H.report_to_json(H.run_experiment(spec)))\n")
+                "big = dict(n_runs=2, horizon=300, window=50)\n"
+                "specs = [H.ExperimentSpec(algo='spectral', degree=2, n_runs=2),\n"
+                "         H.ExperimentSpec(generator=H.GeneratorConfig(d_h=400), **big),\n"
+                "         H.ExperimentSpec(generator=H.GeneratorConfig(d_h=200, d_in=3, d_out=3),\n"
+                "                          **big)]\n"
+                "reports = (H.report_to_json(H.run_experiment(s)) for s in specs)\n"
+                "print('[' + ','.join(reports) + ']')\n")
         src = str(Path(H.__file__).parents[1])
 
         def start(threads):
@@ -354,7 +359,8 @@ class TestRunExperiment:
         reports = [run.communicate()[0] for run in runs]
         assert [run.returncode for run in runs] == [0, 0, 0]
         assert reports[0] == reports[1]
-        assert len({json.loads(r)["chosen_lr"] for r in reports}) == 1
+        chosen = [[report["chosen_lr"] for report in json.loads(r)] for r in reports]
+        assert chosen[0] == chosen[1] == chosen[2]
 
     def test_winner_minimizes_grid_mean(self, tiny_report):
         r = tiny_report

@@ -62,13 +62,17 @@ class TestExactCoefficients:
         assert legendre_exact(2) == [1, 0, Fraction(-1, 3)]
         assert legendre_exact(3) == [1, 0, Fraction(-3, 5), 0]
 
-    @pytest.mark.parametrize("n", range(0, 21))
+    @pytest.mark.parametrize("n", range(0, MAX_DEGREE + 1))
     def test_chebyshev_matches_explicit_formula_exactly(self, n):
-        assert chebyshev_exact(n) == chebyshev_by_formula(n)
+        formula = chebyshev_by_formula(n)
+        assert chebyshev_exact(n) == formula
+        assert chebyshev_monic(n).coeffs.tolist() == [float(c) for c in formula]
 
-    @pytest.mark.parametrize("n", range(0, 21))
+    @pytest.mark.parametrize("n", range(0, MAX_DEGREE + 1))
     def test_legendre_matches_explicit_formula_exactly(self, n):
-        assert legendre_exact(n) == legendre_by_formula(n)
+        formula = legendre_by_formula(n)
+        assert legendre_exact(n) == formula
+        assert legendre_monic(n).coeffs.tolist() == [float(c) for c in formula]
 
     @pytest.mark.parametrize("gen", [chebyshev_monic, legendre_monic])
     def test_monic_and_family(self, gen):
