@@ -87,7 +87,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--table", choices=["csv"], help="emit the wide mean±std table instead")
 
     p = sub.add_parser("verify", help="run the ten acceptance criteria")
-    p.add_argument("--suite", default="all", choices=("all", *harness.SUITES))
+    p.add_argument("--suite", default="all", help="one suite of criteria (default: all)")
     return parser
 
 

@@ -67,8 +67,8 @@ class LinearSystem:
         _require_conjugate_closed(eigs)
         if self.kappa < 1.0 - 1e-9:
             raise ValueError(f"kappa must be >= 1, got {self.kappa}")
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be nonnegative")
+        if not 0 <= self.noise_sigma < np.inf:  # a NaN would switch the noise off
+            raise ValueError(f"noise_sigma must be nonnegative and finite, got {self.noise_sigma}")
         for name, M in (("A", A), ("B", B), ("C", C), ("eigenvalues", eigs)):
             object.__setattr__(self, name, M)
 
@@ -108,8 +108,8 @@ class NonlinearSystem:
         A2, B2, _ = _check_layer(self.A2, self.B2, C, ("A2", "B2", "C"))
         if B2.shape != B1.shape:
             raise ValueError(f"B2 must be {B1.shape} like B1, got {B2.shape}")
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be nonnegative")
+        if not 0 <= self.noise_sigma < np.inf:  # a NaN would switch the noise off
+            raise ValueError(f"noise_sigma must be nonnegative and finite, got {self.noise_sigma}")
         for name, M in (("A1", A1), ("B1", B1), ("A2", A2), ("B2", B2), ("C", C)):
             object.__setattr__(self, name, M)
 
@@ -314,8 +314,8 @@ def system_from_eigenvalues(
     Complex entries must appear with their conjugates; order is free.
     """
     eigs = np.asarray(eigenvalues, dtype=complex)
-    if basis_cond < 1.0:
-        raise ValueError("basis_cond must be >= 1")
+    if not 1.0 <= basis_cond < np.inf:
+        raise ValueError(f"basis_cond must be >= 1 and finite, got {basis_cond}")
     _require_conjugate_closed(eigs)
     upper = eigs[eigs.imag > _EIG_TOL]
     reals = eigs[np.abs(eigs.imag) <= _EIG_TOL].real

@@ -9,7 +9,8 @@ recursion (`dynsys.simulate_lds_runs`); a CSV spec's one run is read by
 `dynsys.ingest_csv`.  Reports are a pure function of the experiment
 configuration and serialize to byte-identical JSON on repeat runs on one
 platform at one BLAS thread count.  The desk-scale acceptance criteria
-that pin these experiments are defined in `seqprecond.invariants`.
+that pin these experiments, and the suites that `usp verify` runs, are
+defined in `seqprecond.invariants` alone, which a run never loads.
 
 `sweep` runs many specs in lockstep, and `run_experiment` is its one-spec
 case, so there is one learning path.  Specs with one data key (the CSV
@@ -57,17 +58,6 @@ ALGOS = ("regression", "spectral")
 GENERATOR_KINDS = ("lds", "nonlinear")
 
 DEFAULT_LR_GRID = (1e-3, 1e-2, 1e-1)
-
-# The acceptance criteria by suite.  `seqprecond.invariants` defines them;
-# they are named here so that `usp verify --suite` offers the suites
-# without loading it.
-SUITES = {
-    "poly": ("chebyshev_sector_decay", "coefficient_growth_exact"),
-    "spectral": ("gram_closed_form", "gram_eigendecay"),
-    "learners": ("oracle_weights_per_step", "ogd_regret", "average_error_decays_with_horizon"),
-    "precond": ("identities_and_determinism",),
-    "harness": ("desk_scale_improvement", "degree_degradation"),
-}
 
 # Beyond this a run stops being a desk-scale object: its data, its cells'
 # predictions and `ogd`'s working set of about 3x those (measured: 0.155 MB
@@ -209,6 +199,12 @@ def validate_spec(spec: ExperimentSpec) -> None:
         raise ValueError("custom variant requires custom_coeffs")
     if spec.csv_path is None and (error := _fit_error(spec, spec.horizon, g.d_in, g.d_out)):
         raise error  # a CSV's horizon and widths are its own: `_run` checks them once it is read
+    if spec.csv_path is None:  # sampling and simulating peak near (6 + 2 layers runs) d_h^2 floats
+        size = 8 * int(g.d_h) ** 2 * (6 + 2 * (1 if g.kind == "lds" else 2) * int(spec.n_runs))
+        if size > MAX_RUN_BYTES:
+            raise ValueError(f"generator.d_h {g.d_h} and n_runs {spec.n_runs}: the systems would "
+                             f"hold about {size // 10**6} MB, over MAX_RUN_BYTES "
+                             f"({MAX_RUN_BYTES // 10**6} MB)")
     c = resolve_coefficients(spec)
     with np.errstate(over="ignore"):  # a norm past the float range is named, not warned about
         if not math.isfinite(c.l1):

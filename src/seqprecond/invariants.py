@@ -2,9 +2,9 @@
 
 Each criterion is a function that returns its detail line and raises
 `AssertionError` against the tolerance or time limit pinned here.  `SUITES`
-(`harness.SUITES`) groups them by the module whose claim they pin; `verify`
-runs one suite or all of them for `usp verify` and
-`tests/test_acceptance.py`.
+groups the functions by the module whose claim they pin; `verify` runs one
+suite or all of them for `usp verify` and `tests/test_acceptance.py`, and
+names each result after its function.
 """
 
 from __future__ import annotations
@@ -301,7 +301,13 @@ def degree_degradation(runs=desk_runs) -> str:
     return _verdict(cheb10.mean > cheb5.mean, detail)
 
 
-SUITES = harness.SUITES  # named there, so that the CLI offers them without this module
+SUITES = {
+    "poly": (chebyshev_sector_decay, coefficient_growth_exact),
+    "spectral": (gram_closed_form, gram_eigendecay),
+    "learners": (oracle_weights_per_step, ogd_regret, average_error_decays_with_horizon),
+    "precond": (identities_and_determinism,),
+    "harness": (desk_scale_improvement, degree_degradation),
+}
 
 
 @dataclass(frozen=True)
@@ -325,15 +331,15 @@ def verify(suite: str = "all") -> list[VerifyResult]:
         raise ValueError(f"unknown suite {suite!r}; options: all, {', '.join(SUITES)}")
     desk = functools.cache(desk_runs)
     results = []
-    for sname, names in SUITES.items():
+    for sname, criteria in SUITES.items():
         if suite in ("all", sname):
-            for name in names:
+            for criterion in criteria:
                 args = (desk,) if sname == "harness" else ()
                 try:
-                    passed, detail = True, globals()[name](*args)
+                    passed, detail = True, criterion(*args)
                 except AssertionError as exc:
                     passed, detail = False, str(exc) or "assertion failed"
                 except Exception as exc:  # noqa: BLE001 - any crash is a failure
                     passed, detail = False, f"{type(exc).__name__}: {exc}"
-                results.append(VerifyResult(sname, name, passed, detail))
+                results.append(VerifyResult(sname, criterion.__name__, passed, detail))
     return results

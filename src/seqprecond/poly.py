@@ -126,15 +126,9 @@ def as_coeff_array(c) -> np.ndarray:
 
 
 def eval_complex(c, z):
-    """Evaluate p at complex z (scalar or array) by Horner's nested scheme."""
-    coeffs = as_coeff_array(c)
-    zz = np.asarray(z, dtype=complex)
-    acc = np.full(zz.shape, complex(coeffs[0]))
-    for ck in coeffs[1:]:
-        acc = acc * zz + ck
-    if np.isscalar(z) or zz.shape == ():
-        return complex(acc)
-    return acc
+    """Evaluate p at complex z (scalar or array) by Horner's scheme, `np.polyval`."""
+    acc = np.polyval(as_coeff_array(c), np.asarray(z, dtype=complex))
+    return complex(acc) if np.ndim(acc) == 0 else acc
 
 
 def sector_grid(sector: ComplexSector, grid_density: int = 512, radii=slice(None)) -> np.ndarray:

@@ -8,6 +8,8 @@ failure) and asserts its result.  A NaN planted in what criteria 01, 03
 and 09 measure must fail them.
 """
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -109,3 +111,29 @@ def test_a_nan_online_prediction_fails_criterion_09(monkeypatch):
     monkeypatch.setattr(invariants.RegressionLearner, "run", planted)
     with pytest.raises(AssertionError, match="offline-vs-online nan"):
         invariants.identities_and_determinism()
+
+
+# ---------------------------------------------------------------------------
+# a violated bound, and a desk run that fails, fail their criteria
+
+
+def test_a_coefficient_past_the_growth_bound_fails_criterion_02(monkeypatch):
+    chebyshev_exact = invariants.poly.chebyshev_exact
+
+    def planted(n):  # at degree 10, one coefficient of 9 > 2^3
+        return [Fraction(9)] + chebyshev_exact(n)[1:] if n == 10 else chebyshev_exact(n)
+
+    monkeypatch.setattr(invariants.poly, "chebyshev_exact", planted)
+    with pytest.raises(AssertionError, match=r"^degrees 1\.\.20, 1 violations, "):
+        invariants.coefficient_growth_exact()
+
+
+def test_a_failed_desk_report_fails_criteria_07_and_08(monkeypatch):
+    def failing(*args):
+        raise ValueError("no desk data")
+
+    monkeypatch.setattr(invariants.harness, "_make_runs", failing)
+    assert [str(r) for r in invariants.verify("harness")] == [
+        "[FAIL] harness/desk_scale_improvement: ValueError: no desk data",
+        "[FAIL] harness/degree_degradation: ValueError: no desk data",
+    ]

@@ -634,3 +634,17 @@ GOLDEN_NONLINEAR = np.array([
 def test_an_argument_out_of_range_is_named(make, fragment):
     with pytest.raises(ValueError, match=fragment):
         make()
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
+def test_a_non_finite_noise_or_basis_scale_is_named(bad):
+    # a NaN noise_sigma would run noiseless, and a non-finite basis_cond
+    # would fail late, on non-finite entries of A
+    for make in (lambda: scalar_system(sigma=bad),
+                 lambda: NonlinearSystem(**TestNonlinear.layers(), noise_sigma=bad),
+                 lambda: system_from_eigenvalues([0.5, 0.3], 1, 1, seed=0, noise_sigma=bad)):
+        with pytest.raises(ValueError, match=f"^noise_sigma must be nonnegative and finite, "
+                                             f"got {bad}$"):
+            make()
+    with pytest.raises(ValueError, match=f"^basis_cond must be >= 1 and finite, got {bad}$"):
+        system_from_eigenvalues([0.5, 0.3], 1, 1, seed=0, basis_cond=bad)

@@ -239,6 +239,21 @@ class TestValidateSpec:
         H.validate_spec(H.ExperimentSpec(variant="learned", lr_grid=grid, lr_grid_coeffs=grid,
                                          n_runs=40, generator=H.GeneratorConfig(d_in=3, d_out=3)))
 
+    def test_the_size_guard_counts_the_sampled_systems(self, monkeypatch):
+        # 20 linear systems of d_h = 1e5 hold 1.6 TB in their transition
+        # matrices alone; the spec is refused before any is sampled
+        monkeypatch.setattr(H, "_make_runs", lambda *args: pytest.fail("sampled"))
+        with pytest.raises(ValueError, match=r"^generator\.d_h 100000 and n_runs 20: the systems "
+                                             r"would hold about 3680000 MB, over MAX_RUN_BYTES"):
+            H.run_experiment(H.ExperimentSpec(generator=H.GeneratorConfig(d_h=10**5)))
+        # two layers a system: a nonlinear spec counts twice the matrices
+        nonlinear = H.GeneratorConfig(kind="nonlinear", d_h=10**4)
+        with pytest.raises(ValueError, match="would hold about 11200 MB"):
+            H.validate_spec(H.ExperimentSpec(generator=nonlinear, n_runs=2, horizon=300, window=50))
+        # the largest systems another test runs pass
+        H.validate_spec(H.ExperimentSpec(generator=H.GeneratorConfig(d_h=400), n_runs=2,
+                                         horizon=300, window=50))
+
     def test_oracle_takes_num_taps_at_its_degree(self):
         H.validate_spec(tiny_spec(oracle_comparator=True, num_taps=3))
 
@@ -350,13 +365,14 @@ class TestRunExperiment:
                 "print('[' + ','.join(reports) + ']')\n")
         src = str(Path(H.__file__).parents[1])
 
-        def start(threads):
+        def run_at(threads):
             env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=str(threads))
-            return subprocess.Popen([sys.executable, "-c", code], env=env, text=True,
-                                    stdout=subprocess.PIPE)
+            return subprocess.run([sys.executable, "-c", code], env=env, text=True,
+                                  stdout=subprocess.PIPE)
 
-        runs = [start(threads) for threads in (2, 2, 1)]
-        reports = [run.communicate()[0] for run in runs]
+        # one at a time: run together, their five BLAS threads crowd a small machine
+        runs = [run_at(threads) for threads in (2, 2, 1)]
+        reports = [run.stdout for run in runs]
         assert [run.returncode for run in runs] == [0, 0, 0]
         assert reports[0] == reports[1]
         chosen = [[report["chosen_lr"] for report in json.loads(r)] for r in reports]

@@ -69,6 +69,12 @@ class TestReconstruct:
         )
         np.testing.assert_allclose(got, [7.0], atol=0)
 
+    def test_a_flat_history_is_one_channel(self):
+        c, hist = chebyshev_monic(3), np.array([0.4, -1.2, 2.5])
+        got, column = (reconstruct_prediction(0.7, h, c) for h in (hist, hist[:, None]))
+        assert got.shape == column.shape == (1,)
+        np.testing.assert_array_equal(got, column)
+
     def test_inverts_convolution(self):
         rng = np.random.default_rng(11)
         for c in (differencing(), chebyshev_monic(5), chebyshev_monic(1)):
