@@ -256,8 +256,9 @@ def _fit_error(spec: ExperimentSpec, T: int, d_in: int, d_out: int) -> ValueErro
             return ValueError(f"filter_count must lie in [0, horizon - degree - 1] = [0, {m}] "
                               f"for coefficients of degree {n}, got {k}")
     k = spec.filter_count if spec.algo == "spectral" else 0  # deep-past features per input
-    size = 8 * T * spec.n_runs * (d_in + d_out + 3 * len(_grid(spec)) * d_out + k * d_in)
-    if size > MAX_RUN_BYTES:  # data, predictions and `ogd`'s 3x, in ints that do not overflow
+    T, n_runs, d_in, d_out, k = map(int, (T, spec.n_runs, d_in, d_out, k))  # numpy ints wrap
+    size = 8 * T * n_runs * (d_in + d_out + 3 * len(_grid(spec)) * d_out + k * d_in)
+    if size > MAX_RUN_BYTES:  # data, predictions and `ogd`'s 3x
         return ValueError(f"n_runs {spec.n_runs} and horizon {T}: the run would hold about "
                           f"{size // 10**6} MB, over MAX_RUN_BYTES ({MAX_RUN_BYTES // 10**6} MB)")
 

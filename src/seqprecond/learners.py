@@ -14,12 +14,13 @@ differ only in their rates; a fixed block before every moving one is
 summed for a chunk of steps at once, outside the per-step loop.  Leading
 cell axes run many independent recursions, such as the (spec, rate, run)
 cells of a sweep, in lockstep, with streams that many cells read stored
-once (`Rows`), gathered onto the cells a chunk of steps at a time; a
-block's products are reduced in tap order, so a cell's results are the
-same in any batch.  `feature_blocks` lays out the blocks of one
-learner, or of cells with their own taps, lag coefficients, rates and
-radii; the learner classes size radii and rates and call it from
-`blocks(u, y)`, and `.run(inputs, outputs)` processes a whole stream.
+once (`Rows`), gathered onto the cells, and scaled by their rates if
+they move, a chunk of steps at a time; a block's products are reduced in
+tap order, so a cell's results are the same in any batch.
+`feature_blocks` lays out the blocks of one learner, or of cells with
+their own taps, lag coefficients, rates and radii; the learner classes
+size radii and rates and call it from `blocks(u, y)`, and
+`.run(inputs, outputs)` processes a whole stream.
 """
 
 from __future__ import annotations
@@ -149,16 +150,20 @@ def ogd(blocks, targets):
     block moves by -lr0/sqrt(t) times its subgradient and the taps of a
     block with a radius are projected onto that spectral-norm ball.
 
-    The update is masked per cell: a zero s or rate, or a non-finite
-    prediction, leaves that cell's weights as they are, and the schedule
-    advances on every step.  A block whose every rate is 0 never moves; the
-    fixed blocks before the first moving one add their terms for a chunk of
-    steps at once, and with every block fixed no step runs.  A block is
-    tested against its ball only at steps where a bound on its taps' norms
-    may exceed a radius, and projected only at steps where an updated
-    cell's tap does.  The bound is the taps' largest norm plus the most the
-    updates since can add; it starts from the initial weights and restarts
-    from the taps' norms after each test that finds every tap inside.
+    A zero s or rate, or a non-finite prediction, leaves a cell's weights
+    as they are (a -0 may turn +0), and the schedule advances on every
+    step.  Each chunk scales a moving block's features by its rates r; a
+    step subtracts s (r x), which is (s r) x bit for bit as s is -1, 0 or
+    1, and exactly +-0 where s or r is 0, so it needs no mask.  A chunk
+    with a non-finite r x steps as (s r) x, masked per cell.  A block whose
+    every rate is 0 never moves; the fixed blocks before the first moving
+    one add their terms for a chunk of steps at once, and with every block
+    fixed no step runs.  A block is tested against its ball only at steps
+    where a bound on its taps' norms may exceed a radius, and projected
+    only at steps where an updated cell's tap does.  The bound is the taps'
+    largest norm plus the most the updates since can add; it starts from
+    the initial weights and restarts from the taps' norms after each test
+    that finds every tap inside.
 
     Inside, the cells lie on one trailing lane axis, at least two lanes
     wide.  Every block's features, and the targets, are gathered onto the
@@ -287,7 +292,7 @@ def ogd(blocks, targets):
     ys, gathers = np.empty((min(T, _CHUNK), d_out, lanes)), []
     # the terms of a chunk (lead) and of a step, (W, x, products, axes) each;
     # the moving blocks' updates and the next step at which each tests its ball
-    lead_terms, terms, steps, crosses = [], [], [], []
+    lead_terms, terms, steps, crosses, scales = [], [], [], [], []
     for k, b in enumerate(order):
         (X, index), W, m, lr = Xs[b], Ws[b], matrix[b], lanes_last(lrs[b], 0)
         # a moving ball's radius per lane (inf at rate 0: such a lane never moves),
@@ -297,9 +302,9 @@ def ogd(blocks, targets):
             radius, C = np.where(lr != 0, lanes_last(radii[b], 0), np.inf), reach(b, lr)
             cross = crossing(W, C, radius, -1)
             C = C if cross < T else None
-        x = np.empty((len(ys), *X.shape[1:-1], lanes))
-        gathers.append((X, index, pads[b], x))
-        x = x[:, :, None] if m else x  # x[k]: (taps, 1, d_in, lanes) or (taps, d_out, lanes)
+        buf = np.empty((len(ys), *X.shape[1:-1], lanes))
+        gathers.append((X, index, pads[b], buf))
+        x = buf[:, :, None] if m else buf  # x[k]: (taps, 1, d_in, lanes) or (taps, d_out, lanes)
         # W_j x_j for every tap j, of a chunk or of a step, summed over taps and
         # channels in tap order; a chunk's lag products overwrite its features
         Wx, axes = (W, (-4, -2)) if m else (W[:, None], -3)
@@ -309,21 +314,30 @@ def ogd(blocks, targets):
         else:
             terms.append((Wx, x, np.empty(shape), axes))
         if moving[b]:
-            steps.append((W, x, m, lr / root[:, None], None if lr.all() else lr != 0,
-                          radius, C, np.empty_like(W)))
+            # a chunk's rates, (steps, lanes), and its features times them
+            rate, rbuf = np.empty((len(ys), lanes)), np.empty_like(buf)
+            scales.append((lr, rate, buf, rbuf))
+            steps.append((W, x, rbuf[:, :, None] if m else rbuf, m, rate,
+                          None if lr.all() else lr != 0, radius, C, np.empty_like(W)))
             crosses.append(cross)
     if steps:
         gathers.append((*Ys, None, ys))
     P, accs = np.zeros((T, d_out, lanes)), np.empty_like(ys)  # the predictions, chunk sums
     acc, s, coef = np.empty((3, d_out, lanes))  # a block's term, the signs, rate times signs
     (active, mask), flat = np.empty((2, lanes), dtype=bool), s.reshape(-1)
-    coefs = coef[None, :, None]  # against x[k] of a matrix block
+    signs, coefs = s[None, :, None], coef[None, :, None]  # against x[k] of a matrix block
+    finite = [True] * len(steps)
     for t0 in range(0, T, _CHUNK):
         c = min(_CHUNK, T - t0)
         for X, index, pad, buf in gathers:
             np.take(X[t0 : t0 + c], index, axis=-1, out=buf[:c], mode="clip")
             if pad is not None:
                 np.copyto(buf[:c], 0.0, where=pad)
+        for i, (lr, rate, buf, rbuf) in enumerate(scales):
+            np.divide(lr, root[t0 : t0 + c, None], out=rate[:c])
+            with np.errstate(over="ignore", invalid="ignore"):  # such a chunk is masked
+                rx = np.multiply(buf[:c], rate[:c, None, None], out=rbuf[:c])
+                finite[i] = isfinite(rx.sum())
         chunk = P[t0 : t0 + c]
         for W, x, products, axes in lead_terms:
             chunk += np.add.reduce(np.multiply(W, x[:c], out=products[:c]), axis=axes,
@@ -336,15 +350,25 @@ def ogd(blocks, targets):
             if not isfinite(np.dot(flat, flat)):  # a non-finite prediction, or a huge residual
                 s[:, ~np.isfinite(p).all(axis=0)] = 0.0
             np.sign(s, out=s)
-            np.logical_or.reduce(s, axis=0, out=active)
-            for i, (W, x, m, rate, nonzero, radius, C, grad) in enumerate(steps):
-                live = active if nonzero is None else np.logical_and(active, nonzero, out=mask)
-                if m:
-                    np.multiply(s, rate[t], out=coef)
-                    np.multiply(coefs, x[k], out=grad)
-                else:
-                    np.einsum("jol,ol->jl", x[k], s, out=grad)
-                    grad *= rate[t]
+            on = None  # the cells with a nonzero sign, for a masked step
+            for i, (W, x, rx, m, rate, nonzero, radius, C, grad) in enumerate(steps):
+                if finite[i]:  # +-0 where s or the rate is 0
+                    if m:
+                        np.multiply(signs, rx[k], out=grad)
+                    else:
+                        np.einsum("jol,ol->jl", rx[k], s, out=grad)
+                    if t < crosses[i]:
+                        W -= grad
+                        continue
+                else:  # (s rate) x: 0, not 0 inf = nan, where s is 0
+                    np.multiply(s, rate[k], out=coef)
+                    if m:
+                        np.multiply(coefs, x[k], out=grad)
+                    else:
+                        np.einsum("jol,ol->jl", x[k], coef, out=grad)
+                if on is None:
+                    on = np.logical_or.reduce(s, axis=0, out=active)
+                live = on if nonzero is None else np.logical_and(on, nonzero, out=mask)
                 if t < crosses[i]:
                     np.subtract(W, grad, out=W, where=live)
                     continue
@@ -356,8 +380,9 @@ def ogd(blocks, targets):
                 else:  # every tap inside: re-arm from the taps' norms now
                     np.copyto(W, step, where=live)
                     crosses[i] = crossing(W, C, radius, t)
-    # the rate tables and growth bounds go before the copies
-    steps = rate = C = None
+    # the growth bounds and chunk buffers, and every name holding one, go before the copies
+    gathers = scales = steps = terms = lead_terms = ys = accs = None
+    buf = rbuf = x = rx = rate = products = C = None
 
     def cells_first(a):
         a = np.moveaxis(a[..., :n], -1, 0)

@@ -239,6 +239,16 @@ class TestValidateSpec:
         H.validate_spec(H.ExperimentSpec(variant="learned", lr_grid=grid, lr_grid_coeffs=grid,
                                          n_runs=40, generator=H.GeneratorConfig(d_in=3, d_out=3)))
 
+    def test_the_size_guard_reads_numpy_integers_as_python_ints(self):
+        # 8 * T * n_runs * 5 bytes wraps in int64; the estimate must not
+        want = (r"^n_runs 10000 and horizon 17592186044416: the run would hold about "
+                r"15481123719086 MB, over MAX_RUN_BYTES")
+        for n_runs, horizon in [(10**4, 2**44), (np.int64(10**4), np.int64(2**44))]:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match=want):
+                    H.validate_spec(H.ExperimentSpec(n_runs=n_runs, horizon=horizon))
+
     def test_the_size_guard_counts_the_sampled_systems(self, monkeypatch):
         # 20 linear systems of d_h = 1e5 hold 1.6 TB in their transition
         # matrices alone; the spec is refused before any is sampled

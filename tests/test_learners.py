@@ -342,24 +342,29 @@ class TestOgdOutput:
     def test_memory_stays_near_the_predictions(self):
         # the desk call's shape: 5 runs x 3 rates at T=2000, d=1, each run's
         # windows stored once (Rows), a moving input block with a ball and
-        # fixed lag coefficients; numpy reports its allocations to tracemalloc
+        # fixed lag coefficients; then the learned layout, whose lag
+        # coefficients move at per-cell rates, 0 among them.  numpy reports
+        # its allocations to tracemalloc.  A (T, cells) table per moving
+        # block, such as its rates at every step, takes both over the bound.
         rng = np.random.default_rng(0)
         T, runs, c = 2000, 5, chebyshev_monic(5)
         u, y = rng.standard_normal((runs, T, 1)), rng.standard_normal((runs, T, 1))
         index = np.tile(np.arange(runs), 3)
         targets = Rows(y, index)  # each run's targets stored once, as its windows are
-        blocks = [(Rows(lagged(u, 5), index), np.zeros((15, 5, 1, 1)),
-                   np.repeat([1e-3, 1e-2, 1e-1], runs), DEFAULT_DOMAIN_BOUND * c.l1),
-                  (Rows(lagged(-y, 5, 1), index), np.tile(c.coeffs[1:], (15, 1)), 0.0, None)]
-        tracemalloc.start()
-        try:
-            start = tracemalloc.get_traced_memory()[0]
-            preds, _ = ogd(blocks, targets)
-            peak = tracemalloc.get_traced_memory()[1] - start
-        finally:
-            tracemalloc.stop()
-        assert preds.nbytes == 8 * T * 15
-        assert peak <= 3 * preds.nbytes
+        for layout, lag_rates in [("desk", 0.0), ("learned", np.repeat([0.0, 1e-3, 1e-2], runs))]:
+            blocks = [(Rows(lagged(u, 5), index), np.zeros((15, 5, 1, 1)),
+                       np.repeat([1e-3, 1e-2, 1e-1], runs), DEFAULT_DOMAIN_BOUND * c.l1),
+                      (Rows(lagged(-y, 5, 1), index), np.tile(c.coeffs[1:], (15, 1)),
+                       lag_rates, None)]
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                preds, _ = ogd(blocks, targets)
+                peak = tracemalloc.get_traced_memory()[1] - start
+            finally:
+                tracemalloc.stop()
+            assert preds.nbytes == 8 * T * 15
+            assert peak <= 3 * preds.nbytes, layout
 
 
 class TestFeatureBlocks:

@@ -329,6 +329,78 @@ def test_rate_zero_cells_outside_the_ball_keep_their_weights(d):
     assert_cells_match(blocks, y, preds, Ws, (4,))
 
 
+# ---------------------------------------------------------------------------
+# the step without masks: a zero sign or rate must still leave weights as they are
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("radius", [None, 1.0])
+def test_a_zero_residual_keeps_the_weights_where_rate_times_features_overflows(radius):
+    # cell 1 steps at rate 1e308 on features over 2, so its rates times its
+    # features overflow in every chunk, and its targets are its predictions
+    # at its initial weights, so every residual is exactly 0: (sign rate) x
+    # is 0 there, where sign (rate x) would be 0 inf = nan
+    rng = np.random.default_rng(31)
+    T, d = 70, 2
+    X = rng.choice([-1.0, 1.0], (2, T, 3, d)) * (2.5 + rng.random((2, T, 3, d)))
+    W0 = rng.normal(scale=0.2, size=(2, 3, d, d))
+    y = rng.standard_normal((2, T, d))
+    y[1] = ogd([(X[1], W0[1], 0.0, None)], y[1])[0]
+    blocks = [(X, W0, np.array([0.05, 1e308]), radius)]
+    preds, Ws = ogd(blocks, y)
+    np.testing.assert_array_equal(Ws[0][1], W0[1])
+    np.testing.assert_array_equal(preds[1], y[1])
+    want, (w,) = reference_ogd([(X[0], W0[0], 0.05, radius)], y[0])
+    np.testing.assert_allclose(preds[0], want, rtol=TOL, atol=TOL)
+    np.testing.assert_allclose(Ws[0][0], w, rtol=TOL, atol=TOL)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("block", ["matrix", "lag"])
+def test_an_inf_feature_leaves_its_cell_at_zero_signs_and_the_others_as_alone(block):
+    # one inf feature of cell 1 at step 20 makes its prediction there
+    # non-finite, a zero-sign step: the cell's weights after it are those
+    # before it, and every other cell of the chunk is bit for bit its solo
+    # run.  No ball, whose test would mask the step anyway.
+    rng = np.random.default_rng(32)
+    T, d, cells, at = 70, 2, 3, 20
+    X, L = rng.standard_normal((cells, T, 2, d)), rng.standard_normal((cells, T, 3, d))
+    (X if block == "matrix" else L)[1, at, 1, 0] = np.inf
+    W0, lags = rng.normal(scale=0.3, size=(cells, 2, d, d)), rng.uniform(-0.5, 0.5, (cells, 3))
+    y = rng.standard_normal((cells, T, d))
+    rates, lag_rates = np.array([0.05, 0.5, 0.2]), np.array([0.01, 0.1, 0.0])
+
+    def run(cut, cell=slice(None)):
+        return ogd([(X[cell, :cut], W0[cell], rates[cell], None),
+                    (L[cell, :cut], lags[cell], lag_rates[cell], None)], y[cell, :cut])
+
+    preds, Ws = run(T)
+    before, after = run(at)[1], run(at + 1)[1]
+    assert not np.isfinite(preds[1, at]).all()
+    for W, w in zip(after, before):
+        np.testing.assert_array_equal(W[1], w[1])
+    for cell in (0, 2):
+        alone, alone_W = run(T, slice(cell, cell + 1))
+        np.testing.assert_array_equal(preds[cell], alone[0])
+        for W, w in zip(Ws, alone_W):
+            np.testing.assert_array_equal(W[cell], w[0])
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_a_zero_rate_cell_of_a_moving_lag_block_keeps_its_coefficients(d):
+    rng = np.random.default_rng(40 + d)
+    T, cells = 70, 3
+    u, y = rng.standard_normal((cells, T, d)), rng.standard_normal((cells, T, d))
+    lags = rng.uniform(-0.9, 0.9, (cells, 3))
+    blocks = [(lagged(u, 2), rng.normal(scale=0.3, size=(cells, 2, d, d)),
+               np.array([0.05, 0.5, 0.2]), 0.8),
+              (lagged(-y, 3, 1), lags, np.array([0.01, 0.0, 0.1]), None)]
+    preds, Ws = ogd(blocks, y)
+    np.testing.assert_array_equal(Ws[1][1], lags[1])
+    assert not np.array_equal(Ws[1][[0, 2]], lags[[0, 2]])
+    assert_cells_match(blocks, y, preds, Ws, (cells,))
+
+
 @pytest.mark.parametrize("d", [1, 3])
 def test_moving_block_with_zero_taps(d):
     rng = np.random.default_rng(30 + d)
