@@ -161,9 +161,10 @@ def ogd(blocks, targets):
     fixed no step runs.  A block is tested against its ball only at steps
     where a bound on its taps' norms may exceed a radius, and projected
     only at steps where an updated cell's tap does.  The bound is the taps'
-    largest norm plus the most the updates since can add; it starts from
-    the initial weights and restarts from the taps' norms after each test
-    that finds every tap inside.
+    largest norm at the step it is armed plus the most each step since can
+    add, summed forward from that step, and one that overflows or reads nan
+    binds.  It is armed at the initial weights and re-armed from the taps'
+    norms after each test that finds every tap inside.
 
     Inside, the cells lie on one trailing lane axis, at least two lanes
     wide.  Every block's features, and the targets, are gathered onto the
@@ -238,9 +239,9 @@ def ogd(blocks, targets):
     root = np.sqrt(np.arange(1.0, T + 1.0))  # sqrt(t)
 
     def reach(b, lr):
-        """Block b's cumulative growth bound, (T, lanes): row t bounds how far a tap's
-        norm can move over steps 0..t, sum_s |lr0/sqrt(s)| sqrt(d_out) max_j |x_{s,j}|,
-        the max over the taps that the lane reads."""
+        """Block b's per-step growth bound, (T, lanes): row s bounds how far a tap's
+        norm can move at step s, |lr0/sqrt(s)| sqrt(d_out) max_j |x_{s,j}|, the max
+        over the taps that the lane reads.  An overflow reads inf."""
         X, index = Xs[b]
         sq, bound = np.zeros((T, X.shape[-1])), np.zeros((T, lanes))
         for j in range(X.shape[1]):
@@ -248,37 +249,34 @@ def ogd(blocks, targets):
             last = reads[b] == j + 1  # the lanes that read taps 0..j
             bound[:, last] = sq[:, index[last]]
         np.sqrt(bound, out=bound)
-        bound *= np.abs(lr) * sqrt(d_out)
+        with np.errstate(over="ignore"):
+            bound *= np.abs(lr) * sqrt(d_out)
         bound /= root[:, None]
-        return np.cumsum(bound, axis=0, out=bound)
+        return bound
 
-    def crossing(W, C, radius, t):
-        """The first step after t at which a tap of W may leave its ball, or T: after
-        step s > t a tap's norm is at most the taps' largest norm now plus C[s] - C[t].
-        The bound grows with s, so a doubling search then bisection finds it."""
-        cur = np.sqrt(np.einsum("joil,joil->jl", W, W)).max(axis=0, initial=0.0)
-        base = C[t] if t >= 0 else 0.0
+    def crossing(W, g, radius, t):
+        """The first step s after t at which a tap of W may leave its ball, or T: after
+        step s a tap's norm is at most the taps' largest norm now plus g[t+1] + ... +
+        g[s], summed forward from t a chunk of steps at a time.  An inf or nan binds."""
+        bound = np.sqrt(np.einsum("joil,joil->jl", W, W)).max(axis=0, initial=0.0)
         # Rounding, u = eps/2, p = d_out d_in entries a tap, to first order:
-        # cur may fall (p/2 + 1)u short of the taps' norm, two roundings an
-        # update put a tap's norm at most (1 + u)^(2T) over the exact bound,
-        # project_to_ball's norm adds (p/2 + 1)u, a computed increment may
-        # fall (p + 8)u short, and C[s] - C[t] may fall u of itself plus
-        # Tu (C[s] + C[t]) short of the increments' sum over (t, s].  That is
-        # at most (2T + 2p + 10)u (cur + C[s] - C[t]) + Tu (C[s] + C[t]), so
-        # (3T + 2p + 10)u (cur + C[s] + C[t]); twice it covers the higher
-        # orders and the bound's own roundings.
-        slack = (6 * T + 4 * W.shape[1] * W.shape[2] + 24) * np.finfo(float).eps / 2
-
-        def binds(s):
-            return (cur + (C[s] - base) + slack * (cur + C[s] + base) > radius).any()
-
-        lo, hi = t, t + 1  # no step in (t, lo] binds; hi binds, or is T
-        while hi < T and not binds(hi):
-            lo, hi = hi, min(T, 2 * hi - t)
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            lo, hi = (lo, mid) if binds(mid) else (mid, hi)
-        return hi
+        # the norms now may fall (p/2 + 1)u short of the taps' norm, two
+        # roundings an update put a tap's norm at most (1 + u)^(2T) over the
+        # exact bound, project_to_ball's norm adds (p/2 + 1)u, a computed
+        # increment may fall (p + 8)u short, and the running sum of the norms
+        # now and at most T increments Tu of itself.  That is (3T + 2p + 10)u
+        # of the sum; twice it covers the higher orders and the test's roundings.
+        slack = 1 + (6 * T + 4 * W.shape[1] * W.shape[2] + 24) * np.finfo(float).eps / 2
+        with np.errstate(over="ignore"):
+            for a in range(t + 1, T, _CHUNK):
+                sums = g[a : a + _CHUNK].copy()
+                sums[0] += bound
+                np.add.accumulate(sums, axis=0, out=sums)
+                # the sums only grow and carry an inf or nan on, so the last row decides
+                if not (slack * sums[-1] <= radius).all():
+                    return a + int((~(slack * sums <= radius).all(axis=1)).argmax())
+                bound = sums[-1]
+        return T
 
     # 0 + B0 + B1 + ... adds the blocks' terms in block order and its first
     # two terms commute, so a fixed second block may go first.  The fixed
@@ -297,11 +295,11 @@ def ogd(blocks, targets):
         (X, index), W, m, lr = Xs[b], Ws[b], matrix[b], lanes_last(lrs[b], 0)
         # a moving ball's radius per lane (inf at rate 0: such a lane never moves),
         # growth bound and first crossing; one that never binds keeps no bound
-        radius, C, cross = None, None, T
+        radius, g, cross = None, None, T
         if moving[b] and radii[b] is not None:
-            radius, C = np.where(lr != 0, lanes_last(radii[b], 0), np.inf), reach(b, lr)
-            cross = crossing(W, C, radius, -1)
-            C = C if cross < T else None
+            radius, g = np.where(lr != 0, lanes_last(radii[b], 0), np.inf), reach(b, lr)
+            cross = crossing(W, g, radius, -1)
+            g = g if cross < T else None
         buf = np.empty((len(ys), *X.shape[1:-1], lanes))
         gathers.append((X, index, pads[b], buf))
         x = buf[:, :, None] if m else buf  # x[k]: (taps, 1, d_in, lanes) or (taps, d_out, lanes)
@@ -318,7 +316,7 @@ def ogd(blocks, targets):
             rate, rbuf = np.empty((len(ys), lanes)), np.empty_like(buf)
             scales.append((lr, rate, buf, rbuf))
             steps.append((W, x, rbuf[:, :, None] if m else rbuf, m, rate,
-                          None if lr.all() else lr != 0, radius, C, np.empty_like(W)))
+                          None if lr.all() else lr != 0, radius, g, np.empty_like(W)))
             crosses.append(cross)
     if steps:
         gathers.append((*Ys, None, ys))
@@ -351,7 +349,7 @@ def ogd(blocks, targets):
                 s[:, ~np.isfinite(p).all(axis=0)] = 0.0
             np.sign(s, out=s)
             on = None  # the cells with a nonzero sign, for a masked step
-            for i, (W, x, rx, m, rate, nonzero, radius, C, grad) in enumerate(steps):
+            for i, (W, x, rx, m, rate, nonzero, radius, g, grad) in enumerate(steps):
                 if finite[i]:  # +-0 where s or the rate is 0
                     if m:
                         np.multiply(signs, rx[k], out=grad)
@@ -379,10 +377,10 @@ def ogd(blocks, targets):
                     np.copyto(W, step.transpose(1, 2, 3, 0), where=live)
                 else:  # every tap inside: re-arm from the taps' norms now
                     np.copyto(W, step, where=live)
-                    crosses[i] = crossing(W, C, radius, t)
+                    crosses[i] = crossing(W, g, radius, t)
     # the growth bounds and chunk buffers, and every name holding one, go before the copies
     gathers = scales = steps = terms = lead_terms = ys = accs = None
-    buf = rbuf = x = rx = rate = products = C = None
+    buf = rbuf = x = rx = rate = products = g = None
 
     def cells_first(a):
         a = np.moveaxis(a[..., :n], -1, 0)

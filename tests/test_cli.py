@@ -592,6 +592,21 @@ def loaded(code, *packages):
     return out.stdout.strip().splitlines()[-1]
 
 
+@pytest.mark.parametrize("argv, code", [
+    (["poly", "--family", "chebyshev", "--degree", "3"], 0),
+    (["poly", "--family", "nope"], 1),
+])
+def test_the_module_runs_as_a_script(argv, code):
+    env = dict(os.environ, PYTHONPATH=str(Path(seqprecond.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-m", "seqprecond.cli", *argv], env=env,
+                         capture_output=True, text=True)
+    assert out.returncode == code
+    if code == 0:
+        assert "coeffs: 1 0 -0.75 0" in out.stdout.splitlines()
+    else:
+        assert "invalid choice: 'nope'" in out.stderr
+
+
 def test_importing_the_cli_loads_no_scipy():
     assert loaded("import seqprecond.cli", "scipy") == "[]"
 

@@ -8,6 +8,7 @@ property), and `run_experiment` must pick the same learning rate as
 a grid search that runs the reference cell by cell.
 """
 
+import warnings
 from math import sqrt
 
 import numpy as np
@@ -565,6 +566,28 @@ def test_a_ball_that_binds_after_a_re_arm_matches_the_reference(monkeypatch, d):
         errors["got"].append(np.abs(preds[cell] - y).mean())
         errors["want"].append(np.abs(want - y).mean())
     assert np.argmin(errors["got"]) == np.argmin(errors["want"])
+
+
+@pytest.mark.parametrize("rate, nan_at", [(4e306, None), (0.1, 5)], ids=["overflow", "nan"])
+def test_a_ball_whose_growth_bound_is_not_finite_still_binds(rate, nan_at):
+    # at rate 4e306 the summed growth bound passes the float range near step
+    # 800; a nan feature at step 5 makes it nan from there.  Either must bind,
+    # so the ball is tested at every step.  At steps 1500-1502 the targets
+    # equal the features, the tap of radius 1 predicts them exactly, and a
+    # test finds it inside.  Re-armed there, the bound must bind again: the
+    # targets of 1e3 push the tap straight out.
+    T, radius = 2000, 1.0
+    u = np.random.default_rng(30).uniform(0.5, 1.0, (T, 1))
+    y = np.full((T, 1), 1e3)
+    y[1500:1503] = u[1500:1503]
+    if nan_at is not None:
+        u[nan_at] = np.nan
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        preds, (W,) = ogd([(lagged(u, 1), np.zeros((1, 1, 1)), rate, radius)], y)
+    assert abs(W.item()) <= radius * (1 + 1e-12)
+    assert (np.abs(preds[1503:]) <= radius * (1 + 1e-12) * u[1503:]).all()
+    assert [str(w.message) for w in caught if w.category is RuntimeWarning] == []
 
 
 def test_a_spectral_call_tests_its_balls_at_a_few_steps(monkeypatch):
