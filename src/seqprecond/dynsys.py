@@ -9,15 +9,16 @@ Q orthogonal, and its condition number max(scale) / min(scale) is
 recorded as kappa.  A two-layer system x_t = A2 tanh(A1 x_{t-1} + B1 u_t)
 + B2 u_t checks each layer's matrices as a linear system checks its own.
 
-The runs of an experiment are simulated together: `simulate_lds_runs` and
-`simulate_nonlinear_runs` stack R systems of one shape and step their
-states x of shape (R, d_h, 1) through one recursion, x = A x + B u_t with
-A of shape (R, d_h, d_h), 64 steps at a time: the products with u_t are
-one batched matmul before the steps and the readout one after them, so a
-step does one matmul (two for the nonlinear systems), and only a chunk's
-states are held.  Each run's trajectory is bit for bit the one it gets
-alone, and its noise comes from its own seed, added after the loop.
-`simulate_lds` is the single-run case.
+Runs are simulated together: `simulate_lds_runs` and
+`simulate_nonlinear_runs` stack R systems of one d_h over one horizon,
+whatever their input and output widths, and step their states x of shape
+(R, d_h, 1) through one recursion, x = A x + B u_t with A of shape
+(R, d_h, d_h), 64 steps at a time: the products with u_t are one batched
+matmul per width class (d_in, d_out) before the steps and the readout one
+per class after them, so a step does one matmul (two for the nonlinear
+systems) for all runs, and only a chunk's states are held.  Each run's
+trajectory is bit for bit the one it gets alone, and its noise comes from
+its own seed, added after the loop.  `simulate_lds` is the single-run case.
 
 A system's conjugate pairs are drawn in batches: `Generator.uniform(a, b)`
 is a + (b - a) * `random()`, so one `random(2m)` call scaled the same way
@@ -445,69 +446,83 @@ def gaussian_inputs(T: int, d_in: int, seed) -> np.ndarray:
     return np.random.default_rng(seed).standard_normal((T, d_in))
 
 
-def _stack(systems, names: tuple[str, ...], inputs, seeds):
-    """Stack the named matrices of every run's system and its (T, d_in)
-    inputs, checking that all runs agree on their shapes."""
+def _stack(systems, shared: tuple[str, ...], widths: tuple[str, ...], inputs, seeds):
+    """The run on each row, the `shared` matrices stacked over all rows and,
+    per width class (d_in, d_out), its rows (a slice), (R_c, T, d_in) inputs,
+    stacked `widths` matrices and empty (R_c, T, d_out) outputs, checking
+    that the runs share d_h and their inputs' length."""
     if not systems:
         raise ValueError("need at least one system to simulate")
     if not len(systems) == len(inputs) == len(seeds):
         raise ValueError(
             f"got {len(systems)} systems, {len(inputs)} input streams and {len(seeds)} seeds"
         )
-    us = [_as_time_major(u) for u in inputs]
+    us, classes = [_as_time_major(u) for u in inputs], {}
     for r, (sys, u) in enumerate(zip(systems, us)):
         if u.shape[1] != sys.d_in:
             raise ValueError(
                 f"run {r}: inputs have {u.shape[1]} channels, system expects {sys.d_in}"
             )
-        for name in names:
+        for name in shared:
             got, want = np.shape(getattr(sys, name)), np.shape(getattr(systems[0], name))
             if got != want:
                 raise ValueError(f"run {r}: {name} has shape {got}, run 0 has {want}")
         if u.shape[0] != us[0].shape[0]:
             raise ValueError(f"run {r}: {u.shape[0]} input rows, run 0 has {us[0].shape[0]}")
-    return [np.stack([getattr(sys, name) for sys in systems]) for name in names], np.stack(us)
+        classes.setdefault((sys.d_in, sys.d_out), []).append(r)
+    order, stacked = [], []
+    for (_, d_out), runs in classes.items():
+        stacked.append((slice(len(order), len(order) + len(runs)), np.stack([us[r] for r in runs]),
+                        [np.stack([getattr(systems[r], name) for r in runs]) for name in widths],
+                        np.empty((len(runs), us[0].shape[0], d_out))))
+        order += runs
+    return order, [np.stack([getattr(systems[r], name) for r in order]) for name in shared], stacked
 
 
-def _trajectories(systems, u: np.ndarray, y: np.ndarray, seeds) -> list[Trajectory]:
-    """One trajectory per run, each with noise drawn from its own seed."""
-    for r, (sys, seed) in enumerate(zip(systems, seeds)):
-        if sys.noise_sigma > 0:
-            y[r] += sys.noise_sigma * np.random.default_rng(seed).standard_normal(y[r].shape)
-    return [Trajectory(u_r, y_r) for u_r, y_r in zip(u, y)]
+def _chunks(classes, n: int):
+    """Per chunk of _CHUNK steps from t0, the products of each row's first
+    n `widths` matrices with its inputs, each (steps, R, d_h, 1) with item
+    [k, row] M u_{t0+k}.  The caller turns the last into the states x_t in
+    place; each class's last `widths` matrix C then reads them out."""
+    for t0 in range(0, classes[0][1].shape[1], _CHUNK):
+        steps = slice(t0, t0 + _CHUNK)
+        products = [np.concatenate([np.matmul(M[i], u[:, steps].transpose(1, 0, 2)[..., None])
+                                    for _, u, M, _ in classes], axis=1) for i in range(n)]
+        yield products
+        for rows, _, M, y in classes:
+            y[:, steps] = np.matmul(M[-1], products[-1][:, rows])[..., 0].transpose(1, 0, 2)
 
 
-def _chunks(u: np.ndarray):
-    """The (R, T, d_in) inputs _CHUNK steps at a time, as (start, inputs)
-    with the inputs (steps, R, d_in, 1): item [k, r] is run r's u_t."""
-    steps_first = u.transpose(1, 0, 2)[..., None]
-    for t0 in range(0, u.shape[1], _CHUNK):
-        yield t0, steps_first[t0 : t0 + _CHUNK]
+def _trajectories(systems, seeds, order: list, classes) -> list[Trajectory]:
+    """One trajectory per run, in input order, its noise from its own seed."""
+    runs = [None] * len(order)
+    for rows, u, _, y in classes:
+        for r, u_r, y_r in zip(order[rows], u, y):
+            if (sigma := systems[r].noise_sigma) > 0:
+                y_r += sigma * np.random.default_rng(seeds[r]).standard_normal(y_r.shape)
+            runs[r] = Trajectory(u_r, y_r)
+    return runs
 
 
 def simulate_lds_runs(systems, inputs, seeds) -> list[Trajectory]:
     """Roll every run's linear system forward from x_0 = 0 over its inputs,
-    all runs in one stacked recursion.  The systems must share their
-    shapes and the inputs their length; run r's noise is drawn from
-    seeds[r].
+    all runs in one stacked recursion.  The systems must share d_h and the
+    inputs their length; d_in and d_out may differ.  Run r's noise is
+    drawn from seeds[r].
 
-    Per chunk of _CHUNK steps, one batched matmul writes B u_t for every
-    step into the chunk's state buffer, each step adds A x_{t-1} into its
-    row, and one batched matmul reads C x_t out of the chunk.  Each item
-    goes through the per-step product's BLAS kernel with its operands, so
-    the trajectories are bit for bit those of x = A x + B u_t, y_t = C x,
-    one step at a time, and only a chunk's states are held."""
-    (A, B, C), u = _stack(systems, ("A", "B", "C"), inputs, seeds)
-    R, T = u.shape[:2]
-    y = np.empty((R, T, C.shape[1]))
-    x, Ax = np.zeros((R, A.shape[1], 1)), np.empty((R, A.shape[1], 1))
-    for t0, u_chunk in _chunks(u):
-        X = np.matmul(B, u_chunk)  # B u_t, then x_t, (steps, R, d_h, 1)
+    Per chunk of _CHUNK steps, a batched matmul per width class writes
+    B u_t for every step into the chunk's state buffer, each step adds
+    A x_{t-1} into every run's row, and a batched matmul per class reads
+    C x_t out of the chunk.  Each item goes through the per-step product's
+    BLAS kernel with its operands, so the trajectories are bit for bit
+    those of x = A x + B u_t, y_t = C x, one run and one step at a time."""
+    order, (A,), classes = _stack(systems, ("A",), ("B", "C"), inputs, seeds)
+    x, Ax = np.zeros((2, len(order), A.shape[1], 1))
+    for (X,) in _chunks(classes, 1):  # B u_t, then x_t
         for x_t in X:
             x_t += np.matmul(A, x, out=Ax)
             x = x_t
-        y[:, t0 : t0 + len(X)] = np.matmul(C, X)[..., 0].transpose(1, 0, 2)
-    return _trajectories(systems, u, y, seeds)
+    return _trajectories(systems, seeds, order, classes)
 
 
 def simulate_lds(sys: LinearSystem, inputs: np.ndarray, seed=None) -> Trajectory:
@@ -518,23 +533,20 @@ def simulate_lds(sys: LinearSystem, inputs: np.ndarray, seed=None) -> Trajectory
 def simulate_nonlinear_runs(systems, inputs, seeds) -> list[Trajectory]:
     """Roll every run's two-layer nonlinear system forward from x_0 = 0,
     all runs in one stacked recursion as in `simulate_lds_runs`.  Per
-    chunk of steps, B1 u_t and B2 u_t are one batched matmul each and the
-    readout one more; a step does A1 x_{t-1} plus B1 u_t, tanh in place,
-    and adds A2 times that into the row that holds B2 u_t."""
-    (A1, B1, A2, B2, C), u = _stack(systems, ("A1", "B1", "A2", "B2", "C"), inputs, seeds)
-    R, T = u.shape[:2]
-    y = np.empty((R, T, C.shape[1]))
-    x, h, Ah = np.zeros((3, R, A1.shape[1], 1))
-    for t0, u_chunk in _chunks(u):
-        B1u, X = np.matmul(B1, u_chunk), np.matmul(B2, u_chunk)  # X: B2 u_t, then x_t
+    chunk of steps, B1 u_t and B2 u_t are one batched matmul each per
+    width class and the readout one more; a step does A1 x_{t-1} plus
+    B1 u_t, tanh in place, and adds A2 times that into the row that holds
+    B2 u_t."""
+    order, (A1, A2), classes = _stack(systems, ("A1", "A2"), ("B1", "B2", "C"), inputs, seeds)
+    x, h, Ah = np.zeros((3, len(order), A1.shape[1], 1))
+    for B1u, X in _chunks(classes, 2):  # X: B2 u_t, then x_t
         for B1u_t, x_t in zip(B1u, X):
             np.matmul(A1, x, out=h)
             h += B1u_t
             np.tanh(h, out=h)
             x_t += np.matmul(A2, h, out=Ah)
             x = x_t
-        y[:, t0 : t0 + len(X)] = np.matmul(C, X)[..., 0].transpose(1, 0, 2)
-    return _trajectories(systems, u, y, seeds)
+    return _trajectories(systems, seeds, order, classes)
 
 
 def sample_nonlinear_system(

@@ -3,9 +3,8 @@
 Every run's randomness derives from the master seed through a single
 documented split: SeedSequence(master_seed).generate_state(3 N) yields one
 (system, inputs, noise) seed triple per run, so any table cell can be
-regenerated in isolation.  An experiment samples each run's system and
-inputs from its triple, then simulates all its runs once, in one stacked
-recursion (`dynsys.simulate_lds_runs`); a CSV spec's one run is read by
+regenerated in isolation: a run's trajectory is bit for bit the same
+whichever runs are simulated beside it.  A CSV spec's one run is read by
 `dynsys.ingest_csv`.  Reports are a pure function of the experiment
 configuration and serialize to byte-identical JSON on repeat runs on one
 platform at one BLAS thread count.  The desk-scale acceptance criteria
@@ -13,17 +12,19 @@ that pin these experiments, and the suites that `usp verify` runs, are
 defined in `seqprecond.invariants` alone, which a run never loads.
 
 `sweep` runs many specs in lockstep, and `run_experiment` is its one-spec
-case, so there is one learning path.  Specs with one data key (the CSV
-path, or generator, horizon, master seed and n_runs) share one load or
-simulation.  Specs with one group key (algo, T, d_in, d_out, and for
-spectral the bank's T', beta and k) step all their (spec, rate, run)
-cells in one `ogd` call, from one `learners.feature_blocks` layout with
-a tap count per cell over one window stream per trajectory.  A cell's
-results do not depend on the cells beside it, so every report is bit for
-bit the spec's own.  With several workers and several groups, each group
-runs in a child forked for it, at most `workers` at once, which sends
-back its reports and failures' messages (`_message`), so a failure reads
-the same at every worker count; a child that dies fails its group alone.
+case, so there is one learning path.  Every data key (the CSV path, or
+generator, horizon, master seed and n_runs) is loaded once, in this
+process, before any group runs; the runs of all generated keys that share
+(kind, d_h, T) are simulated in one stacked recursion.  Specs with one
+group key (algo, T, d_in, d_out, and for spectral the bank's T', beta and
+k) step all their (spec, rate, run) cells in one `ogd` call, from one
+`learners.feature_blocks` layout with a tap count per cell over one window
+stream per trajectory.  A cell's results do not depend on the cells
+beside it, so every report is bit for bit the spec's own.  With several
+workers and several groups, each group runs in a child forked for it,
+which inherits the data, at most `workers` at once; it sends back its
+reports and failures' messages (`_message`), so a failure reads the same
+at every worker count, and a child that dies fails its group alone.
 Every child is reaped before the call returns.
 """
 
@@ -38,7 +39,6 @@ import os
 import pickle
 import select
 import typing
-from collections import Counter
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -199,12 +199,10 @@ def validate_spec(spec: ExperimentSpec) -> None:
         raise ValueError("custom variant requires custom_coeffs")
     if spec.csv_path is None and (error := _fit_error(spec, spec.horizon, g.d_in, g.d_out)):
         raise error  # a CSV's horizon and widths are its own: `_run` checks them once it is read
-    if spec.csv_path is None:  # sampling and simulating peak near (6 + 2 layers runs) d_h^2 floats
-        size = 8 * int(g.d_h) ** 2 * (6 + 2 * (1 if g.kind == "lds" else 2) * int(spec.n_runs))
-        if size > MAX_RUN_BYTES:
-            raise ValueError(f"generator.d_h {g.d_h} and n_runs {spec.n_runs}: the systems would "
-                             f"hold about {size // 10**6} MB, over MAX_RUN_BYTES "
-                             f"({MAX_RUN_BYTES // 10**6} MB)")
+    if spec.csv_path is None and (size := _systems_bytes(g, spec.n_runs)) > MAX_RUN_BYTES:
+        raise ValueError(f"generator.d_h {g.d_h} and n_runs {spec.n_runs}: the systems would "
+                         f"hold about {size // 10**6} MB, over MAX_RUN_BYTES "
+                         f"({MAX_RUN_BYTES // 10**6} MB)")
     c = resolve_coefficients(spec)
     with np.errstate(over="ignore"):  # a norm past the float range is named, not warned about
         if not math.isfinite(c.l1):
@@ -263,6 +261,11 @@ def _fit_error(spec: ExperimentSpec, T: int, d_in: int, d_out: int) -> ValueErro
                           f"{size // 10**6} MB, over MAX_RUN_BYTES ({MAX_RUN_BYTES // 10**6} MB)")
 
 
+def _systems_bytes(g: GeneratorConfig, n_runs: int) -> int:
+    """Sampling and simulating n_runs systems peak near (6 + 2 layers n_runs) d_h^2 floats."""
+    return 8 * int(g.d_h) ** 2 * (6 + 2 * (1 if g.kind == "lds" else 2) * int(n_runs))
+
+
 def _bank_shape(spec: ExperimentSpec, T: int) -> tuple:
     """A spectral spec's bank over T steps: (T - degree - 1, beta, filter_count)."""
     return T - resolve_coefficients(spec).degree - 1, spec.beta, spec.filter_count
@@ -303,24 +306,23 @@ def spec_hash(spec: ExperimentSpec) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:12]
 
 
-def _make_runs(g: GeneratorConfig, horizon: int, seeds: list[int]):
-    """Every run's trajectory, all simulated in one stacked recursion, and
-    the systems when linear (None each otherwise).  Run r samples its
-    system, inputs and noise from seeds[3 r : 3 r + 3]; `usp gen-data`
-    passes run 0's seeds alone."""
-    if g.kind == "lds":
-        sample, simulate = dynsys.sample_system, dynsys.simulate_lds_runs
-    else:
-        sample, simulate = dynsys.sample_nonlinear_system, dynsys.simulate_nonlinear_runs
-    triples = [seeds[i : i + 3] for i in range(0, len(seeds), 3)]
-    systems = [
-        sample(g.d_h, g.d_in, g.d_out, g.tau, g.radius_lo, g.radius_hi,
-               sys_seed, noise_sigma=g.noise_sigma, basis_cond=g.basis_cond)
-        for sys_seed, _, _ in triples
-    ]
-    inputs = [dynsys.gaussian_inputs(horizon, g.d_in, input_seed) for _, input_seed, _ in triples]
-    runs = simulate(systems, inputs, [noise_seed for _, _, noise_seed in triples])
-    return runs, systems if g.kind == "lds" else [None] * len(runs)
+def _sample_runs(g: GeneratorConfig, horizon: int, seeds: list[int]):
+    """Every run's system and inputs, and its noise seed: run r draws them
+    from seeds[3 r : 3 r + 3]."""
+    sample = dynsys.sample_system if g.kind == "lds" else dynsys.sample_nonlinear_system
+    systems = [sample(g.d_h, g.d_in, g.d_out, g.tau, g.radius_lo, g.radius_hi, s,
+                      noise_sigma=g.noise_sigma, basis_cond=g.basis_cond) for s in seeds[0::3]]
+    return systems, [dynsys.gaussian_inputs(horizon, g.d_in, s) for s in seeds[1::3]], seeds[2::3]
+
+
+def _simulate(kind: str, sampled: list) -> list:
+    """The runs of every `_sample_runs` result in `sampled`, simulated in
+    one stacked recursion, each with its systems when linear (None each
+    otherwise).  `usp gen-data` simulates run 0 of one key alone."""
+    simulate = dynsys.simulate_lds_runs if kind == "lds" else dynsys.simulate_nonlinear_runs
+    runs = iter(simulate(*([x for part in parts for x in part] for parts in zip(*sampled))))
+    return [([next(runs) for _ in systems], systems if kind == "lds" else [None] * len(systems))
+            for systems, _, _ in sampled]
 
 
 def _data_key(spec: ExperimentSpec):
@@ -331,16 +333,36 @@ def _data_key(spec: ExperimentSpec):
     return (spec.generator, spec.horizon, spec.master_seed, spec.n_runs)
 
 
-def _load(spec: ExperimentSpec):
-    """The runs and systems of a spec's data key, or the exception that
-    loading them raised."""
-    try:
-        if spec.csv_path is not None:
-            return [dynsys.ingest_csv(spec.csv_path)], [None]  # one file, one run
-        return _make_runs(spec.generator, spec.horizon,
-                          derive_seeds(spec.master_seed, spec.n_runs))
-    except Exception as exc:  # noqa: BLE001 - the failure of every spec that reads it
-        return exc
+def _load(keys) -> dict:
+    """Each data key's runs and systems, or the exception that loading it
+    raised.  A CSV is read by `dynsys.ingest_csv`.  Generated keys are
+    sampled one by one, and those that share (kind, d_h, T) are simulated
+    in one stacked recursion per batch: a key joins the last batch while
+    `_systems_bytes` of its runs stays within MAX_RUN_BYTES.  A key whose
+    sampling fails fails alone; a failed simulation fails its batch."""
+    data, stacks = {}, {}
+    for key in keys:
+        try:
+            if isinstance(key, str):
+                data[key] = [dynsys.ingest_csv(key)], [None]  # one file, one run
+            else:
+                g, horizon, seed, n_runs = key
+                sampled = _sample_runs(g, horizon, derive_seeds(seed, n_runs))
+                batches = stacks.setdefault((g.kind, g.d_h, horizon), [[]])
+                runs = n_runs + sum(len(systems) for _, (systems, _, _) in batches[-1])
+                if batches[-1] and _systems_bytes(g, runs) > MAX_RUN_BYTES:
+                    batches.append([])
+                batches[-1].append((key, sampled))
+        except Exception as exc:  # noqa: BLE001 - the failure of every spec that reads it
+            data[key] = exc
+    for (kind, *_), batches in stacks.items():
+        for batch in batches:
+            batch_keys, sampled = zip(*batch)
+            try:
+                data.update(zip(batch_keys, _simulate(kind, sampled)))
+            except Exception as exc:  # noqa: BLE001 - the failure of every key it simulates
+                data.update(dict.fromkeys(batch_keys, exc))
+    return data
 
 
 def _grid(spec: ExperimentSpec) -> list:
@@ -458,28 +480,19 @@ def _report(spec: ExperimentSpec, preds: np.ndarray, data) -> MetricsReport:
 
 def _run_group(specs: list, data: dict) -> list:
     """Each spec's report, or the exception it failed with, for the specs
-    of one group: all their cells step in one `ogd` call.  `data` maps
-    data keys to their runs and systems or a load failure; a key of these
-    specs that it lacks is loaded here, into a copy.  A load failure fails
-    its specs, and a failed `ogd` call fails the group's others."""
-    data = dict(data)
-    for spec in specs:
-        if _data_key(spec) not in data:
-            data[_data_key(spec)] = _load(spec)
-    loaded = [spec for spec in specs if not isinstance(data[_data_key(spec)], Exception)]
+    of one group: all their cells step in one `ogd` call over the runs and
+    systems that `data` maps their data keys to.  A failed `ogd` call
+    fails every spec of the group, a failed report its spec alone."""
     try:
-        preds = iter(_group_predictions(loaded, data) if loaded else ())
-    except Exception as exc:  # noqa: BLE001 - every loaded spec of the group fails with it
-        return [data[k] if isinstance(data[k], Exception) else exc for k in map(_data_key, specs)]
+        preds = _group_predictions(specs, data)
+    except Exception as exc:  # noqa: BLE001 - every spec of the group fails with it
+        return [exc] * len(specs)
     outcomes = []
-    for spec in specs:
-        outcome = data[_data_key(spec)]  # its runs and systems, or its load failure
-        if not isinstance(outcome, Exception):
-            try:
-                outcome = _report(spec, next(preds), outcome)
-            except Exception as exc:  # noqa: BLE001 - that spec's failure alone
-                outcome = exc
-        outcomes.append(outcome)
+    for spec, p in zip(specs, preds):
+        try:
+            outcomes.append(_report(spec, p, data[_data_key(spec)]))
+        except Exception as exc:  # noqa: BLE001 - that spec's failure alone
+            outcomes.append(exc)
     return outcomes
 
 
@@ -546,44 +559,33 @@ def _run(specs: list, workers: int = 1) -> list:
     """Each validated spec's report, or the exception it failed with (from
     a child, a RuntimeError carrying its `_message`), in input order.
 
-    Specs are grouped by (algo, T, d_in, d_out) and, for spectral, by the
-    filter bank (T', beta, k).  Each group is one `_run_group` task: in
-    this process when there is one group or one worker, or where
-    `os.fork` does not exist, else in a forked child per group, at most
-    `workers` at once (`_run_forked`).  Each data key is loaded once.  A
-    CSV is read here, since its horizon and widths decide its group; a
-    generated key is loaded here when several groups read it, else in its
-    group's task.  A load failure, or a spec that does not fit the file's
-    length and widths (`_fit_error`), fails only the specs that read that
-    data.
+    Every data key is loaded once, here, before any group runs (`_load`).
+    Specs are grouped by (algo, T, d_in, d_out), read off their data, and,
+    for spectral, by the filter bank (T', beta, k).  Each group is one
+    `_run_group` task: in this process when there is one group or one
+    worker, or where `os.fork` does not exist, else in a forked child per
+    group, at most `workers` at once (`_run_forked`), which inherits the
+    data.  A load failure, or a spec that does not fit its data's length
+    and widths (`_fit_error`; only a CSV's can surprise), fails only the
+    specs that read that data.
     """
-    results = [None] * len(specs)
-    data, groups = {}, {}
+    data = _load(dict.fromkeys(map(_data_key, specs)))
+    results, groups = [None] * len(specs), {}
     for i, spec in enumerate(specs):
-        key = _data_key(spec)
-        if spec.csv_path is None:
-            T, d_in, d_out = spec.horizon, spec.generator.d_in, spec.generator.d_out
-        else:
-            if key not in data:
-                data[key] = _load(spec)
-            if isinstance(data[key], Exception):
-                results[i] = data[key]
-                continue
-            traj = data[key][0][0]
-            T, d_in, d_out = traj.horizon, traj.inputs.shape[1], traj.outputs.shape[1]
-            results[i] = _fit_error(spec, T, d_in, d_out)
-            if results[i] is not None:
-                continue
+        loaded = data[_data_key(spec)]
+        if isinstance(loaded, Exception):
+            results[i] = loaded
+            continue
+        traj = loaded[0][0]
+        T, d_in, d_out = traj.horizon, traj.inputs.shape[1], traj.outputs.shape[1]
+        results[i] = _fit_error(spec, T, d_in, d_out)
+        if results[i] is not None:
+            continue
         group = (spec.algo, T, d_in, d_out)
         if spec.algo == "spectral":
             group += _bank_shape(spec, T)
         groups.setdefault(group, []).append(i)
     groups = list(groups.values())
-    readers = Counter(key for members in groups for key in {_data_key(specs[i]) for i in members})
-    for spec in specs:
-        key = _data_key(spec)
-        if key not in data and readers[key] > 1:
-            data[key] = _load(spec)
     tasks = [([specs[i] for i in members], data) for members in groups]
     serial = workers == 1 or len(tasks) <= 1 or not hasattr(os, "fork")
     outcomes = [_run_group(*task) for task in tasks] if serial else _run_forked(tasks, workers)
@@ -630,9 +632,8 @@ class SweepFailure:
 def sweep(specs: list[ExperimentSpec], workers: int = 1) -> list:
     """Run several specs in lockstep; failures are recorded, siblings continue.
 
-    All specs are validated before any data is loaded.  Specs that share a
-    data key (the CSV path, or generator, horizon, master seed and
-    n_runs) share one load or simulation.  Specs that share (algo, T,
+    All specs are validated before any data is loaded, and each data key
+    is loaded once, in this process (`_run`).  Specs that share (algo, T,
     d_in, d_out), and for spectral the filter bank (T', beta, k), form a
     group whose (spec, rate, run) cells step in one `ogd` recursion; each
     spec's report is bit for bit its `run_experiment` report.  A spec that

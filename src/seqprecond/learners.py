@@ -325,59 +325,60 @@ def ogd(blocks, targets):
     (active, mask), flat = np.empty((2, lanes), dtype=bool), s.reshape(-1)
     signs, coefs = s[None, :, None], coef[None, :, None]  # against x[k] of a matrix block
     finite = [True] * len(steps)
-    for t0 in range(0, T, _CHUNK):
-        c = min(_CHUNK, T - t0)
-        for X, index, pad, buf in gathers:
-            np.take(X[t0 : t0 + c], index, axis=-1, out=buf[:c], mode="clip")
-            if pad is not None:
-                np.copyto(buf[:c], 0.0, where=pad)
-        for i, (lr, rate, buf, rbuf) in enumerate(scales):
-            np.divide(lr, root[t0 : t0 + c, None], out=rate[:c])
-            with np.errstate(over="ignore", invalid="ignore"):  # such a chunk is masked
-                rx = np.multiply(buf[:c], rate[:c, None, None], out=rbuf[:c])
-                finite[i] = isfinite(rx.sum())
-        chunk = P[t0 : t0 + c]
-        for W, x, products, axes in lead_terms:
-            chunk += np.add.reduce(np.multiply(W, x[:c], out=products[:c]), axis=axes,
-                                   out=accs[:c])
-        for k in range(c if steps else 0):
-            t, p = t0 + k, chunk[k]
-            for W, x, products, axes in terms:
-                p += np.add.reduce(np.multiply(W, x[k], out=products), axis=axes, out=acc)
-            np.subtract(p, ys[k], out=s)
-            if not isfinite(np.dot(flat, flat)):  # a non-finite prediction, or a huge residual
-                s[:, ~np.isfinite(p).all(axis=0)] = 0.0
-            np.sign(s, out=s)
-            on = None  # the cells with a nonzero sign, for a masked step
-            for i, (W, x, rx, m, rate, nonzero, radius, g, grad) in enumerate(steps):
-                if finite[i]:  # +-0 where s or the rate is 0
-                    if m:
-                        np.multiply(signs, rx[k], out=grad)
-                    else:
-                        np.einsum("jol,ol->jl", rx[k], s, out=grad)
+    with np.errstate(over="ignore"):  # the test's squared residuals overflow past ~1e154
+        for t0 in range(0, T, _CHUNK):
+            c = min(_CHUNK, T - t0)
+            for X, index, pad, buf in gathers:
+                np.take(X[t0 : t0 + c], index, axis=-1, out=buf[:c], mode="clip")
+                if pad is not None:
+                    np.copyto(buf[:c], 0.0, where=pad)
+            for i, (lr, rate, buf, rbuf) in enumerate(scales):
+                np.divide(lr, root[t0 : t0 + c, None], out=rate[:c])
+                with np.errstate(over="ignore", invalid="ignore"):  # such a chunk is masked
+                    rx = np.multiply(buf[:c], rate[:c, None, None], out=rbuf[:c])
+                    finite[i] = isfinite(rx.sum())
+            chunk = P[t0 : t0 + c]
+            for W, x, products, axes in lead_terms:
+                chunk += np.add.reduce(np.multiply(W, x[:c], out=products[:c]), axis=axes,
+                                       out=accs[:c])
+            for k in range(c if steps else 0):
+                t, p = t0 + k, chunk[k]
+                for W, x, products, axes in terms:
+                    p += np.add.reduce(np.multiply(W, x[k], out=products), axis=axes, out=acc)
+                np.subtract(p, ys[k], out=s)
+                if not isfinite(np.dot(flat, flat)):  # a non-finite prediction, or a huge residual
+                    s[:, ~np.isfinite(p).all(axis=0)] = 0.0
+                np.sign(s, out=s)
+                on = None  # the cells with a nonzero sign, for a masked step
+                for i, (W, x, rx, m, rate, nonzero, radius, g, grad) in enumerate(steps):
+                    if finite[i]:  # +-0 where s or the rate is 0
+                        if m:
+                            np.multiply(signs, rx[k], out=grad)
+                        else:
+                            np.einsum("jol,ol->jl", rx[k], s, out=grad)
+                        if t < crosses[i]:
+                            W -= grad
+                            continue
+                    else:  # (s rate) x: 0, not 0 inf = nan, where s is 0
+                        np.multiply(s, rate[k], out=coef)
+                        if m:
+                            np.multiply(coefs, x[k], out=grad)
+                        else:
+                            np.einsum("jol,ol->jl", x[k], coef, out=grad)
+                    if on is None:
+                        on = np.logical_or.reduce(s, axis=0, out=active)
+                    live = on if nonzero is None else np.logical_and(on, nonzero, out=mask)
                     if t < crosses[i]:
-                        W -= grad
+                        np.subtract(W, grad, out=W, where=live)
                         continue
-                else:  # (s rate) x: 0, not 0 inf = nan, where s is 0
-                    np.multiply(s, rate[k], out=coef)
-                    if m:
-                        np.multiply(coefs, x[k], out=grad)
-                    else:
-                        np.einsum("jol,ol->jl", x[k], coef, out=grad)
-                if on is None:
-                    on = np.logical_or.reduce(s, axis=0, out=active)
-                live = on if nonzero is None else np.logical_and(on, nonzero, out=mask)
-                if t < crosses[i]:
-                    np.subtract(W, grad, out=W, where=live)
-                    continue
-                step = np.subtract(W, grad, out=grad)
-                norms = np.sqrt(np.einsum("joil,joil->jl", step, step))
-                if ((norms > radius) & live).any():
-                    step = project_to_ball(step.transpose(3, 0, 1, 2), radius[:, None])
-                    np.copyto(W, step.transpose(1, 2, 3, 0), where=live)
-                else:  # every tap inside: re-arm from the taps' norms now
-                    np.copyto(W, step, where=live)
-                    crosses[i] = crossing(W, g, radius, t)
+                    step = np.subtract(W, grad, out=grad)
+                    norms = np.sqrt(np.einsum("joil,joil->jl", step, step))
+                    if ((norms > radius) & live).any():
+                        step = project_to_ball(step.transpose(3, 0, 1, 2), radius[:, None])
+                        np.copyto(W, step.transpose(1, 2, 3, 0), where=live)
+                    else:  # every tap inside: re-arm from the taps' norms now
+                        np.copyto(W, step, where=live)
+                        crosses[i] = crossing(W, g, radius, t)
     # the growth bounds and chunk buffers, and every name holding one, go before the copies
     gathers = scales = steps = terms = lead_terms = ys = accs = None
     buf = rbuf = x = rx = rate = products = g = None

@@ -132,7 +132,7 @@ def test_a_failed_desk_report_fails_criteria_07_and_08(monkeypatch):
     def failing(*args):
         raise ValueError("no desk data")
 
-    monkeypatch.setattr(invariants.harness, "_make_runs", failing)
+    monkeypatch.setattr(invariants.harness, "_sample_runs", failing)
     assert [str(r) for r in invariants.verify("harness")] == [
         "[FAIL] harness/desk_scale_improvement: ValueError: no desk data",
         "[FAIL] harness/degree_degradation: ValueError: no desk data",

@@ -432,7 +432,7 @@ class TestSweepCommand:
         def failing(g, horizon, seeds):
             raise MemoryError()
 
-        monkeypatch.setattr(harness, "_make_runs", failing)
+        monkeypatch.setattr(harness, "_sample_runs", failing)
         cfg = self.write_sweep(tmp_path, [self.base_entry()])
         assert run_cli("sweep", "--config", str(cfg)) == 1
         captured = capsys.readouterr()

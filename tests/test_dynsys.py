@@ -521,21 +521,21 @@ def reference_nonlinear(nl: NonlinearSystem, u: np.ndarray, seed) -> np.ndarray:
 CHUNK = dynsys._CHUNK
 
 
-def check_runs_against_their_loops(kind, R, d_h, d_in, d_out, T, sigma, seed):
-    """Simulate R runs in one stack; each must equal its own loop bitwise."""
+def check_runs_against_their_loops(kind, d_h, widths, T, sigma, seed):
+    """Simulate one run per (d_in, d_out) in `widths` in one stack; each
+    must equal its own loop bitwise, whatever the widths beside it."""
+    R = len(widths)
     sys_seeds, input_seeds, noise_seeds = (
         np.random.SeedSequence(seed).generate_state(3 * R).reshape(3, R)
     )
     if kind == "lds":
-        systems = [sample_system(d_h, d_in, d_out, 0.1, 0.5, 1.0, s, noise_sigma=sigma)
-                   for s in sys_seeds]
-        simulate, reference = simulate_lds_runs, reference_lds
+        sampler, simulate, reference = sample_system, simulate_lds_runs, reference_lds
     else:
-        systems = [sample_nonlinear_system(d_h, d_in, d_out, 0.1, 0.5, 1.0, s,
-                                           noise_sigma=sigma)
-                   for s in sys_seeds]
-        simulate, reference = simulate_nonlinear_runs, reference_nonlinear
-    inputs = [gaussian_inputs(T, d_in, s) for s in input_seeds]
+        sampler, simulate, reference = (sample_nonlinear_system, simulate_nonlinear_runs,
+                                        reference_nonlinear)
+    systems = [sampler(d_h, d_in, d_out, 0.1, 0.5, 1.0, s, noise_sigma=sigma)
+               for (d_in, d_out), s in zip(widths, sys_seeds)]
+    inputs = [gaussian_inputs(T, d_in, s) for (d_in, _), s in zip(widths, input_seeds)]
     runs = simulate(systems, inputs, list(noise_seeds))
     assert len(runs) == R
     for sys, u, noise_seed, traj in zip(systems, inputs, noise_seeds, runs):
@@ -543,17 +543,27 @@ def check_runs_against_their_loops(kind, R, d_h, d_in, d_out, T, sigma, seed):
         assert np.array_equal(traj.outputs, reference(sys, u, noise_seed))
 
 
+WIDTH = st.tuples(st.integers(1, 3), st.integers(1, 3))
+
+
 class TestStackedRuns:
     @given(
         kind=st.sampled_from(["lds", "tanh"]),
-        R=st.integers(1, 4), d_h=st.integers(1, 8), d_in=st.integers(1, 3),
-        d_out=st.integers(1, 3), T=st.integers(1, 50), sigma=st.sampled_from([0.0, 0.3]),
+        d_h=st.integers(1, 8), widths=st.lists(WIDTH, min_size=1, max_size=4),
+        T=st.integers(1, 50), sigma=st.sampled_from([0.0, 0.3]),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_every_run_matches_its_own_loop_bit_for_bit(
-        self, kind, R, d_h, d_in, d_out, T, sigma, seed
-    ):
-        check_runs_against_their_loops(kind, R, d_h, d_in, d_out, T, sigma, seed)
+    def test_every_run_matches_its_own_loop_bit_for_bit(self, kind, d_h, widths, T, sigma, seed):
+        check_runs_against_their_loops(kind, d_h, widths, T, sigma, seed)
+
+    @given(
+        kind=st.sampled_from(["lds", "tanh"]),
+        R=st.integers(1, 4), d_h=st.integers(1, 8), width=WIDTH,
+        T=st.integers(1, 50), sigma=st.sampled_from([0.0, 0.3]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_runs_of_one_width_match_their_own_loops(self, kind, R, d_h, width, T, sigma, seed):
+        check_runs_against_their_loops(kind, d_h, [width] * R, T, sigma, seed)
 
     @pytest.mark.parametrize("T", [1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1])
     @pytest.mark.parametrize("kind", ["lds", "tanh"])
@@ -561,24 +571,50 @@ class TestStackedRuns:
     def test_chunk_edges_match_the_loop_bit_for_bit(self, T, kind, R, d_h, d_in, d_out):
         # a simulation takes its input products a chunk of steps at a time,
         # so the lengths around a chunk's edge carry a state across it
-        check_runs_against_their_loops(kind, R, d_h, d_in, d_out, T, 0.3, T * R + d_h)
+        check_runs_against_their_loops(kind, d_h, [(d_in, d_out)] * R, T, 0.3, T * R + d_h)
+
+    @pytest.mark.parametrize("T", [1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1])
+    @pytest.mark.parametrize("kind", ["lds", "tanh"])
+    def test_chunk_edges_of_mixed_widths_match_the_loop_bit_for_bit(self, T, kind):
+        # three width classes, interleaved, so no class sits on the rows
+        # its runs hold in the input order
+        widths = [(1, 1), (3, 2), (1, 1), (2, 3), (3, 2)]
+        check_runs_against_their_loops(kind, 5, widths, T, 0.3, T * len(widths) + 5)
 
     def test_mismatched_runs_are_rejected_by_run(self):
         small = sample_system(3, 1, 1, 0.1, 0.5, 1.0, 0)
         u = gaussian_inputs(10, 1, 0)
         with pytest.raises(ValueError, match="run 1: A has shape"):
             simulate_lds_runs([small, sample_system(4, 1, 1, 0.1, 0.5, 1.0, 1)], [u, u], [0, 1])
-        with pytest.raises(ValueError, match="run 1: C has shape"):
-            simulate_lds_runs([small, sample_system(3, 1, 2, 0.1, 0.5, 1.0, 1)], [u, u], [0, 1])
         with pytest.raises(ValueError, match="run 1: inputs have 2 channels"):
             simulate_lds_runs([small, small], [u, gaussian_inputs(10, 2, 0)], [0, 1])
         with pytest.raises(ValueError, match="run 1: 9 input rows"):
             simulate_lds_runs([small, small], [u, u[:9]], [0, 1])
+        with pytest.raises(ValueError, match="run 2: 9 input rows"):  # a run of another width
+            wide = sample_system(3, 2, 3, 0.1, 0.5, 1.0, 1)
+            simulate_lds_runs([small, wide, wide], [u, gaussian_inputs(10, 2, 0),
+                                                    gaussian_inputs(9, 2, 0)], [0, 1, 2])
         nl = sample_nonlinear_system(3, 1, 1, 0.1, 0.5, 1.0, 0)
         with pytest.raises(ValueError, match="run 1: A1 has shape"):
             simulate_nonlinear_runs(
                 [nl, sample_nonlinear_system(4, 1, 1, 0.1, 0.5, 1.0, 1)], [u, u], [0, 1]
             )
+        with pytest.raises(ValueError, match="run 1: A1 has shape"):  # of another width too
+            simulate_nonlinear_runs(
+                [nl, sample_nonlinear_system(4, 2, 2, 0.1, 0.5, 1.0, 1)],
+                [u, gaussian_inputs(10, 2, 0)], [0, 1]
+            )
+
+    def test_a_run_of_another_output_width_is_its_own(self):
+        # a C of another d_out is a width class of its own, not a mismatch:
+        # each run reads out exactly what it reads out alone
+        small = sample_system(3, 1, 1, 0.1, 0.5, 1.0, 0)
+        wide = sample_system(3, 1, 2, 0.1, 0.5, 1.0, 1)
+        u = gaussian_inputs(10, 1, 0)
+        runs = simulate_lds_runs([small, wide, small], [u, u, u], [0, 1, 2])
+        assert [traj.outputs.shape for traj in runs] == [(10, 1), (10, 2), (10, 1)]
+        for sys, seed, traj in zip((small, wide, small), (0, 1, 2), runs):
+            assert np.array_equal(traj.outputs, simulate_lds(sys, u, seed).outputs)
 
     @pytest.mark.parametrize("simulate, sampler", [
         (simulate_lds_runs, sample_system), (simulate_nonlinear_runs, sample_nonlinear_system),

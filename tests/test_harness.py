@@ -48,8 +48,8 @@ def tiny_spec(**overrides):
 def first_non_finite(learner, spec):
     """(run, step) of the first non-finite prediction of `learner` over the
     spec's runs, each run on its own, or None."""
-    seeds = H.derive_seeds(spec.master_seed, spec.n_runs)
-    for run, traj in enumerate(H._make_runs(spec.generator, spec.horizon, seeds)[0]):
+    key = H._data_key(spec)
+    for run, traj in enumerate(H._load([key])[key][0]):
         finite = np.isfinite(learner.run(traj.inputs, traj.outputs)).all(axis=-1)
         if not finite.all():
             return run, int(np.argmin(finite))
@@ -252,7 +252,7 @@ class TestValidateSpec:
     def test_the_size_guard_counts_the_sampled_systems(self, monkeypatch):
         # 20 linear systems of d_h = 1e5 hold 1.6 TB in their transition
         # matrices alone; the spec is refused before any is sampled
-        monkeypatch.setattr(H, "_make_runs", lambda *args: pytest.fail("sampled"))
+        monkeypatch.setattr(H, "_sample_runs", lambda *args: pytest.fail("sampled"))
         with pytest.raises(ValueError, match=r"^generator\.d_h 100000 and n_runs 20: the systems "
                                              r"would hold about 3680000 MB, over MAX_RUN_BYTES"):
             H.run_experiment(H.ExperimentSpec(generator=H.GeneratorConfig(d_h=10**5)))
@@ -571,7 +571,7 @@ class TestRunExperiment:
 
     def test_taps_past_the_horizon_fail_before_any_data_is_made(self, monkeypatch):
         calls = []
-        monkeypatch.setattr(H, "_make_runs", lambda *args: calls.append(args))
+        monkeypatch.setattr(H, "_sample_runs", lambda *args: calls.append(args))
         for bad in (dict(variant="none", degree=10**8), dict(num_taps=10**9)):
             with pytest.raises(ValueError, match="more than the data horizon 120"):
                 H.sweep([tiny_spec(), tiny_spec(**bad)])
@@ -713,7 +713,7 @@ class TestSweep:
     @pytest.mark.parametrize("workers", [0, -1])
     def test_workers_below_one_rejected(self, workers, monkeypatch):
         calls = []
-        monkeypatch.setattr(H, "_make_runs", lambda *args: calls.append(args))
+        monkeypatch.setattr(H, "_sample_runs", lambda *args: calls.append(args))
         with pytest.raises(ValueError, match=f"workers must be >= 1, got {workers}"):
             H.sweep([tiny_spec()], workers=workers)
         assert calls == []
@@ -735,7 +735,7 @@ class TestSweep:
     ])
     def test_out_of_range_spec_stops_the_sweep_before_any_data(self, bad, fragment, monkeypatch):
         calls = []
-        monkeypatch.setattr(H, "_make_runs", lambda *args: calls.append(args))
+        monkeypatch.setattr(H, "_sample_runs", lambda *args: calls.append(args))
         with pytest.raises(ValueError, match=fragment):
             H.sweep([tiny_spec(), tiny_spec(**bad)])
         assert calls == []
@@ -766,18 +766,18 @@ class TestSweep:
 
     @FORKS
     def test_a_lost_worker_fails_its_group_and_the_sweep_returns(self, monkeypatch):
-        # the child that loads the horizon-121 group's data dies; only that
+        # the child that steps the horizon-121 group's cells dies; only that
         # group fails, and the other two report as they would alone
-        make_runs = H._make_runs
+        group_predictions = H._group_predictions
 
-        def dying(g, horizon, seeds):
-            if horizon == 121:
+        def dying(specs, data):
+            if specs[0].horizon == 121:
                 os._exit(1)
-            return make_runs(g, horizon, seeds)
+            return group_predictions(specs, data)
 
         specs = [tiny_spec(n_runs=1, horizon=120 + s) for s in range(3)]
         alone = [H.report_to_json(H.run_experiment(specs[i])) for i in (0, 2)]
-        monkeypatch.setattr(H, "_make_runs", dying)
+        monkeypatch.setattr(H, "_group_predictions", dying)
         first, lost, last = H.sweep(specs, workers=2)
         assert isinstance(lost, H.SweepFailure)
         assert lost.config_hash == H.spec_hash(specs[1])
@@ -843,15 +843,15 @@ class TestSweep:
         class Local(Exception):  # pickle cannot find a local class by name
             pass
 
-        def failing(g, horizon, seeds):
-            if horizon == 121:
+        def failing(specs, data):  # in the child that runs the horizon-121 group
+            if specs[0].horizon == 121:
                 raise Local("no data") if local else NeedsTwo("no", "data")
-            return make_runs(g, horizon, seeds)
+            return group_predictions(specs, data)
 
-        make_runs = H._make_runs
+        group_predictions = H._group_predictions
         specs = [tiny_spec(n_runs=1, horizon=120 + s) for s in range(2)]
         alone = H.report_to_json(H.run_experiment(specs[0]))
-        monkeypatch.setattr(H, "_make_runs", failing)
+        monkeypatch.setattr(H, "_group_predictions", failing)
         ok, failed = H.sweep(specs, workers=2)
         assert H.report_to_json(ok) == alone
         assert failed == H.sweep(specs, workers=1)[1]
@@ -862,17 +862,18 @@ class TestSweep:
         (MemoryError(), "MemoryError"),
     ], ids=["value-error", "no-message"])
     def test_a_failure_reads_the_same_at_every_worker_count(self, error, text, monkeypatch):
-        # a failure is its message, or its type's name when it has none;
-        # `run_experiment` raises the exception itself
-        def failing(g, horizon, seeds):
-            if horizon == 121:
+        # a failure is its message, or its type's name when it has none,
+        # whether it is raised here or in a child; `run_experiment` raises
+        # the exception itself
+        def failing(specs, data):
+            if specs[0].horizon == 121:
                 raise error
-            return make_runs(g, horizon, seeds)
+            return group_predictions(specs, data)
 
-        make_runs = H._make_runs
+        group_predictions = H._group_predictions
         specs = [tiny_spec(n_runs=1, horizon=120 + s) for s in range(2)]
         alone = H.report_to_json(H.run_experiment(specs[0]))
-        monkeypatch.setattr(H, "_make_runs", failing)
+        monkeypatch.setattr(H, "_group_predictions", failing)
         want = H.SweepFailure(H.spec_hash(specs[1]), text)
         for workers in (1, 2):
             ok, failed = H.sweep(specs, workers=workers)
@@ -889,19 +890,19 @@ class TestSweep:
         def failing_load(g, horizon, seeds):
             if seeds == H.derive_seeds(8, 1):
                 raise ValueError("no data")
-            return make_runs(g, horizon, seeds)
+            return sample_runs(g, horizon, seeds)
 
         def failing_call(specs, data):
             if specs[0].horizon == 121:
                 raise RuntimeError("bank broke")
             return group_predictions(specs, data)
 
-        make_runs, group_predictions = H._make_runs, H._group_predictions
+        sample_runs, group_predictions = H._sample_runs, H._group_predictions
         ok, unloaded, loaded = specs = [tiny_spec(n_runs=1, horizon=120),
                                         tiny_spec(n_runs=1, horizon=121, master_seed=8),
                                         tiny_spec(n_runs=1, horizon=121)]
         alone = H.report_to_json(H.run_experiment(ok))
-        monkeypatch.setattr(H, "_make_runs", failing_load)
+        monkeypatch.setattr(H, "_sample_runs", failing_load)
         monkeypatch.setattr(H, "_group_predictions", failing_call)
         report, *failed = H.sweep(specs, workers=workers)
         assert H.report_to_json(report) == alone
@@ -915,13 +916,13 @@ class TestSweep:
         (lambda: os.kill(os.getpid(), signal.SIGKILL), f"(killed by signal {signal.SIGKILL})"),
     ], ids=["lives", "exits", "is-killed"])
     def test_no_child_outlives_the_sweep(self, death, how, monkeypatch):
-        def dying(g, horizon, seeds):
-            if horizon == 121:
+        def dying(specs, data):  # in the child that runs the horizon-121 group
+            if specs[0].horizon == 121:
                 death()
-            return make_runs(g, horizon, seeds)
+            return group_predictions(specs, data)
 
-        make_runs = H._make_runs
-        monkeypatch.setattr(H, "_make_runs", dying)
+        group_predictions = H._group_predictions
+        monkeypatch.setattr(H, "_group_predictions", dying)
         specs = [tiny_spec(n_runs=1, horizon=120 + s) for s in range(3)]
         results = H.sweep(specs, workers=2)
         with pytest.raises(ChildProcessError):
@@ -1034,6 +1035,81 @@ class TestSweep:
         assert "±" in table and "missing" not in table
 
 
+WIDE_GEN = dataclasses.replace(TINY_GEN, d_in=2, d_out=3)
+
+
+def stacked_specs(kind="lds"):
+    """Four data keys: three share (kind, d_h 6, T 120) across two widths
+    and two seeds, and one has d_h 5; the first key has two specs."""
+    gens = [dataclasses.replace(g, kind=kind) for g in (TINY_GEN, WIDE_GEN)]
+    return [tiny_spec(n_runs=2, generator=gens[0]), tiny_spec(n_runs=2, generator=gens[1]),
+            tiny_spec(n_runs=2, generator=gens[0], master_seed=8),
+            tiny_spec(n_runs=2, generator=gens[0], variant="none"),
+            tiny_spec(n_runs=1, generator=dataclasses.replace(gens[0], d_h=5))]
+
+
+def count_simulations(monkeypatch, kind="lds"):
+    """The runs of each stacked simulation call, in call order."""
+    name = "simulate_lds_runs" if kind == "lds" else "simulate_nonlinear_runs"
+    simulate, calls = getattr(H.dynsys, name), []
+
+    def counted(systems, inputs, seeds):
+        calls.append(len(systems))
+        return simulate(systems, inputs, seeds)
+
+    monkeypatch.setattr(H.dynsys, name, counted)
+    return calls
+
+
+class TestStackedLoads:
+    @pytest.mark.parametrize("kind", ["lds", "nonlinear"])
+    def test_one_simulation_per_stack_and_reports_as_each_spec_alone(self, kind, monkeypatch):
+        specs = stacked_specs(kind)
+        want = [H.report_to_json(H.run_experiment(spec)) for spec in specs]
+        calls = count_simulations(monkeypatch, kind)
+        for workers in (1, 2):
+            calls.clear()
+            assert [H.report_to_json(r) for r in H.sweep(specs, workers=workers)] == want
+            assert calls == [6, 1]  # d_h 6: three keys of 2 runs; d_h 5: one run
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_key_that_fails_to_sample_fails_only_its_specs(self, workers, monkeypatch):
+        # the wide key's sampling raises: its spec fails, and the keys of
+        # its stack and the other stack report as they would alone
+        specs = stacked_specs()
+        want = [H.report_to_json(H.run_experiment(spec)) for spec in specs]
+        sample_runs = H._sample_runs
+
+        def failing(g, horizon, seeds):
+            if g.d_in == 2:
+                raise ValueError("no wide data")
+            return sample_runs(g, horizon, seeds)
+
+        monkeypatch.setattr(H, "_sample_runs", failing)
+        calls = count_simulations(monkeypatch)
+        got = H.sweep(specs, workers=workers)
+        assert got[1] == H.SweepFailure(H.spec_hash(specs[1]), "no wide data")
+        assert [H.report_to_json(got[i]) for i in (0, 2, 3, 4)] == [want[i] for i in (0, 2, 3, 4)]
+        assert calls == [4, 1]
+
+    def test_a_stack_over_max_run_bytes_is_simulated_in_batches(self, monkeypatch):
+        # at d_h 6 the systems' estimate is 8 * 36 * (6 + 2 runs) bytes: a
+        # bound of 4 runs' splits the stack's 2 + 2 + 2 runs after its
+        # second key, and every trajectory is the one a single batch gives
+        keys = list(dict.fromkeys(map(H._data_key, stacked_specs())))
+        whole = H._load(keys)
+        calls = count_simulations(monkeypatch)
+        monkeypatch.setattr(H, "MAX_RUN_BYTES", 8 * 36 * (6 + 2 * 4))
+        batched = H._load(keys)
+        assert calls == [4, 2, 1]
+        for key in keys:
+            (runs, systems), (want_runs, want_systems) = batched[key], whole[key]
+            assert [s.A.tobytes() for s in systems] == [s.A.tobytes() for s in want_systems]
+            for traj, want in zip(runs, want_runs, strict=True):
+                assert np.array_equal(traj.inputs, want.inputs)
+                assert np.array_equal(traj.outputs, want.outputs)
+
+
 def lockstep_specs(tmp_path):
     """Specs that exercise every way a grouped sweep can differ from one
     `run_experiment` per spec: padded taps and lag degree, a learned
@@ -1084,17 +1160,17 @@ class TestLockstepSweep:
 
     def test_one_load_per_data_key_and_one_ogd_call_per_group(self, tmp_path, monkeypatch):
         loads, calls = [], []
-        make_runs, ogd = H._make_runs, H.learners.ogd
+        sample_runs, ogd = H._sample_runs, H.learners.ogd
 
-        def counted_make_runs(g, horizon, seeds):
+        def counted_sample_runs(g, horizon, seeds):
             loads.append((g, horizon, len(seeds)))
-            return make_runs(g, horizon, seeds)
+            return sample_runs(g, horizon, seeds)
 
         def counted_ogd(blocks, targets):
             calls.append(len(targets.index))  # one stream per trajectory, as Rows
             return ogd(blocks, targets)
 
-        monkeypatch.setattr(H, "_make_runs", counted_make_runs)
+        monkeypatch.setattr(H, "_sample_runs", counted_sample_runs)
         monkeypatch.setattr(H.learners, "ogd", counted_ogd)
         specs = lockstep_specs(tmp_path)
         # the spectral spec is another group on the first three specs' data key

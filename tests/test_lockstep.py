@@ -590,6 +590,20 @@ def test_a_ball_whose_growth_bound_is_not_finite_still_binds(rate, nan_at):
     assert [str(w.message) for w in caught if w.category is RuntimeWarning] == []
 
 
+def test_a_huge_finite_residual_warns_nothing():
+    # targets of 1e200 give residuals whose squares, in the finiteness test
+    # of every step, pass the float range; the predictions stay finite, so
+    # nothing is wrong and nothing is warned
+    T = 200
+    u = np.random.default_rng(31).uniform(0.5, 1.0, (T, 1))
+    y = np.full((T, 1), 1e200)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        preds, _ = ogd([(lagged(u, 1), np.zeros((1, 1, 1)), 0.1, None)], y)
+    assert np.isfinite(preds).all()
+    assert [str(w.message) for w in caught if w.category is RuntimeWarning] == []
+
+
 def test_a_spectral_call_tests_its_balls_at_a_few_steps(monkeypatch):
     # the perfbench spectral call's shape at T=300: one LDS run, its three
     # rates as cells, window and deep-past balls that never bind.  The
@@ -660,8 +674,7 @@ def reference_experiment(spec):
     """Per-grid-point mean final-window errors and the chosen rate, from
     one reference recursion per (rate, run) cell."""
     c = H.resolve_coefficients(spec)
-    seeds = H.derive_seeds(spec.master_seed, spec.n_runs)
-    runs, _ = H._make_runs(spec.generator, spec.horizon, seeds)
+    runs, _ = H._load([H._data_key(spec)])[H._data_key(spec)]
     if spec.variant == "learned":
         grid = [(m, cc) for m in spec.lr_grid for cc in spec.lr_grid_coeffs or spec.lr_grid]
     else:
@@ -711,9 +724,8 @@ def test_oracle_comparator_matches_per_run_reference():
     spec = H.ExperimentSpec(generator=GEN, n_runs=3, horizon=150, window=40, degree=3,
                             master_seed=5, oracle_comparator=True)
     c = H.resolve_coefficients(spec)
-    seeds = H.derive_seeds(spec.master_seed, spec.n_runs)
     want = []
-    for traj, system in zip(*H._make_runs(spec.generator, spec.horizon, seeds)):
+    for traj, system in zip(*H._load([H._data_key(spec)])[H._data_key(spec)]):
         learner = RegressionLearner(c, num_taps=3, lr0=0.0, init_Q=oracle_weights(system, c))
         preds, _ = reference_ogd(learner.blocks(traj.inputs, traj.outputs), traj.outputs)
         want.append(np.abs(preds - traj.outputs).sum(axis=1)[-spec.window :].mean())
