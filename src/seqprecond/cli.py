@@ -118,14 +118,26 @@ def _cmd_poly(args) -> int:
 
 
 def _cmd_gen_data(args) -> int:
+    """Write run 0 of the one-run spec of this generator, horizon and master
+    seed, loaded as `usp run` loads it.  A system or a trajectory over
+    MAX_RUN_BYTES is refused before anything is sampled, as `usp run` does."""
     g = harness.GeneratorConfig(
         kind=args.kind, d_h=args.dh, d_in=args.din, d_out=args.dout, tau=args.tau,
         radius_lo=args.L, radius_hi=args.U, noise_sigma=args.sigma,
         basis_cond=args.basis_cond,
     )
-    sampled = harness._sample_runs(g, args.T, harness.derive_seeds(args.seed, 1))
-    ((traj,), _), = harness._simulate(g.kind, [sampled])
-    dynsys.write_trajectory_csv(traj, args.out)
+    over = f"MB, over MAX_RUN_BYTES ({harness.MAX_RUN_BYTES // 10**6} MB)"
+    if (size := harness._systems_bytes(g, 1)) > harness.MAX_RUN_BYTES:
+        raise ValueError(f"--dh {args.dh}: the system would take about {size // 10**6} {over}")
+    if (size := 8 * args.T * (args.din + args.dout)) > harness.MAX_RUN_BYTES:
+        raise ValueError(f"--T {args.T} with --din {args.din} and --dout {args.dout}: "
+                         f"the trajectory would hold about {size // 10**6} {over}")
+    key = harness._data_key(harness.ExperimentSpec(generator=g, horizon=args.T,
+                                                   master_seed=args.seed, n_runs=1))
+    loaded = harness._load([key])[key]
+    if isinstance(loaded, Exception):
+        raise loaded
+    dynsys.write_trajectory_csv(loaded[0][0], args.out)
     print(f"wrote {args.T} steps ({args.kind}, seed {args.seed}) to {args.out}")
     return 0
 

@@ -315,16 +315,6 @@ def _sample_runs(g: GeneratorConfig, horizon: int, seeds: list[int]):
     return systems, [dynsys.gaussian_inputs(horizon, g.d_in, s) for s in seeds[1::3]], seeds[2::3]
 
 
-def _simulate(kind: str, sampled: list) -> list:
-    """The runs of every `_sample_runs` result in `sampled`, simulated in
-    one stacked recursion, each with its systems when linear (None each
-    otherwise).  `usp gen-data` simulates run 0 of one key alone."""
-    simulate = dynsys.simulate_lds_runs if kind == "lds" else dynsys.simulate_nonlinear_runs
-    runs = iter(simulate(*([x for part in parts for x in part] for parts in zip(*sampled))))
-    return [([next(runs) for _ in systems], systems if kind == "lds" else [None] * len(systems))
-            for systems, _, _ in sampled]
-
-
 def _data_key(spec: ExperimentSpec):
     """Specs with one data key read the same trajectories: a CSV path, or
     the generator, horizon, master seed and run count."""
@@ -334,12 +324,14 @@ def _data_key(spec: ExperimentSpec):
 
 
 def _load(keys) -> dict:
-    """Each data key's runs and systems, or the exception that loading it
-    raised.  A CSV is read by `dynsys.ingest_csv`.  Generated keys are
-    sampled one by one, and those that share (kind, d_h, T) are simulated
-    in one stacked recursion per batch: a key joins the last batch while
-    `_systems_bytes` of its runs stays within MAX_RUN_BYTES.  A key whose
-    sampling fails fails alone; a failed simulation fails its batch."""
+    """Each data key's runs and systems (None each when nonlinear), or the
+    exception that loading it raised.  A CSV is read by `dynsys.ingest_csv`.
+    Generated keys are sampled one by one, and those that share (kind, d_h,
+    T) are simulated in one stacked recursion per batch: a key joins the
+    last batch while `_systems_bytes` of its runs stays within
+    MAX_RUN_BYTES.  A key whose sampling fails fails alone; a failed
+    simulation fails its batch.  Every generated trajectory, `usp
+    gen-data`'s included, is loaded here."""
     data, stacks = {}, {}
     for key in keys:
         try:
@@ -356,10 +348,14 @@ def _load(keys) -> dict:
         except Exception as exc:  # noqa: BLE001 - the failure of every spec that reads it
             data[key] = exc
     for (kind, *_), batches in stacks.items():
+        simulate = dynsys.simulate_lds_runs if kind == "lds" else dynsys.simulate_nonlinear_runs
         for batch in batches:
             batch_keys, sampled = zip(*batch)
-            try:
-                data.update(zip(batch_keys, _simulate(kind, sampled)))
+            try:  # every run of the batch in one call, then each key's runs in order
+                runs = iter(simulate(*([x for p in parts for x in p] for parts in zip(*sampled))))
+                for key, (systems, _, _) in batch:
+                    kept = systems if kind == "lds" else [None] * len(systems)
+                    data[key] = [next(runs) for _ in systems], kept
             except Exception as exc:  # noqa: BLE001 - the failure of every key it simulates
                 data.update(dict.fromkeys(batch_keys, exc))
     return data
@@ -417,7 +413,8 @@ def _group_predictions(specs: list, data: dict) -> list:
 
 def _report(spec: ExperimentSpec, preds: np.ndarray, data) -> MetricsReport:
     """A spec's report from its cells' (len(grid) * n_runs, T, d_out)
-    predictions and its runs and systems."""
+    predictions and its runs and systems.  It consumes the predictions: it
+    reduces them to errors in place."""
     runs, systems = data
     y = np.stack([traj.outputs for traj in runs])
     c, grid = resolve_coefficients(spec), _grid(spec)
@@ -431,7 +428,7 @@ def _report(spec: ExperimentSpec, preds: np.ndarray, data) -> MetricsReport:
     finite = np.isfinite(preds).all(axis=-1)
     grid_results = []
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite number is named below
-        errs = np.abs(preds - y).sum(axis=-1)
+        errs = np.abs(np.subtract(preds, y, out=preds), out=preds).sum(axis=-1)
         finals = errs[..., -spec.window :].mean(axis=-1).tolist()
         fulls = errs.mean(axis=-1).tolist()
         for lr, ok, f, fu in zip(labels, finite, finals, fulls):

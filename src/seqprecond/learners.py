@@ -55,26 +55,20 @@ def project_to_ball(M: np.ndarray, radius) -> np.ndarray:
     spectral-norm ball of the given radius.
 
     The radius is a number or an array that broadcasts over the stack's
-    leading axes, one radius per matrix.  The Frobenius norm bounds the
-    spectral norm from above and equals it at rank one, so a stack with no
-    Frobenius norm over its radius is returned as it is, the input object
-    itself.  Otherwise one SVD of the stack clips the singular values.
-    The projection is idempotent and leaves interior points untouched.  A
-    matrix with a non-finite entry is left as it is and kept out of the SVD.
+    leading axes, one radius per matrix.  One SVD of the stack clips the
+    singular values.  The projection is idempotent and keeps an interior
+    matrix's entries bit for bit, in a new array even when the whole stack
+    is interior.  A matrix with a non-finite entry is left as it is and kept
+    out of the SVD.
     """
     radius, M = np.asarray(radius, dtype=float), np.asarray(M, dtype=float)
-    norms = np.sqrt(np.einsum("...ij,...ij->...", M, M))
-    if norms.size and (norms <= radius).all():
-        return M  # every radius is at least a norm, so none is negative
     if radius.min(initial=0.0) < 0:
         raise ValueError("radius must be nonnegative")
-    if not (norms > radius).any():
-        return M
     # a non-finite matrix goes into the SVD as 0, so it is not clipped
     finite = np.isfinite(M).all(axis=(-2, -1), keepdims=True)
     U, s, Vt = np.linalg.svd(np.where(finite, M, 0.0), full_matrices=False)
     clipped = (U * np.minimum(s, radius[..., None])[..., None, :]) @ Vt
-    return np.where((s[..., 0] > radius)[..., None, None], clipped, M)
+    return np.where((s.max(axis=-1, initial=0.0) > radius)[..., None, None], clipped, M)
 
 
 # ---------------------------------------------------------------------------
@@ -218,15 +212,11 @@ def ogd(blocks, targets):
     n = prod(cells)
     lanes = max(n, 2)  # with one lane numpy would fold the taps into its inner loop
 
-    def lanes_first(a, core):
-        """A view of a with its cell axes flattened onto a leading lane axis."""
-        shape = a.shape[a.ndim - core :]
-        return np.broadcast_to(np.broadcast_to(a, cells + shape).reshape(n, *shape),
-                               (lanes, *shape))
-
     def lanes_last(a, core):
         """A copy of a with its cell axes flattened onto a trailing lane axis."""
-        return np.array(np.moveaxis(lanes_first(a, core), 0, -1), order="C")
+        shape = a.shape[a.ndim - core :]
+        a = np.broadcast_to(np.broadcast_to(a, cells + shape).reshape(n, *shape), (lanes, *shape))
+        return np.array(np.moveaxis(a, 0, -1), order="C")
 
     # the taps each lane reads, and where it reads zeros past them, (taps, 1, lanes), or None
     reads = [lanes_last(np.minimum(X.taps, X.streams.shape[2]), 0) for X in Xs]
@@ -262,7 +252,8 @@ def ogd(blocks, targets):
         # Rounding, u = eps/2, p = d_out d_in entries a tap, to first order:
         # the norms now may fall (p/2 + 1)u short of the taps' norm, two
         # roundings an update put a tap's norm at most (1 + u)^(2T) over the
-        # exact bound, project_to_ball's norm adds (p/2 + 1)u, a computed
+        # exact bound, the SVD's largest singular value, which decides a clip,
+        # may read about (p/2 + 1)u over the tap's spectral norm, a computed
         # increment may fall (p + 8)u short, and the running sum of the norms
         # now and at most T increments Tu of itself.  That is (3T + 2p + 10)u
         # of the sum; twice it covers the higher orders and the test's roundings.

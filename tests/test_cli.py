@@ -101,6 +101,22 @@ class TestGenData:
         assert "--out" in capsys.readouterr().err
 
     @pytest.mark.parametrize("kind", ["lds", "nonlinear"])
+    @pytest.mark.parametrize("flag, value", [("--dh", "1000000"), ("--T", "1000000000")])
+    def test_oversized_data_is_refused_before_sampling(self, tmp_path, monkeypatch, capsys,
+                                                       kind, flag, value):
+        # a 10^6-wide system's transition matrix alone is 8 TB, and 10^9
+        # steps of inputs 8 GB: `usp run` refuses both, and so does gen-data
+        def sampled(*args, **kwargs):
+            raise AssertionError("sampled")
+
+        for name in ("sample_system", "sample_nonlinear_system", "gaussian_inputs"):
+            monkeypatch.setattr(dynsys, name, sampled)
+        path = tmp_path / "big.csv"
+        assert run_cli("gen-data", "--kind", kind, flag, value, "--out", str(path)) == 1
+        assert flag in capsys.readouterr().err
+        assert not path.exists()
+
+    @pytest.mark.parametrize("kind", ["lds", "nonlinear"])
     def test_writes_run_zero_of_the_generator_spec(self, tmp_path, monkeypatch, kind):
         path = tmp_path / "gen.csv"
         assert (

@@ -7,6 +7,7 @@ import pickle
 import signal
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -1205,6 +1206,27 @@ def test_one_window_stream_per_trajectory(monkeypatch):
     monkeypatch.undo()
     for spec, report in zip(specs, reports):
         assert H.report_to_json(report) == H.report_to_json(H.run_experiment(spec))
+
+
+def test_report_reduces_the_predictions_in_place():
+    # a learned d=3 spec, 3 x 3 rates x 4 runs = 36 cells at T=2000: the
+    # errors |P - y| summed over outputs overwrite the predictions, so the
+    # report holds a (cells, T) error table, not two prediction-sized copies
+    g = H.GeneratorConfig(d_h=8, d_in=3, d_out=3)
+    spec = H.ExperimentSpec(variant="learned", degree=3, generator=g, n_runs=4, horizon=2000)
+    key = H._data_key(spec)
+    data = H._load([key])
+    (preds,) = H._group_predictions([spec], data)
+    assert preds.shape == (36, 2000, 3)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        report = H._report(spec, preds, data[key])
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= preds.nbytes
+    assert H.report_to_json(report) == H.report_to_json(H.run_experiment(spec))
 
 
 class TestVerify:

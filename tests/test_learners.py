@@ -38,6 +38,12 @@ class TestProjection:
     def test_interior_untouched(self):
         M = np.array([[0.3, 0.1], [0.0, 0.2]])
         np.testing.assert_array_equal(project_to_ball(M, 5.0), M)
+        # a stack of interior matrices, one radius each, keeps every entry
+        stack = np.random.default_rng(0).standard_normal((3, 4, 2, 3))
+        radius = 1.5 * np.linalg.norm(stack, 2, axis=(-2, -1))
+        out = project_to_ball(stack, radius)
+        assert out.tobytes() == stack.tobytes()
+        assert project_to_ball(np.zeros((2, 0, 3)), 1.0).shape == (2, 0, 3)  # no entries
 
     def test_scaled_identity_clipped(self):
         r = 0.7
