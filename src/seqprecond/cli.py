@@ -128,7 +128,8 @@ def _cmd_gen_data(args) -> int:
     )
     over = f"MB, over MAX_RUN_BYTES ({harness.MAX_RUN_BYTES // 10**6} MB)"
     if (size := harness._systems_bytes(g, 1)) > harness.MAX_RUN_BYTES:
-        raise ValueError(f"--dh {args.dh}: the system would take about {size // 10**6} {over}")
+        raise ValueError(f"--dh {args.dh} with --din {args.din} and --dout {args.dout}: "
+                         f"the system would take about {size // 10**6} {over}")
     if (size := 8 * args.T * (args.din + args.dout)) > harness.MAX_RUN_BYTES:
         raise ValueError(f"--T {args.T} with --din {args.din} and --dout {args.dout}: "
                          f"the trajectory would hold about {size // 10**6} {over}")

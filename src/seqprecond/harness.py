@@ -20,12 +20,12 @@ group key (algo, T, d_in, d_out, and for spectral the bank's T', beta and
 k) step all their (spec, rate, run) cells in one `ogd` call, from one
 `learners.feature_blocks` layout with a tap count per cell over one window
 stream per trajectory.  A cell's results do not depend on the cells
-beside it, so every report is bit for bit the spec's own.  With several
-workers and several groups, each group runs in a child forked for it,
-which inherits the data, at most `workers` at once; it sends back its
-reports and failures' messages (`_message`), so a failure reads the same
-at every worker count, and a child that dies fails its group alone.
-Every child is reaped before the call returns.
+beside it, so every report is bit for bit the spec's own.  This process
+runs the first group, and `workers` counts it: up to `workers` - 1 other
+groups run at once, each in a child forked for it, which inherits the
+data and sends back its reports and failures' messages (`_message`), so
+a failure reads the same at every worker count, and a child that dies
+fails its group alone.  Every child is reaped before the call returns.
 """
 
 from __future__ import annotations
@@ -200,9 +200,9 @@ def validate_spec(spec: ExperimentSpec) -> None:
     if spec.csv_path is None and (error := _fit_error(spec, spec.horizon, g.d_in, g.d_out)):
         raise error  # a CSV's horizon and widths are its own: `_run` checks them once it is read
     if spec.csv_path is None and (size := _systems_bytes(g, spec.n_runs)) > MAX_RUN_BYTES:
-        raise ValueError(f"generator.d_h {g.d_h} and n_runs {spec.n_runs}: the systems would "
-                         f"hold about {size // 10**6} MB, over MAX_RUN_BYTES "
-                         f"({MAX_RUN_BYTES // 10**6} MB)")
+        raise ValueError(f"generator.d_h {g.d_h}, d_in {g.d_in}, d_out {g.d_out} and n_runs "
+                         f"{spec.n_runs}: the systems would hold about {size // 10**6} MB, "
+                         f"over MAX_RUN_BYTES ({MAX_RUN_BYTES // 10**6} MB)")
     c = resolve_coefficients(spec)
     with np.errstate(over="ignore"):  # a norm past the float range is named, not warned about
         if not math.isfinite(c.l1):
@@ -262,8 +262,10 @@ def _fit_error(spec: ExperimentSpec, T: int, d_in: int, d_out: int) -> ValueErro
 
 
 def _systems_bytes(g: GeneratorConfig, n_runs: int) -> int:
-    """Sampling and simulating n_runs systems peak near (6 + 2 layers n_runs) d_h^2 floats."""
-    return 8 * int(g.d_h) ** 2 * (6 + 2 * (1 if g.kind == "lds" else 2) * int(n_runs))
+    """Sampling and simulating n_runs systems peak near 6 d_h^2 floats plus, per run and
+    layer, A, B and C's d_h (d_h + d_in + d_out) twice: the system and its stacked copy."""
+    d_h, layers = int(g.d_h), 1 if g.kind == "lds" else 2
+    return 8 * d_h * (6 * d_h + 2 * layers * int(n_runs) * sum(map(int, (d_h, g.d_in, g.d_out))))
 
 
 def _bank_shape(spec: ExperimentSpec, T: int) -> tuple:
@@ -328,9 +330,9 @@ def _load(keys) -> dict:
     exception that loading it raised.  A CSV is read by `dynsys.ingest_csv`.
     Generated keys are sampled one by one, and those that share (kind, d_h,
     T) are simulated in one stacked recursion per batch: a key joins the
-    last batch while `_systems_bytes` of its runs stays within
-    MAX_RUN_BYTES.  A key whose sampling fails fails alone; a failed
-    simulation fails its batch.  Every generated trajectory, `usp
+    last batch while `_systems_bytes` of its runs, each at its own widths,
+    stays within MAX_RUN_BYTES.  A key whose sampling fails fails alone; a
+    failed simulation fails its batch.  Every generated trajectory, `usp
     gen-data`'s included, is loaded here."""
     data, stacks = {}, {}
     for key in keys:
@@ -341,8 +343,9 @@ def _load(keys) -> dict:
                 g, horizon, seed, n_runs = key
                 sampled = _sample_runs(g, horizon, derive_seeds(seed, n_runs))
                 batches = stacks.setdefault((g.kind, g.d_h, horizon), [[]])
-                runs = n_runs + sum(len(systems) for _, (systems, _, _) in batches[-1])
-                if batches[-1] and _systems_bytes(g, runs) > MAX_RUN_BYTES:
+                size = _systems_bytes(g, n_runs) + sum(  # each run at its own widths
+                    _systems_bytes(h, n) - _systems_bytes(h, 0) for (h, _, _, n), _ in batches[-1])
+                if batches[-1] and size > MAX_RUN_BYTES:
                     batches.append([])
                 batches[-1].append((key, sampled))
         except Exception as exc:  # noqa: BLE001 - the failure of every spec that reads it
@@ -498,19 +501,39 @@ def _message(exc: BaseException) -> str:
     return str(exc) or type(exc).__name__
 
 
-def _run_forked(tasks: list, workers: int) -> list:
-    """Each task's `_run_group` outcome, with every failure as its
-    `_message`, each from a child forked for it, at most `workers` alive
-    at once.  A child inherits its task by fork and pickles its outcome to
-    a pipe, which this process drains as it fills, so no outcome is too
-    large to send.  A child that dies fails its own group alone, naming
-    its exit status or signal.  Every child is reaped before this returns
-    or raises."""
+def _run_groups(tasks: list, workers: int) -> list:
+    """Each task's `_run_group` outcome, with at most `workers` tasks
+    running at once, this process's included: it runs task 0, and before
+    each of its tasks forks a child per free slot for the next ones (none
+    where `os.fork` does not exist).  A child pickles its outcome, each
+    failure as its `_message`, to a pipe that this process drains after
+    each of its tasks and then until all are done, so no outcome is too
+    large to send.  A child that dies fails its group alone, naming its
+    exit status or signal.  Every child is reaped before this returns or raises."""
     outcomes, alive, started = [None] * len(tasks), {}, 0  # alive: pipe -> task, pid, chunks
-    poller = select.poll()
+    children, poller = (workers - 1, select.poll()) if hasattr(os, "fork") else (0, None)
+
+    def drain(timeout):  # read the ready pipes; reap each child whose pipe closed
+        while alive and (ready := poller.poll(timeout)):
+            for r, _ in ready:
+                if chunk := os.read(r, 1 << 16):
+                    alive[r][2].append(chunk)
+                    continue
+                i, pid, chunks = alive.pop(r)
+                poller.unregister(r)
+                os.close(r)
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                if code == 0 and chunks:
+                    outcomes[i] = pickle.loads(b"".join(chunks))
+                else:
+                    how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
+                    lost = f"the process running this group was terminated abruptly ({how})"
+                    outcomes[i] = [lost] * len(tasks[i][0])
+
     try:
-        while started < len(tasks) or alive:
-            while started < len(tasks) and len(alive) < workers:
+        while started < len(tasks):
+            mine, started = started, started + 1
+            while started < len(tasks) and len(alive) < children:
                 r, w = os.pipe()
                 try:
                     pid = os.fork()
@@ -530,20 +553,9 @@ def _run_forked(tasks: list, workers: int) -> list:
                 os.close(w)
                 alive[r], started = (started, pid, []), started + 1
                 poller.register(r, select.POLLIN)
-            for r, _ in poller.poll():
-                if chunk := os.read(r, 1 << 16):
-                    alive[r][2].append(chunk)
-                    continue
-                i, pid, chunks = alive.pop(r)
-                poller.unregister(r)
-                os.close(r)
-                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-                if code == 0 and chunks:
-                    outcomes[i] = pickle.loads(b"".join(chunks))
-                else:
-                    how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
-                    lost = f"the process running this group was terminated abruptly ({how})"
-                    outcomes[i] = [lost] * len(tasks[i][0])
+            outcomes[mine] = _run_group(*tasks[mine])
+            drain(0)
+        drain(None)
     finally:  # on an error here, stop and reap the children still running
         for r, (_, pid, _) in alive.items():
             os.close(r)
@@ -559,12 +571,11 @@ def _run(specs: list, workers: int = 1) -> list:
     Every data key is loaded once, here, before any group runs (`_load`).
     Specs are grouped by (algo, T, d_in, d_out), read off their data, and,
     for spectral, by the filter bank (T', beta, k).  Each group is one
-    `_run_group` task: in this process when there is one group or one
-    worker, or where `os.fork` does not exist, else in a forked child per
-    group, at most `workers` at once (`_run_forked`), which inherits the
-    data.  A load failure, or a spec that does not fit its data's length
-    and widths (`_fit_error`; only a CSV's can surprise), fails only the
-    specs that read that data.
+    `_run_group` task, at most `workers` at once (`_run_groups`): the
+    first in this process, the others here or in children forked for them,
+    which inherit the data.  A load failure, or a spec that does not fit
+    its data's length and widths (`_fit_error`; only a CSV's can
+    surprise), fails only the specs that read that data.
     """
     data = _load(dict.fromkeys(map(_data_key, specs)))
     results, groups = [None] * len(specs), {}
@@ -583,9 +594,7 @@ def _run(specs: list, workers: int = 1) -> list:
             group += _bank_shape(spec, T)
         groups.setdefault(group, []).append(i)
     groups = list(groups.values())
-    tasks = [([specs[i] for i in members], data) for members in groups]
-    serial = workers == 1 or len(tasks) <= 1 or not hasattr(os, "fork")
-    outcomes = [_run_group(*task) for task in tasks] if serial else _run_forked(tasks, workers)
+    outcomes = _run_groups([([specs[i] for i in members], data) for members in groups], workers)
     for members, outcome in zip(groups, outcomes):
         for i, result in zip(members, outcome):  # a child's failure comes as its message
             results[i] = RuntimeError(result) if isinstance(result, str) else result
@@ -637,12 +646,12 @@ def sweep(specs: list[ExperimentSpec], workers: int = 1) -> list:
     fails, on its data or because every grid point diverged, is a
     `SweepFailure` with the exception's message, or its type's name when
     that is empty, at every worker count; the rest of its group still
-    reports.  With workers > 1 and several groups, each group runs in a
-    child process forked for it, at most `workers` at once; otherwise,
-    and where `os.fork` does not exist, everything runs in this process.
-    A child that dies fails its own group alone, as a `SweepFailure` that
-    says it was terminated abruptly and gives its exit status or signal.
-    No child outlives the call.  Results come back in input order.
+    reports.  At most `workers` groups run at once: the first in this
+    process, the others here or in children forked for them (here alone
+    where `os.fork` does not exist).  A child that dies fails its group
+    alone, as a `SweepFailure` that says it was terminated abruptly and
+    gives its exit status or signal; a hard crash here ends the call.  No
+    child outlives the call.  Results come back in input order.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")

@@ -116,6 +116,19 @@ class TestGenData:
         assert flag in capsys.readouterr().err
         assert not path.exists()
 
+    def test_a_system_too_wide_for_its_inputs_is_refused_before_sampling(self, tmp_path,
+                                                                         monkeypatch, capsys):
+        # one step of 5e6 inputs fits, but the system's B is 2 GB
+        def sampled(*args, **kwargs):
+            raise AssertionError("sampled")
+
+        monkeypatch.setattr(dynsys, "sample_system", sampled)
+        path = tmp_path / "wide.csv"
+        assert run_cli("gen-data", "--din", "5000000", "--T", "1", "--out", str(path)) == 1
+        err = capsys.readouterr().err
+        assert "--din 5000000" in err and "the system would take about 4000 MB" in err
+        assert not path.exists()
+
     @pytest.mark.parametrize("kind", ["lds", "nonlinear"])
     def test_writes_run_zero_of_the_generator_spec(self, tmp_path, monkeypatch, kind):
         path = tmp_path / "gen.csv"

@@ -13,8 +13,8 @@ For every drawn list of specs:
 - `usp run` on the spec's JSON config exits 0 with a report, else 1.
 Every valid spec drawn then runs in one `sweep(workers=2)`, where its
 outcome is the same again: a drawn list is mostly one group, which runs
-in this process, while all of them together make dozens of groups, each
-in a forked child.
+in this process, while all of them together make dozens of groups, the
+first in this process and the others here or in a forked child.
 """
 
 import json

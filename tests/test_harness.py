@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from seqprecond import harness as H
+from seqprecond.cli import main as cli_main
 from seqprecond.dynsys import (
     Trajectory,
     gaussian_inputs,
@@ -254,16 +255,31 @@ class TestValidateSpec:
         # 20 linear systems of d_h = 1e5 hold 1.6 TB in their transition
         # matrices alone; the spec is refused before any is sampled
         monkeypatch.setattr(H, "_sample_runs", lambda *args: pytest.fail("sampled"))
-        with pytest.raises(ValueError, match=r"^generator\.d_h 100000 and n_runs 20: the systems "
-                                             r"would hold about 3680000 MB, over MAX_RUN_BYTES"):
+        with pytest.raises(ValueError, match=r"^generator\.d_h 100000, d_in 1, d_out 1 and n_runs "
+                                             r"20: the systems would hold about 3680064 MB, "
+                                             r"over MAX_RUN_BYTES"):
             H.run_experiment(H.ExperimentSpec(generator=H.GeneratorConfig(d_h=10**5)))
         # two layers a system: a nonlinear spec counts twice the matrices
         nonlinear = H.GeneratorConfig(kind="nonlinear", d_h=10**4)
-        with pytest.raises(ValueError, match="would hold about 11200 MB"):
+        with pytest.raises(ValueError, match="would hold about 11201 MB"):
             H.validate_spec(H.ExperimentSpec(generator=nonlinear, n_runs=2, horizon=300, window=50))
         # the largest systems another test runs pass
         H.validate_spec(H.ExperimentSpec(generator=H.GeneratorConfig(d_h=400), n_runs=2,
                                          horizon=300, window=50))
+
+    @pytest.mark.parametrize("width", ["d_in", "d_out"])
+    def test_the_size_guard_counts_the_input_and_output_widths(self, width, monkeypatch):
+        # one system of d_h 50 with 5e6 inputs (or outputs) holds 2 GB in B
+        # (or C) alone, and twice that with its stacked copy; one step of
+        # its data fits, so the systems' estimate is what refuses the spec
+        def sampled(*args, **kwargs):
+            raise AssertionError("sampled")
+
+        monkeypatch.setattr(H.dynsys, "sample_system", sampled)
+        g = H.GeneratorConfig(**{width: 5_000_000})
+        with pytest.raises(ValueError, match=rf"^generator\.d_h 50, .*{width} 5000000\b.* n_runs "
+                                             r"1: the systems would hold about 4000 MB"):
+            H.run_experiment(H.ExperimentSpec(generator=g, n_runs=1, horizon=1, window=1, degree=1))
 
     def test_oracle_takes_num_taps_at_its_degree(self):
         H.validate_spec(tiny_spec(oracle_comparator=True, num_taps=3))
@@ -797,11 +813,14 @@ class TestSweep:
         assert "missing.csv" in pooled[1].error
 
     @FORKS
-    @pytest.mark.parametrize("workers, n_specs, cap", [(10000, 3, 3), (2, 3, 2)])
+    @pytest.mark.parametrize("workers, n_specs, cap",
+                             [(10000, 3, 3), (2, 3, 2), (3, 4, 3), (1, 3, 1), (2, 1, 1)])
     def test_pool_starts_no_more_workers_than_specs(self, workers, n_specs, cap, monkeypatch):
-        # one child per group, and never more alive than the cap
-        fork, waitpid = os.fork, os.waitpid
-        started, alive, most = [], set(), []
+        # each group runs once, in this process or in a child forked for
+        # it, and never more than `cap` processes step groups at once:
+        # this one and at most cap - 1 children
+        fork, waitpid, run_group = os.fork, os.waitpid, H._run_group
+        started, alive, most, here = [], set(), [0], []
 
         def counting_fork():
             pid = fork()
@@ -818,10 +837,12 @@ class TestSweep:
 
         monkeypatch.setattr(os, "fork", counting_fork)
         monkeypatch.setattr(os, "waitpid", counting_waitpid)
+        # a child's calls append to its own copy of `here`
+        monkeypatch.setattr(H, "_run_group", lambda *task: here.append(1) or run_group(*task))
         # distinct horizons make each spec its own group
         specs = [tiny_spec(n_runs=1, master_seed=s, horizon=120 + s) for s in range(n_specs)]
         pooled = H.sweep(specs, workers=workers)
-        assert (len(started), max(most), alive) == (n_specs, cap, set())
+        assert (len(here) + len(started), max(most) + 1, alive) == (n_specs, cap, set())
         assert [H.report_to_json(r) for r in pooled] == [
             H.report_to_json(H.run_experiment(spec)) for spec in specs
         ]
@@ -829,11 +850,12 @@ class TestSweep:
     @FORKS
     def test_an_outcome_larger_than_a_pipe_comes_back_intact(self):
         # 900 runs' errors and spectra pickle to more than a pipe's 64 KiB,
-        # so the child's write blocks until this process drains the pipe
-        specs = [tiny_spec(n_runs=900, horizon=40, window=10, lr_grid=(0.01,)),
-                 tiny_spec(n_runs=1)]
+        # so the child that runs the second group blocks on its write until
+        # this process drains the pipe
+        specs = [tiny_spec(n_runs=1),
+                 tiny_spec(n_runs=900, horizon=40, window=10, lr_grid=(0.01,))]
         serial = H.sweep(specs, workers=1)
-        assert len(pickle.dumps(serial[0])) > 64 * 1024
+        assert len(pickle.dumps(serial[1])) > 64 * 1024
         assert [H.report_to_json(r) for r in H.sweep(specs, workers=2)] == [
             H.report_to_json(r) for r in serial
         ]
@@ -950,6 +972,87 @@ class TestSweep:
             os.waitpid(-1, os.WNOHANG)
 
     @FORKS
+    def test_an_interrupt_in_the_callers_group_reaps_every_child(self, monkeypatch):
+        # the first group runs here, after the children for the other two
+        # are forked; an interrupt raised in it kills and reaps them
+        fork, forks, group_predictions = os.fork, [], H._group_predictions
+
+        def interrupted(specs, data):
+            if specs[0].horizon == 120:
+                raise KeyboardInterrupt
+            return group_predictions(specs, data)
+
+        monkeypatch.setattr(os, "fork", lambda: forks.append(None) or fork())
+        monkeypatch.setattr(H, "_group_predictions", interrupted)
+        specs = [tiny_spec(n_runs=1, horizon=120 + s) for s in range(3)]
+        with pytest.raises(KeyboardInterrupt):
+            H.sweep(specs, workers=3)
+        assert len(forks) == 2
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @FORKS
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_the_first_group_runs_in_this_process(self, workers, tmp_path, monkeypatch):
+        # each call records its process and group; the first group's is this
+        # process, and every other group's a child of its own
+        log, run_group = tmp_path / "pids", H._run_group
+
+        def logged(specs, data):
+            with open(log, "a") as fh:
+                fh.write(f"{specs[0].horizon} {os.getpid()}\n")
+            return run_group(specs, data)
+
+        monkeypatch.setattr(H, "_run_group", logged)
+        H.sweep([tiny_spec(n_runs=1, horizon=120 + s) for s in range(3)], workers=workers)
+        pids = dict(line.split() for line in log.read_text().splitlines())
+        assert sorted(pids) == ["120", "121", "122"]
+        assert pids["120"] == str(os.getpid())
+        assert pids["121"] != pids["120"]
+        if workers == 3:  # every group at once: the other two in children
+            assert len(set(pids.values())) == 3
+
+    @pytest.mark.parametrize("error, text", [
+        (ValueError("bad rows"), "bad rows"),
+        (MemoryError(), "MemoryError"),
+    ], ids=["value-error", "no-message"])
+    def test_a_failure_in_the_first_group_reads_the_same_at_every_worker_count(
+            self, error, text, monkeypatch):
+        # the first group runs in this process at every worker count, the
+        # second in a child at two workers; its failure reads as it does there
+        def failing(specs, data):
+            if specs[0].horizon == 120:
+                raise error
+            return group_predictions(specs, data)
+
+        group_predictions = H._group_predictions
+        specs = [tiny_spec(n_runs=1, horizon=120 + s) for s in range(2)]
+        alone = H.report_to_json(H.run_experiment(specs[1]))
+        monkeypatch.setattr(H, "_group_predictions", failing)
+        want = H.SweepFailure(H.spec_hash(specs[0]), text)
+        for workers in (1, 2):
+            failed, ok = H.sweep(specs, workers=workers)
+            assert (failed, H.report_to_json(ok)) == (want, alone)
+
+    @pytest.mark.parametrize("n_groups", [1, 2, 3, 4])
+    def test_sweep_json_is_byte_identical_at_every_worker_count(self, n_groups, tmp_path):
+        # `usp sweep`'s JSON for 1 to 4 groups of two specs each, written at
+        # 1, 2 and 3 workers
+        specs = [dict(generator=dict(d_h=6, tau=0.05), n_runs=2, horizon=120 + s, window=30,
+                      degree=3, master_seed=7, variant=v)
+                 for s in range(n_groups) for v in ("chebyshev", "none")]
+        config = tmp_path / "sweep.json"
+        config.write_text(json.dumps(specs))
+        written = []
+        for workers in (1, 2, 3):
+            out = tmp_path / f"out{workers}.json"
+            assert cli_main(["sweep", "--config", str(config), "--workers", str(workers),
+                             "--out", str(out)]) == 0
+            written.append(out.read_bytes())
+        assert len(json.loads(written[0])) == 2 * n_groups
+        assert written[1:] == written[:1] * 2
+
+    @FORKS
     @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts open descriptors")
     def test_a_failed_fork_closes_its_pipe_and_reaps_the_children(self, monkeypatch):
         fork, forks = os.fork, []
@@ -975,6 +1078,7 @@ class TestSweep:
         run_group, calls = H._run_group, []
         monkeypatch.setattr(H, "_run_group", lambda *task: calls.append(task) or run_group(*task))
         monkeypatch.delattr(os, "fork", raising=False)
+        monkeypatch.delattr(H.select, "poll", raising=False)  # neither is on Windows
         assert [H.report_to_json(r) for r in H.sweep(specs, workers=2)] == serial
         assert len(calls) == 3
 
@@ -1094,13 +1198,15 @@ class TestStackedLoads:
         assert calls == [4, 1]
 
     def test_a_stack_over_max_run_bytes_is_simulated_in_batches(self, monkeypatch):
-        # at d_h 6 the systems' estimate is 8 * 36 * (6 + 2 runs) bytes: a
-        # bound of 4 runs' splits the stack's 2 + 2 + 2 runs after its
-        # second key, and every trajectory is the one a single batch gives
+        # at d_h 6 the systems' estimate is 8 * 6 * (6 * 6 + 2 * sum of
+        # (6 + d_in + d_out) over the runs) bytes: a bound of the first two
+        # keys' runs, 2 at widths 1 + 1 and 2 at 2 + 3, splits the stack's
+        # 2 + 2 + 2 runs after its second key, and every trajectory is the
+        # one a single batch gives
         keys = list(dict.fromkeys(map(H._data_key, stacked_specs())))
         whole = H._load(keys)
         calls = count_simulations(monkeypatch)
-        monkeypatch.setattr(H, "MAX_RUN_BYTES", 8 * 36 * (6 + 2 * 4))
+        monkeypatch.setattr(H, "MAX_RUN_BYTES", 8 * 6 * (6 * 6 + 2 * (2 * 8 + 2 * 11)))
         batched = H._load(keys)
         assert calls == [4, 2, 1]
         for key in keys:
