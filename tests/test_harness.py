@@ -994,8 +994,9 @@ class TestSweep:
     @FORKS
     @pytest.mark.parametrize("workers", [2, 3])
     def test_the_first_group_runs_in_this_process(self, workers, tmp_path, monkeypatch):
-        # each call records its process and group; the first group's is this
-        # process, and every other group's a child of its own
+        # each call records its group and process: the first group runs in
+        # this process and the second in a child; at two workers the third
+        # runs wherever a slot is free first
         log, run_group = tmp_path / "pids", H._run_group
 
         def logged(specs, data):
