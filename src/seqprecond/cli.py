@@ -42,6 +42,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--degree", type=int, default=5)
     p.add_argument("--json", action="store_true", help="machine-readable output")
     p.add_argument("--out", help="write JSON here instead of stdout")
+    p.set_defaults(func=_cmd_poly)
 
     g, spec = harness.GeneratorConfig(), harness.ExperimentSpec()
     p = sub.add_parser("gen-data", help="sample a system and write a trajectory CSV")
@@ -57,11 +58,13 @@ def _build_parser() -> _Parser:
     p.add_argument("--basis-cond", type=float, default=g.basis_cond)
     p.add_argument("--seed", type=int, default=spec.master_seed)
     p.add_argument("--out", required=True, help="destination CSV")
+    p.set_defaults(func=_cmd_gen_data)
 
     p = sub.add_parser("precond", help="convolve a trajectory's outputs with coefficients")
     p.add_argument("--coeffs", required=True, help="JSON coefficient file")
     p.add_argument("--in", dest="infile", required=True, help="input trajectory CSV")
     p.add_argument("--out", required=True, help="destination CSV")
+    p.set_defaults(func=_cmd_precond)
 
     p = sub.add_parser("filters", help="build the sector filter bank")
     p.add_argument("--T", type=int, default=2000, help="bank horizon")
@@ -69,6 +72,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--k", type=int, default=DEFAULT_FILTER_COUNT)
     p.add_argument("--out", help="bank JSON destination")
     p.add_argument("--report", help="eigendecay CSV destination (index, sigma)")
+    p.set_defaults(func=_cmd_filters)
 
     p = sub.add_parser("run", help="run one experiment configuration")
     p.add_argument("--algo", choices=harness.ALGOS)
@@ -78,6 +82,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--config", help="JSON file mirroring ExperimentSpec fields")
     p.add_argument("--out", help="report JSON destination (default stdout)")
     p.add_argument("--table", choices=["csv"], help="emit the wide mean±std table instead")
+    p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("sweep", help="run a list of experiment configurations")
     p.add_argument("--config", required=True, help="JSON: list of specs or {'experiments': [...]}")
@@ -85,9 +90,11 @@ def _build_parser() -> _Parser:
                    help="processes (>= 1); each runs one group of specs at a time")
     p.add_argument("--out", help="results destination (default stdout)")
     p.add_argument("--table", choices=["csv"], help="emit the wide mean±std table instead")
+    p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("verify", help="run the ten acceptance criteria")
     p.add_argument("--suite", default="all", help="one suite of criteria (default: all)")
+    p.set_defaults(func=_cmd_verify)
     return parser
 
 
@@ -127,7 +134,7 @@ def _cmd_gen_data(args) -> int:
         basis_cond=args.basis_cond,
     )
     over = f"MB, over MAX_RUN_BYTES ({harness.MAX_RUN_BYTES // 10**6} MB)"
-    if (size := harness._systems_bytes(g, 1)) > harness.MAX_RUN_BYTES:
+    if (size := harness._systems_bytes([(g, 1)])) > harness.MAX_RUN_BYTES:
         raise ValueError(f"--dh {args.dh} with --din {args.din} and --dout {args.dout}: "
                          f"the system would take about {size // 10**6} {over}")
     if (size := 8 * args.T * (args.din + args.dout)) > harness.MAX_RUN_BYTES:
@@ -143,18 +150,20 @@ def _cmd_gen_data(args) -> int:
     return 0
 
 
-def _load_coeffs(path: str) -> CoefficientVector:
+def _read_json(path: str, field: str | None = None):
+    """A JSON file's value or, given `field`, an object's value of that field,
+    which it must hold; a value that is no object is returned as it is."""
     with open(path) as fh:
         data = json.load(fh)
-    if isinstance(data, dict):
-        if "coeffs" not in data:
-            raise ValueError(f"{path}: coefficient JSON needs a 'coeffs' field")
-        data = data["coeffs"]
-    return CoefficientVector(np.asarray(data, dtype=float))
+    if field is not None and isinstance(data, dict):
+        if field not in data:
+            raise ValueError(f"{path}: the JSON object has no {field!r} field")
+        data = data[field]
+    return data
 
 
 def _cmd_precond(args) -> int:
-    c = _load_coeffs(args.coeffs)
+    c = CoefficientVector(np.asarray(_read_json(args.coeffs, "coeffs"), dtype=float))
     traj = dynsys.ingest_csv(args.infile)
     dynsys.write_trajectory_csv(dynsys.Trajectory(traj.inputs, convolve(traj.outputs, c)), args.out)
     print(f"wrote preconditioned outputs (degree {c.degree}) to {args.out}")
@@ -213,8 +222,7 @@ def _spec_from_dict(cfg, where: str = "config") -> harness.ExperimentSpec:
 def _cmd_run(args) -> int:
     cfg = {}
     if args.config:
-        with open(args.config) as fh:
-            cfg = json.load(fh)
+        cfg = _read_json(args.config)
         if not isinstance(cfg, dict):
             raise ValueError("run config must be a JSON object")
     if args.algo is not None:
@@ -234,12 +242,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    with open(args.config) as fh:
-        cfg = json.load(fh)
-    if isinstance(cfg, dict):
-        if "experiments" not in cfg:
-            raise ValueError("sweep config needs an 'experiments' list")
-        cfg = cfg["experiments"]
+    cfg = _read_json(args.config, "experiments")
     if not isinstance(cfg, list):
         raise ValueError("sweep config must be a list of experiment objects")
     specs = [_spec_from_dict(entry, f"experiment {i}") for i, entry in enumerate(cfg)]
@@ -272,17 +275,6 @@ def _cmd_verify(args) -> int:
     return 2
 
 
-_COMMANDS = {
-    "poly": _cmd_poly,
-    "gen-data": _cmd_gen_data,
-    "precond": _cmd_precond,
-    "filters": _cmd_filters,
-    "run": _cmd_run,
-    "sweep": _cmd_sweep,
-    "verify": _cmd_verify,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
@@ -290,7 +282,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command is None:
             parser.print_help()
             return 1
-        return _COMMANDS[args.command](args)
+        return args.func(args)
     except _UsageError as exc:
         exc.parser.print_usage(sys.stderr)
         print(f"error: {exc}", file=sys.stderr)

@@ -54,7 +54,7 @@ class LinearSystem:
     noise_sigma: float = 0.0
 
     def __post_init__(self):
-        A, B, C = _check_layer(self.A, self.B, self.C, ("A", "B", "C"))
+        A, B, C = _check_layer(self.A, self.B, self.C, ("A", "B", "C"), self.noise_sigma)
         d = A.shape[0]
         eigs = np.asarray(self.eigenvalues, dtype=complex)
         if eigs.shape != (d,):
@@ -68,8 +68,6 @@ class LinearSystem:
         _require_conjugate_closed(eigs)
         if self.kappa < 1.0 - 1e-9:
             raise ValueError(f"kappa must be >= 1, got {self.kappa}")
-        if not 0 <= self.noise_sigma < np.inf:  # a NaN would switch the noise off
-            raise ValueError(f"noise_sigma must be nonnegative and finite, got {self.noise_sigma}")
         for name, M in (("A", A), ("B", B), ("C", C), ("eigenvalues", eigs)):
             object.__setattr__(self, name, M)
 
@@ -103,14 +101,12 @@ class NonlinearSystem:
     noise_sigma: float = 0.0
 
     def __post_init__(self):
-        A1, B1, C = _check_layer(self.A1, self.B1, self.C, ("A1", "B1", "C"))
+        A1, B1, C = _check_layer(self.A1, self.B1, self.C, ("A1", "B1", "C"), self.noise_sigma)
         if np.shape(self.A2) != A1.shape:
             raise ValueError(f"A2 must be {A1.shape} like A1, got {np.shape(self.A2)}")
         A2, B2, _ = _check_layer(self.A2, self.B2, C, ("A2", "B2", "C"))
         if B2.shape != B1.shape:
             raise ValueError(f"B2 must be {B1.shape} like B1, got {B2.shape}")
-        if not 0 <= self.noise_sigma < np.inf:  # a NaN would switch the noise off
-            raise ValueError(f"noise_sigma must be nonnegative and finite, got {self.noise_sigma}")
         for name, M in (("A1", A1), ("B1", B1), ("A2", A2), ("B2", B2), ("C", C)):
             object.__setattr__(self, name, M)
 
@@ -207,10 +203,13 @@ def ingest_csv(path: str) -> Trajectory:
     return Trajectory(np.array(us), np.array(ys))
 
 
-def _check_layer(A, B, C, names: tuple[str, str, str]):
+def _check_layer(A, B, C, names: tuple[str, str, str], noise_sigma=0.0):
     """One layer's transition, input and readout matrices as float arrays:
-    A square, B with A's d rows and C with d columns, every entry finite.
-    An error names the matrix by its field name in `names`."""
+    A square, B with A's d rows and C with d columns, every entry finite,
+    and the readout's noise scale nonnegative and finite.  An error names
+    the matrix by its field name in `names`."""
+    if not 0 <= noise_sigma < np.inf:  # a NaN would switch the noise off
+        raise ValueError(f"noise_sigma must be nonnegative and finite, got {noise_sigma}")
     A, B, C = (np.asarray(M, dtype=float) for M in (A, B, C))
     a, b, c = names
     if A.ndim != 2 or A.shape[0] != A.shape[1]:

@@ -59,9 +59,9 @@ GENERATOR_KINDS = ("lds", "nonlinear")
 
 DEFAULT_LR_GRID = (1e-3, 1e-2, 1e-1)
 
-# Beyond this a run stops being a desk-scale object: its data, its cells'
-# predictions and `ogd`'s working set of about 3x those (measured: 0.155 MB
-# a cell at T = 2000, d_out = 3) put 1 GB at about 7000 such cells.
+# Beyond this one spec's run, as `_fit_error` estimates it, stops being a
+# desk-scale object: at T = 2000, d_out = 3 and 5 input taps a cell takes
+# about 0.19 MB, so 1 GB holds about 5000 such cells, fewer with more taps.
 MAX_RUN_BYTES = 10**9
 
 
@@ -199,7 +199,7 @@ def validate_spec(spec: ExperimentSpec) -> None:
         raise ValueError("custom variant requires custom_coeffs")
     if spec.csv_path is None and (error := _fit_error(spec, spec.horizon, g.d_in, g.d_out)):
         raise error  # a CSV's horizon and widths are its own: `_run` checks them once it is read
-    if spec.csv_path is None and (size := _systems_bytes(g, spec.n_runs)) > MAX_RUN_BYTES:
+    if spec.csv_path is None and (size := _systems_bytes([(g, spec.n_runs)])) > MAX_RUN_BYTES:
         raise ValueError(f"generator.d_h {g.d_h}, d_in {g.d_in}, d_out {g.d_out} and n_runs "
                          f"{spec.n_runs}: the systems would hold about {size // 10**6} MB, "
                          f"over MAX_RUN_BYTES ({MAX_RUN_BYTES // 10**6} MB)")
@@ -230,11 +230,15 @@ def _fit_error(spec: ExperimentSpec, T: int, d_in: int, d_out: int) -> ValueErro
     """The first way in which a spec does not fit T steps of d_in inputs and
     d_out outputs, or None: a window, input taps or lagged targets past T (a
     tap or lag past T reads only zeros), a filter bank of T - degree - 1
-    steps that `build_filter_bank` refuses, or a run over MAX_RUN_BYTES."""
+    steps that `build_filter_bank` refuses, or a run over MAX_RUN_BYTES: its
+    data and deep-past features and, per (rate, run) cell, `ogd`'s predictions,
+    about 3x them more, and a chunk of each block's gathered features with
+    their rate-scaled copy or, if the block is fixed, its products with the
+    weights, d_out of them per input feature."""
     if spec.window > T:
         return ValueError(f"window {spec.window} exceeds data horizon {T}")
     if spec.algo == "regression":
-        taps, name = _input_taps(spec), "num_taps" if spec.num_taps is not None else "degree"
+        k, taps, name = 0, _input_taps(spec), "num_taps" if spec.num_taps is not None else "degree"
         if taps > T:
             return ValueError(f"{name}: the spec reads {taps} input taps, "
                               f"more than the data horizon {T}")
@@ -253,19 +257,24 @@ def _fit_error(spec: ExperimentSpec, T: int, d_in: int, d_out: int) -> ValueErro
         if not 0 <= k <= m:
             return ValueError(f"filter_count must lie in [0, horizon - degree - 1] = [0, {m}] "
                               f"for coefficients of degree {n}, got {k}")
-    k = spec.filter_count if spec.algo == "spectral" else 0  # deep-past features per input
-    T, n_runs, d_in, d_out, k = map(int, (T, spec.n_runs, d_in, d_out, k))  # numpy ints wrap
-    size = 8 * T * n_runs * (d_in + d_out + 3 * len(_grid(spec)) * d_out + k * d_in)
-    if size > MAX_RUN_BYTES:  # data, predictions and `ogd`'s 3x
+        taps, lags = n + 1, n + 2  # the window u_t..u_{t-n} and the lags of (1 - x^2) p(x)
+    T, n_runs, d_in, d_out, k, taps, lags = map(  # numpy ints wrap
+        int, (T, spec.n_runs, d_in, d_out, k, taps, lags))
+    chunk = min(T, learners._CHUNK) * ((taps + k) * d_in * (1 + d_out) + 2 * lags * d_out)
+    cells = n_runs * len(_grid(spec))
+    size = 8 * (T * n_runs * (d_in + d_out + k * d_in) + cells * (3 * T * d_out + chunk))
+    if size > MAX_RUN_BYTES:
         return ValueError(f"n_runs {spec.n_runs} and horizon {T}: the run would hold about "
                           f"{size // 10**6} MB, over MAX_RUN_BYTES ({MAX_RUN_BYTES // 10**6} MB)")
 
 
-def _systems_bytes(g: GeneratorConfig, n_runs: int) -> int:
-    """Sampling and simulating n_runs systems peak near 6 d_h^2 floats plus, per run and
-    layer, A, B and C's d_h (d_h + d_in + d_out) twice: the system and its stacked copy."""
-    d_h, layers = int(g.d_h), 1 if g.kind == "lds" else 2
-    return 8 * d_h * (6 * d_h + 2 * layers * int(n_runs) * sum(map(int, (d_h, g.d_in, g.d_out))))
+def _systems_bytes(runs: list) -> int:
+    """Sampling and simulating the systems of (generator, n_runs) pairs of one kind and d_h
+    peak near 6 d_h^2 floats plus, per run and layer, A, B and C's d_h (d_h + d_in + d_out)
+    twice: the system and its stacked copy."""
+    d_h, layers = int(runs[0][0].d_h), 1 if runs[0][0].kind == "lds" else 2
+    return 8 * d_h * (6 * d_h + 2 * layers * sum(
+        int(n) * sum(map(int, (d_h, g.d_in, g.d_out))) for g, n in runs))
 
 
 def _bank_shape(spec: ExperimentSpec, T: int) -> tuple:
@@ -330,9 +339,9 @@ def _load(keys) -> dict:
     exception that loading it raised.  A CSV is read by `dynsys.ingest_csv`.
     Generated keys are sampled one by one, and those that share (kind, d_h,
     T) are simulated in one stacked recursion per batch: a key joins the
-    last batch while `_systems_bytes` of its runs, each at its own widths,
-    stays within MAX_RUN_BYTES.  A key whose sampling fails fails alone; a
-    failed simulation fails its batch.  Every generated trajectory, `usp
+    last batch while `_systems_bytes` of the batch's runs and its own stays
+    within MAX_RUN_BYTES.  A key whose sampling fails fails alone; a failed
+    simulation fails its batch.  Every generated trajectory, `usp
     gen-data`'s included, is loaded here."""
     data, stacks = {}, {}
     for key in keys:
@@ -343,8 +352,7 @@ def _load(keys) -> dict:
                 g, horizon, seed, n_runs = key
                 sampled = _sample_runs(g, horizon, derive_seeds(seed, n_runs))
                 batches = stacks.setdefault((g.kind, g.d_h, horizon), [[]])
-                size = _systems_bytes(g, n_runs) + sum(  # each run at its own widths
-                    _systems_bytes(h, n) - _systems_bytes(h, 0) for (h, _, _, n), _ in batches[-1])
+                size = _systems_bytes([(g, n_runs)] + [(h, n) for (h, *_, n), _ in batches[-1]])
                 if batches[-1] and size > MAX_RUN_BYTES:
                     batches.append([])
                 batches[-1].append((key, sampled))
@@ -407,7 +415,7 @@ def _group_predictions(specs: list, data: dict) -> list:
     traj, lr, lr_lag, owners, init = map(list, zip(*cells))
     blocks = learners.feature_blocks(
         u, y, [o.num_taps for o in owners], [o.lags for o in owners], lr, lr_lag,
-        [o.R_Q if spectral else o.radius for o in owners], index=traj, init=init,
+        [o.R_Q for o in owners], index=traj, init=init,
         deep=(bank, n, T, [o.R_M for o in owners]) if spectral else None,
     )
     with np.errstate(over="ignore", invalid="ignore"):  # a diverged cell is recorded

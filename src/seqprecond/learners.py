@@ -440,9 +440,9 @@ def tilde_expand(c: CoefficientVector) -> CoefficientVector:
 
 class RegressionLearner:
     """Preconditioned regression: lag coefficients c_1..c_n (`lags`) plus
-    num_taps learned input maps Q_j in the ball of radius domain_bound * ||c||_1.
+    num_taps learned input maps Q_j in the ball of radius R_Q = domain_bound * ||c||_1.
 
-    The default rate is D/G with D = 2 radius m and G = m sqrt(d_out).
+    The default rate is D/G with D = 2 R_Q m and G = m sqrt(d_out).
     The lag coefficients step from c at rate lr_coeffs0, by default 0, so
     they stay fixed; a nonzero rate is the learned-coefficient variant,
     with c_0 pinned to 1.  Rate lr0=0 evaluates a fixed comparator init_Q,
@@ -466,18 +466,19 @@ class RegressionLearner:
         if self.init_Q is not None and self.init_Q.shape[-3:-2] != (self.num_taps,):
             raise ValueError(f"init_Q shape {self.init_Q.shape} needs {self.num_taps} taps")
         self.c, self.lags = c, c.coeffs[1:]
-        self.radius = domain_bound * c.l1
+        self.R_Q = domain_bound * c.l1
         self.lr0 = lr0
         self.lr_coeffs0 = lr_coeffs0
 
     def blocks(self, u: np.ndarray, y: np.ndarray) -> list:
         """The input window and the lag coefficients, for (..., T, d)
         streams whose leading axes are cell axes of `ogd`."""
-        lr0 = 2.0 * self.radius / sqrt(y.shape[-1]) if self.lr0 is None else self.lr0
-        return feature_blocks(u, y, self.num_taps, self.lags, lr0, self.lr_coeffs0, self.radius,
+        lr0 = 2.0 * self.R_Q / sqrt(y.shape[-1]) if self.lr0 is None else self.lr0
+        return feature_blocks(u, y, self.num_taps, self.lags, lr0, self.lr_coeffs0, self.R_Q,
                               init=self.init_Q)
 
     def run(self, inputs, outputs) -> np.ndarray:
+        """One stream's (T, d_out) predictions; a 1-d input or output is one channel."""
         u, y = _as_time_major(inputs), _as_time_major(outputs)
         return ogd(self.blocks(u, y), y)[0]
 
@@ -522,9 +523,7 @@ class SpectralLearner:
         return feature_blocks(u, y, self.num_taps, self.lags, lr0, 0.0, self.R_Q,
                               deep=(self.bank, n, self.total_horizon, self.R_M))
 
-    def run(self, inputs, outputs) -> np.ndarray:
-        u, y = _as_time_major(inputs), _as_time_major(outputs)
-        return ogd(self.blocks(u, y), y)[0]
+    run = RegressionLearner.run
 
 
 # ---------------------------------------------------------------------------

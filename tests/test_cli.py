@@ -15,7 +15,7 @@ import pytest
 
 import seqprecond
 from seqprecond import dynsys, harness, invariants
-from seqprecond.cli import _COMMANDS, _build_parser, main
+from seqprecond.cli import _build_parser, main
 from seqprecond.dynsys import ingest_csv
 from seqprecond.invariants import VerifyResult
 from seqprecond.poly import chebyshev_monic
@@ -603,13 +603,14 @@ class TestTopLevel:
     ("sweep", {"experiments": [5]}, "experiment 0: must be a JSON object, got 5"),
     ("run", [{"degree": 3}], "run config must be a JSON object"),
     ("sweep", "experiments", "sweep config must be a list of experiment objects"),
-], ids=["sweep-entry", "run-config", "sweep-config"])
+    ("sweep", {"specs": []}, r"config\.json: the JSON object has no 'experiments' field$"),
+], ids=["sweep-entry", "run-config", "sweep-config", "sweep-field"])
 def test_a_config_of_the_wrong_shape_is_named(tmp_path, command, config, fragment):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
     args = _build_parser().parse_args([command, "--config", str(path)])
     with pytest.raises(ValueError, match=fragment):
-        _COMMANDS[command](args)
+        args.func(args)
 
 
 def loaded(code, *packages):

@@ -215,7 +215,7 @@ class TestValidateSpec:
             ),
             (
                 dict(n_runs=10**9, horizon=2000),
-                r"^n_runs 1000000000 and horizon 2000: the run would hold about 176000000 MB, "
+                r"^n_runs 1000000000 and horizon 2000: the run would hold about 194432000 MB, "
                 r"over MAX_RUN_BYTES \(1000 MB\)$",
             ),
             (dict(n_runs=20, horizon=10**12), r"^n_runs 20 and horizon 1000000000000: .* MB, over"),
@@ -236,7 +236,7 @@ class TestValidateSpec:
 
     def test_the_size_guard_admits_a_thousand_cells(self):
         # a learned 5 x 5 grid over 40 runs with d_in = d_out = 3 at T = 2000
-        # is 1000 cells, estimated at 148 MB; nothing is run
+        # is 1000 cells, estimated at 193 MB; nothing is run
         grid = (1e-4, 1e-3, 1e-2, 1e-1, 1.0)
         H.validate_spec(H.ExperimentSpec(variant="learned", lr_grid=grid, lr_grid_coeffs=grid,
                                          n_runs=40, generator=H.GeneratorConfig(d_in=3, d_out=3)))
@@ -244,12 +244,22 @@ class TestValidateSpec:
     def test_the_size_guard_reads_numpy_integers_as_python_ints(self):
         # 8 * T * n_runs * 5 bytes wraps in int64; the estimate must not
         want = (r"^n_runs 10000 and horizon 17592186044416: the run would hold about "
-                r"15481123719086 MB, over MAX_RUN_BYTES")
+                r"15481123719393 MB, over MAX_RUN_BYTES")
         for n_runs, horizon in [(10**4, 2**44), (np.int64(10**4), np.int64(2**44))]:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 with pytest.raises(ValueError, match=want):
                     H.validate_spec(H.ExperimentSpec(n_runs=n_runs, horizon=horizon))
+
+    def test_the_size_guard_counts_the_chunk_buffers(self, monkeypatch):
+        # 20 runs x 3 rates at T = 2000 hold about 3.5 MB of data and
+        # predictions; `ogd`'s chunk buffers add 2 x 64 x taps doubles a
+        # cell, about 25 MB at 400 input taps and 0.3 MB at 5
+        monkeypatch.setattr(H, "MAX_RUN_BYTES", 20 * 10**6)
+        H.validate_spec(H.ExperimentSpec(num_taps=5))
+        with pytest.raises(ValueError, match=r"^n_runs 20 and horizon 2000: the run would hold "
+                                             r"about 28 MB, over MAX_RUN_BYTES \(20 MB\)$"):
+            H.validate_spec(H.ExperimentSpec(num_taps=400))
 
     def test_the_size_guard_counts_the_sampled_systems(self, monkeypatch):
         # 20 linear systems of d_h = 1e5 hold 1.6 TB in their transition
@@ -585,6 +595,20 @@ class TestRunExperiment:
         assert results[0].error == ("custom_coeffs: the spec reads 41 lagged targets, "
                                     "more than the data horizon 40")
         assert isinstance(results[1], H.MetricsReport)
+
+    def test_a_csv_spec_over_the_run_size_bound_fails_alone(self, tiny_csv, monkeypatch):
+        # a CSV's horizon and widths are known only once it is read: over
+        # its 40 rows, 40 input taps put the run near 245 kB and 2 taps near
+        # 26 kB, and only the first is refused
+        _, path = tiny_csv
+        monkeypatch.setattr(H, "MAX_RUN_BYTES", 10**5)
+        base = dict(csv_path=path, window=10, degree=2, master_seed=0)
+        specs = [H.ExperimentSpec(num_taps=40, **base), H.ExperimentSpec(num_taps=2, **base)]
+        results = H.sweep(specs)
+        assert isinstance(results[0], H.SweepFailure)
+        assert results[0].error.startswith("n_runs 1 and horizon 40: the run would hold about ")
+        assert results[0].error.endswith(" MB, over MAX_RUN_BYTES (0 MB)")
+        assert H.report_to_json(results[1]) == H.report_to_json(H.run_experiment(specs[1]))
 
     def test_taps_past_the_horizon_fail_before_any_data_is_made(self, monkeypatch):
         calls = []

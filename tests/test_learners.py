@@ -295,7 +295,7 @@ class TestRegressionUpdate:
         for t in range(1, 31):
             _, (Q, _) = ogd(learner.blocks(u[:t], y[:t]), y[:t])
             for Qj in Q:
-                assert np.linalg.norm(Qj, 2) <= learner.radius + 1e-9
+                assert np.linalg.norm(Qj, 2) <= learner.R_Q + 1e-9
 
     def test_no_input_taps(self):
         # an empty input window learns nothing: differencing stays persistence
@@ -314,7 +314,7 @@ class TestRegressionUpdate:
         c = chebyshev_monic(2)
         Q = rng.standard_normal((2, 2, 3))
         learner = RegressionLearner(c, domain_bound=1e-3, lr0=0.0, init_Q=Q)
-        assert all(np.linalg.norm(Qj, 2) > learner.radius for Qj in Q)
+        assert all(np.linalg.norm(Qj, 2) > learner.R_Q for Qj in Q)
         T = 12
         u, y = rng.standard_normal((T, 3)), rng.standard_normal((T, 2))
         preds, (W, coeffs) = ogd(learner.blocks(u, y), y)
@@ -416,7 +416,7 @@ class TestFeatureBlocks:
         blocks = feature_blocks(
             u, y, [c.num_taps for c in cells], [c.lags for c in cells],
             np.array([c.lr0 for c in cells]), np.array([c.lr_coeffs0 for c in cells]),
-            np.array([c.radius for c in cells]), index=index, init=[c.init_Q for c in cells],
+            np.array([c.R_Q for c in cells]), index=index, init=[c.init_Q for c in cells],
         )
         assert [len(X.streams) for X, _, _, _ in blocks] == [3, 3]
         preds, _ = ogd(blocks, y[index])

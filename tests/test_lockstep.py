@@ -638,9 +638,9 @@ def test_one_learner_serves_streams_of_any_width():
     T = 30
     for d_in, d_out in ((1, 1), (3, 2)):
         u, y = 3 * rng.standard_normal((T, d_in)), rng.standard_normal((T, d_out))
-        lr0 = 2.0 * learner.radius / sqrt(d_out)
+        lr0 = 2.0 * learner.R_Q / sqrt(d_out)
         blocks = [
-            (lagged(u, 2), np.zeros((2, d_out, d_in)), lr0, learner.radius),
+            (lagged(u, 2), np.zeros((2, d_out, d_in)), lr0, learner.R_Q),
             (lagged(-y, 2, 1), c.coeffs[1:], 0.05, None),
         ]
         want, want_W = reference_ogd(blocks, y)
