@@ -20,22 +20,9 @@ from seqprecond.precond import convolve
 from seqprecond.spectral import DEFAULT_FILTER_COUNT, build_filter_bank, build_gram
 
 
-class _UsageError(Exception):
-    def __init__(self, parser: argparse.ArgumentParser, message: str):
-        super().__init__(message)
-        self.parser = parser
-
-
-class _Parser(argparse.ArgumentParser):
-    """argparse that reports usage problems through the 1 exit code."""
-
-    def error(self, message):  # noqa: D102 - argparse hook
-        raise _UsageError(self, message)
-
-
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="usp", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", parser_class=_Parser)
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="usp", description=__doc__.splitlines()[0])
+    sub = parser.add_subparsers(dest="command")
 
     p = sub.add_parser("poly", help="emit monic preconditioning coefficients")
     p.add_argument("--family", required=True, choices=["chebyshev", "legendre", "differencing"])
@@ -76,9 +63,11 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("run", help="run one experiment configuration")
     p.add_argument("--algo", choices=harness.ALGOS)
-    p.add_argument("--precond", choices=harness.VARIANTS, help="preconditioning variant")
+    p.add_argument("--precond", dest="variant", choices=harness.VARIANTS,
+                   help="preconditioning variant")
     p.add_argument("--degree", type=int)
-    p.add_argument("--data", help="trajectory CSV (otherwise the generator is used)")
+    p.add_argument("--data", dest="csv_path",
+                   help="trajectory CSV (otherwise the generator is used)")
     p.add_argument("--config", help="JSON file mirroring ExperimentSpec fields")
     p.add_argument("--out", help="report JSON destination (default stdout)")
     p.add_argument("--table", choices=["csv"], help="emit the wide mean±std table instead")
@@ -225,14 +214,9 @@ def _cmd_run(args) -> int:
         cfg = _read_json(args.config)
         if not isinstance(cfg, dict):
             raise ValueError("run config must be a JSON object")
-    if args.algo is not None:
-        cfg["algo"] = args.algo
-    if args.precond is not None:
-        cfg["variant"] = args.precond
-    if args.degree is not None:
-        cfg["degree"] = args.degree
-    if args.data is not None:
-        cfg["csv_path"] = args.data
+    for field in ("algo", "variant", "degree", "csv_path"):  # a flag overrides the file
+        if getattr(args, field) is not None:
+            cfg[field] = getattr(args, field)
     report = harness.run_experiment(_spec_from_dict(cfg))
     if args.table == "csv":
         _emit(harness.sweep_table_csv([report]), args.out)
@@ -279,14 +263,15 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command is None:
-            parser.print_help()
-            return 1
-        return args.func(args)
-    except _UsageError as exc:
-        exc.parser.print_usage(sys.stderr)
-        print(f"error: {exc}", file=sys.stderr)
+    except SystemExit as exc:  # argparse printed the usage and its error; --help exits 0
+        if exc.code != 2:
+            raise
         return 1
+    if args.command is None:
+        parser.print_help()
+        return 1
+    try:
+        return args.func(args)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

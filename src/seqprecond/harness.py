@@ -234,7 +234,8 @@ def _fit_error(spec: ExperimentSpec, T: int, d_in: int, d_out: int) -> ValueErro
     data and deep-past features and, per (rate, run) cell, `ogd`'s predictions,
     about 3x them more, and a chunk of each block's gathered features with
     their rate-scaled copy or, if the block is fixed, its products with the
-    weights, d_out of them per input feature."""
+    weights, d_out of them per input feature; and the copy of the largest
+    block's chunk of every run's stream that `np.take` makes to gather it."""
     if spec.window > T:
         return ValueError(f"window {spec.window} exceeds data horizon {T}")
     if spec.algo == "regression":
@@ -260,9 +261,11 @@ def _fit_error(spec: ExperimentSpec, T: int, d_in: int, d_out: int) -> ValueErro
         taps, lags = n + 1, n + 2  # the window u_t..u_{t-n} and the lags of (1 - x^2) p(x)
     T, n_runs, d_in, d_out, k, taps, lags = map(  # numpy ints wrap
         int, (T, spec.n_runs, d_in, d_out, k, taps, lags))
-    chunk = min(T, learners._CHUNK) * ((taps + k) * d_in * (1 + d_out) + 2 * lags * d_out)
+    rows = min(T, learners._CHUNK)
+    chunk = rows * ((taps + k) * d_in * (1 + d_out) + 2 * lags * d_out)
+    gather = rows * n_runs * max(taps * d_in, lags * d_out, k * d_in)
     cells = n_runs * len(_grid(spec))
-    size = 8 * (T * n_runs * (d_in + d_out + k * d_in) + cells * (3 * T * d_out + chunk))
+    size = 8 * (T * n_runs * (d_in + d_out + k * d_in) + cells * (3 * T * d_out + chunk) + gather)
     if size > MAX_RUN_BYTES:
         return ValueError(f"n_runs {spec.n_runs} and horizon {T}: the run would hold about "
                           f"{size // 10**6} MB, over MAX_RUN_BYTES ({MAX_RUN_BYTES // 10**6} MB)")
@@ -418,8 +421,7 @@ def _group_predictions(specs: list, data: dict) -> list:
         [o.R_Q for o in owners], index=traj, init=init,
         deep=(bank, n, T, [o.R_M for o in owners]) if spectral else None,
     )
-    with np.errstate(over="ignore", invalid="ignore"):  # a diverged cell is recorded
-        return np.split(learners.ogd(blocks, learners.Rows(y, traj))[0], ends[:-1])
+    return np.split(learners.ogd(blocks, learners.Rows(y, traj))[0], ends[:-1])
 
 
 def _report(spec: ExperimentSpec, preds: np.ndarray, data) -> MetricsReport:

@@ -128,6 +128,7 @@ class Rows(NamedTuple):
     taps: np.ndarray | None = None
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def ogd(blocks, targets):
     """Projected online gradient descent on the ℓ1 loss over feature blocks.
 
@@ -172,7 +173,8 @@ def ogd(blocks, targets):
     for bit.
 
     Returns the C-contiguous (..., T, d_out) predictions as computed,
-    non-finite rows included, and the final weights.
+    non-finite rows included, and the final weights.  Overflow and invalid
+    operations are not warned about: they are how a cell diverges.
     """
 
     def rows(a, core=3):
@@ -239,8 +241,7 @@ def ogd(blocks, targets):
             last = reads[b] == j + 1  # the lanes that read taps 0..j
             bound[:, last] = sq[:, index[last]]
         np.sqrt(bound, out=bound)
-        with np.errstate(over="ignore"):
-            bound *= np.abs(lr) * sqrt(d_out)
+        bound *= np.abs(lr) * sqrt(d_out)
         bound /= root[:, None]
         return bound
 
@@ -258,15 +259,14 @@ def ogd(blocks, targets):
         # now and at most T increments Tu of itself.  That is (3T + 2p + 10)u
         # of the sum; twice it covers the higher orders and the test's roundings.
         slack = 1 + (6 * T + 4 * W.shape[1] * W.shape[2] + 24) * np.finfo(float).eps / 2
-        with np.errstate(over="ignore"):
-            for a in range(t + 1, T, _CHUNK):
-                sums = g[a : a + _CHUNK].copy()
-                sums[0] += bound
-                np.add.accumulate(sums, axis=0, out=sums)
-                # the sums only grow and carry an inf or nan on, so the last row decides
-                if not (slack * sums[-1] <= radius).all():
-                    return a + int((~(slack * sums <= radius).all(axis=1)).argmax())
-                bound = sums[-1]
+        for a in range(t + 1, T, _CHUNK):
+            sums = g[a : a + _CHUNK].copy()
+            sums[0] += bound
+            np.add.accumulate(sums, axis=0, out=sums)
+            # the sums only grow and carry an inf or nan on, so the last row decides
+            if not (slack * sums[-1] <= radius).all():
+                return a + int((~(slack * sums <= radius).all(axis=1)).argmax())
+            bound = sums[-1]
         return T
 
     # 0 + B0 + B1 + ... adds the blocks' terms in block order and its first
@@ -316,60 +316,57 @@ def ogd(blocks, targets):
     (active, mask), flat = np.empty((2, lanes), dtype=bool), s.reshape(-1)
     signs, coefs = s[None, :, None], coef[None, :, None]  # against x[k] of a matrix block
     finite = [True] * len(steps)
-    with np.errstate(over="ignore"):  # the test's squared residuals overflow past ~1e154
-        for t0 in range(0, T, _CHUNK):
-            c = min(_CHUNK, T - t0)
-            for X, index, pad, buf in gathers:
-                np.take(X[t0 : t0 + c], index, axis=-1, out=buf[:c], mode="clip")
-                if pad is not None:
-                    np.copyto(buf[:c], 0.0, where=pad)
-            for i, (lr, rate, buf, rbuf) in enumerate(scales):
-                np.divide(lr, root[t0 : t0 + c, None], out=rate[:c])
-                with np.errstate(over="ignore", invalid="ignore"):  # such a chunk is masked
-                    rx = np.multiply(buf[:c], rate[:c, None, None], out=rbuf[:c])
-                    finite[i] = isfinite(rx.sum())
-            chunk = P[t0 : t0 + c]
-            for W, x, products, axes in lead_terms:
-                chunk += np.add.reduce(np.multiply(W, x[:c], out=products[:c]), axis=axes,
-                                       out=accs[:c])
-            for k in range(c if steps else 0):
-                t, p = t0 + k, chunk[k]
-                for W, x, products, axes in terms:
-                    p += np.add.reduce(np.multiply(W, x[k], out=products), axis=axes, out=acc)
-                np.subtract(p, ys[k], out=s)
-                if not isfinite(np.dot(flat, flat)):  # a non-finite prediction, or a huge residual
-                    s[:, ~np.isfinite(p).all(axis=0)] = 0.0
-                np.sign(s, out=s)
-                on = None  # the cells with a nonzero sign, for a masked step
-                for i, (W, x, rx, m, rate, nonzero, radius, g, grad) in enumerate(steps):
-                    if finite[i]:  # +-0 where s or the rate is 0
-                        if m:
-                            np.multiply(signs, rx[k], out=grad)
-                        else:
-                            np.einsum("jol,ol->jl", rx[k], s, out=grad)
-                        if t < crosses[i]:
-                            W -= grad
-                            continue
-                    else:  # (s rate) x: 0, not 0 inf = nan, where s is 0
-                        np.multiply(s, rate[k], out=coef)
-                        if m:
-                            np.multiply(coefs, x[k], out=grad)
-                        else:
-                            np.einsum("jol,ol->jl", x[k], coef, out=grad)
-                    if on is None:
-                        on = np.logical_or.reduce(s, axis=0, out=active)
-                    live = on if nonzero is None else np.logical_and(on, nonzero, out=mask)
+    for t0 in range(0, T, _CHUNK):
+        c = min(_CHUNK, T - t0)
+        for X, index, pad, buf in gathers:
+            np.take(X[t0 : t0 + c], index, axis=-1, out=buf[:c], mode="clip")
+            if pad is not None:
+                np.copyto(buf[:c], 0.0, where=pad)
+        for i, (lr, rate, buf, rbuf) in enumerate(scales):
+            np.divide(lr, root[t0 : t0 + c, None], out=rate[:c])
+            rx = np.multiply(buf[:c], rate[:c, None, None], out=rbuf[:c])
+            finite[i] = isfinite(rx.sum())  # a non-finite chunk is masked
+        chunk = P[t0 : t0 + c]
+        for W, x, products, axes in lead_terms:
+            chunk += np.add.reduce(np.multiply(W, x[:c], out=products[:c]), axis=axes, out=accs[:c])
+        for k in range(c if steps else 0):
+            t, p = t0 + k, chunk[k]
+            for W, x, products, axes in terms:
+                p += np.add.reduce(np.multiply(W, x[k], out=products), axis=axes, out=acc)
+            np.subtract(p, ys[k], out=s)
+            if not isfinite(np.dot(flat, flat)):  # a non-finite prediction, or a huge residual
+                s[:, ~np.isfinite(p).all(axis=0)] = 0.0
+            np.sign(s, out=s)
+            on = None  # the cells with a nonzero sign, for a masked step
+            for i, (W, x, rx, m, rate, nonzero, radius, g, grad) in enumerate(steps):
+                if finite[i]:  # +-0 where s or the rate is 0
+                    if m:
+                        np.multiply(signs, rx[k], out=grad)
+                    else:
+                        np.einsum("jol,ol->jl", rx[k], s, out=grad)
                     if t < crosses[i]:
-                        np.subtract(W, grad, out=W, where=live)
+                        W -= grad
                         continue
-                    step = np.subtract(W, grad, out=grad)
-                    norms = np.sqrt(np.einsum("joil,joil->jl", step, step))
-                    if ((norms > radius) & live).any():
-                        step = project_to_ball(step.transpose(3, 0, 1, 2), radius[:, None])
-                        np.copyto(W, step.transpose(1, 2, 3, 0), where=live)
-                    else:  # every tap inside: re-arm from the taps' norms now
-                        np.copyto(W, step, where=live)
-                        crosses[i] = crossing(W, g, radius, t)
+                else:  # (s rate) x: 0, not 0 inf = nan, where s is 0
+                    np.multiply(s, rate[k], out=coef)
+                    if m:
+                        np.multiply(coefs, x[k], out=grad)
+                    else:
+                        np.einsum("jol,ol->jl", x[k], coef, out=grad)
+                if on is None:
+                    on = np.logical_or.reduce(s, axis=0, out=active)
+                live = on if nonzero is None else np.logical_and(on, nonzero, out=mask)
+                if t < crosses[i]:
+                    np.subtract(W, grad, out=W, where=live)
+                    continue
+                step = np.subtract(W, grad, out=grad)
+                norms = np.sqrt(np.einsum("joil,joil->jl", step, step))
+                if ((norms > radius) & live).any():
+                    step = project_to_ball(step.transpose(3, 0, 1, 2), radius[:, None])
+                    np.copyto(W, step.transpose(1, 2, 3, 0), where=live)
+                else:  # every tap inside: re-arm from the taps' norms now
+                    np.copyto(W, step, where=live)
+                    crosses[i] = crossing(W, g, radius, t)
     # the growth bounds and chunk buffers, and every name holding one, go before the copies
     gathers = scales = steps = terms = lead_terms = ys = accs = None
     buf = rbuf = x = rx = rate = products = g = None

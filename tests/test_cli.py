@@ -574,7 +574,7 @@ def _choices(command, dest):
 
 def test_choices_come_from_their_source(capsys):
     assert _choices("run", "algo") == harness.ALGOS
-    assert _choices("run", "precond") == harness.VARIANTS
+    assert _choices("run", "variant") == harness.VARIANTS
     assert _choices("gen-data", "kind") == harness.GENERATOR_KINDS
     # the suites are those of `invariants.SUITES`, which only `verify` loads,
     # so the parser offers no choices and `verify` names them

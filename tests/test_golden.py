@@ -18,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from seqprecond import harness as H
+from seqprecond import harness as H, learners
 from seqprecond.dynsys import gaussian_inputs, sample_system, simulate_lds, write_trajectory_csv
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -43,6 +43,9 @@ SPECS = {
     "spectral": _spec(algo="spectral", n_runs=1, filter_count=8, degree=3),
     "d3": _spec(generator=H.GeneratorConfig(d_h=10, d_in=3, d_out=3, tau=0.05)),
     "nonlinear": _spec(generator=H.GeneratorConfig(kind="nonlinear", d_h=10, tau=0.05)),
+    # a ball of 0.3 ||c||_1 binds: the only spec here that projects a tap
+    "clipped": _spec(generator=H.GeneratorConfig(d_h=10, d_in=2, d_out=2, tau=0.05),
+                     domain_bound=0.3),
     "csv": H.ExperimentSpec(csv_path=CSV_NAME, n_runs=1, horizon=200, window=40,
                             degree=4, master_seed=0),
 }
@@ -94,6 +97,14 @@ def test_report_matches_golden(name, tmp_path, monkeypatch):
     write_csv(tmp_path)
     want = json.loads((GOLDEN_DIR / f"{name}.json").read_text())
     assert _mismatch("", report(name), want) is None
+
+
+def test_the_clipped_spec_projects_its_taps(monkeypatch):
+    calls, project = [], learners.project_to_ball
+    monkeypatch.setattr(learners, "project_to_ball",
+                        lambda M, radius: calls.append(M.shape) or project(M, radius))
+    H.run_experiment(SPECS["clipped"])
+    assert len(calls) > 0
 
 
 def test_mismatch_catches_small_float_and_exact_fields():

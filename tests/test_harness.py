@@ -215,7 +215,7 @@ class TestValidateSpec:
             ),
             (
                 dict(n_runs=10**9, horizon=2000),
-                r"^n_runs 1000000000 and horizon 2000: the run would hold about 194432000 MB, "
+                r"^n_runs 1000000000 and horizon 2000: the run would hold about 195968000 MB, "
                 r"over MAX_RUN_BYTES \(1000 MB\)$",
             ),
             (dict(n_runs=20, horizon=10**12), r"^n_runs 20 and horizon 1000000000000: .* MB, over"),
@@ -236,7 +236,7 @@ class TestValidateSpec:
 
     def test_the_size_guard_admits_a_thousand_cells(self):
         # a learned 5 x 5 grid over 40 runs with d_in = d_out = 3 at T = 2000
-        # is 1000 cells, estimated at 193 MB; nothing is run
+        # is 1000 cells, estimated at 194 MB; nothing is run
         grid = (1e-4, 1e-3, 1e-2, 1e-1, 1.0)
         H.validate_spec(H.ExperimentSpec(variant="learned", lr_grid=grid, lr_grid_coeffs=grid,
                                          n_runs=40, generator=H.GeneratorConfig(d_in=3, d_out=3)))
@@ -244,7 +244,7 @@ class TestValidateSpec:
     def test_the_size_guard_reads_numpy_integers_as_python_ints(self):
         # 8 * T * n_runs * 5 bytes wraps in int64; the estimate must not
         want = (r"^n_runs 10000 and horizon 17592186044416: the run would hold about "
-                r"15481123719393 MB, over MAX_RUN_BYTES")
+                r"15481123719418 MB, over MAX_RUN_BYTES")
         for n_runs, horizon in [(10**4, 2**44), (np.int64(10**4), np.int64(2**44))]:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
@@ -258,8 +258,17 @@ class TestValidateSpec:
         monkeypatch.setattr(H, "MAX_RUN_BYTES", 20 * 10**6)
         H.validate_spec(H.ExperimentSpec(num_taps=5))
         with pytest.raises(ValueError, match=r"^n_runs 20 and horizon 2000: the run would hold "
-                                             r"about 28 MB, over MAX_RUN_BYTES \(20 MB\)$"):
+                                             r"about 32 MB, over MAX_RUN_BYTES \(20 MB\)$"):
             H.validate_spec(H.ExperimentSpec(num_taps=400))
+
+    def test_the_size_guard_counts_the_gather_copy(self, monkeypatch):
+        # to gather a chunk onto the cells, np.take first copies the chunk
+        # of every run's stream: 64 x 2000 taps x 20 runs doubles, 20.48 MB,
+        # which takes this spec's estimate from 126 to 147 MB
+        monkeypatch.setattr(H, "MAX_RUN_BYTES", 140 * 10**6)
+        with pytest.raises(ValueError, match=r"^n_runs 20 and horizon 2000: the run would hold "
+                                             r"about 147 MB, over MAX_RUN_BYTES \(140 MB\)$"):
+            H.validate_spec(H.ExperimentSpec(num_taps=2000))
 
     def test_the_size_guard_counts_the_sampled_systems(self, monkeypatch):
         # 20 linear systems of d_h = 1e5 hold 1.6 TB in their transition
@@ -458,7 +467,6 @@ class TestRunExperiment:
         assert len(rep.grid_results) == 4
         assert isinstance(rep.chosen_lr, (list, tuple)) and len(rep.chosen_lr) == 2
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("d", [1, 3])  # d=3 projects through an SVD
     def test_diverging_rate_fails_at_first_non_finite_step(self, d):
         # a coefficient rate of 1e308 overflows.  Each of its grid points is
@@ -487,7 +495,6 @@ class TestRunExperiment:
             assert first_non_finite(cell, spec) == (g["diverged"]["run"], g["diverged"]["step"])
         assert strict_json(H.report_to_json(rep))["grid_results"] == rep.grid_results
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_experiment_fails_when_every_grid_point_diverges(self):
         # the error names the first grid point, its first diverged run and
         # that run's first non-finite step
@@ -1107,7 +1114,6 @@ class TestSweep:
         assert [H.report_to_json(r) for r in H.sweep(specs, workers=2)] == serial
         assert len(calls) == 3
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_pool_records_a_diverging_spec_like_the_serial_path(self):
         # every grid point of `bad` diverges, so it fails with a plain
         # ValueError, the same from a worker as in the parent, and its
@@ -1271,7 +1277,6 @@ def lockstep_specs(tmp_path):
 
 
 class TestLockstepSweep:
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("workers", [1, 2])
     def test_grouped_sweep_matches_each_run_experiment(self, tmp_path, workers):
         specs = lockstep_specs(tmp_path)

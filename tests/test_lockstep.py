@@ -230,7 +230,6 @@ def test_rate_zero_in_one_cell_leaves_its_weights():
     np.testing.assert_allclose(preds[1], want, rtol=TOL, atol=TOL)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_diverging_cell_is_named_and_leaves_the_others_to_finish():
     # cell 1's rate overflows its weights at d=3, where the projection is an
     # SVD; the batch still reaches the end, and every cell's predictions,
@@ -335,7 +334,6 @@ def test_rate_zero_cells_outside_the_ball_keep_their_weights(d):
 # the step without masks: a zero sign or rate must still leave weights as they are
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("radius", [None, 1.0])
 def test_a_zero_residual_keeps_the_weights_where_rate_times_features_overflows(radius):
     # cell 1 steps at rate 1e308 on features over 2, so its rates times its
@@ -357,7 +355,6 @@ def test_a_zero_residual_keeps_the_weights_where_rate_times_features_overflows(r
     np.testing.assert_allclose(Ws[0][0], w, rtol=TOL, atol=TOL)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("block", ["matrix", "lag"])
 def test_an_inf_feature_leaves_its_cell_at_zero_signs_and_the_others_as_alone(block):
     # one inf feature of cell 1 at step 20 makes its prediction there
