@@ -33,19 +33,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
     g, spec = harness.GeneratorConfig(), harness.ExperimentSpec()
     p = sub.add_parser("gen-data", help="sample a system and write a trajectory CSV")
-    p.add_argument("--kind", choices=harness.GENERATOR_KINDS, default=g.kind)
+    p.add_argument("--kind", choices=harness.GENERATOR_KINDS)
     p.add_argument("--T", type=int, default=spec.horizon, help="horizon")
-    p.add_argument("--dh", type=int, default=g.d_h, help="hidden dimension")
-    p.add_argument("--din", type=int, default=g.d_in)
-    p.add_argument("--dout", type=int, default=g.d_out)
-    p.add_argument("--tau", type=float, default=g.tau, help="imaginary-part cap")
-    p.add_argument("--L", type=float, default=g.radius_lo, help="eigenvalue radius lower bound")
-    p.add_argument("--U", type=float, default=g.radius_hi, help="eigenvalue radius upper bound")
-    p.add_argument("--sigma", type=float, default=g.noise_sigma, help="observation noise scale")
-    p.add_argument("--basis-cond", type=float, default=g.basis_cond)
+    p.add_argument("--dh", dest="d_h", type=int, help="hidden dimension")
+    p.add_argument("--din", dest="d_in", type=int)
+    p.add_argument("--dout", dest="d_out", type=int)
+    p.add_argument("--tau", type=float, help="imaginary-part cap")
+    p.add_argument("--L", dest="radius_lo", type=float, help="eigenvalue radius lower bound")
+    p.add_argument("--U", dest="radius_hi", type=float, help="eigenvalue radius upper bound")
+    p.add_argument("--sigma", dest="noise_sigma", type=float, help="observation noise scale")
+    p.add_argument("--basis-cond", type=float)
     p.add_argument("--seed", type=int, default=spec.master_seed)
     p.add_argument("--out", required=True, help="destination CSV")
-    p.set_defaults(func=_cmd_gen_data)
+    p.set_defaults(func=_cmd_gen_data, **dataclasses.asdict(g))  # the default generator
 
     p = sub.add_parser("precond", help="convolve a trajectory's outputs with coefficients")
     p.add_argument("--coeffs", required=True, help="JSON coefficient file")
@@ -84,6 +84,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the ten acceptance criteria")
     p.add_argument("--suite", default="all", help="one suite of criteria (default: all)")
     p.set_defaults(func=_cmd_verify)
+    for p in sub.choices.values():  # the parser that reports a subcommand's unknown flags
+        p.set_defaults(parser=p)
     return parser
 
 
@@ -117,17 +119,13 @@ def _cmd_gen_data(args) -> int:
     """Write run 0 of the one-run spec of this generator, horizon and master
     seed, loaded as `usp run` loads it.  A system or a trajectory over
     MAX_RUN_BYTES is refused before anything is sampled, as `usp run` does."""
-    g = harness.GeneratorConfig(
-        kind=args.kind, d_h=args.dh, d_in=args.din, d_out=args.dout, tau=args.tau,
-        radius_lo=args.L, radius_hi=args.U, noise_sigma=args.sigma,
-        basis_cond=args.basis_cond,
-    )
+    g = harness.GeneratorConfig(**{name: getattr(args, name) for name in _GENERATOR_FIELDS})
     over = f"MB, over MAX_RUN_BYTES ({harness.MAX_RUN_BYTES // 10**6} MB)"
     if (size := harness._systems_bytes([(g, 1)])) > harness.MAX_RUN_BYTES:
-        raise ValueError(f"--dh {args.dh} with --din {args.din} and --dout {args.dout}: "
+        raise ValueError(f"--dh {g.d_h} with --din {g.d_in} and --dout {g.d_out}: "
                          f"the system would take about {size // 10**6} {over}")
-    if (size := 8 * args.T * (args.din + args.dout)) > harness.MAX_RUN_BYTES:
-        raise ValueError(f"--T {args.T} with --din {args.din} and --dout {args.dout}: "
+    if (size := 8 * args.T * (g.d_in + g.d_out)) > harness.MAX_RUN_BYTES:
+        raise ValueError(f"--T {args.T} with --din {g.d_in} and --dout {g.d_out}: "
                          f"the trajectory would hold about {size // 10**6} {over}")
     key = harness._data_key(harness.ExperimentSpec(generator=g, horizon=args.T,
                                                    master_seed=args.seed, n_runs=1))
@@ -262,7 +260,9 @@ def _cmd_verify(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, unknown = parser.parse_known_args(argv)
+        if unknown:  # argparse hands a subcommand's unknown flags back to the top-level parser
+            getattr(args, "parser", parser).error(f"unrecognized arguments: {' '.join(unknown)}")
     except SystemExit as exc:  # argparse printed the usage and its error; --help exits 0
         if exc.code != 2:
             raise

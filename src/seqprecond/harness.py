@@ -281,8 +281,8 @@ def _systems_bytes(runs: list) -> int:
 
 
 def _bank_shape(spec: ExperimentSpec, T: int) -> tuple:
-    """A spectral spec's bank over T steps: (T - degree - 1, beta, filter_count)."""
-    return T - resolve_coefficients(spec).degree - 1, spec.beta, spec.filter_count
+    """A spectral spec's bank over T steps: (T - degree - 1, its sector, filter_count)."""
+    return T - resolve_coefficients(spec).degree - 1, ComplexSector(spec.beta), spec.filter_count
 
 
 def _input_taps(spec: ExperimentSpec) -> int:
@@ -343,9 +343,10 @@ def _load(keys) -> dict:
     Generated keys are sampled one by one, and those that share (kind, d_h,
     T) are simulated in one stacked recursion per batch: a key joins the
     last batch while `_systems_bytes` of the batch's runs and its own stays
-    within MAX_RUN_BYTES.  A key whose sampling fails fails alone; a failed
-    simulation fails its batch.  Every generated trajectory, `usp
-    gen-data`'s included, is loaded here."""
+    within MAX_RUN_BYTES.  A key whose sampling fails, or whose simulated
+    outputs are not finite, fails alone; a failed simulation fails its
+    batch.  Every generated trajectory, `usp gen-data`'s included, is
+    loaded here."""
     data, stacks = {}, {}
     for key in keys:
         try:
@@ -366,10 +367,15 @@ def _load(keys) -> dict:
         for batch in batches:
             batch_keys, sampled = zip(*batch)
             try:  # every run of the batch in one call, then each key's runs in order
-                runs = iter(simulate(*([x for p in parts for x in p] for parts in zip(*sampled))))
+                with np.errstate(over="ignore", invalid="ignore"):  # a non-finite run is named
+                    runs = iter(simulate(*(sum(parts, []) for parts in zip(*sampled))))
                 for key, (systems, _, _) in batch:
                     kept = systems if kind == "lds" else [None] * len(systems)
-                    data[key] = [next(runs) for _ in systems], kept
+                    loaded = [next(runs) for _ in systems]
+                    bad = [r for r, run in enumerate(loaded) if not np.isfinite(run.outputs).all()]
+                    data[key] = (loaded, kept) if not bad else ValueError(
+                        f"generator.noise_sigma {key[0].noise_sigma} and basis_cond "
+                        f"{key[0].basis_cond}: the outputs of run {bad[0]} are not finite")
             except Exception as exc:  # noqa: BLE001 - the failure of every key it simulates
                 data.update(dict.fromkeys(batch_keys, exc))
     return data
@@ -390,17 +396,15 @@ def _grid(spec: ExperimentSpec) -> list:
 def _group_predictions(specs: list, data: dict) -> list:
     """Each spec's (len(grid) * n_runs, T, d_out) predictions, as views of
     one `ogd` call over (spec, rate, run) cells: specs in order, rates
-    major, runs minor.  A cell has its run's trajectory, its spec learner's
-    taps, lag coefficients and radii, its rates and its oracle weights."""
+    major, runs minor.  A cell has its run's trajectory, its spec's
+    learner, its rates and its oracle weights."""
     keys = list(dict.fromkeys(map(_data_key, specs)))
     first = dict(zip(keys, np.cumsum([0] + [len(data[k][0]) for k in keys]).tolist()))
     trajs = [traj for k in keys for traj in data[k][0]]
     u = np.stack([traj.inputs for traj in trajs])
     y = np.stack([traj.outputs for traj in trajs])
     T, spectral = y.shape[1], specs[0].algo == "spectral"
-    if spectral:  # one bank, so one degree
-        m, beta, k = _bank_shape(specs[0], T)
-        n, bank = T - m - 1, build_filter_bank(m, ComplexSector(beta), k)
+    bank = build_filter_bank(*_bank_shape(specs[0], T)) if spectral else None  # one bank
     cells, ends = [], []  # (trajectory, model rate, coefficient rate, learner, initial weights)
     for spec in specs:
         c, key = resolve_coefficients(spec), _data_key(spec)
@@ -416,11 +420,7 @@ def _group_predictions(specs: list, data: dict) -> list:
                 cells.append((first[key] + run, *rates, learner, init))
         ends.append(len(cells))
     traj, lr, lr_lag, owners, init = map(list, zip(*cells))
-    blocks = learners.feature_blocks(
-        u, y, [o.num_taps for o in owners], [o.lags for o in owners], lr, lr_lag,
-        [o.R_Q for o in owners], index=traj, init=init,
-        deep=(bank, n, T, [o.R_M for o in owners]) if spectral else None,
-    )
+    blocks = learners.feature_blocks(u, y, owners, lr, lr_lag, index=traj, init=init)
     return np.split(learners.ogd(blocks, learners.Rows(y, traj))[0], ends[:-1])
 
 

@@ -17,8 +17,8 @@ cells of a sweep, in lockstep, with streams that many cells read stored
 once (`Rows`), gathered onto the cells, and scaled by their rates if
 they move, a chunk of steps at a time; a block's products are reduced in
 tap order, so a cell's results are the same in any batch.
-`feature_blocks` lays out the blocks of one learner, or of cells with
-their own taps, lag coefficients, rates and radii; the learner classes
+`feature_blocks` lays out the blocks of one learner, or of cells that
+each bring their learner, rates and initial weights; the learner classes
 size radii and rates and call it from `blocks(u, y)`, and
 `.run(inputs, outputs)` processes a whole stream.
 """
@@ -164,13 +164,13 @@ def ogd(blocks, targets):
     Inside, the cells lie on one trailing lane axis, at least two lanes
     wide.  Every block's features, and the targets, are gathered onto the
     lanes a chunk of steps at a time, into buffers that the chunk and its
-    steps read.  A block's products W_j x_{t,j}, for one step or for a
-    chunk's steps at once, are reduced over taps and channels with the
+    steps read; the chunk's predictions sum on the lanes and are copied
+    once into the result.  A block's products W_j x_{t,j}, for one step or
+    a chunk's steps at once, are reduced over taps and channels with the
     lanes as numpy's inner loop, so every sum runs tap-major, channel-minor,
     one cell per lane, and the blocks' terms add in block order: a cell's
-    results do not depend on which other cells share the call, and
-    trailing taps with zero features and zero weights change nothing, bit
-    for bit.
+    results do not depend on which cells share the call, and trailing taps
+    with zero features and weights change nothing, bit for bit.
 
     Returns the C-contiguous (..., T, d_out) predictions as computed,
     non-finite rows included, and the final weights.  Overflow and invalid
@@ -311,7 +311,7 @@ def ogd(blocks, targets):
             crosses.append(cross)
     if steps:
         gathers.append((*Ys, None, ys))
-    P, accs = np.zeros((T, d_out, lanes)), np.empty_like(ys)  # the predictions, chunk sums
+    preds, P, accs = np.empty((n, T, d_out)), np.empty_like(ys), np.empty_like(ys)  # chunk sums
     acc, s, coef = np.empty((3, d_out, lanes))  # a block's term, the signs, rate times signs
     (active, mask), flat = np.empty((2, lanes), dtype=bool), s.reshape(-1)
     signs, coefs = s[None, :, None], coef[None, :, None]  # against x[k] of a matrix block
@@ -326,7 +326,8 @@ def ogd(blocks, targets):
             np.divide(lr, root[t0 : t0 + c, None], out=rate[:c])
             rx = np.multiply(buf[:c], rate[:c, None, None], out=rbuf[:c])
             finite[i] = isfinite(rx.sum())  # a non-finite chunk is masked
-        chunk = P[t0 : t0 + c]
+        chunk = P[:c]
+        chunk.fill(0.0)
         for W, x, products, axes in lead_terms:
             chunk += np.add.reduce(np.multiply(W, x[:c], out=products[:c]), axis=axes, out=accs[:c])
         for k in range(c if steps else 0):
@@ -367,33 +368,35 @@ def ogd(blocks, targets):
                 else:  # every tap inside: re-arm from the taps' norms now
                     np.copyto(W, step, where=live)
                     crosses[i] = crossing(W, g, radius, t)
-    # the growth bounds and chunk buffers, and every name holding one, go before the copies
-    gathers = scales = steps = terms = lead_terms = ys = accs = None
-    buf = rbuf = x = rx = rate = products = g = None
+        preds[:, t0 : t0 + c] = np.moveaxis(chunk[..., :n], -1, 0)
 
     def cells_first(a):
         a = np.moveaxis(a[..., :n], -1, 0)
         return np.ascontiguousarray(a.reshape(cells + a.shape[1:]))
 
-    return cells_first(P), [cells_first(W) for W in Ws]
+    return preds.reshape(cells + (T, d_out)), [cells_first(W) for W in Ws]
 
 
-def feature_blocks(u, y, taps, lags, lr, lr_lag, radius, *, index=None, init=None, deep=None):
-    """The `ogd` blocks of preconditioned regression and spectral filtering:
-    the input window u_t..u_{t-taps+1} against maps Q_j from `init` (or 0)
-    at rate lr in the ball of the given radius, the lag coefficients
-    c_1..c_n (`lags`) against -y_{t-1}..-y_{t-n} at rate lr_lag, and with
-    deep = (bank, m, total_horizon, R_M) the bank's filters of the inputs
-    older than u_{t-m} against maps M_j from 0 at rate lr, radius R_M.
+def feature_blocks(u, y, learner, lr, lr_lag, *, index=None, init=None):
+    """The `ogd` blocks of a learner: num_taps input taps u_t, u_{t-1}, ...
+    against maps Q_j from `init` (or 0) at rate lr in the ball of radius
+    R_Q, the lag coefficients c_1..c_n (`lags`) against -y_{t-1}..-y_{t-n}
+    at rate lr_lag and, for a `SpectralLearner` of degree m, its bank's
+    filters of the inputs older than u_{t-m} against maps M_j from 0 at
+    rate lr in the ball of radius R_M.
 
-    Without an index, the parameters are one learner's and the leading
-    axes of the (..., T, d) streams are cell axes.  With an index (cells,),
-    cell c reads stream index[c] of u (S, T, d_in) and y (S, T, d_out),
-    every parameter holds one entry per cell (init: an array or None), and
-    the features are `Rows` at the most taps of any cell.
+    Without an index, `learner` is one learner and the leading axes of the
+    (..., T, d) streams are cell axes.  With an index (cells,), cell c
+    reads stream index[c] of u (S, T, d_in) and y (S, T, d_out) with
+    learner[c] (one bank for all), rates lr[c] and lr_lag[c] and init[c]
+    (an array or None); the features are `Rows` at the most taps of any cell.
     """
+
+    def each(name):  # the learner's value, or each cell's
+        return getattr(learner, name) if index is None else [getattr(c, name) for c in learner]
+
     u, y = np.asarray(u, dtype=float), np.asarray(y, dtype=float)
-    shape = (y.shape[-1], u.shape[-1])
+    shape, taps, lags = (y.shape[-1], u.shape[-1]), each("num_taps"), each("lags")
     if index is None:  # one learner: a stream's leading axes are its cells
         k, counts = taps, None
         W_lag = np.reshape(lags, (1,) * (y.ndim - 2) + np.shape(lags))
@@ -412,12 +415,12 @@ def feature_blocks(u, y, taps, lags, lr, lr_lag, radius, *, index=None, init=Non
     def rows(X, count=None):
         return X if index is None else Rows(X, index, count)
 
-    blocks = [(rows(lagged(u, k), taps), Q0, lr, radius),
+    blocks = [(rows(lagged(u, k), taps), Q0, lr, each("R_Q")),
               (rows(lagged(-y, W_lag.shape[-1], 1), counts), W_lag, lr_lag, None)]
-    if deep is not None:
-        bank, n, horizon, R_M = deep
-        blocks.append((rows(deep_past(bank, u, n, horizon)),
-                       np.zeros((*Q0.shape[:-3], bank.k, *shape)), lr, R_M))
+    first = learner if index is None else learner[0]
+    if isinstance(first, SpectralLearner):
+        blocks.append((rows(deep_past(first.bank, u, first.c.degree, first.total_horizon)),
+                       np.zeros((*Q0.shape[:-3], first.bank.k, *shape)), lr, each("R_M")))
     return blocks
 
 
@@ -471,8 +474,7 @@ class RegressionLearner:
         """The input window and the lag coefficients, for (..., T, d)
         streams whose leading axes are cell axes of `ogd`."""
         lr0 = 2.0 * self.R_Q / sqrt(y.shape[-1]) if self.lr0 is None else self.lr0
-        return feature_blocks(u, y, self.num_taps, self.lags, lr0, self.lr_coeffs0, self.R_Q,
-                              init=self.init_Q)
+        return feature_blocks(u, y, self, lr0, self.lr_coeffs0, init=self.init_Q)
 
     def run(self, inputs, outputs) -> np.ndarray:
         """One stream's (T, d_out) predictions; a 1-d input or output is one channel."""
@@ -517,8 +519,7 @@ class SpectralLearner:
         G = (n + k) * sqrt(y.shape[-1])
         default = (n * self.R_Q + k * self.R_M) / G if G > 0 else 0.0
         lr0 = default if self.lr0 is None else self.lr0
-        return feature_blocks(u, y, self.num_taps, self.lags, lr0, 0.0, self.R_Q,
-                              deep=(self.bank, n, self.total_horizon, self.R_M))
+        return feature_blocks(u, y, self, lr0, 0.0)
 
     run = RegressionLearner.run
 

@@ -594,9 +594,26 @@ class TestTopLevel:
             run_cli("--help")
         assert exc.value.code == 0
 
+    def test_a_subcommand_help_flag_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("run", "--help")
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: usp run ")
+
     def test_unknown_subcommand_is_usage_error(self, capsys):
         assert run_cli("frobnicate") == 1
         assert "invalid choice" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, usage", [
+        (["run", "--bogus"], "usage: usp run "),
+        (["poly", "--family", "chebyshev", "extra"], "usage: usp poly "),
+        (["--bogus"], "usage: usp "),
+    ], ids=["run", "poly", "top-level"])
+    def test_an_unknown_argument_is_reported_with_its_command_usage(self, capsys, argv, usage):
+        assert run_cli(*argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(usage)
+        assert err.endswith(f"{usage[7:-1]}: error: unrecognized arguments: {argv[-1]}\n")
 
 
 @pytest.mark.parametrize("command, config, fragment", [

@@ -5,6 +5,9 @@ Each spec below was run once and its `report_to_json` output stored in
 reproduce them: strings, integers, seeds and the chosen learning rate
 exactly, every other float to 1e-12 relative.
 
+`tests/golden/sweep.json` pins one `sweep` in the same way, with its
+`sweep_table_csv` text exactly.
+
 Re-capture (only when a change of the numbers is intended) with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -14,6 +17,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -51,6 +55,20 @@ SPECS = {
 }
 
 
+# What no single report reaches: one `ogd` call over specs of different
+# degree on one data key (degree 2's taps are padded to 5), grid points
+# that diverge (the three at coefficient rate 1e308, at step 10), a spec
+# whose every point diverges, a second group (a forked child at two
+# workers) and `sweep_table_csv`, whose d3 report takes a row of its own.
+SWEEP = [
+    _spec(variant="chebyshev"),
+    _spec(variant="chebyshev", degree=2),
+    _spec(variant="learned", lr_grid_coeffs=(1e308, 1e-2)),
+    _spec(variant="learned", lr_grid=(1e-2,), lr_grid_coeffs=(1e308,)),
+    SPECS["d3"],
+]
+
+
 def write_csv(directory) -> None:
     """The trajectory behind the `csv` spec, written into `directory`."""
     system = sample_system(d_h=8, d_in=2, d_out=1, tau_thresh=0.05, radius_lo=0.8,
@@ -61,6 +79,14 @@ def write_csv(directory) -> None:
 
 def report(name: str) -> dict:
     return json.loads(H.report_to_json(H.run_experiment(SPECS[name])))
+
+
+def sweep_result(workers: int) -> dict:
+    """The `SWEEP` results, each a decoded report or {"failure": ...}, and their table."""
+    results = H.sweep(SWEEP, workers=workers)
+    return {"results": [json.loads(H.report_to_json(r)) if isinstance(r, H.MetricsReport)
+                        else {"failure": asdict(r)} for r in results],
+            "table": H.sweep_table_csv(results)}
 
 
 def _mismatch(path, got, want):
@@ -99,6 +125,28 @@ def test_report_matches_golden(name, tmp_path, monkeypatch):
     assert _mismatch("", report(name), want) is None
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sweep_matches_golden(workers):
+    want = json.loads((GOLDEN_DIR / "sweep.json").read_text())
+    got = sweep_result(workers)
+    assert got["table"] == want["table"]
+    assert len(got["results"]) == len(want["results"])
+    for g, w in zip(got["results"], want["results"]):  # per entry: chosen_lr and seeds exact
+        assert _mismatch("", g, w) is None
+
+
+def test_each_swept_spec_reports_as_it_does_alone():
+    want = json.loads((GOLDEN_DIR / "sweep.json").read_text())["results"]
+    assert "failure" in want[3] and any("diverged" in g for g in want[2]["grid_results"])
+    for spec, entry in zip(SWEEP, want):
+        if "failure" in entry:
+            with pytest.raises(ValueError) as failed:
+                H.run_experiment(spec)
+            assert str(failed.value) == entry["failure"]["error"]
+        else:
+            assert _mismatch("", json.loads(H.report_to_json(H.run_experiment(spec))), entry) is None
+
+
 def test_the_clipped_spec_projects_its_taps(monkeypatch):
     calls, project = [], learners.project_to_ball
     monkeypatch.setattr(learners, "project_to_ball",
@@ -127,3 +175,5 @@ if __name__ == "__main__":
             text = H.report_to_json(H.run_experiment(SPECS[name]))
             (GOLDEN_DIR / f"{name}.json").write_text(text + "\n")
             print(f"wrote {name}.json", file=sys.stderr)
+    (GOLDEN_DIR / "sweep.json").write_text(json.dumps(sweep_result(1), indent=2) + "\n")
+    print("wrote sweep.json", file=sys.stderr)

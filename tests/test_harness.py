@@ -1228,6 +1228,21 @@ class TestStackedLoads:
         assert [H.report_to_json(got[i]) for i in (0, 2, 3, 4)] == [want[i] for i in (0, 2, 3, 4)]
         assert calls == [4, 1]
 
+    @pytest.mark.parametrize("action", ["default", "error", "ignore"])
+    def test_non_finite_data_fails_its_key_alone_naming_its_source(self, action):
+        # at noise_sigma 1e308 the noise of run 0 overflows: its key fails,
+        # naming the generator, at any warning filter, and the key that
+        # shares its stacked simulation reports as it does alone
+        bad = tiny_spec(generator=dataclasses.replace(TINY_GEN, noise_sigma=1e308))
+        good = tiny_spec()
+        alone = H.report_to_json(H.run_experiment(good))
+        with warnings.catch_warnings():
+            warnings.simplefilter(action)
+            failed, ok = H.sweep([bad, good])
+        assert failed == H.SweepFailure(H.spec_hash(bad), "generator.noise_sigma 1e+308 and "
+                                        "basis_cond 10.0: the outputs of run 0 are not finite")
+        assert H.report_to_json(ok) == alone
+
     def test_a_stack_over_max_run_bytes_is_simulated_in_batches(self, monkeypatch):
         # at d_h 6 the systems' estimate is 8 * 6 * (6 * 6 + 2 * sum of
         # (6 + d_in + d_out) over the runs) bytes: a bound of the first two

@@ -414,9 +414,8 @@ class TestFeatureBlocks:
                                    init_Q=rng.standard_normal((2, d_out, d_in)))]
         index = np.array([2, 0, 1, 0])
         blocks = feature_blocks(
-            u, y, [c.num_taps for c in cells], [c.lags for c in cells],
-            np.array([c.lr0 for c in cells]), np.array([c.lr_coeffs0 for c in cells]),
-            np.array([c.R_Q for c in cells]), index=index, init=[c.init_Q for c in cells],
+            u, y, cells, np.array([c.lr0 for c in cells]),
+            np.array([c.lr_coeffs0 for c in cells]), index=index, init=[c.init_Q for c in cells],
         )
         assert [len(X.streams) for X, _, _, _ in blocks] == [3, 3]
         preds, _ = ogd(blocks, y[index])
