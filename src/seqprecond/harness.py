@@ -65,6 +65,21 @@ DEFAULT_LR_GRID = (1e-3, 1e-2, 1e-1)
 MAX_RUN_BYTES = 10**9
 
 
+def _item(v):
+    """A numpy scalar's Python value, or v itself."""
+    return v.item() if isinstance(v, np.generic) else v
+
+
+def _python_fields(obj) -> None:
+    """Make each list field of a frozen spec dataclass a tuple, and each numpy
+    scalar, in a tuple too, its `.item()`: the spec then hashes and
+    serializes as the one built from Python numbers."""
+    for f in fields(obj):
+        v = getattr(obj, f.name)
+        v = tuple(map(_item, v)) if isinstance(v, (list, tuple)) else _item(v)
+        object.__setattr__(obj, f.name, v)
+
+
 @dataclass(frozen=True)
 class GeneratorConfig:
     """Synthetic data source; defaults are the desk-scale protocol."""
@@ -78,6 +93,9 @@ class GeneratorConfig:
     radius_hi: float = 1.0
     noise_sigma: float = 0.1
     basis_cond: float = 10.0
+
+    def __post_init__(self):
+        _python_fields(self)
 
 
 @dataclass(frozen=True)
@@ -109,10 +127,7 @@ class ExperimentSpec:
             object.__setattr__(self, "n_runs", 1 if self.csv_path is not None else 20)
         if isinstance(self.generator, dict):
             object.__setattr__(self, "generator", GeneratorConfig(**self.generator))
-        for name in ("lr_grid", "lr_grid_coeffs", "custom_coeffs"):
-            v = getattr(self, name)
-            if isinstance(v, list):
-                object.__setattr__(self, name, tuple(v))
+        _python_fields(self)
 
 
 @dataclass(frozen=True)
@@ -186,11 +201,12 @@ def validate_spec(spec: ExperimentSpec) -> None:
         raise ValueError(f"window must be >= 1, got {spec.window}")
     if not spec.oracle_comparator and len(spec.lr_grid) == 0:
         raise ValueError("learning-rate grid must be nonempty")
-    for name in ("lr_grid", "lr_grid_coeffs"):
-        for lr in getattr(spec, name) or ():
-            real = isinstance(lr, numbers.Real) and not isinstance(lr, bool)
-            if not (real and math.isfinite(lr) and lr >= 0):
-                raise ValueError(f"{name} holds {lr!r}: a learning rate must be finite and >= 0")
+    for name, floor in (("lr_grid", 0), ("lr_grid_coeffs", 0), ("custom_coeffs", -math.inf)):
+        for x in getattr(spec, name) or ():
+            real = isinstance(x, numbers.Real) and not isinstance(x, bool)
+            if not (real and math.isfinite(x) and x >= floor):
+                raise ValueError(f"{name} holds {x!r}: " + ("a learning rate must be finite and >= 0"
+                                 if floor == 0 else "a coefficient must be a finite real number"))
     if spec.variant == "learned" and spec.algo != "regression":
         raise ValueError("the learned variant is defined for regression only")
     if spec.lr_grid_coeffs is not None and spec.variant != "learned":
@@ -259,9 +275,7 @@ def _fit_error(spec: ExperimentSpec, T: int, d_in: int, d_out: int) -> ValueErro
             return ValueError(f"filter_count must lie in [0, horizon - degree - 1] = [0, {m}] "
                               f"for coefficients of degree {n}, got {k}")
         taps, lags = n + 1, n + 2  # the window u_t..u_{t-n} and the lags of (1 - x^2) p(x)
-    T, n_runs, d_in, d_out, k, taps, lags = map(  # numpy ints wrap
-        int, (T, spec.n_runs, d_in, d_out, k, taps, lags))
-    rows = min(T, learners._CHUNK)
+    rows, n_runs = min(T, learners._CHUNK), spec.n_runs
     chunk = rows * ((taps + k) * d_in * (1 + d_out) + 2 * lags * d_out)
     gather = rows * n_runs * max(taps * d_in, lags * d_out, k * d_in)
     cells = n_runs * len(_grid(spec))
@@ -275,9 +289,8 @@ def _systems_bytes(runs: list) -> int:
     """Sampling and simulating the systems of (generator, n_runs) pairs of one kind and d_h
     peak near 6 d_h^2 floats plus, per run and layer, A, B and C's d_h (d_h + d_in + d_out)
     twice: the system and its stacked copy."""
-    d_h, layers = int(runs[0][0].d_h), 1 if runs[0][0].kind == "lds" else 2
-    return 8 * d_h * (6 * d_h + 2 * layers * sum(
-        int(n) * sum(map(int, (d_h, g.d_in, g.d_out))) for g, n in runs))
+    d_h, layers = runs[0][0].d_h, 1 if runs[0][0].kind == "lds" else 2
+    return 8 * d_h * (6 * d_h + 2 * layers * sum(n * (d_h + g.d_in + g.d_out) for g, n in runs))
 
 
 def _bank_shape(spec: ExperimentSpec, T: int) -> tuple:
@@ -439,31 +452,29 @@ def _report(spec: ExperimentSpec, preds: np.ndarray, data) -> MetricsReport:
               else point[0] for point in grid]
     preds = preds.reshape(len(grid), *y.shape)
     finite = np.isfinite(preds).all(axis=-1)
-    grid_results = []
+    grid_results, finished = [], []  # finished: (mean, grid point, index) of each finite point
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite number is named below
         errs = np.abs(np.subtract(preds, y, out=preds), out=preds).sum(axis=-1)
-        finals = errs[..., -spec.window :].mean(axis=-1).tolist()
-        fulls = errs.mean(axis=-1).tolist()
-        for lr, ok, f, fu in zip(labels, finite, finals, fulls):
-            if ok.all():
-                grid_results.append({"lr": lr, "mean": float(np.mean(f)), "std": float(np.std(f)),
-                                     "mean_full_horizon": float(np.mean(fu)),
-                                     "per_run_final_errors": f, "per_run_full_errors": fu})
-            else:
-                run = int(np.argmin(ok.all(axis=-1)))  # the first diverged run
-                step = int(np.argmin(ok[run]))  # and its first non-finite step
-                grid_results.append({"lr": lr, "diverged": {"run": run, "step": step}})
-    finished = [(g, point) for g, point in zip(grid_results, grid) if "diverged" not in g]
+        finals, fulls = errs[..., -spec.window :].mean(axis=-1), errs.mean(axis=-1)
+        stats = zip(finals.mean(-1).tolist(), finals.std(-1).tolist(), fulls.mean(-1).tolist())
+    for i, (lr, ok, (mean, std, full)) in enumerate(zip(labels, finite, stats)):
+        if not ok.all():
+            run = int(np.argmin(ok.all(axis=-1)))  # the first diverged run
+            step = int(np.argmin(ok[run]))  # and its first non-finite step
+            grid_results.append({"lr": lr, "diverged": {"run": run, "step": step}})
+            continue
+        for value, what in ((mean, "mean of the final-window"), (std, "std of the final-window"),
+                            (full, "mean of the full-horizon")):
+            if not math.isfinite(value):  # a run's non-finite error makes its mean non-finite
+                raise ValueError(f"{what} errors at lr={lr} is not finite")
+        grid_results.append({"lr": lr, "mean": mean, "std": std, "mean_full_horizon": full})
+        finished.append((mean, grid[i], i))
     if not finished:
         failed = grid_results[0]["diverged"]
         raise ValueError(f"non-finite prediction at step {failed['step']} of {T} "
                          f"(lr={labels[0]}, run {failed['run']})")
-    for g, _ in finished:  # a run's non-finite error makes its mean non-finite
-        for name, what in (("mean", "mean of the final-window"), ("std", "std of the final-window"),
-                           ("mean_full_horizon", "mean of the full-horizon")):
-            if not math.isfinite(g[name]):
-                raise ValueError(f"{what} errors at lr={g['lr']} is not finite")
-    winner = min(finished, key=lambda e: (e[0]["mean"], e[1]))[0]  # ties go to the smaller rates
+    best = min(finished)[2]  # ties go to the smaller rates
+    winner = grid_results[best]
     return MetricsReport(
         algo=spec.algo,
         variant=spec.variant,
@@ -473,11 +484,9 @@ def _report(spec: ExperimentSpec, preds: np.ndarray, data) -> MetricsReport:
         std=winner["std"],
         mean_full_horizon=winner["mean_full_horizon"],
         chosen_lr=winner["lr"],
-        per_run_final_errors=winner["per_run_final_errors"],
-        per_run_full_errors=winner["per_run_full_errors"],
-        grid_results=[] if spec.oracle_comparator else [
-            {k: v for k, v in g.items() if not k.startswith("per_run")} for g in grid_results
-        ],
+        per_run_final_errors=finals[best].tolist(),
+        per_run_full_errors=fulls[best].tolist(),
+        grid_results=[] if spec.oracle_comparator else grid_results,
         config_hash=spec_hash(spec),
         master_seed=spec.master_seed,
         seeds=derive_seeds(spec.master_seed, spec.n_runs),
@@ -583,9 +592,9 @@ def _run(specs: list, workers: int = 1) -> list:
     for spectral, by the filter bank (T', beta, k).  Each group is one
     `_run_group` task, at most `workers` at once (`_run_groups`): the
     first in this process, the others here or in children forked for them,
-    which inherit the data.  A load failure, or a spec that does not fit
-    its data's length and widths (`_fit_error`; only a CSV's can
-    surprise), fails only the specs that read that data.
+    which inherit the data.  A load failure, or a CSV spec that does not
+    fit its file's length and widths (`_fit_error`), fails only the specs
+    that read that data.
     """
     data = _load(dict.fromkeys(map(_data_key, specs)))
     results, groups = [None] * len(specs), {}
@@ -596,8 +605,8 @@ def _run(specs: list, workers: int = 1) -> list:
             continue
         traj = loaded[0][0]
         T, d_in, d_out = traj.horizon, traj.inputs.shape[1], traj.outputs.shape[1]
-        results[i] = _fit_error(spec, T, d_in, d_out)
-        if results[i] is not None:
+        if spec.csv_path is not None and (error := _fit_error(spec, T, d_in, d_out)):
+            results[i] = error  # `validate_spec` has checked a generated spec's fit
             continue
         group = (spec.algo, T, d_in, d_out)
         if spec.algo == "spectral":

@@ -38,23 +38,15 @@ def _verdict(ok, detail: str) -> str:
 def chebyshev_sector_decay() -> str:
     """01: the monic Chebyshev degree-n polynomial is below 2^(2-n) on its sector."""
     t0 = time.perf_counter()
-    ratios = []
-    violations = 0
-    for n in range(1, 11):
-        c = poly.chebyshev_monic(n)
-        beta = 1.0 / (64.0 * n * n)
-        r = np.linspace(0.0, 1.0, POLAR_GRID)
-        theta = np.linspace(-beta, beta, POLAR_GRID)
-        z = r[:, None] * np.exp(1j * theta[None, :])
-        vals = np.abs(poly.eval_complex(c, z))
-        bound = 2.0 ** (2 - n)
-        violations += int(np.count_nonzero(~(vals <= bound)))  # a NaN is a violation
-        ratios.append(np.max(vals) / bound)
-    worst = float(np.max(ratios))
+    # density POLAR_GRID - 1 is POLAR_GRID radii and angles; np.max keeps a NaN
+    worst = float(np.max([poly.sup_on_sector(poly.chebyshev_monic(n),
+                                             poly.ComplexSector(1.0 / (64.0 * n * n)),
+                                             POLAR_GRID - 1) / 2.0 ** (2 - n)
+                          for n in range(1, 11)]))
     elapsed = time.perf_counter() - t0
     detail = (f"degrees 1..10, {POLAR_GRID}x{POLAR_GRID} polar grid, "
-              f"{violations} violations, worst ratio {worst:.3f}, {elapsed:.1f}s")
-    return _verdict(violations == 0 and elapsed < 10.0, detail)
+              f"worst ratio {worst:.3f}, {elapsed:.1f}s")
+    return _verdict(worst <= 1 and elapsed < 10.0, detail)
 
 
 def coefficient_growth_exact() -> str:

@@ -219,6 +219,12 @@ class TestValidateSpec:
                 r"over MAX_RUN_BYTES \(1000 MB\)$",
             ),
             (dict(n_runs=20, horizon=10**12), r"^n_runs 20 and horizon 1000000000000: .* MB, over"),
+            (
+                dict(variant="custom", custom_coeffs=(1.0, True)),
+                r"^custom_coeffs holds True: a coefficient must be a finite real number$",
+            ),
+            (dict(variant="custom", custom_coeffs=(1.0, "a")), r"^custom_coeffs holds 'a': "),
+            (dict(variant="custom", custom_coeffs=(1.0, None)), r"^custom_coeffs holds None: "),
         ],
     )
     def test_rejections_name_the_problem(self, overrides, fragment):
@@ -384,6 +390,38 @@ class TestRunExperiment:
         assert r.mean_full_horizon == pytest.approx(
             np.mean(r.per_run_full_errors), abs=1e-12
         )
+
+    def test_aggregates_are_exactly_those_of_the_per_run_lists(self):
+        # 13 runs go past numpy's 8-wide unrolled sum: the winner's mean, std
+        # and full-horizon mean read its lists as np.mean and np.std do
+        r = H.run_experiment(tiny_spec(n_runs=13))
+        assert r.mean == np.mean(r.per_run_final_errors)
+        assert r.std == np.std(r.per_run_final_errors)
+        assert r.mean_full_horizon == np.mean(r.per_run_full_errors)
+
+    def test_a_generated_spec_is_fitted_once(self, monkeypatch):
+        # `validate_spec` checks a generated spec's fit; the run does not again
+        calls = []
+        fit_error = H._fit_error
+
+        def counted(*args):
+            calls.append(args[1:])
+            return fit_error(*args)
+
+        monkeypatch.setattr(H, "_fit_error", counted)
+        H.run_experiment(tiny_spec(n_runs=2))
+        assert calls == [(120, 1, 1)]
+
+    def test_numpy_scalars_make_the_python_valued_spec(self):
+        # a spec built of numpy scalars is the spec built of their values:
+        # same hash, same report JSON
+        plain = tiny_spec(degree=2, lr_grid=(1e-2, float(np.float32(0.1))), n_runs=2)
+        held = tiny_spec(degree=np.int64(2), lr_grid=(np.float64(1e-2), np.float32(0.1)),
+                         n_runs=np.int64(2), window=np.int32(30),
+                         generator=H.GeneratorConfig(d_h=np.int64(6), tau=np.float64(0.05)))
+        assert held == plain
+        assert H.spec_hash(held) == H.spec_hash(plain)
+        assert H.report_to_json(H.run_experiment(held)) == H.report_to_json(H.run_experiment(plain))
 
     def test_report_shape(self, tiny_report):
         r = tiny_report
