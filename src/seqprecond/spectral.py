@@ -12,22 +12,27 @@ decays fast, so a handful of top eigenvectors span the profiles of every
 admissible mode; projections of past inputs onto them are a compact
 sufficient statistic for long-memory prediction.
 
-`_gram_panels` evaluates S once on the 2T'+3 differences and the
+`_gram_entries` evaluates S once on the 2T'+3 differences and the
 denominators once on the 2T'-1 sums, then reads them as Toeplitz and
 Hankel views, doing the operations of `_gram` in the same order, so every
 entry is equal bit for bit to the closed form at a fraction of its cost.
-It builds the lower triangle only, as column panels Z[j0:, j0:j0+_BLOCK]
-with _BLOCK = 128: T'^2/2 + 64 T' doubles, about half of Z.  `build_gram`
-writes the panels, one at a time, into both triangles of a dense matrix.
-`build_filter_bank` holds the panels, unmodified, until it returns,
-applies Z through them, and needs only the top k eigenpairs.  The matrix
-is numerically low-rank (at T'=1994 and beta=0.1, 93 of its 1994
-eigenvalues lie above 1e-14 times the largest), so a block Krylov basis
-grown from a fixed-seed start holds them after a few dozen to a couple of
+`_gram_panels` builds through it the lower triangle only, as column panels
+Z[j0:, j0:j0+_BLOCK] with _BLOCK = 128: T'^2/2 + 64 T' doubles, about
+half of Z.  `build_gram` writes the panels, one at a time, into both
+triangles of a dense matrix.  `build_filter_bank` holds the panels,
+unmodified, until it returns, applies Z through them, and needs only the
+top k eigenpairs.  The matrix is numerically low-rank (at T'=1994 and
+beta=0.1, 93 of its 1994 eigenvalues lie above 1e-14 times the largest),
+so a block Krylov basis holds them after a few dozen to a couple of
 hundred vectors; Rayleigh-Ritz on that basis gives the pairs, with numpy
-alone.  The bank checks what it returns: orthonormal filters, their
-eigenpair residuals through the panels, and top-k eigenvalues descending
-and nonnegative to -1e-10.
+alone.  Where a pivoted Cholesky factor of Z, read column by column from
+the closed form, spans that range in at least k + 3b and at most
+4(k + b) rows (b, the random block's width; see `_krylov_start`), the
+basis starts from its rows, and one product through the panels usually
+settles the solve; elsewhere it starts from a fixed-seed random block.
+The bank checks what it returns: orthonormal filters, their eigenpair
+residuals through the panels, and top-k eigenvalues descending and
+nonnegative to -1e-10.
 
 The rest of the spectrum needs no check at run time.  Z is the Gram
 matrix of the profiles under a positive measure, so it is positive
@@ -67,8 +72,10 @@ _ANGLE_TOL = 1e-8
 _GAP_FLOOR = 1e-10
 
 # Columns per panel of the Gram matrix.  The width fixes the order in which
-# _gram_product sums, and so the bank's last bits, which the golden reports
-# and perfbench's references pin; they were recorded at 128.
+# _gram_product sums, and so, with the start of the solve (_krylov_start),
+# the bank's last bits, which the golden reports and perfbench's references
+# pin; they were recorded at 128 from the random start.  The golden reports
+# hold at 1e-12 for the banks that now start from a pivoted Cholesky factor.
 _BLOCK = 128
 
 
@@ -95,10 +102,9 @@ def gram_entry(j: int, k: int, sector: ComplexSector) -> float:
     return float(_gram(j, k, sector.beta))
 
 
-def _gram_panels(horizon: int, sector: ComplexSector):
-    """The lower triangle of the Gram matrix as column panels
-    Z[j0:, j0:j0 + _BLOCK], each built when it is drawn.  A panel's first
-    column is horizon - len(panel)."""
+def _gram_entries(horizon: int, sector: ComplexSector):
+    """Z[rows, cols] for any numpy index of the rows and the columns, read
+    from the closed form through Toeplitz and Hankel views."""
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     if horizon > MAX_HORIZON:
@@ -119,13 +125,20 @@ def _gram_panels(horizon: int, sector: ComplexSector):
     sine, scale = toeplitz(S[2:-2]), hankel(1.0 / (jk + 2) + 1.0 / (jk + 6))
     shift, denom = toeplitz(S_shift), hankel(jk + 4)
 
-    def panel(j0):
-        cols = slice(j0, j0 + _BLOCK)
-        P = sine[j0:, cols] * scale[j0:, cols]
-        P -= shift[j0:, cols] / denom[j0:, cols]
-        return P
+    def entries(rows, cols):
+        G = sine[rows, cols] * scale[rows, cols]
+        G -= shift[rows, cols] / denom[rows, cols]
+        return G
 
-    return map(panel, range(0, horizon, _BLOCK))
+    return entries
+
+
+def _gram_panels(horizon: int, sector: ComplexSector):
+    """The lower triangle of the Gram matrix as column panels
+    Z[j0:, j0:j0 + _BLOCK], each built when it is drawn.  A panel's first
+    column is horizon - len(panel)."""
+    entries = _gram_entries(horizon, sector)
+    return (entries(slice(j0, None), slice(j0, j0 + _BLOCK)) for j0 in range(0, horizon, _BLOCK))
 
 
 def build_gram(horizon: int, sector: ComplexSector) -> np.ndarray:
@@ -168,17 +181,76 @@ class FilterBank:
         return self.filters.shape[1]
 
 
-def _top_eigenpairs(panels: list, k: int) -> tuple[np.ndarray, np.ndarray]:
+def _pivoted_cholesky(entries, d: np.ndarray, L: np.ndarray, tol: float) -> tuple[int, float]:
+    """Rows L[:c] of a pivoted Cholesky factor of Z, Z ~ L[:c].T @ L[:c]
+    (Harbrecht, Peters and Schneider, 2012), with no product of Z.
+
+    Row c is Z's column p, read through `entries`, less what rows 0..c-1
+    already hold of it, over its pivot sqrt(d[p]); p is the largest entry
+    of d, which holds Z's diagonal on entry and after each row the
+    diagonal of Z - L[:c].T @ L[:c].  That difference is positive
+    semidefinite, so its trace d.sum() bounds its 2-norm.  The loop stops
+    once the trace is at most tol, or when every row of L is written, and
+    returns c and the trace.
+    """
+    c, left = 0, d.sum()
+    while left > tol and c < len(L):
+        p = np.argmax(d)
+        row = entries(slice(None), p)
+        row -= L[:c, p] @ L[:c]
+        row /= np.sqrt(d[p])
+        d -= row * row
+        L[c] = row
+        c, left = c + 1, d.sum()
+    return c, left
+
+
+def _krylov_start(entries, k: int, V: np.ndarray) -> int:
+    """Write the first block of the Krylov basis, orthonormal, into the
+    rows of V and return its width.
+
+    With b = _KRYLOV_BLOCK, or k / _KRYLOV_STEPS when that is more, the
+    block is the rows of a pivoted Cholesky factor of Z if the factor
+    meets its tolerance within 4 (k + b) rows and at k + 3 b rows or more;
+    one product through the panels then usually meets the stopping rule.
+    Else it is b fixed-seed random vectors.  A factor much wider than k
+    costs more than it saves: at (T', beta, k) = (1994, 1, 24) it takes
+    693 rows, and the bank 950 ms against 216 ms from the random start.
+    So does one near k, as each later block is as wide: at (1994, 0.1,
+    93), 96 rows, 4 products and 232 ms against 138 ms.  Over T' in {300,
+    1000, 1994}, beta in {0.02, 0.05, 0.1, 0.2, 0.3, 0.5, 1} and k in {1,
+    8, 24, 48, 93}, 31 of 105 banks take the factor, and those whose
+    random start took 10 ms or more now take 0.56-0.95 of that time (best
+    of 3 fresh processes, one BLAS thread); a factor that misses the rule
+    costs up to 90 ms, at (1994, 1, 93).
+    """
+    n = len(V)
+    b = min(max(_KRYLOV_BLOCK, -(-k // _KRYLOV_STEPS)), n)
+    d = entries(*np.diag_indices(n))
+    tol = _RESIDUAL_TOL * d.max()
+    c, left = _pivoted_cholesky(entries, d, V[: 4 * (k + b)], tol)
+    if left <= tol and c >= k + 3 * b:
+        V[:c] = np.linalg.qr(V[:c].T)[0].T
+        return c
+    start = np.random.default_rng(0).standard_normal((n, b))
+    V[:b] = np.linalg.qr(start)[0].T
+    return b
+
+
+def _top_eigenpairs(
+    panels: list, k: int, V: np.ndarray, width: int
+) -> tuple[np.ndarray, np.ndarray]:
     """The k largest eigenvalues of the symmetric Z held as its lower
     panels, descending, and their eigenvectors as rows.
 
-    Block Krylov with full reorthogonalisation: starting from a fixed-seed
-    block of random vectors, each step applies Z to the newest block,
-    projects the result off the basis twice and appends it.  The block
-    holds _KRYLOV_BLOCK vectors, or k / _KRYLOV_STEPS when that is more:
-    every step past k vectors pays an eigensolve of the projected matrix
-    for the stopping rule, so for large k the basis grows in a bounded
-    number of steps instead of one step per _KRYLOV_BLOCK vectors.
+    Block Krylov with full reorthogonalisation: starting from the
+    orthonormal block in the first `width` rows of V (see _krylov_start),
+    each step applies Z to the newest block, projects the result off the
+    basis twice and appends the whole of it as the next block.  Every
+    step past k vectors pays an eigensolve of the projected matrix for
+    the stopping rule, so for large k the random start is wider than
+    _KRYLOV_BLOCK, and the basis grows in a bounded number of steps
+    instead of one step per _KRYLOV_BLOCK vectors.
     Rayleigh-Ritz on the basis gives Ritz pairs (theta_i, y_i).  In exact
     arithmetic the residual Z y_i - theta_i y_i is the newest projected
     block weighted by y_i's coordinates in the newest basis block, and its
@@ -191,22 +263,17 @@ def _top_eigenpairs(panels: list, k: int) -> tuple[np.ndarray, np.ndarray]:
     reaches the size of Z is the dense solve, so it stops there without
     the rule, and every k from 0 to the size takes this one path.
     """
-    n = len(panels[0])
-    b = min(max(_KRYLOV_BLOCK, -(-k // _KRYLOV_STEPS)), n)
-    # one basis vector per row; rows past the basis are never written, so
-    # they take no memory
-    V, H = np.empty((n, n)), np.zeros((n, n))
-    start = np.random.default_rng(0).standard_normal((n, b))
-    V[:b] = np.linalg.qr(start)[0].T
-    m, new = 0, b
+    n = len(V)
+    H = np.zeros((n, n))
+    m, new = 0, width
     while True:
         blk = slice(m, m + new)
-        ZV = _gram_product(panels, V[blk])
-        H[blk, : m + new] = ZV @ V[: m + new].T  # lower triangle of V Z V^T
+        W = _gram_product(panels, V[blk])
+        H[blk, : m + new] = W @ V[: m + new].T  # lower triangle of V Z V^T
         m += new
         if m == n:
             break
-        W = ZV - H[blk, :m] @ V[:m]
+        W -= H[blk, :m] @ V[:m]
         W -= (W @ V[:m].T) @ V[:m]
         if m > k:
             theta, S = np.linalg.eigh(H[:m, :m], UPLO="L")
@@ -220,7 +287,7 @@ def _top_eigenpairs(panels: list, k: int) -> tuple[np.ndarray, np.ndarray]:
             )
             if np.all(est <= bound):
                 break
-        new = min(b, n - m)
+        new = min(len(W), n - m)
         Q = np.linalg.qr(W[:new].T)[0].T
         Q -= (Q @ V[:m].T) @ V[:m]
         V[m : m + new] = np.linalg.qr(Q.T)[0].T
@@ -249,8 +316,13 @@ def build_filter_bank(horizon: int, sector: ComplexSector, k: int) -> FilterBank
     non-negligible is made positive, so the bank is reproducible bit for
     bit on one platform.
     """
-    if 1 <= horizon <= MAX_HORIZON and not 0 <= k <= horizon:  # _gram_panels names a bad horizon
+    if 1 <= horizon <= MAX_HORIZON and not 0 <= k <= horizon:  # _gram_entries names a bad horizon
         raise ValueError(f"need 0 <= k <= {horizon}, got k={k}")
+    entries = _gram_entries(horizon, sector)
+    # one basis vector per row; rows past the basis are never written, so
+    # they take no memory.  The start is built before the panels, into V
+    V = np.empty((horizon, horizon))
+    width = _krylov_start(entries, k, V)
     panels = list(_gram_panels(horizon, sector))
     # Z is positive semidefinite, so its trace bounds its top eigenvalue
     if sum(np.trace(P) for P in panels) <= horizon * 1e-15:
@@ -258,7 +330,7 @@ def build_filter_bank(horizon: int, sector: ComplexSector, k: int) -> FilterBank
             "degenerate filter bank: Gram matrix is numerically zero "
             "(zero-measure sector?)"
         )
-    w, F = _top_eigenpairs(panels, k)
+    w, F = _top_eigenpairs(panels, k, V, width)
     for row in F:
         nz = np.flatnonzero(np.abs(row) > 1e-12 * np.abs(row).max())
         if nz.size and row[nz[0]] < 0:

@@ -14,15 +14,18 @@ from hypothesis import strategies as st
 from scipy.integrate import dblquad
 
 import seqprecond
-from seqprecond import invariants
+from seqprecond import invariants, spectral
 from seqprecond.poly import ComplexSector
 from seqprecond.spectral import (
     _BLOCK,
+    _RESIDUAL_TOL,
     MAX_HORIZON,
     FilterBank,
     _gram,
+    _gram_entries,
     _gram_panels,
     _gram_product,
+    _pivoted_cholesky,
     _validate_bank,
     build_filter_bank,
     build_gram,
@@ -248,6 +251,58 @@ class TestFilterBank:
             build_filter_bank(4, ComplexSector(0.1), -1)
 
 
+class TestKrylovStart:
+    @pytest.mark.parametrize("horizon", [40, 300])
+    @pytest.mark.parametrize("beta", [0.1, 1.0])
+    def test_pivoted_cholesky(self, horizon, beta):
+        # every entry the factor reads is build_gram's, bit for bit, and
+        # Z - L^T L, positive semidefinite in exact arithmetic, has a
+        # 2-norm within its trace at the stop plus rounding
+        Z = build_gram(horizon, ComplexSector(beta))
+        entries, columns = _gram_entries(horizon, ComplexSector(beta)), []
+
+        def recording(rows, cols):
+            G = entries(rows, cols)
+            columns.append((cols, G.copy()))
+            return G
+
+        d = entries(*np.diag_indices(horizon))
+        np.testing.assert_array_equal(d, np.diag(Z))
+        tol = _RESIDUAL_TOL * d.max()
+        L = np.empty((horizon, horizon))
+        c, left = _pivoted_cholesky(recording, d, L, tol)
+        assert left <= tol and len(columns) == c
+        assert len({int(p) for p, _ in columns}) == c
+        for p, column in columns:
+            np.testing.assert_array_equal(column, Z[:, p])
+        err = np.linalg.norm(Z - L[:c].T @ L[:c], 2)
+        assert err <= left + horizon * np.finfo(float).eps * np.diag(Z).max()
+
+    # The products through the panels that each start pays, the validation
+    # pass included.  The pivoted Cholesky start is taken at (1994, 0.1,
+    # 24) and at (296, 0.1, 8), the spectral golden's bank.  The random
+    # start stays where the factor needs more than 4 (k + b) rows (693 at
+    # (1994, 1.0); 96 at (1994, 0.1) against 36 at k = 1), and where it
+    # needs fewer than k + 3 b (96 against 129 at k = 93)
+    @pytest.mark.parametrize("horizon,beta,k,products", [
+        (1994, 0.1, 24, 2),
+        (296, 0.1, 8, 2),
+        (1994, 1.0, 24, 23),
+        (1994, 0.1, 1, 7),
+        (1994, 0.1, 93, 12),
+    ])
+    def test_products_through_the_panels(self, monkeypatch, horizon, beta, k, products):
+        calls, product = [], spectral._gram_product
+
+        def counting(panels, V):
+            calls.append(len(V))
+            return product(panels, V)
+
+        monkeypatch.setattr(spectral, "_gram_product", counting)
+        build_filter_bank(horizon, ComplexSector(beta), k)
+        assert len(calls) == products
+
+
 DENSE_CASES = [
     *[(40, 0.1, k) for k in (0, 1, 39, 40)],
     # (300, 0.01): the 16th eigenvalue, 4.1e-10 * the largest, lies 3.3e-10
@@ -269,6 +324,10 @@ DENSE_CASES = [
     (_BLOCK + 1, 0.1, _BLOCK + 1),
     (1994, 0.1, 24),
     (1994, 1.0, 24),
+    # the benchmark's T' and beta on each side of _krylov_start's rule: the
+    # pivoted Cholesky start at k = 48, the random start at k = 93
+    (1994, 0.1, 48),
+    (1994, 0.1, 93),
 ]
 
 
