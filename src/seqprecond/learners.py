@@ -45,6 +45,14 @@ DEFAULT_DOMAIN_BOUND = 10.0
 # at 64/T of the predictions per tap.
 _CHUNK = 64
 
+# Output rows per convolution in `deep_past`.  A full convolution of the
+# history with a filter spends half its work on outputs past the history;
+# blocks of rows skip them at one call per block.  At 20 runs x 3 channels,
+# T=2000 and k=24 (one BLAS thread, 2 shared vCPUs, best of 3) the blocks
+# took 0.45, 0.43, 0.44 and 0.51 s at 128, 256, 512 and 1024 rows, and the
+# full convolutions 0.68 s.
+_PAST_BLOCK = 256
+
 
 # ---------------------------------------------------------------------------
 # projections
@@ -104,11 +112,22 @@ def deep_past(bank: FilterBank, u: np.ndarray, n: int, T: int) -> np.ndarray:
         raise ValueError(f"history depth {depth} exceeds bank horizon {bank.horizon}")
     out = np.zeros((*u.shape[:-1], bank.k, u.shape[-1]))
     if depth > 0:
-        # direct, not FFT, convolution: row t must read u_0..u_t only, bit for bit
+        # direct, not FFT, convolution, by blocks of output rows [a, b): one
+        # "valid" convolution of u_{a-L+1} .. u_{b-1}, zeros before u_0, with
+        # f[:L], L = min(b, horizon), computes only the kept outputs.  Each
+        # output is one dot product of its own window, so row t reads u_0..u_t
+        # only, bit for bit, whatever the later inputs and the other streams
+        pad = min(_PAST_BLOCK, depth) - 1
+        x = np.zeros(pad + depth)
         for cell in np.ndindex(u.shape[:-2]):
             for c in range(u.shape[-1]):
-                for j, f in enumerate(bank.filters):
-                    out[cell][n + 1 :, j, c] = np.convolve(u[cell][:depth, c], f)[:depth]
+                x[pad:] = u[cell][:depth, c]
+                for a in range(0, depth, _PAST_BLOCK):
+                    b = min(a + _PAST_BLOCK, depth)
+                    L = min(b, bank.horizon)
+                    window = x[pad + a - L + 1 : pad + b]
+                    for j, f in enumerate(bank.filters):
+                        out[cell][n + 1 + a : n + 1 + b, j, c] = np.convolve(window, f[:L], "valid")
         out /= np.sqrt(T)
     return out
 

@@ -25,11 +25,13 @@ top k eigenpairs.  The matrix is numerically low-rank (at T'=1994 and
 beta=0.1, 93 of its 1994 eigenvalues lie above 1e-14 times the largest),
 so a block Krylov basis holds them after a few dozen to a couple of
 hundred vectors; Rayleigh-Ritz on that basis gives the pairs, with numpy
-alone.  Where a pivoted Cholesky factor of Z, read column by column from
-the closed form, spans that range in at least k + 3b and at most
+alone.  Where a pivoted Cholesky factor L of Z, read column by column
+from the closed form, spans that range in at least k + 3b and at most
 4(k + b) rows (b, the random block's width; see `_krylov_start`), the
-basis starts from its rows, and one product through the panels usually
-settles the solve; elsewhere it starts from a fixed-seed random block.
+basis starts from the top k + b right singular directions of L, and one
+product of those k + b rows through the panels, whatever the factor's
+width, usually settles the solve; elsewhere it starts from a fixed-seed
+random block.
 The bank checks what it returns: orthonormal filters, their eigenpair
 residuals through the panels, and top-k eigenvalues descending and
 nonnegative to -1e-10.
@@ -75,7 +77,8 @@ _GAP_FLOOR = 1e-10
 # _gram_product sums, and so, with the start of the solve (_krylov_start),
 # the bank's last bits, which the golden reports and perfbench's references
 # pin; they were recorded at 128 from the random start.  The golden reports
-# hold at 1e-12 for the banks that now start from a pivoted Cholesky factor.
+# hold at 1e-12 for the banks that now start from the top k + b directions
+# of a pivoted Cholesky factor.
 _BLOCK = 128
 
 
@@ -210,19 +213,21 @@ def _krylov_start(entries, k: int, V: np.ndarray) -> int:
     rows of V and return its width.
 
     With b = _KRYLOV_BLOCK, or k / _KRYLOV_STEPS when that is more, the
-    block is the rows of a pivoted Cholesky factor of Z if the factor
-    meets its tolerance within 4 (k + b) rows and at k + 3 b rows or more;
-    one product through the panels then usually meets the stopping rule.
-    Else it is b fixed-seed random vectors.  A factor much wider than k
-    costs more than it saves: at (T', beta, k) = (1994, 1, 24) it takes
-    693 rows, and the bank 950 ms against 216 ms from the random start.
-    So does one near k, as each later block is as wide: at (1994, 0.1,
-    93), 96 rows, 4 products and 232 ms against 138 ms.  Over T' in {300,
-    1000, 1994}, beta in {0.02, 0.05, 0.1, 0.2, 0.3, 0.5, 1} and k in {1,
-    8, 24, 48, 93}, 31 of 105 banks take the factor, and those whose
-    random start took 10 ms or more now take 0.56-0.95 of that time (best
-    of 3 fresh processes, one BLAS thread); a factor that misses the rule
-    costs up to 90 ms, at (1994, 1, 93).
+    block is taken from a pivoted Cholesky factor L of Z if the factor
+    meets its tolerance within 4 (k + b) rows and at k + 3 b rows or more.
+    With L^T = Q R and R = U S W^T, it is the top w = k + b right singular
+    directions of L, the columns of Q U[:, :w].  L^T L maps their span
+    into itself, so the residual that the stopping rule reads after the
+    first product, (I - V^T V)(Z - L^T L) y, is the one that all c rows of
+    L would leave, and one product of w rows through the panels then
+    usually meets the rule, whatever c is.  Else the block is b fixed-seed
+    random vectors.  A factor much wider than k costs more to build than
+    it saves: at (T', beta, k) = (1994, 1, 24) it takes 693 rows, and the
+    bank 530 ms against 225 ms from the random start.  The rule's bounds
+    were set when the block held all c rows.  Over T' in {300, 1000,
+    1994}, beta in {0.02, 0.05, 0.1, 0.2, 0.3, 0.5, 1} and k in {1, 8, 24,
+    48, 93}, 31 of 105 banks take the factor, and take 0.65-0.97 of the
+    time they took with all c rows (best of 3, one BLAS thread).
     """
     n = len(V)
     b = min(max(_KRYLOV_BLOCK, -(-k // _KRYLOV_STEPS)), n)
@@ -230,8 +235,10 @@ def _krylov_start(entries, k: int, V: np.ndarray) -> int:
     tol = _RESIDUAL_TOL * d.max()
     c, left = _pivoted_cholesky(entries, d, V[: 4 * (k + b)], tol)
     if left <= tol and c >= k + 3 * b:
-        V[:c] = np.linalg.qr(V[:c].T)[0].T
-        return c
+        Q, R = np.linalg.qr(V[:c].T)
+        w = k + b
+        V[:w] = (Q @ np.linalg.svd(R)[0][:, :w]).T
+        return w
     start = np.random.default_rng(0).standard_normal((n, b))
     V[:b] = np.linalg.qr(start)[0].T
     return b

@@ -11,6 +11,7 @@ from seqprecond.dynsys import gaussian_inputs, simulate_lds, system_from_eigenva
 from seqprecond.poly import ComplexSector, CoefficientVector, chebyshev_monic
 from seqprecond.spectral import build_filter_bank
 from seqprecond.learners import (
+    _PAST_BLOCK,
     DEFAULT_DOMAIN_BOUND,
     RegressionLearner,
     Rows,
@@ -182,6 +183,49 @@ class TestDeepPast:
             want = [padded_block(bank, u[cell], t, n) for t in range(length)]
             want = np.array([filter_project(bank, block, T) for block in want])
             np.testing.assert_allclose(got[cell], want, rtol=0, atol=1e-12)
+
+    @pytest.fixture(scope="class")
+    def long_bank(self):
+        """A bank whose horizon spans more than two blocks of `deep_past`."""
+        return build_filter_bank(2 * _PAST_BLOCK + 88, ComplexSector(0.1), 3)
+
+    @pytest.mark.parametrize("depth", [1, 255, 256, 257, 511, 512, 600])
+    def test_matches_filter_project_across_blocks(self, long_bank, depth):
+        # history depths on each side of the block edges, up to the full
+        # horizon (600), with two cells of three channels
+        bank, n, T = long_bank, 2, 700
+        assert _PAST_BLOCK == 256 and bank.horizon == 600
+        u = np.random.default_rng(depth).standard_normal((2, n + 1 + depth, 3))
+        got = deep_past(bank, u, n, T)
+        for cell in range(2):
+            want = [padded_block(bank, u[cell], t, n) for t in range(n + 1 + depth)]
+            want = np.array([filter_project(bank, block, T) for block in want])
+            np.testing.assert_allclose(got[cell], want, rtol=0, atol=1e-12)
+        # against one full convolution per stream and filter, cut to the
+        # kept rows, to 1e-15 of the sum of the magnitudes each dot adds up
+        full, scale = np.zeros_like(got), np.zeros_like(got)
+        for cell in range(2):
+            for c in range(3):
+                x = u[cell, :depth, c]
+                for j, f in enumerate(bank.filters):
+                    full[cell, n + 1 :, j, c] = np.convolve(x, f)[:depth]
+                    scale[cell, n + 1 :, j, c] = np.convolve(np.abs(x), np.abs(f))[:depth]
+        assert np.all(np.abs(got - full / np.sqrt(T)) <= 1e-15 * scale / np.sqrt(T))
+
+    @pytest.mark.parametrize("edge", [_PAST_BLOCK, 2 * _PAST_BLOCK])
+    def test_a_row_reads_no_later_input_across_blocks(self, long_bank, edge):
+        # row n + 1 + t reads u_0 .. u_t only, bit for bit: a change at the
+        # first input of a block, or just after it, leaves every row before
+        # it as it was and reaches the row that reads it
+        n = 1
+        u = np.random.default_rng(edge).standard_normal((1, n + 1 + long_bank.horizon, 2))
+        base = deep_past(long_bank, u, n, len(u[0]))
+        for s in (edge, edge + 1):
+            v = u.copy()
+            v[:, s:] = np.random.default_rng(s).standard_normal(v[:, s:].shape)
+            got = deep_past(long_bank, v, n, len(u[0]))
+            np.testing.assert_array_equal(got[:, : n + 1 + s], base[:, : n + 1 + s])
+            assert np.all(got[:, n + 1 + s] != base[:, n + 1 + s])
 
     def test_one_hot(self):
         # an impulse at the first step reaches row t through filter entry t-1
@@ -704,6 +748,27 @@ def test_prediction_ignores_the_future(name):
         preds = learner.run(u2, y2)
         np.testing.assert_array_equal(preds[: t + 1], base[: t + 1])
         assert not np.array_equal(preds[t + 1 :], base[t + 1 :])  # the change is seen
+
+
+@pytest.mark.parametrize("edge", [_PAST_BLOCK, 2 * _PAST_BLOCK])
+def test_spectral_prediction_ignores_the_future_past_two_blocks(edge):
+    # the deep past is convolved in blocks of _PAST_BLOCK history rows, and
+    # preds[t] reads history rows up to t - degree - 1.  Bit for bit, inputs
+    # after t change neither the rows before a block edge nor the first row
+    # of a block, whose convolution also reads those later inputs
+    c = cv(1.0, -0.9, 0.4, 0.1)
+    T = 2 * _PAST_BLOCK + 100
+    bank = build_filter_bank(T - c.degree - 1, ComplexSector(0.1), 4)
+    learner = SpectralLearner(c, bank, total_horizon=T, lr0=0.05)
+    rng = np.random.default_rng(edge)
+    u, y = rng.standard_normal((T, 2)), rng.standard_normal((T, 2))
+    base = learner.run(u, y)
+    for t in (edge + c.degree, edge + c.degree + 1):
+        u2 = u.copy()
+        u2[t + 1 :] = rng.standard_normal(u2[t + 1 :].shape)
+        preds = learner.run(u2, y)
+        np.testing.assert_array_equal(preds[: t + 1], base[: t + 1])
+        assert not np.array_equal(preds[t + 1 :], base[t + 1 :])
 
 
 def test_first_non_finite_prediction_is_named():

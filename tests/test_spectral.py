@@ -18,6 +18,7 @@ from seqprecond import invariants, spectral
 from seqprecond.poly import ComplexSector
 from seqprecond.spectral import (
     _BLOCK,
+    _KRYLOV_BLOCK,
     _RESIDUAL_TOL,
     MAX_HORIZON,
     FilterBank,
@@ -25,6 +26,7 @@ from seqprecond.spectral import (
     _gram_entries,
     _gram_panels,
     _gram_product,
+    _krylov_start,
     _pivoted_cholesky,
     _validate_bank,
     build_filter_bank,
@@ -278,19 +280,21 @@ class TestKrylovStart:
         err = np.linalg.norm(Z - L[:c].T @ L[:c], 2)
         assert err <= left + horizon * np.finfo(float).eps * np.diag(Z).max()
 
-    # The products through the panels that each start pays, the validation
-    # pass included.  The pivoted Cholesky start is taken at (1994, 0.1,
-    # 24) and at (296, 0.1, 8), the spectral golden's bank.  The random
+    # The rows of each product through the panels, the validation pass's k
+    # last.  The pivoted Cholesky start is taken at (1994, 0.1, 24), at
+    # (296, 0.1, 8), the spectral golden's bank, and at (1994, 0.1, 48): one
+    # product of k + b rows, however many rows the factor has.  The random
     # start stays where the factor needs more than 4 (k + b) rows (693 at
     # (1994, 1.0); 96 at (1994, 0.1) against 36 at k = 1), and where it
     # needs fewer than k + 3 b (96 against 129 at k = 93)
     @pytest.mark.parametrize("horizon,beta,k,products", [
-        (1994, 0.1, 24, 2),
-        (296, 0.1, 8, 2),
-        (1994, 1.0, 24, 23),
-        (1994, 0.1, 1, 7),
-        (1994, 0.1, 93, 12),
-    ])
+        (1994, 0.1, 24, [32, 24]),
+        (296, 0.1, 8, [16, 8]),
+        (1994, 0.1, 48, [56, 48]),
+        (1994, 1.0, 24, [8] * 22 + [24]),
+        (1994, 0.1, 1, [8] * 6 + [1]),
+        (1994, 0.1, 93, [12] * 11 + [93]),
+    ], ids=lambda v: str(len(v)) if isinstance(v, list) else None)  # ids count the products
     def test_products_through_the_panels(self, monkeypatch, horizon, beta, k, products):
         calls, product = [], spectral._gram_product
 
@@ -300,7 +304,29 @@ class TestKrylovStart:
 
         monkeypatch.setattr(spectral, "_gram_product", counting)
         build_filter_bank(horizon, ComplexSector(beta), k)
-        assert len(calls) == products
+        assert calls == products
+
+    @pytest.mark.parametrize("horizon,beta,k", [(1994, 0.1, 24), (296, 0.1, 8), (1994, 0.1, 48)])
+    def test_the_start_is_the_top_of_the_factor(self, horizon, beta, k):
+        # k + b orthonormal rows in the row span of the factor L, which
+        # L^T L maps into itself: the residual of the first product is the
+        # part of Z that L leaves out
+        entries = _gram_entries(horizon, ComplexSector(beta))
+        V = np.empty((horizon, horizon))
+        width = _krylov_start(entries, k, V)
+        assert width == k + _KRYLOV_BLOCK
+        S = V[:width]
+        np.testing.assert_allclose(S @ S.T, np.eye(width), rtol=0, atol=1e-14)
+        d = entries(*np.diag_indices(horizon))
+        L = np.empty((4 * width, horizon))
+        c, _ = _pivoted_cholesky(entries, d, L, _RESIDUAL_TOL * d.max())
+        L = L[:c]
+        assert c >= k + 3 * _KRYLOV_BLOCK
+        Q = np.linalg.qr(L.T)[0]
+        assert np.abs(S - (S @ Q) @ Q.T).max() <= 1e-13
+        LS = (S @ L.T) @ L  # S L^T L
+        out = LS - (LS @ S.T) @ S
+        assert np.abs(out).max() <= 1e-13 * np.linalg.norm(L, 2) ** 2
 
 
 DENSE_CASES = [
